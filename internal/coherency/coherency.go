@@ -90,20 +90,15 @@ var (
 	opRevoke       = stats.NewOp("coh.revoke", stats.BoundaryDirect)
 )
 
-// CohFS is an instance of the coherency layer.
+// CohFS is an instance of the coherency layer: the pass-through name space
+// of fsys.Passthrough with every file wrapped in a cohFile.
 type CohFS struct {
-	name   string
+	fsys.Passthrough
 	domain *spring.Domain
 	vmm    *vm.VMM
 	table  *fsys.ConnectionTable
 
-	mu          sync.Mutex
-	under       fsys.StackableFS
-	files       map[uint64]*cohFile
-	byLowerName map[any]*cohFile
-	dirs        map[naming.Context]*cohDir
 	nextBacking atomic.Uint64
-	closed      bool
 
 	// Counters used by tests and the bench harness to verify, e.g., that
 	// cached operations make no calls to the lower layer (Table 2).
@@ -123,15 +118,9 @@ var (
 // New creates a coherency layer instance served by domain, using the
 // node's vmm for its read/write mappings.
 func New(domain *spring.Domain, vmm *vm.VMM, name string) *CohFS {
-	return &CohFS{
-		name:        name,
-		domain:      domain,
-		vmm:         vmm,
-		table:       fsys.NewConnectionTable(domain),
-		files:       make(map[uint64]*cohFile),
-		byLowerName: make(map[any]*cohFile),
-		dirs:        make(map[naming.Context]*cohDir),
-	}
+	c := &CohFS{domain: domain, vmm: vmm, table: fsys.NewConnectionTable(domain)}
+	c.Init(name, c, c.newFile)
+	return c
 }
 
 // NewCreator returns a stackable_fs_creator for coherency layers. Each
@@ -150,56 +139,10 @@ func NewCreator(domain *spring.Domain, vmm *vm.VMM) fsys.Creator {
 // Domain returns the serving domain.
 func (c *CohFS) Domain() *spring.Domain { return c.domain }
 
-// FSName implements fsys.FS.
-func (c *CohFS) FSName() string { return c.name }
-
-// StackOn implements fsys.StackableFS. The coherency layer stacks on
-// exactly one underlying file system.
-func (c *CohFS) StackOn(under fsys.StackableFS) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under != nil {
-		return fsys.ErrAlreadyStacked
-	}
-	c.under = under
-	return nil
-}
-
-// Under returns the underlying file system.
-func (c *CohFS) Under() fsys.StackableFS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.under
-}
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (c *CohFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, c)
-}
-
-// underlying returns the lower file system or an error if not stacked.
-func (c *CohFS) underlying() (fsys.StackableFS, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under == nil {
-		return nil, fsys.ErrNotStacked
-	}
-	if c.closed {
-		return nil, fsys.ErrClosed
-	}
-	return c.under, nil
-}
-
-// fileFor returns the canonical coherent wrapper for a lower file. One
-// wrapper per lower file keeps the bind contract (equivalent memory
+// newFile builds the coherent wrapper for a lower file. The kit keeps one
+// wrapper per lower file, which keeps the bind contract (equivalent memory
 // objects share one pager-cache connection per manager).
-func (c *CohFS) fileFor(lower fsys.File) *cohFile {
-	key := fsys.CanonicalKey(lower)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.byLowerName[key]; ok {
-		return f
-	}
+func (c *CohFS) newFile(lower fsys.File) fsys.File {
 	f := &cohFile{
 		fs:      c,
 		lower:   lower,
@@ -208,48 +151,14 @@ func (c *CohFS) fileFor(lower fsys.File) *cohFile {
 	}
 	f.bcond = sync.NewCond(&f.bmu)
 	f.io = fsys.NewMappedIO(c.vmm, f)
-	c.files[f.backing] = f
-	c.byLowerName[key] = f
 	return f
-}
-
-// dirFor returns the canonical wrapper context for a lower directory.
-func (c *CohFS) dirFor(lower naming.Context) *cohDir {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.dirs[lower]; ok {
-		return d
-	}
-	d := &cohDir{fs: c, lower: lower}
-	c.dirs[lower] = d
-	return d
-}
-
-// wrap converts a lower-layer object into its coherent counterpart.
-func (c *CohFS) wrap(obj naming.Object) naming.Object {
-	switch o := obj.(type) {
-	case fsys.File:
-		return c.fileFor(o)
-	case naming.Context:
-		return c.dirFor(o)
-	default:
-		return obj
-	}
 }
 
 // Create implements fsys.FS.
 func (c *CohFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
 	t := opCreate.Start()
 	defer opCreate.End(t, 0)
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	lower, err := under.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.fileFor(lower), nil
+	return c.Passthrough.Create(name, cred)
 }
 
 // Open implements fsys.FS.
@@ -263,237 +172,40 @@ func (c *CohFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
 	return fsys.AsFile(obj)
 }
 
-// Remove implements fsys.FS.
-func (c *CohFS) Remove(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	// Invalidate the wrapper before removing below.
-	if obj, rerr := under.Resolve(name, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			key := fsys.CanonicalKey(lf)
-			c.mu.Lock()
-			if f, ok := c.byLowerName[key]; ok {
-				delete(c.byLowerName, key)
-				delete(c.files, f.backing)
-			}
-			c.mu.Unlock()
-		}
-	}
-	return under.Remove(name, cred)
-}
-
-// Rename implements fsys.FS: the lower layer does the atomic move; this
-// layer drops the wrapper of an overwritten destination (its lower file is
-// unlinked by the rename). The moving file's wrapper is keyed by the lower
-// file's identity, not its name, so it needs no attention.
-func (c *CohFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	var dropKey any
-	if obj, rerr := under.Resolve(newname, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			dropKey = fsys.CanonicalKey(lf)
-		}
-	}
-	if dropKey != nil {
-		// Renaming a name onto itself must not drop the live wrapper.
-		if obj, rerr := under.Resolve(oldname, cred); rerr == nil {
-			if lf, ok := obj.(fsys.File); ok && fsys.CanonicalKey(lf) == dropKey {
-				dropKey = nil
-			}
-		}
-	}
-	if err := under.Rename(oldname, newname, cred); err != nil {
-		return err
-	}
-	if dropKey != nil {
-		c.mu.Lock()
-		if f, ok := c.byLowerName[dropKey]; ok {
-			delete(c.byLowerName, dropKey)
-			delete(c.files, f.backing)
-		}
-		c.mu.Unlock()
-	}
-	return nil
+// Resolve implements naming.Context, wrapping resolved lower objects in
+// coherent counterparts.
+func (c *CohFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
+	t := opResolve.Start()
+	defer opResolve.End(t, 0)
+	return c.Passthrough.Resolve(name, cred)
 }
 
 // SyncFS implements fsys.FS: flush all dirty blocks and attributes to the
 // lower layer, then sync it.
 func (c *CohFS) SyncFS() error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	files := make([]*cohFile, 0, len(c.files))
-	for _, f := range c.files {
-		files = append(files, f)
-	}
-	c.mu.Unlock()
-	for _, f := range files {
-		if err := f.flushAll(); err != nil {
+	for _, f := range c.Files() {
+		if err := f.(*cohFile).flushAll(); err != nil {
 			return err
 		}
 	}
-	return under.SyncFS()
+	return c.Passthrough.SyncFS()
 }
 
 // InvalidateAttrCaches drops every file's cached attributes so the next
 // stat refetches from the lower layer. The benchmark harness uses it to
 // measure the "not cached by the coherency layer" rows of Table 2.
 func (c *CohFS) InvalidateAttrCaches() {
-	c.mu.Lock()
-	files := make([]*cohFile, 0, len(c.files))
-	for _, f := range c.files {
-		files = append(files, f)
+	for _, f := range c.Files() {
+		f.(*cohFile).attrs.Invalidate()
 	}
-	c.mu.Unlock()
-	for _, f := range files {
-		f.attrs.Invalidate()
-	}
-}
-
-// Resolve implements naming.Context, wrapping resolved lower objects in
-// coherent counterparts.
-func (c *CohFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	t := opResolve.Start()
-	defer opResolve.End(t, 0)
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := under.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.wrap(obj), nil
-}
-
-// Bind implements naming.Context, forwarding to the lower layer.
-func (c *CohFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	if f, ok := obj.(*cohFile); ok && f.fs == c {
-		obj = f.lower
-	}
-	return under.Bind(name, obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (c *CohFS) Unbind(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Unbind(name, cred)
-}
-
-// List implements naming.Context.
-func (c *CohFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	out, err := under.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i].Object = c.wrap(out[i].Object)
-	}
-	return out, nil
-}
-
-// CreateContext implements naming.Context.
-func (c *CohFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	lower, err := under.CreateContext(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.dirFor(lower), nil
-}
-
-// cohDir wraps a lower directory so resolutions through it also yield
-// coherent files.
-type cohDir struct {
-	fs    *CohFS
-	lower naming.Context
-}
-
-var (
-	_ naming.Context        = (*cohDir)(nil)
-	_ naming.ProxyWrappable = (*cohDir)(nil)
-)
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (d *cohDir) WrapForChannel(ch *spring.Channel) naming.Object {
-	return naming.NewContextProxy(ch, d)
-}
-
-// Resolve implements naming.Context.
-func (d *cohDir) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	obj, err := d.lower.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return d.fs.wrap(obj), nil
-}
-
-// Bind implements naming.Context.
-func (d *cohDir) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	if f, ok := obj.(*cohFile); ok && f.fs == d.fs {
-		obj = f.lower
-	}
-	return d.lower.Bind(name, obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (d *cohDir) Unbind(name string, cred naming.Credentials) error {
-	return d.lower.Unbind(name, cred)
-}
-
-// List implements naming.Context.
-func (d *cohDir) List(cred naming.Credentials) ([]naming.Binding, error) {
-	out, err := d.lower.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i].Object = d.fs.wrap(out[i].Object)
-	}
-	return out, nil
-}
-
-// CreateContext implements naming.Context.
-func (d *cohDir) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	lower, err := d.lower.CreateContext(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return d.fs.dirFor(lower), nil
 }
 
 // DropDataCaches flushes all dirty state to the lower layer and discards
 // every cached block and attribute, leaving the layer fully cold
 // (benchmark/test hook).
 func (c *CohFS) DropDataCaches() error {
-	c.mu.Lock()
-	files := make([]*cohFile, 0, len(c.files))
-	for _, f := range c.files {
-		files = append(files, f)
-	}
-	c.mu.Unlock()
-	for _, f := range files {
+	for _, f := range c.Files() {
+		f := f.(*cohFile)
 		if err := f.dropAll(); err != nil {
 			return err
 		}

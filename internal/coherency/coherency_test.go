@@ -454,6 +454,36 @@ func TestCanonicalWrapperIdentity(t *testing.T) {
 	}
 }
 
+// TestWrappedFileLookupAddsNoAllocation guards the cached-open hot path:
+// resolving or opening a file whose wrapper already exists is the lower
+// layer's lookup plus a handle-table hit, and the layer's share of that
+// allocates nothing.
+func TestWrappedFileLookupAddsNoAllocation(t *testing.T) {
+	r := newSFS(t, true)
+	if _, err := r.coh.Create("file", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	lower := testing.AllocsPerRun(200, func() {
+		if _, err := r.disk.Resolve("file", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	resolve := testing.AllocsPerRun(200, func() {
+		if _, err := r.coh.Resolve("file", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	open := testing.AllocsPerRun(200, func() {
+		if _, err := r.coh.Open("file", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resolve > lower || open > lower {
+		t.Errorf("allocations per call: lower Resolve %.0f, CohFS.Resolve %.0f, CohFS.Open %.0f; the layer must add none",
+			lower, resolve, open)
+	}
+}
+
 func TestRemoveDropsWrapper(t *testing.T) {
 	r := newSFS(t, true)
 	if _, err := r.coh.Create("gone", naming.Root); err != nil {

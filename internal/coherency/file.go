@@ -75,7 +75,7 @@ func (f *cohFile) Lower() fsys.File { return f.lower }
 
 // ManagerName implements vm.CacheManager.
 func (f *cohFile) ManagerName() string {
-	return fmt.Sprintf("%s/file%d", f.fs.name, f.backing)
+	return fmt.Sprintf("%s/file%d", f.fs.FSName(), f.backing)
 }
 
 // ManagerDomain implements vm.CacheManager.

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"springfs/internal/fsys"
@@ -80,16 +79,14 @@ var (
 	ErrBadFormat = errors.New("compfs: underlying file is not a COMPFS image")
 )
 
-// CompFS is an instance of the compression layer.
+// CompFS is an instance of the compression layer: the pass-through name
+// space of fsys.Passthrough with every file wrapped in a compFile.
 type CompFS struct {
-	name   string
+	fsys.Passthrough
 	domain *spring.Domain
 	mode   Mode
 	table  *fsys.ConnectionTable
 
-	mu          sync.Mutex
-	under       fsys.StackableFS
-	files       map[any]*compFile
 	nextBacking atomic.Uint64
 
 	// CompressedBytes and UncompressedBytes accumulate the volume of data
@@ -107,13 +104,11 @@ var (
 
 // New creates a COMPFS instance served by domain.
 func New(domain *spring.Domain, name string, mode Mode) *CompFS {
-	return &CompFS{
-		name:   name,
-		domain: domain,
-		mode:   mode,
-		table:  fsys.NewConnectionTable(domain),
-		files:  make(map[any]*compFile),
-	}
+	c := &CompFS{domain: domain, mode: mode, table: fsys.NewConnectionTable(domain)}
+	c.Init(name, c, func(lower fsys.File) fsys.File {
+		return &compFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+	})
+	return c
 }
 
 // NewCreator returns a stackable_fs_creator for COMPFS. The config key
@@ -137,217 +132,31 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 	})
 }
 
-// FSName implements fsys.FS.
-func (c *CompFS) FSName() string { return c.name }
-
 // Mode returns the coherency mode.
 func (c *CompFS) Mode() Mode { return c.mode }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (c *CompFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, c)
-}
-
-// StackOn implements fsys.StackableFS.
-func (c *CompFS) StackOn(under fsys.StackableFS) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under != nil {
-		return fsys.ErrAlreadyStacked
-	}
-	c.under = under
-	return nil
-}
-
-func (c *CompFS) underlying() (fsys.StackableFS, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under == nil {
-		return nil, fsys.ErrNotStacked
-	}
-	return c.under, nil
-}
-
-// fileFor returns the canonical COMPFS wrapper for a lower file.
-func (c *CompFS) fileFor(lower fsys.File) *compFile {
-	key := fsys.CanonicalKey(lower)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.files[key]; ok {
-		return f
-	}
-	f := &compFile{
-		fs:      c,
-		lower:   lower,
-		backing: c.nextBacking.Add(1),
-	}
-	c.files[key] = f
-	return f
-}
 
 // Create implements fsys.FS: creating file_COMP creates a fresh underlying
 // file holding an empty COMPFS image.
 func (c *CompFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	under, err := c.underlying()
+	f, err := c.Passthrough.Create(name, cred)
 	if err != nil {
 		return nil, err
 	}
-	lower, err := under.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	f := c.fileFor(lower)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tbl = newBlockTable()
-	if err := f.writeMetaLocked(); err != nil {
+	if err := f.(*compFile).initImage(); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Open implements fsys.FS.
-func (c *CompFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := c.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-// Remove implements fsys.FS.
-func (c *CompFS) Remove(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	if obj, rerr := under.Resolve(name, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			c.mu.Lock()
-			delete(c.files, fsys.CanonicalKey(lf))
-			c.mu.Unlock()
-		}
-	}
-	return under.Remove(name, cred)
-}
-
-// Rename implements fsys.FS: the lower layer does the atomic move; this
-// layer drops the wrapper of an overwritten destination. The moving file's
-// wrapper is keyed by the lower file's identity, not its name.
-func (c *CompFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	var dropKey any
-	if obj, rerr := under.Resolve(newname, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			dropKey = fsys.CanonicalKey(lf)
-		}
-	}
-	if dropKey != nil {
-		// Renaming a name onto itself must not drop the live wrapper.
-		if obj, rerr := under.Resolve(oldname, cred); rerr == nil {
-			if lf, ok := obj.(fsys.File); ok && fsys.CanonicalKey(lf) == dropKey {
-				dropKey = nil
-			}
-		}
-	}
-	if err := under.Rename(oldname, newname, cred); err != nil {
-		return err
-	}
-	if dropKey != nil {
-		c.mu.Lock()
-		delete(c.files, dropKey)
-		c.mu.Unlock()
-	}
-	return nil
-}
-
-// SyncFS implements fsys.FS.
+// SyncFS implements fsys.FS: persist every cached block table, then sync
+// the layer below.
 func (c *CompFS) SyncFS() error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	files := make([]*compFile, 0, len(c.files))
-	for _, f := range c.files {
-		files = append(files, f)
-	}
-	c.mu.Unlock()
-	for _, f := range files {
+	for _, f := range c.Files() {
 		if err := f.Sync(); err != nil {
 			return err
 		}
 	}
-	return under.SyncFS()
-}
-
-// Resolve implements naming.Context.
-func (c *CompFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := under.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	if lf, ok := obj.(fsys.File); ok {
-		return c.fileFor(lf), nil
-	}
-	// Directories pass through; files resolved through them will not be
-	// wrapped, so COMPFS exports a flat view of its root by convention.
-	return obj, nil
-}
-
-// Bind implements naming.Context.
-func (c *CompFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	if f, ok := obj.(*compFile); ok && f.fs == c {
-		obj = f.lower
-	}
-	return under.Bind(name, obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (c *CompFS) Unbind(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Unbind(name, cred)
-}
-
-// List implements naming.Context.
-func (c *CompFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	out, err := under.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if lf, ok := out[i].Object.(fsys.File); ok {
-			out[i].Object = c.fileFor(lf)
-		}
-	}
-	return out, nil
-}
-
-// CreateContext implements naming.Context.
-func (c *CompFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	return under.CreateContext(name, cred)
+	return c.Passthrough.SyncFS()
 }
 
 // ---- compression helpers ----

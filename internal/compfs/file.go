@@ -70,7 +70,7 @@ func (f *compFile) Lower() fsys.File { return f.lower }
 
 // ManagerName implements vm.CacheManager.
 func (f *compFile) ManagerName() string {
-	return fmt.Sprintf("%s/file%d", f.fs.name, f.backing)
+	return fmt.Sprintf("%s/file%d", f.fs.FSName(), f.backing)
 }
 
 // ManagerDomain implements vm.CacheManager.
@@ -302,17 +302,27 @@ func (f *compFile) writeMetaLocked() error {
 	return nil
 }
 
-// readBlockLocked returns the uncompressed content of block bn. Caller
-// holds f.mu with the table loaded.
-func (f *compFile) readBlockLocked(bn int64) ([]byte, error) {
+// initImage writes the empty COMPFS image into a freshly created lower
+// file.
+func (f *compFile) initImage() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tbl = newBlockTable()
+	return f.writeMetaLocked()
+}
+
+// readBlockLocked fills dst with the uncompressed content of block bn.
+// Caller holds f.mu with the table loaded.
+func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 	e, ok := f.tbl.blocks[bn]
 	if !ok {
-		return make([]byte, BlockSize), nil // hole
+		clear(dst) // hole
+		return nil
 	}
 	raw := make([]byte, e.clen)
 	n, err := f.readLower(raw, e.off)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Only decompress the bytes the lower layer actually returned. An
 	// extent whose backing is all zeros (a lower-layer hole, or a short
@@ -322,16 +332,19 @@ func (f *compFile) readBlockLocked(bn int64) ([]byte, error) {
 	// block cut short keeps its implicit zero tail; a truncated flate
 	// stream fails loudly in decompressBlock instead of inflating the
 	// stale tail of the buffer as if it were data.
-	if allZero(raw[:n]) {
-		return make([]byte, BlockSize), nil
+	switch {
+	case allZero(raw[:n]):
+		clear(dst)
+	case n < len(raw) && int64(e.clen) == BlockSize:
+		copy(dst, raw) // raw-stored: missing tail reads as zeros
+	default:
+		blk, err := decompressBlock(raw[:n])
+		if err != nil {
+			return err
+		}
+		copy(dst, blk)
 	}
-	if n == len(raw) {
-		return decompressBlock(raw)
-	}
-	if int64(e.clen) == BlockSize {
-		return raw, nil // raw-stored: missing tail reads as zeros
-	}
-	return decompressBlock(raw[:n])
+	return nil
 }
 
 // allZero reports whether b contains no nonzero byte.
@@ -375,30 +388,7 @@ func (f *compFile) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.loadTableLocked(); err != nil {
 		return 0, err
 	}
-	length := f.tbl.uncompLen
-	if off >= length {
-		return 0, io.EOF
-	}
-	n := len(p)
-	var eof bool
-	if off+int64(n) > length {
-		n = int(length - off)
-		eof = true
-	}
-	done := 0
-	for done < n {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		blk, err := f.readBlockLocked(bn)
-		if err != nil {
-			return done, err
-		}
-		done += copy(p[done:n], blk[bo:])
-	}
-	if eof {
-		return done, io.EOF
-	}
-	return done, nil
+	return fsys.ReadBlocksAt(p, off, f.tbl.uncompLen, f.readBlockLocked)
 }
 
 // WriteAt implements fsys.File: read-modify-write at block granularity,
@@ -412,29 +402,9 @@ func (f *compFile) WriteAt(p []byte, off int64) (int, error) {
 	if err := f.loadTableLocked(); err != nil {
 		return 0, err
 	}
-	done := 0
-	for done < len(p) {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		var blk []byte
-		chunk := BlockSize - bo
-		if int64(len(p)-done) < chunk {
-			chunk = int64(len(p) - done)
-		}
-		if bo == 0 && chunk == BlockSize {
-			blk = make([]byte, BlockSize)
-		} else {
-			var err error
-			blk, err = f.readBlockLocked(bn)
-			if err != nil {
-				return done, err
-			}
-		}
-		copy(blk[bo:], p[done:done+int(chunk)])
-		if err := f.writeBlockLocked(bn, blk); err != nil {
-			return done, err
-		}
-		done += int(chunk)
+	done, err := fsys.WriteBlocksAt(p, off, f.readBlockLocked, f.writeBlockLocked)
+	if err != nil {
+		return done, err
 	}
 	if off+int64(done) > f.tbl.uncompLen {
 		f.tbl.uncompLen = off + int64(done)
@@ -449,7 +419,7 @@ func (f *compFile) WriteAt(p []byte, off int64) (int, error) {
 // so no cache sharing is possible (Section 4.2.2, last paragraph).
 func (f *compFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
 	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &compPager{file: f}
+		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut, SyncAfterOut: true}
 	})
 	return rights, nil
 }
@@ -501,8 +471,8 @@ func (f *compFile) SetLength(length vm.Offset) error {
 		if tail != 0 {
 			_, live := f.tbl.blocks[length/BlockSize]
 			if live || len(flushed) > 0 {
-				blk, err := f.readBlockLocked(length / BlockSize)
-				if err != nil {
+				blk := make([]byte, BlockSize)
+				if err := f.readBlockLocked(length/BlockSize, blk); err != nil {
 					return err
 				}
 				for _, d := range flushed {
@@ -510,9 +480,7 @@ func (f *compFile) SetLength(length vm.Offset) error {
 						copy(blk, d.Bytes[blockOff-d.Offset:])
 					}
 				}
-				for i := tail; i < BlockSize; i++ {
-					blk[i] = 0
-				}
+				clear(blk[tail:])
 				if err := f.writeBlockLocked(length/BlockSize, blk); err != nil {
 					return err
 				}
@@ -596,8 +564,8 @@ func (f *compFile) Compact() (int64, error) {
 	}
 	var blocks []live
 	for bn := range f.tbl.blocks {
-		data, err := f.readBlockLocked(bn)
-		if err != nil {
+		data := make([]byte, BlockSize)
+		if err := f.readBlockLocked(bn, data); err != nil {
 			return 0, err
 		}
 		blocks = append(blocks, live{bn, data})
@@ -622,20 +590,10 @@ func (f *compFile) Compact() (int64, error) {
 	return reclaimed, nil
 }
 
-// compPager is the pager COMPFS exports for file_COMP: page-ins
-// uncompress, page-outs compress (the P2 object of Figure 5).
-type compPager struct {
-	file *compFile
-}
-
-var _ fsys.FsPagerObject = (*compPager)(nil)
-
-// PageIn implements vm.PagerObject.
-func (p *compPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
-	f := p.file
+// pageIn and pageOut are the data movers of the pager COMPFS exports for
+// file_COMP (the P2 object of Figure 5): page-ins uncompress, page-outs
+// compress, and the pager's Sync persists the block table.
+func (f *compFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
 	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -643,58 +601,18 @@ func (p *compPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 		return nil, err
 	}
 	out := make([]byte, size)
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		blk, err := f.readBlockLocked(bn)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[bn*BlockSize-offset:], blk)
+	if err := fsys.EachBlock(offset, size, out, f.readBlockLocked); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// PageOut implements vm.PagerObject.
-func (p *compPager) PageOut(offset, size vm.Offset, data []byte) error {
-	if !vm.PageAligned(offset, size) {
-		return vm.ErrUnaligned
-	}
-	f := p.file
+func (f *compFile) pageOut(offset, size vm.Offset, data []byte) error {
 	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {
 		return err
 	}
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		if err := f.writeBlockLocked(bn, data[bn*BlockSize-offset:(bn+1)*BlockSize-offset]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *compPager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *compPager) Sync(offset, size vm.Offset, data []byte) error {
-	if err := p.PageOut(offset, size, data); err != nil {
-		return err
-	}
-	return p.file.Sync()
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *compPager) DoneWithPagerObject() {}
-
-// GetAttributes implements fsys.FsPagerObject.
-func (p *compPager) GetAttributes() (fsys.Attributes, error) { return p.file.Stat() }
-
-// SetAttributes implements fsys.FsPagerObject.
-func (p *compPager) SetAttributes(attrs fsys.Attributes) error {
-	// Times are tracked by the underlying file; only length is COMPFS
-	// metadata.
-	return p.file.SetLength(attrs.Length)
+	return fsys.EachBlock(offset, size, data, f.writeBlockLocked)
 }

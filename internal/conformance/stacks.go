@@ -7,13 +7,14 @@ import (
 	"springfs/internal/blockdev"
 	"springfs/internal/dfs"
 	"springfs/internal/disklayer"
+	"springfs/internal/fsys"
 	"springfs/internal/naming"
 	"springfs/internal/unixapi"
 )
 
 // StackNames lists the shapes BuildStack knows, in the order the suite
 // normally runs them.
-var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror"}
+var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror", "sfs-passthrough"}
 
 // BuildStack assembles one named stack shape on fresh simulated hardware.
 func BuildStack(name string) (*Stack, error) {
@@ -36,6 +37,8 @@ func BuildStack(name string) (*Stack, error) {
 		return newStripeStack()
 	case "stripe-mirror":
 		return newStripeMirrorStack()
+	case "sfs-passthrough":
+		return newPassthroughStack()
 	}
 	return nil, fmt.Errorf("conformance: unknown stack shape %q", name)
 }
@@ -108,6 +111,27 @@ func newCryptStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-cryptfs",
 		NewProcess: sharedProcs(crypt),
+		Close:      node.Stop,
+	}, nil
+}
+
+// newPassthroughStack: the identity layer on SFS — the layer kit
+// (fsys.Passthrough) with no transform of its own.
+func newPassthroughStack() (*Stack, error) {
+	node := springfs.NewNode("conf-passthrough")
+	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
+	if err != nil {
+		node.Stop()
+		return nil, err
+	}
+	ident := fsys.NewIdentityFS("passthrough")
+	if err := ident.StackOn(sfs.FS()); err != nil {
+		node.Stop()
+		return nil, err
+	}
+	return &Stack{
+		Name:       "sfs-passthrough",
+		NewProcess: sharedProcs(ident),
 		Close:      node.Stop,
 	}, nil
 }

@@ -35,16 +35,13 @@ import (
 // BlockSize is the encryption granularity (one VM page).
 const BlockSize = vm.PageSize
 
-// CryptFS is an instance of the encrypting layer.
+// CryptFS is an instance of the encrypting layer: the pass-through name
+// space of fsys.Passthrough with every file wrapped in a cryptFile.
 type CryptFS struct {
-	name   string
-	domain *spring.Domain
-	block  cipher.Block
-	table  *fsys.ConnectionTable
+	fsys.Passthrough
+	block cipher.Block
+	table *fsys.ConnectionTable
 
-	mu          sync.Mutex
-	under       fsys.StackableFS
-	files       map[any]*cryptFile
 	nextBacking atomic.Uint64
 }
 
@@ -60,13 +57,11 @@ func New(domain *spring.Domain, name, passphrase string) (*CryptFS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CryptFS{
-		name:   name,
-		domain: domain,
-		block:  block,
-		table:  fsys.NewConnectionTable(domain),
-		files:  make(map[any]*cryptFile),
-	}, nil
+	c := &CryptFS{block: block, table: fsys.NewConnectionTable(domain)}
+	c.Init(name, c, func(lower fsys.File) fsys.File {
+		return &cryptFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+	})
+	return c, nil
 }
 
 // NewCreator returns a stackable_fs_creator; config key "passphrase" sets
@@ -86,34 +81,6 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 	})
 }
 
-// FSName implements fsys.FS.
-func (c *CryptFS) FSName() string { return c.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (c *CryptFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, c)
-}
-
-// StackOn implements fsys.StackableFS.
-func (c *CryptFS) StackOn(under fsys.StackableFS) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under != nil {
-		return fsys.ErrAlreadyStacked
-	}
-	c.under = under
-	return nil
-}
-
-func (c *CryptFS) underlying() (fsys.StackableFS, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.under == nil {
-		return nil, fsys.ErrNotStacked
-	}
-	return c.under, nil
-}
-
 // xorBlock encrypts or decrypts (CTR is symmetric) one block in place; the
 // IV is derived from the block number so random access works.
 func (c *CryptFS) xorBlock(bn int64, data []byte) {
@@ -121,163 +88,6 @@ func (c *CryptFS) xorBlock(bn int64, data []byte) {
 	binary.BigEndian.PutUint64(iv[:], uint64(bn)+1)
 	stream := cipher.NewCTR(c.block, iv[:])
 	stream.XORKeyStream(data, data)
-}
-
-// fileFor returns the canonical encrypted wrapper.
-func (c *CryptFS) fileFor(lower fsys.File) *cryptFile {
-	key := fsys.CanonicalKey(lower)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.files[key]; ok {
-		return f
-	}
-	f := &cryptFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
-	c.files[key] = f
-	return f
-}
-
-// Create implements fsys.FS.
-func (c *CryptFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	lower, err := under.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.fileFor(lower), nil
-}
-
-// Open implements fsys.FS.
-func (c *CryptFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := c.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-// Remove implements fsys.FS.
-func (c *CryptFS) Remove(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	if obj, rerr := under.Resolve(name, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			c.mu.Lock()
-			delete(c.files, fsys.CanonicalKey(lf))
-			c.mu.Unlock()
-		}
-	}
-	return under.Remove(name, cred)
-}
-
-// Rename implements fsys.FS: the lower layer does the atomic move; this
-// layer drops the wrapper of an overwritten destination. The moving file's
-// wrapper is keyed by the lower file's identity, not its name.
-func (c *CryptFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	var dropKey any
-	if obj, rerr := under.Resolve(newname, cred); rerr == nil {
-		if lf, ok := obj.(fsys.File); ok {
-			dropKey = fsys.CanonicalKey(lf)
-		}
-	}
-	if dropKey != nil {
-		// Renaming a name onto itself must not drop the live wrapper.
-		if obj, rerr := under.Resolve(oldname, cred); rerr == nil {
-			if lf, ok := obj.(fsys.File); ok && fsys.CanonicalKey(lf) == dropKey {
-				dropKey = nil
-			}
-		}
-	}
-	if err := under.Rename(oldname, newname, cred); err != nil {
-		return err
-	}
-	if dropKey != nil {
-		c.mu.Lock()
-		delete(c.files, dropKey)
-		c.mu.Unlock()
-	}
-	return nil
-}
-
-// SyncFS implements fsys.FS.
-func (c *CryptFS) SyncFS() error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	return under.SyncFS()
-}
-
-// Resolve implements naming.Context.
-func (c *CryptFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := under.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	if lf, ok := obj.(fsys.File); ok {
-		return c.fileFor(lf), nil
-	}
-	return obj, nil
-}
-
-// Bind implements naming.Context.
-func (c *CryptFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	if f, ok := obj.(*cryptFile); ok && f.fs == c {
-		obj = f.lower
-	}
-	return under.Bind(name, obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (c *CryptFS) Unbind(name string, cred naming.Credentials) error {
-	under, err := c.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Unbind(name, cred)
-}
-
-// List implements naming.Context.
-func (c *CryptFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	out, err := under.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if lf, ok := out[i].Object.(fsys.File); ok {
-			out[i].Object = c.fileFor(lf)
-		}
-	}
-	return out, nil
-}
-
-// CreateContext implements naming.Context.
-func (c *CryptFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	under, err := c.underlying()
-	if err != nil {
-		return nil, err
-	}
-	return under.CreateContext(name, cred)
 }
 
 // cryptFile is one encrypted file.
@@ -301,23 +111,22 @@ func (f *cryptFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)
 }
 
-// readBlock returns the plaintext of block bn. Only the bytes the lower
-// layer actually holds are decrypted: a hole (sparse write, truncate-up)
-// reads back as zeros below, and zeros are not ciphertext — an all-zero
-// lower block denotes a hole and decodes to plaintext zeros, eCryptfs
-// style. (A real block whose CTR ciphertext is entirely zero is the only
-// ambiguity, with probability 2^-32768.)
-func (f *cryptFile) readBlock(bn int64) ([]byte, error) {
-	buf := make([]byte, BlockSize)
-	n, err := f.lower.ReadAt(buf, bn*BlockSize)
+// readBlock fills dst with the plaintext of block bn. Only the bytes the
+// lower layer actually holds are decrypted: a hole (sparse write,
+// truncate-up) reads back as zeros below, and zeros are not ciphertext —
+// an all-zero lower block denotes a hole and decodes to plaintext zeros,
+// eCryptfs style. (A real block whose CTR ciphertext is entirely zero is
+// the only ambiguity, with probability 2^-32768.)
+func (f *cryptFile) readBlock(bn int64, dst []byte) error {
+	n, err := f.lower.ReadAt(dst, bn*BlockSize)
 	if err != nil && err != io.EOF {
-		return nil, err
+		return err
 	}
-	if allZero(buf[:n]) {
-		return buf, nil
+	clear(dst[n:])
+	if !allZero(dst[:n]) {
+		f.fs.xorBlock(bn, dst[:n])
 	}
-	f.fs.xorBlock(bn, buf[:n])
-	return buf, nil
+	return nil
 }
 
 // allZero reports whether every byte of p is zero.
@@ -352,13 +161,11 @@ func (f *cryptFile) sealTailLocked(length vm.Offset) error {
 		return nil
 	}
 	bn := length / BlockSize
-	blk, err := f.readBlock(bn)
-	if err != nil {
+	blk := make([]byte, BlockSize)
+	if err := f.readBlock(bn, blk); err != nil {
 		return err
 	}
-	for i := length % BlockSize; i < BlockSize; i++ {
-		blk[i] = 0
-	}
+	clear(blk[length%BlockSize:])
 	return f.writeBlock(bn, blk)
 }
 
@@ -370,29 +177,7 @@ func (f *cryptFile) ReadAt(p []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if off >= length {
-		return 0, io.EOF
-	}
-	n := len(p)
-	var eof bool
-	if off+int64(n) > length {
-		n = int(length - off)
-		eof = true
-	}
-	done := 0
-	for done < n {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		blk, err := f.readBlock(bn)
-		if err != nil {
-			return done, err
-		}
-		done += copy(p[done:n], blk[bo:])
-	}
-	if eof {
-		return done, io.EOF
-	}
-	return done, nil
+	return fsys.ReadBlocksAt(p, off, length, f.readBlock)
 }
 
 // WriteAt implements fsys.File (read-modify-write per block,
@@ -412,40 +197,13 @@ func (f *cryptFile) WriteAt(p []byte, off int64) (int, error) {
 			return 0, err
 		}
 	}
-	done := 0
-	for done < len(p) {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		chunk := BlockSize - bo
-		if int64(len(p)-done) < chunk {
-			chunk = int64(len(p) - done)
-		}
-		var blk []byte
-		if bo == 0 && chunk == BlockSize {
-			blk = make([]byte, BlockSize)
-		} else {
-			var err error
-			blk, err = f.readBlock(bn)
-			if err != nil {
-				return done, err
-			}
-		}
-		copy(blk[bo:], p[done:done+int(chunk)])
-		if err := f.writeBlock(bn, blk); err != nil {
-			return done, err
-		}
-		done += int(chunk)
+	done, err := fsys.WriteBlocksAt(p, off, f.readBlock, f.writeBlock)
+	if err != nil {
+		return done, err
 	}
 	// Block writes pad the underlying file to a block boundary; restore
 	// the exact logical length (the transformation is length-preserving).
-	want := off + int64(done)
-	if want < prevLen {
-		want = prevLen
-	}
-	if err := f.lower.SetLength(want); err != nil {
-		return done, err
-	}
-	return done, nil
+	return done, f.lower.SetLength(max(off+int64(done), prevLen))
 }
 
 // Stat implements fsys.File.
@@ -460,10 +218,11 @@ func (f *cryptFile) Retain() { fsys.Retain(f.lower) }
 // Release implements fsys.HandleFile.
 func (f *cryptFile) Release() error { return fsys.Release(f.lower) }
 
-// Bind implements vm.MemoryObject: the layer is the pager for its files.
+// Bind implements vm.MemoryObject: the layer is the pager for its files,
+// decrypting on page-in and encrypting on page-out.
 func (f *cryptFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
 	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &cryptPager{file: f}
+		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
 	})
 	return rights, nil
 }
@@ -489,76 +248,36 @@ func (f *cryptFile) SetLength(l vm.Offset) error {
 	return f.lower.SetLength(l)
 }
 
-// cryptPager decrypts on page-in and encrypts on page-out.
-type cryptPager struct {
-	file *cryptFile
-}
-
-var _ fsys.FsPagerObject = (*cryptPager)(nil)
-
-// PageIn implements vm.PagerObject.
-func (p *cryptPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
-	p.file.mu.Lock()
-	defer p.file.mu.Unlock()
+// pageIn is the pager's page-in: decrypt block by block into the result.
+func (f *cryptFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]byte, size)
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		blk, err := p.file.readBlock(bn)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[bn*BlockSize-offset:], blk)
+	if err := fsys.EachBlock(offset, size, out, f.readBlock); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// PageOut implements vm.PagerObject. A page-out never changes the logical
+// pageOut is the pager's page-out. A page-out never changes the logical
 // file length (length updates arrive through SetLength); the block padding
 // it causes below is trimmed back.
-func (p *cryptPager) PageOut(offset, size vm.Offset, data []byte) error {
-	if !vm.PageAligned(offset, size) {
-		return vm.ErrUnaligned
-	}
-	p.file.mu.Lock()
-	defer p.file.mu.Unlock()
-	prevLen, err := p.file.lower.GetLength()
+func (f *cryptFile) pageOut(offset, size vm.Offset, data []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	prevLen, err := f.lower.GetLength()
 	if err != nil {
 		return err
 	}
 	if offset > prevLen {
 		// A write-back strictly past EOF exposes the old tail without
 		// rewriting its block; seal it (see sealTailLocked).
-		if err := p.file.sealTailLocked(prevLen); err != nil {
+		if err := f.sealTailLocked(prevLen); err != nil {
 			return err
 		}
 	}
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		if err := p.file.writeBlock(bn, data[bn*BlockSize-offset:(bn+1)*BlockSize-offset]); err != nil {
-			return err
-		}
+	if err := fsys.EachBlock(offset, size, data, f.writeBlock); err != nil {
+		return err
 	}
-	return p.file.lower.SetLength(prevLen)
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *cryptPager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *cryptPager) Sync(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *cryptPager) DoneWithPagerObject() {}
-
-// GetAttributes implements fsys.FsPagerObject.
-func (p *cryptPager) GetAttributes() (fsys.Attributes, error) { return p.file.Stat() }
-
-// SetAttributes implements fsys.FsPagerObject.
-func (p *cryptPager) SetAttributes(attrs fsys.Attributes) error {
-	return p.file.SetLength(attrs.Length)
+	return f.lower.SetLength(prevLen)
 }

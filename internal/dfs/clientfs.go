@@ -17,7 +17,10 @@ type ClientFS struct {
 	name   string
 }
 
-var _ fsys.StackableFS = (*ClientFS)(nil)
+var (
+	_ fsys.StackableFS = (*ClientFS)(nil)
+	_ fsys.PathRoot    = (*ClientFS)(nil)
+)
 
 // NewClientFS wraps client as a stackable file system named name.
 func NewClientFS(client *Client, name string) *ClientFS {
@@ -73,22 +76,17 @@ func (c *ClientFS) SyncFS() error {
 // remote server's stack; there is nothing local to stack on.
 func (c *ClientFS) StackOn(under fsys.StackableFS) error { return fsys.ErrAlreadyStacked }
 
-// resolve is the shared Resolve walk: files come back as RemoteFiles, and a
+// Resolve implements naming.Context: files come back as RemoteFiles, and a
 // path that fails to open but lists successfully is a directory.
-func (c *ClientFS) resolve(path string) (naming.Object, error) {
-	f, oerr := c.client.Open(path)
+func (c *ClientFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
+	f, oerr := c.client.Open(name)
 	if oerr == nil {
 		return f, nil
 	}
-	if _, lerr := c.client.List(path); lerr == nil {
-		return &clientDir{fs: c, path: path}, nil
+	if _, lerr := c.client.List(name); lerr == nil {
+		return &fsys.PathDir{Root: c, Path: name}, nil
 	}
 	return nil, oerr
-}
-
-// Resolve implements naming.Context.
-func (c *ClientFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return c.resolve(name)
 }
 
 // Bind implements naming.Context.
@@ -104,7 +102,7 @@ func (c *ClientFS) Unbind(name string, cred naming.Credentials) error {
 
 // List implements naming.Context.
 func (c *ClientFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return c.list("")
+	return c.ListPath("", cred)
 }
 
 // CreateContext implements naming.Context.
@@ -112,13 +110,14 @@ func (c *ClientFS) CreateContext(name string, cred naming.Credentials) (naming.C
 	if err := c.client.Mkdir(name); err != nil {
 		return nil, err
 	}
-	return &clientDir{fs: c, path: name}, nil
+	return &fsys.PathDir{Root: c, Path: name}, nil
 }
 
-// list converts a remote listing to bindings. Files are represented by
-// lightweight markers, not opened RemoteFiles: a listing of N entries costs
-// one round trip, and callers that want the file resolve its full path.
-func (c *ClientFS) list(path string) ([]naming.Binding, error) {
+// ListPath implements fsys.PathRoot, converting a remote listing to
+// bindings. Files are represented by lightweight markers, not opened
+// RemoteFiles: a listing of N entries costs one round trip, and callers
+// that want the file resolve its full path.
+func (c *ClientFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
 	entries, err := c.client.List(path)
 	if err != nil {
 		return nil, err
@@ -131,7 +130,7 @@ func (c *ClientFS) list(path string) ([]naming.Binding, error) {
 			if path != "" {
 				sub = path + "/" + e.Name
 			}
-			obj = &clientDir{fs: c, path: sub}
+			obj = &fsys.PathDir{Root: c, Path: sub}
 		}
 		out = append(out, naming.Binding{Name: e.Name, Object: obj})
 	}
@@ -140,38 +139,3 @@ func (c *ClientFS) list(path string) ([]naming.Binding, error) {
 
 // remoteEntry marks a non-directory listing entry that has not been opened.
 type remoteEntry struct{}
-
-// clientDir is a remote directory viewed as a naming context.
-type clientDir struct {
-	fs   *ClientFS
-	path string
-}
-
-var _ naming.Context = (*clientDir)(nil)
-
-func (d *clientDir) join(name string) string { return d.path + "/" + name }
-
-// Resolve implements naming.Context.
-func (d *clientDir) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return d.fs.resolve(d.join(name))
-}
-
-// Bind implements naming.Context.
-func (d *clientDir) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return ErrRemoteBind
-}
-
-// Unbind implements naming.Context.
-func (d *clientDir) Unbind(name string, cred naming.Credentials) error {
-	return d.fs.client.Remove(d.join(name))
-}
-
-// List implements naming.Context.
-func (d *clientDir) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return d.fs.list(d.path)
-}
-
-// CreateContext implements naming.Context.
-func (d *clientDir) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	return d.fs.CreateContext(d.join(name), cred)
-}

@@ -89,7 +89,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
@@ -213,7 +213,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
@@ -225,21 +225,13 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.underlying()
+		under, err := c.srv.Under()
 		if err != nil {
 			return nil, err
 		}
-		ctx := naming.Context(under)
-		if path != "" {
-			obj, err := under.Resolve(path, cred)
-			if err != nil {
-				return nil, err
-			}
-			sub, ok := obj.(naming.Context)
-			if !ok {
-				return nil, naming.ErrNotContext
-			}
-			ctx = sub
+		ctx, err := naming.ContextAt(under, path, cred)
+		if err != nil {
+			return nil, err
 		}
 		bindings, err := ctx.List(cred)
 		if err != nil {

@@ -27,13 +27,15 @@ import (
 // SFS's single-writer/multiple-readers protocol, which revokes the local
 // caches. This is the P2–C2 composition of Figure 7, generalised to one
 // connection per remote client.
+//
+// Same-machine clients see the pass-through name space of fsys.Passthrough
+// with every file wrapped in a dfsFile, whose binds are forwarded to the
+// underlying file (Figure 7).
 type Server struct {
-	name   string
+	fsys.Passthrough
 	domain *spring.Domain
 
 	mu        sync.Mutex
-	under     fsys.StackableFS
-	locals    map[any]*dfsFile
 	byID      map[uint64]fsys.File // fileID -> lower file
 	idOf      map[any]uint64
 	nextID    atomic.Uint64
@@ -63,15 +65,14 @@ var (
 // performed against the underlying file system with cred.
 func NewServer(domain *spring.Domain, name string, cred naming.Credentials) *Server {
 	s := &Server{
-		name:    name,
 		domain:  domain,
-		locals:  make(map[any]*dfsFile),
 		byID:    make(map[uint64]fsys.File),
 		idOf:    make(map[any]uint64),
 		clients: make(map[*srvClient]bool),
 		cred:    cred,
 	}
 	s.cbTimeout.Store(int64(DefaultCallbackTimeout))
+	s.Init(name, s, func(lower fsys.File) fsys.File { return &dfsFile{lower: lower} })
 	return s
 }
 
@@ -92,34 +93,6 @@ func NewCreator(domain *spring.Domain, cred naming.Credentials) fsys.Creator {
 		}
 		return NewServer(domain, name, cred), nil
 	})
-}
-
-// FSName implements fsys.FS.
-func (s *Server) FSName() string { return s.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (s *Server) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, s)
-}
-
-// StackOn implements fsys.StackableFS.
-func (s *Server) StackOn(under fsys.StackableFS) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.under != nil {
-		return fsys.ErrAlreadyStacked
-	}
-	s.under = under
-	return nil
-}
-
-func (s *Server) underlying() (fsys.StackableFS, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.under == nil {
-		return nil, fsys.ErrNotStacked
-	}
-	return s.under, nil
 }
 
 // Serve accepts protocol connections on l until it is closed.
@@ -193,140 +166,11 @@ func (s *Server) lowerByID(id uint64) (fsys.File, error) {
 
 // ---- local (same-machine) path: Figure 7's bind forwarding ----
 
-// localFor returns the canonical local wrapper for a lower file.
-func (s *Server) localFor(lower fsys.File) *dfsFile {
-	key := fsys.CanonicalKey(lower)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.locals[key]; ok {
-		return f
-	}
-	f := &dfsFile{srv: s, lower: lower}
-	s.locals[key] = f
-	return f
-}
-
-// Create implements fsys.FS.
-func (s *Server) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	under, err := s.underlying()
-	if err != nil {
-		return nil, err
-	}
-	lower, err := under.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return s.localFor(lower), nil
-}
-
-// Open implements fsys.FS.
-func (s *Server) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := s.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-// Remove implements fsys.FS.
-func (s *Server) Remove(name string, cred naming.Credentials) error {
-	under, err := s.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Remove(name, cred)
-}
-
-// Rename implements fsys.FS: the lower layer does the atomic move. Local
-// wrappers are keyed by the lower file's identity, so no re-keying is
-// needed.
-func (s *Server) Rename(oldname, newname string, cred naming.Credentials) error {
-	under, err := s.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Rename(oldname, newname, cred)
-}
-
-// SyncFS implements fsys.FS.
-func (s *Server) SyncFS() error {
-	under, err := s.underlying()
-	if err != nil {
-		return err
-	}
-	return under.SyncFS()
-}
-
-// Resolve implements naming.Context, wrapping files in local DFS wrappers.
-func (s *Server) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	under, err := s.underlying()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := under.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	if lf, ok := obj.(fsys.File); ok {
-		return s.localFor(lf), nil
-	}
-	return obj, nil
-}
-
-// Bind implements naming.Context.
-func (s *Server) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	under, err := s.underlying()
-	if err != nil {
-		return err
-	}
-	if f, ok := obj.(*dfsFile); ok && f.srv == s {
-		obj = f.lower
-	}
-	return under.Bind(name, obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (s *Server) Unbind(name string, cred naming.Credentials) error {
-	under, err := s.underlying()
-	if err != nil {
-		return err
-	}
-	return under.Unbind(name, cred)
-}
-
-// List implements naming.Context.
-func (s *Server) List(cred naming.Credentials) ([]naming.Binding, error) {
-	under, err := s.underlying()
-	if err != nil {
-		return nil, err
-	}
-	out, err := under.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if lf, ok := out[i].Object.(fsys.File); ok {
-			out[i].Object = s.localFor(lf)
-		}
-	}
-	return out, nil
-}
-
-// CreateContext implements naming.Context.
-func (s *Server) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	under, err := s.underlying()
-	if err != nil {
-		return nil, err
-	}
-	return under.CreateContext(name, cred)
-}
-
 // dfsFile is the local view of an exported file. Local binds are forwarded
 // to the underlying file, so local clients share the very same cached
 // pages as direct clients of file_SFS, and DFS is not involved in local
 // page-in/page-out requests (Figure 7).
 type dfsFile struct {
-	srv   *Server
 	lower fsys.File
 }
 
@@ -397,7 +241,7 @@ var _ vm.CacheManager = (*session)(nil)
 
 // ManagerName implements vm.CacheManager.
 func (se *session) ManagerName() string {
-	return fmt.Sprintf("%s/remote/%d", se.client.srv.name, se.fileID)
+	return fmt.Sprintf("%s/remote/%d", se.client.srv.FSName(), se.fileID)
 }
 
 // ManagerDomain implements vm.CacheManager.

@@ -250,6 +250,3 @@ func (t *ConnectionTable) Len() int {
 	defer t.mu.Unlock()
 	return len(t.conns)
 }
-
-// Domain returns the pager's domain.
-func (t *ConnectionTable) Domain() *spring.Domain { return t.domain }

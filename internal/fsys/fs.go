@@ -193,13 +193,3 @@ func AsFile(obj naming.Object) (File, error) {
 	}
 	return f, nil
 }
-
-// OpenAt resolves name starting at ctx and narrows the result to a File.
-// It is the client-side open operation used by examples and benchmarks.
-func OpenAt(ctx naming.Context, name string, cred naming.Credentials) (File, error) {
-	obj, err := ctx.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return AsFile(obj)
-}

@@ -130,10 +130,3 @@ func (m *MappedIO) Sync() error {
 	}
 	return mapping.Sync()
 }
-
-// Mapping returns the server-side mapping if one exists (for tests).
-func (m *MappedIO) Mapping() *vm.Mapping {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mapping
-}

@@ -7,9 +7,11 @@ import (
 )
 
 // FsPagerProxy is the client-side stub for an fs_pager object. It embeds
-// the plain pager proxy behaviour and adds the attribute operations, so it
-// narrows to both PagerObject and FsPagerObject across domains.
+// the plain pager proxy over the same channel and adds the attribute
+// operations, so it narrows to both PagerObject and FsPagerObject across
+// domains.
 type FsPagerProxy struct {
+	vm.PagerObject
 	ch   *spring.Channel
 	impl FsPagerObject
 }
@@ -21,43 +23,7 @@ func NewFsPagerProxy(ch *spring.Channel, impl FsPagerObject) FsPagerObject {
 	if ch.Path() == spring.PathSameDomain {
 		return impl
 	}
-	return &FsPagerProxy{ch: ch, impl: impl}
-}
-
-// PageIn implements vm.PagerObject.
-func (p *FsPagerProxy) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	var (
-		data []byte
-		err  error
-	)
-	p.ch.Call(func() { data, err = p.impl.PageIn(offset, size, access) })
-	return data, err
-}
-
-// PageOut implements vm.PagerObject.
-func (p *FsPagerProxy) PageOut(offset, size vm.Offset, data []byte) error {
-	var err error
-	p.ch.Call(func() { err = p.impl.PageOut(offset, size, data) })
-	return err
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *FsPagerProxy) WriteOut(offset, size vm.Offset, data []byte) error {
-	var err error
-	p.ch.Call(func() { err = p.impl.WriteOut(offset, size, data) })
-	return err
-}
-
-// Sync implements vm.PagerObject.
-func (p *FsPagerProxy) Sync(offset, size vm.Offset, data []byte) error {
-	var err error
-	p.ch.Call(func() { err = p.impl.Sync(offset, size, data) })
-	return err
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *FsPagerProxy) DoneWithPagerObject() {
-	p.ch.Call(func() { p.impl.DoneWithPagerObject() })
+	return &FsPagerProxy{PagerObject: vm.NewPagerProxy(ch, impl), ch: ch, impl: impl}
 }
 
 // GetAttributes implements FsPagerObject.
@@ -77,8 +43,10 @@ func (p *FsPagerProxy) SetAttributes(attrs Attributes) error {
 	return err
 }
 
-// FsCacheProxy is the client-side stub for an fs_cache object.
+// FsCacheProxy is the client-side stub for an fs_cache object: the plain
+// cache proxy over the same channel plus the attribute operations.
 type FsCacheProxy struct {
+	vm.CacheObject
 	ch   *spring.Channel
 	impl FsCacheObject
 }
@@ -90,48 +58,7 @@ func NewFsCacheProxy(ch *spring.Channel, impl FsCacheObject) FsCacheObject {
 	if ch.Path() == spring.PathSameDomain {
 		return impl
 	}
-	return &FsCacheProxy{ch: ch, impl: impl}
-}
-
-// FlushBack implements vm.CacheObject.
-func (p *FsCacheProxy) FlushBack(offset, size vm.Offset) []vm.Data {
-	var out []vm.Data
-	p.ch.Call(func() { out = p.impl.FlushBack(offset, size) })
-	return out
-}
-
-// DenyWrites implements vm.CacheObject.
-func (p *FsCacheProxy) DenyWrites(offset, size vm.Offset) []vm.Data {
-	var out []vm.Data
-	p.ch.Call(func() { out = p.impl.DenyWrites(offset, size) })
-	return out
-}
-
-// WriteBack implements vm.CacheObject.
-func (p *FsCacheProxy) WriteBack(offset, size vm.Offset) []vm.Data {
-	var out []vm.Data
-	p.ch.Call(func() { out = p.impl.WriteBack(offset, size) })
-	return out
-}
-
-// DeleteRange implements vm.CacheObject.
-func (p *FsCacheProxy) DeleteRange(offset, size vm.Offset) {
-	p.ch.Call(func() { p.impl.DeleteRange(offset, size) })
-}
-
-// ZeroFill implements vm.CacheObject.
-func (p *FsCacheProxy) ZeroFill(offset, size vm.Offset) {
-	p.ch.Call(func() { p.impl.ZeroFill(offset, size) })
-}
-
-// Populate implements vm.CacheObject.
-func (p *FsCacheProxy) Populate(offset, size vm.Offset, access vm.Rights, data []byte) {
-	p.ch.Call(func() { p.impl.Populate(offset, size, access, data) })
-}
-
-// DestroyCache implements vm.CacheObject.
-func (p *FsCacheProxy) DestroyCache() {
-	p.ch.Call(func() { p.impl.DestroyCache() })
+	return &FsCacheProxy{CacheObject: vm.NewCacheProxy(ch, impl), ch: ch, impl: impl}
 }
 
 // FlushAttributes implements FsCacheObject.
@@ -179,9 +106,6 @@ func NewFileProxy(ch *spring.Channel, impl File) File {
 func (p *FileProxy) WrapForChannel(ch *spring.Channel) naming.Object {
 	return NewFileProxy(ch, p.impl)
 }
-
-// Channel returns the proxy's invocation channel.
-func (p *FileProxy) Channel() *spring.Channel { return p.ch }
 
 // Bind implements vm.MemoryObject. The bind operation travels to the file's
 // server, which either handles it or forwards it to the underlying layer
@@ -280,12 +204,13 @@ func (p *FileProxy) Release() error {
 func (p *FileProxy) Unwrap() File { return p.impl }
 
 // StackableFSProxy is the client-side stub for a stackable file system
-// served by another domain: it proxies both the fs half and the
-// naming-context half, so a layer stacked on a file system in another
-// domain pays a cross-domain call per operation on the lower layer —
-// exactly the configuration the "stacked, two domains" column of Table 2
-// measures.
+// served by another domain: it proxies the fs half itself and embeds a
+// naming.ContextProxy over the same channel for the naming-context half, so
+// a layer stacked on a file system in another domain pays a cross-domain
+// call per operation on the lower layer — exactly the configuration the
+// "stacked, two domains" column of Table 2 measures.
 type StackableFSProxy struct {
+	naming.Context
 	ch   *spring.Channel
 	impl StackableFS
 }
@@ -301,16 +226,13 @@ func WrapStackable(ch *spring.Channel, impl StackableFS) StackableFS {
 	if ch.Path() == spring.PathSameDomain {
 		return impl
 	}
-	return &StackableFSProxy{ch: ch, impl: impl}
+	return &StackableFSProxy{Context: naming.NewContextProxy(ch, impl), ch: ch, impl: impl}
 }
 
 // WrapForChannel implements naming.ProxyWrappable.
 func (p *StackableFSProxy) WrapForChannel(ch *spring.Channel) naming.Object {
 	return WrapStackable(ch, p.impl)
 }
-
-// Channel returns the proxy's invocation channel.
-func (p *StackableFSProxy) Channel() *spring.Channel { return p.ch }
 
 // Unwrap returns the server-side implementation.
 func (p *StackableFSProxy) Unwrap() StackableFS { return p.impl }
@@ -374,56 +296,4 @@ func (p *StackableFSProxy) StackOn(under StackableFS) error {
 	var err error
 	p.ch.Call(func() { err = p.impl.StackOn(under) })
 	return err
-}
-
-// Resolve implements naming.Context.
-func (p *StackableFSProxy) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	var (
-		obj naming.Object
-		err error
-	)
-	p.ch.Call(func() { obj, err = p.impl.Resolve(name, cred) })
-	return naming.WrapObject(p.ch, obj), err
-}
-
-// Bind implements naming.Context.
-func (p *StackableFSProxy) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	var err error
-	p.ch.Call(func() { err = p.impl.Bind(name, obj, cred) })
-	return err
-}
-
-// Unbind implements naming.Context.
-func (p *StackableFSProxy) Unbind(name string, cred naming.Credentials) error {
-	var err error
-	p.ch.Call(func() { err = p.impl.Unbind(name, cred) })
-	return err
-}
-
-// List implements naming.Context.
-func (p *StackableFSProxy) List(cred naming.Credentials) ([]naming.Binding, error) {
-	var (
-		out []naming.Binding
-		err error
-	)
-	p.ch.Call(func() { out, err = p.impl.List(cred) })
-	for i := range out {
-		out[i].Object = naming.WrapObject(p.ch, out[i].Object)
-	}
-	return out, err
-}
-
-// CreateContext implements naming.Context.
-func (p *StackableFSProxy) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	var (
-		ctx naming.Context
-		err error
-	)
-	p.ch.Call(func() { ctx, err = p.impl.CreateContext(name, cred) })
-	if ctx != nil {
-		if wrapped, ok := naming.WrapObject(p.ch, ctx).(naming.Context); ok {
-			ctx = wrapped
-		}
-	}
-	return ctx, err
 }

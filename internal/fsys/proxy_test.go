@@ -47,7 +47,7 @@ func (m *memFS) Rename(oldname, newname string, cred naming.Credentials) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	obj, err := m.ctx.Resolve(oldname, cred)
-	if err != nil {
+	if err != nil || oldname == newname {
 		return err
 	}
 	_ = m.ctx.Unbind(newname, cred)

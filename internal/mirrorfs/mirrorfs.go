@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +48,7 @@ type MirrorFS struct {
 
 var (
 	_ fsys.StackableFS      = (*MirrorFS)(nil)
+	_ fsys.PathRoot         = (*MirrorFS)(nil)
 	_ naming.ProxyWrappable = (*MirrorFS)(nil)
 )
 
@@ -288,11 +290,9 @@ func (m *MirrorFS) Resolve(name string, cred naming.Credentials) (naming.Object,
 	f1, _ := obj1.(fsys.File)
 	f2, _ := obj2.(fsys.File)
 	if f1 == nil && f2 == nil {
-		// Both resolved to contexts (directories): expose the primary's.
-		if ctx, ok := obj1.(naming.Context); ok {
-			return ctx, nil
-		}
-		return obj2, nil
+		// A directory: a view that funnels back through the layer, so
+		// files found through it are mirrored files too.
+		return &fsys.PathDir{Root: m, Path: strings.Trim(name, "/")}, nil
 	}
 	return m.fileFor(name, f1, f2), nil
 }
@@ -307,29 +307,46 @@ func (m *MirrorFS) Unbind(name string, cred naming.Credentials) error {
 	return m.Remove(name, cred)
 }
 
-// List implements naming.Context (primary's listing, mirror on failure).
+// List implements naming.Context.
 func (m *MirrorFS) List(cred naming.Credentials) ([]naming.Binding, error) {
+	return m.ListPath("", cred)
+}
+
+// ListPath implements fsys.PathRoot: the primary's listing of path (the
+// mirror's on failure), with files and directories re-resolved through the
+// layer.
+func (m *MirrorFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
 	r1, r2, err := m.both()
 	if err != nil {
 		return nil, err
 	}
-	out, err := r1.List(cred)
+	out, err := listAt(r1, path, cred)
 	if err != nil {
 		m.Failovers.Inc()
-		out, err = r2.List(cred)
+		out, err = listAt(r2, path, cred)
 	}
 	if err != nil {
 		return nil, err
 	}
 	for i := range out {
-		if _, ok := out[i].Object.(fsys.File); ok {
-			obj, rerr := m.Resolve(out[i].Name, cred)
-			if rerr == nil {
-				out[i].Object = obj
-			}
+		name := out[i].Name
+		if path != "" {
+			name = path + "/" + name
+		}
+		if obj, rerr := m.Resolve(name, cred); rerr == nil {
+			out[i].Object = obj
 		}
 	}
 	return out, nil
+}
+
+// listAt lists the directory at path ("" = the root) of one replica.
+func listAt(r fsys.StackableFS, path string, cred naming.Credentials) ([]naming.Binding, error) {
+	ctx, err := naming.ContextAt(r, path, cred)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.List(cred)
 }
 
 // CreateContext implements naming.Context (directories on both replicas).
@@ -338,14 +355,13 @@ func (m *MirrorFS) CreateContext(name string, cred naming.Credentials) (naming.C
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := r1.CreateContext(name, cred)
-	if err != nil {
+	if _, err := r1.CreateContext(name, cred); err != nil {
 		return nil, err
 	}
 	if _, err := r2.CreateContext(name, cred); err != nil {
 		return nil, fmt.Errorf("mirrorfs: mkdir on mirror: %w", err)
 	}
-	return ctx, nil
+	return &fsys.PathDir{Root: m, Path: strings.Trim(name, "/")}, nil
 }
 
 // Resync rebuilds a replica that was dropped from the fan-out: the whole
@@ -480,17 +496,9 @@ func (f *mirrorFile) reconcileOrphan(srcIdx int, dst fsys.StackableFS, dstIdx in
 // pruneTree removes entries under prefix that dst has but src does not
 // (files and directories deleted while the replica was out).
 func pruneTree(src, dst fsys.StackableFS, prefix string, cred naming.Credentials) error {
-	var ctx naming.Context = dst
-	if prefix != "" {
-		obj, err := dst.Resolve(prefix, cred)
-		if err != nil {
-			return nil
-		}
-		c, ok := obj.(naming.Context)
-		if !ok {
-			return nil
-		}
-		ctx = c
+	ctx, err := naming.ContextAt(dst, prefix, cred)
+	if err != nil {
+		return nil // nothing there to prune
 	}
 	bindings, err := ctx.List(cred)
 	if err != nil {
@@ -546,17 +554,9 @@ func removeTree(dst fsys.StackableFS, path string, cred naming.Credentials) erro
 
 // copyTree replicates the tree under prefix from src onto dst.
 func copyTree(src, dst fsys.StackableFS, prefix string, cred naming.Credentials) error {
-	var ctx naming.Context = src
-	if prefix != "" {
-		obj, err := src.Resolve(prefix, cred)
-		if err != nil {
-			return err
-		}
-		c, ok := obj.(naming.Context)
-		if !ok {
-			return fmt.Errorf("copy %s: not a context", prefix)
-		}
-		ctx = c
+	ctx, err := naming.ContextAt(src, prefix, cred)
+	if err != nil {
+		return fmt.Errorf("copy %s: %w", prefix, err)
 	}
 	bindings, err := ctx.List(cred)
 	if err != nil {
@@ -817,7 +817,7 @@ func (f *mirrorFile) Sync() error {
 // channel can be shared).
 func (f *mirrorFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
 	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &mirrorPager{file: f}
+		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
 	})
 	return rights, nil
 }
@@ -838,20 +838,11 @@ func (f *mirrorFile) SetLength(l vm.Offset) error {
 	return f.writeBoth(func(r fsys.File) error { return r.SetLength(l) })
 }
 
-// mirrorPager serves mapped access to mirrored files.
-type mirrorPager struct {
-	file *mirrorFile
-}
-
-var _ fsys.FsPagerObject = (*mirrorPager)(nil)
-
-// PageIn implements vm.PagerObject.
-func (p *mirrorPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
+// pageIn and pageOut are the data movers of the pager serving mapped
+// access to mirrored files.
+func (f *mirrorFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
 	out := make([]byte, size)
-	err := p.file.readFrom(func(r fsys.File) error {
+	err := f.readFrom(func(r fsys.File) error {
 		_, e := r.ReadAt(out, offset)
 		if errors.Is(e, io.EOF) {
 			return nil
@@ -861,31 +852,9 @@ func (p *mirrorPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, 
 	return out, err
 }
 
-// PageOut implements vm.PagerObject.
-func (p *mirrorPager) PageOut(offset, size vm.Offset, data []byte) error {
-	return p.file.writeBoth(func(r fsys.File) error {
-		_, e := r.WriteAt(data[:size], offset)
+func (f *mirrorFile) pageOut(offset, size vm.Offset, data []byte) error {
+	return f.writeBoth(func(r fsys.File) error {
+		_, e := r.WriteAt(data, offset)
 		return e
 	})
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *mirrorPager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *mirrorPager) Sync(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *mirrorPager) DoneWithPagerObject() {}
-
-// GetAttributes implements fsys.FsPagerObject.
-func (p *mirrorPager) GetAttributes() (fsys.Attributes, error) { return p.file.Stat() }
-
-// SetAttributes implements fsys.FsPagerObject.
-func (p *mirrorPager) SetAttributes(attrs fsys.Attributes) error {
-	return p.file.SetLength(attrs.Length)
 }

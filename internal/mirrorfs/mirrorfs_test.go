@@ -88,6 +88,71 @@ func TestWritesReachBothReplicas(t *testing.T) {
 	}
 }
 
+// TestDirectoriesStayInsideTheMirror: a file reached through a directory
+// the layer handed out is the mirrored file, so a write through it lands
+// on both replicas (the primary's raw context would write to the primary
+// alone), and listings at every level carry mirrored files too.
+func TestDirectoriesStayInsideTheMirror(t *testing.T) {
+	r := newRig(t)
+	created, err := r.mirror.CreateContext("d", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := r.mirror.Create("d/f", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved, err := r.mirror.Resolve("d", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for route, ctx := range map[string]naming.Context{"created": created, "resolved": resolved.(naming.Context)} {
+		obj, err := ctx.Resolve("f", naming.Root)
+		if err != nil {
+			t.Fatalf("%s context: %v", route, err)
+		}
+		if obj != naming.Object(full) {
+			t.Fatalf("%s context: f is %T, not the mirrored file d/f resolves to", route, obj)
+		}
+		msg := []byte("via the " + route + " context")
+		if _, err := obj.(fsys.File).WriteAt(msg, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
+			rf, err := sfs.Open("d/f", naming.Root)
+			if err != nil {
+				t.Fatalf("replica %d open: %v", i+1, err)
+			}
+			got := make([]byte, len(msg))
+			if _, err := rf.ReadAt(got, 0); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Errorf("%s context: replica %d holds %q, want %q", route, i+1, got, msg)
+			}
+		}
+		bs, err := ctx.List(naming.Root)
+		if err != nil || len(bs) != 1 || bs[0].Name != "f" || bs[0].Object != naming.Object(full) {
+			t.Errorf("%s context: List = %v, %v; want the one mirrored file f", route, bs, err)
+		}
+	}
+	bs, err := r.mirror.List(naming.Root)
+	if err != nil || len(bs) != 1 || bs[0].Name != "d" {
+		t.Fatalf("root List = %v, %v", bs, err)
+	}
+	if obj, err := bs[0].Object.(naming.Context).Resolve("f", naming.Root); err != nil || obj != naming.Object(full) {
+		t.Errorf("directory from the root listing resolves f to %T, %v", obj, err)
+	}
+	if err := created.Unbind("f", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
+		if _, err := sfs.Open("d/f", naming.Root); err == nil {
+			t.Errorf("replica %d still has d/f after Unbind through the directory", i+1)
+		}
+	}
+}
+
 func TestFailoverOnPrimaryLoss(t *testing.T) {
 	r := newRig(t)
 	f, err := r.mirror.Create("survivor", naming.Root)

@@ -182,6 +182,23 @@ func ResolveIn(ctx Context, name string, cred Credentials) (Object, error) {
 	return obj, nil
 }
 
+// ContextAt returns the context path names below root — root itself for
+// the empty path — letting root resolve the whole path in one call.
+func ContextAt(root Context, path string, cred Credentials) (Context, error) {
+	if path == "" {
+		return root, nil
+	}
+	obj, err := root.Resolve(path, cred)
+	if err != nil {
+		return nil, err
+	}
+	ctx, ok := obj.(Context)
+	if !ok {
+		return nil, ErrNotContext
+	}
+	return ctx, nil
+}
+
 // resolvePrefix walks all but the last component of name from ctx,
 // returning the final context and the last component.
 func resolvePrefix(ctx Context, name string, cred Credentials) (Context, string, error) {

@@ -214,10 +214,11 @@ func (img *snapImage) writeMetaLocked() error {
 // readLower reads len(p) bytes at off, zero-filling past the image's end
 // (a short read at EOF is implicit zeros, never an error).
 func (img *snapImage) readLower(p []byte, off int64) error {
-	_, err := img.lower.ReadAt(p, off)
+	n, err := img.lower.ReadAt(p, off)
 	if err == io.EOF {
 		err = nil
 	}
+	clear(p[n:])
 	return err
 }
 
@@ -253,15 +254,23 @@ func (img *snapImage) lengthLocked(chain []uint64) int64 {
 	return 0
 }
 
-// readBlockLocked materialises block bn as seen by chain.
-func (img *snapImage) readBlockLocked(chain []uint64, bn int64) ([]byte, error) {
-	blk := make([]byte, BlockSize)
-	if off, ok := img.resolveLocked(chain, bn); ok {
-		if err := img.readLower(blk, off); err != nil {
-			return nil, err
+// blockReader returns the block reader of chain's view: a mapped block is
+// read straight into the destination, a hole reads as zeros. The caller
+// holds img.mu with the table loaded for as long as it uses the reader.
+func (img *snapImage) blockReader(chain []uint64) fsys.BlockFunc {
+	return func(bn int64, dst []byte) error {
+		if off, ok := img.resolveLocked(chain, bn); ok {
+			return img.readLower(dst, off)
 		}
+		clear(dst)
+		return nil
 	}
-	return blk, nil
+}
+
+// blockWriter returns the block writer landing in epoch ep (same locking
+// as blockReader).
+func (img *snapImage) blockWriter(ep uint64) fsys.BlockFunc {
+	return func(bn int64, src []byte) error { return img.writeBlockLocked(ep, bn, src) }
 }
 
 // writeBlockLocked installs data as epoch's version of block bn. If the
@@ -294,47 +303,7 @@ func (img *snapImage) readAt(chain []uint64, p []byte, off int64) (int, error) {
 	if err := img.loadLocked(); err != nil {
 		return 0, err
 	}
-	length := img.lengthLocked(chain)
-	if off >= length {
-		return 0, io.EOF
-	}
-	n := len(p)
-	var eof bool
-	if off+int64(n) > length {
-		n = int(length - off)
-		eof = true
-	}
-	done := 0
-	for done < n {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		if bo == 0 && n-done >= BlockSize {
-			// Full-block read: serve straight into the caller's buffer,
-			// skipping the intermediate block copy. This keeps a clone's
-			// sequential cold read at the cost of the plain stack's.
-			dst := p[done : done+BlockSize]
-			if lowOff, ok := img.resolveLocked(chain, bn); ok {
-				if err := img.readLower(dst, lowOff); err != nil {
-					return done, err
-				}
-			} else {
-				for i := range dst {
-					dst[i] = 0
-				}
-			}
-			done += BlockSize
-			continue
-		}
-		blk, err := img.readBlockLocked(chain, bn)
-		if err != nil {
-			return done, err
-		}
-		done += copy(p[done:n], blk[bo:])
-	}
-	if eof {
-		return done, io.EOF
-	}
-	return done, nil
+	return fsys.ReadBlocksAt(p, off, img.lengthLocked(chain), img.blockReader(chain))
 }
 
 // writeAt serves a write landing in epoch chain[0] (the writable epoch of
@@ -351,29 +320,9 @@ func (img *snapImage) writeAt(chain []uint64, p []byte, off int64) (int, error) 
 
 func (img *snapImage) writeAtLocked(chain []uint64, p []byte, off int64) (int, error) {
 	ep := chain[0]
-	done := 0
-	for done < len(p) {
-		bn := (off + int64(done)) / BlockSize
-		bo := (off + int64(done)) % BlockSize
-		chunk := BlockSize - bo
-		if int64(len(p)-done) < chunk {
-			chunk = int64(len(p) - done)
-		}
-		var blk []byte
-		if bo == 0 && chunk == BlockSize {
-			blk = make([]byte, BlockSize)
-		} else {
-			var err error
-			blk, err = img.readBlockLocked(chain, bn)
-			if err != nil {
-				return done, err
-			}
-		}
-		copy(blk[bo:], p[done:done+int(chunk)])
-		if err := img.writeBlockLocked(ep, bn, blk); err != nil {
-			return done, err
-		}
-		done += int(chunk)
+	done, err := fsys.WriteBlocksAt(p, off, img.blockReader(chain), img.blockWriter(ep))
+	if err != nil {
+		return done, err
 	}
 	if end := off + int64(done); end > img.lengthLocked(chain) {
 		img.tbl.lengths[ep] = end
@@ -427,13 +376,11 @@ func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 		// reads zeros, not the old content.
 		if bo := length % BlockSize; bo != 0 {
 			bn := length / BlockSize
-			blk, err := img.readBlockLocked(chain, bn)
-			if err != nil {
+			blk := make([]byte, BlockSize)
+			if err := img.blockReader(chain)(bn, blk); err != nil {
 				return err
 			}
-			for i := bo; i < BlockSize; i++ {
-				blk[i] = 0
-			}
+			clear(blk[bo:])
 			if err := img.writeBlockLocked(ep, bn, blk); err != nil {
 				return err
 			}
@@ -670,53 +617,32 @@ func (f *snapFile) Release() error { return f.img.release() }
 // same image pages).
 func (f *snapFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
 	rights, _, _ := f.img.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &snapPager{file: f}
+		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut, SyncAfterOut: true}
 	})
 	return rights, nil
 }
 
-// snapPager serves mapped access to one view of a file.
-type snapPager struct {
-	file *snapFile
-}
-
-var _ fsys.FsPagerObject = (*snapPager)(nil)
-
-// PageIn implements vm.PagerObject.
-func (p *snapPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
-	f := p.file
+// pageIn and pageOut are the data movers of the pager serving mapped
+// access to one view of a file; the pager's Sync also flushes the remap
+// table.
+func (f *snapFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
 	chain, err := f.chain()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
 	f.img.mu.Lock()
 	defer f.img.mu.Unlock()
 	if err := f.img.loadLocked(); err != nil {
 		return nil, err
 	}
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		// out is zero-initialised, so holes cost nothing; mapped blocks are
-		// read straight into the result.
-		if lowOff, ok := f.img.resolveLocked(chain, bn); ok {
-			dst := out[bn*BlockSize-offset : (bn+1)*BlockSize-offset]
-			if err := f.img.readLower(dst, lowOff); err != nil {
-				return nil, err
-			}
-		}
+	out := make([]byte, size)
+	if err := fsys.EachBlock(offset, size, out, f.img.blockReader(chain)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// PageOut implements vm.PagerObject.
-func (p *snapPager) PageOut(offset, size vm.Offset, data []byte) error {
-	if !vm.PageAligned(offset, size) {
-		return vm.ErrUnaligned
-	}
-	f := p.file
+func (f *snapFile) pageOut(offset, size vm.Offset, data []byte) error {
 	if !f.writable {
 		return fsys.ErrReadOnly
 	}
@@ -732,35 +658,5 @@ func (p *snapPager) PageOut(offset, size vm.Offset, data []byte) error {
 	if err := f.img.loadLocked(); err != nil {
 		return err
 	}
-	ep := chain[0]
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		if err := f.img.writeBlockLocked(ep, bn, data[bn*BlockSize-offset:(bn+1)*BlockSize-offset]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *snapPager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *snapPager) Sync(offset, size vm.Offset, data []byte) error {
-	if err := p.PageOut(offset, size, data); err != nil {
-		return err
-	}
-	return p.file.Sync()
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *snapPager) DoneWithPagerObject() {}
-
-// GetAttributes implements fsys.FsPagerObject.
-func (p *snapPager) GetAttributes() (fsys.Attributes, error) { return p.file.Stat() }
-
-// SetAttributes implements fsys.FsPagerObject.
-func (p *snapPager) SetAttributes(attrs fsys.Attributes) error {
-	return p.file.SetLength(attrs.Length)
+	return fsys.EachBlock(offset, size, data, f.img.blockWriter(chain[0]))
 }

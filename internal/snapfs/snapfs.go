@@ -142,6 +142,7 @@ type SnapFS struct {
 
 var (
 	_ fsys.StackableFS      = (*SnapFS)(nil)
+	_ fsys.PathRoot         = (*SnapFS)(nil)
 	_ naming.ProxyWrappable = (*SnapFS)(nil)
 )
 
@@ -504,6 +505,7 @@ type SnapView struct {
 
 var (
 	_ fsys.StackableFS      = (*SnapView)(nil)
+	_ fsys.PathRoot         = (*SnapView)(nil)
 	_ naming.ProxyWrappable = (*SnapView)(nil)
 )
 
@@ -562,14 +564,19 @@ func (v *SnapView) Unbind(name string, cred naming.Credentials) error {
 }
 
 func (v *SnapView) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return v.s.listAt(v.ref, v.writable, "")
+	return v.ListPath("", cred)
+}
+
+// ListPath implements fsys.PathRoot.
+func (v *SnapView) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
+	return v.s.listAt(v.ref, v.writable, cleanPath(path), v)
 }
 
 func (v *SnapView) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
 	if !v.writable {
 		return nil, fsys.ErrReadOnly
 	}
-	return v.s.createContextAt(v.ref, name)
+	return v.s.createContextAt(v.ref, name, v)
 }
 
 // ---- the main-epoch view (SnapFS itself) ----
@@ -638,12 +645,17 @@ func (s *SnapFS) Unbind(name string, cred naming.Credentials) error {
 
 // List implements naming.Context.
 func (s *SnapFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return s.listAt(mainRef, true, "")
+	return s.ListPath("", cred)
+}
+
+// ListPath implements fsys.PathRoot.
+func (s *SnapFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
+	return s.listAt(mainRef, true, cleanPath(path), s)
 }
 
 // CreateContext implements naming.Context.
 func (s *SnapFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	return s.createContextAt(mainRef, name)
+	return s.createContextAt(mainRef, name, s)
 }
 
 // ---- namespace operations (shared by every view) ----
@@ -894,9 +906,10 @@ func (s *SnapFS) renameAt(ref epochRef, oldname, newname string) error {
 	return nil
 }
 
-// resolveAt resolves a path in an epoch. root is the object returned for
-// the empty path (the view itself).
-func (s *SnapFS) resolveAt(ref epochRef, writable bool, name string, root naming.Object) (naming.Object, error) {
+// resolveAt resolves a path in an epoch. root is the view doing the
+// resolving: the object returned for the empty path, and the root that
+// directories found on the way call back into.
+func (s *SnapFS) resolveAt(ref epochRef, writable bool, name string, root fsys.PathRoot) (naming.Object, error) {
 	path := cleanPath(name)
 	if path == "" {
 		return root, nil
@@ -915,13 +928,14 @@ func (s *SnapFS) resolveAt(ref epochRef, writable bool, name string, root naming
 		return nil, fmt.Errorf("snapfs: %s: %w", path, naming.ErrNotFound)
 	}
 	if ent.dir {
-		return &snapDir{s: s, ref: ref, writable: writable, path: path}, nil
+		return &fsys.PathDir{Root: root, Path: path}, nil
 	}
 	return s.handleForLocked(ent.fileID, ref, writable)
 }
 
-// listAt lists the bindings directly under dir ("" = the root).
-func (s *SnapFS) listAt(ref epochRef, writable bool, dir string) ([]naming.Binding, error) {
+// listAt lists the bindings directly under dir ("" = the root) of the
+// view root.
+func (s *SnapFS) listAt(ref epochRef, writable bool, dir string, root fsys.PathRoot) ([]naming.Binding, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.loadLocked(); err != nil {
@@ -946,7 +960,7 @@ func (s *SnapFS) listAt(ref epochRef, writable bool, dir string) ([]naming.Bindi
 		}
 		var obj naming.Object
 		if ent.dir {
-			obj = &snapDir{s: s, ref: ref, writable: writable, path: p}
+			obj = &fsys.PathDir{Root: root, Path: p}
 		} else {
 			f, err := s.handleForLocked(ent.fileID, ref, writable)
 			if err != nil {
@@ -960,8 +974,9 @@ func (s *SnapFS) listAt(ref epochRef, writable bool, dir string) ([]naming.Bindi
 	return out, nil
 }
 
-// createContextAt creates a directory entry in a writable epoch.
-func (s *SnapFS) createContextAt(ref epochRef, name string) (naming.Context, error) {
+// createContextAt creates a directory entry in the writable epoch of the
+// view root.
+func (s *SnapFS) createContextAt(ref epochRef, name string, root fsys.PathRoot) (naming.Context, error) {
 	path := cleanPath(name)
 	if path == "" {
 		return nil, naming.ErrBadName
@@ -988,45 +1003,7 @@ func (s *SnapFS) createContextAt(ref epochRef, name string) (naming.Context, err
 		delete(e.table, path)
 		return nil, err
 	}
-	return &snapDir{s: s, ref: ref, writable: true, path: path}, nil
-}
-
-// snapDir is a directory view inside an epoch.
-type snapDir struct {
-	s        *SnapFS
-	ref      epochRef
-	writable bool
-	path     string
-}
-
-var _ naming.Context = (*snapDir)(nil)
-
-func (d *snapDir) join(name string) string { return d.path + "/" + cleanPath(name) }
-
-func (d *snapDir) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return d.s.resolveAt(d.ref, d.writable, d.join(name), d)
-}
-
-func (d *snapDir) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return fmt.Errorf("snapfs: bind is not supported; create files through the layer")
-}
-
-func (d *snapDir) Unbind(name string, cred naming.Credentials) error {
-	if !d.writable {
-		return fsys.ErrReadOnly
-	}
-	return d.s.removeAt(d.ref, d.join(name))
-}
-
-func (d *snapDir) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return d.s.listAt(d.ref, d.writable, d.path)
-}
-
-func (d *snapDir) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	if !d.writable {
-		return nil, fsys.ErrReadOnly
-	}
-	return d.s.createContextAt(d.ref, d.join(name))
+	return &fsys.PathDir{Root: root, Path: path}, nil
 }
 
 // ---- snapshot / clone / diff ----

@@ -1,4 +1,4 @@
-// Package stats provides lightweight counters and timers used across the
+// Package stats provides lightweight counters and histograms used across the
 // springfs substrates. The bench harness and the tests use these counters to
 // verify structural claims from the paper (for example, that a cached read
 // performs no calls to the lower file system layer, the third result of
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event counter.
@@ -33,52 +32,11 @@ func (c *Counter) Value() int64 { return c.n.Load() }
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.n.Store(0) }
 
-// Timer accumulates durations and the number of recorded events.
-type Timer struct {
-	total atomic.Int64 // nanoseconds
-	count atomic.Int64
-}
-
-// Record adds one observation of duration d.
-func (t *Timer) Record(d time.Duration) {
-	t.total.Add(int64(d))
-	t.count.Add(1)
-}
-
-// Observe runs fn and records its wall-clock duration.
-func (t *Timer) Observe(fn func()) {
-	start := time.Now()
-	fn()
-	t.Record(time.Since(start))
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.total.Load()) }
-
-// Count returns the number of recorded observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Mean returns the mean observation duration, or zero if none were recorded.
-func (t *Timer) Mean() time.Duration {
-	n := t.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(t.total.Load() / n)
-}
-
-// Reset clears the timer.
-func (t *Timer) Reset() {
-	t.total.Store(0)
-	t.count.Store(0)
-}
-
-// Registry is a named collection of counters, timers, and latency
-// histograms. The zero value is ready to use.
+// Registry is a named collection of counters and latency histograms. The
+// zero value is ready to use.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -96,21 +54,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Timer returns the timer registered under name, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.timers == nil {
-		r.timers = make(map[string]*Timer)
-	}
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -141,15 +84,12 @@ func (r *Registry) Histograms() map[string]*Histogram {
 	return out
 }
 
-// ResetAll resets every counter, timer, and histogram in the registry.
+// ResetAll resets every counter and histogram in the registry.
 func (r *Registry) ResetAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.counters {
 		c.Reset()
-	}
-	for _, t := range r.timers {
-		t.Reset()
 	}
 	for _, h := range r.histograms {
 		h.Reset()
@@ -179,15 +119,6 @@ func (r *Registry) String() string {
 	var b strings.Builder
 	for _, name := range names {
 		fmt.Fprintf(&b, "%-40s %d\n", name, r.counters[name].Value())
-	}
-	var tnames []string
-	for name := range r.timers {
-		tnames = append(tnames, name)
-	}
-	sort.Strings(tnames)
-	for _, name := range tnames {
-		t := r.timers[name]
-		fmt.Fprintf(&b, "%-40s mean=%v n=%d\n", name, t.Mean(), t.Count())
 	}
 	var hnames []string
 	for name, h := range r.histograms {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -41,56 +40,21 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Record(10 * time.Millisecond)
-	tm.Record(20 * time.Millisecond)
-	if tm.Count() != 2 {
-		t.Errorf("Count = %d", tm.Count())
-	}
-	if tm.Total() != 30*time.Millisecond {
-		t.Errorf("Total = %v", tm.Total())
-	}
-	if tm.Mean() != 15*time.Millisecond {
-		t.Errorf("Mean = %v", tm.Mean())
-	}
-	var empty Timer
-	if empty.Mean() != 0 {
-		t.Error("empty Mean not zero")
-	}
-	tm.Reset()
-	if tm.Count() != 0 || tm.Total() != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestTimerObserve(t *testing.T) {
-	var tm Timer
-	tm.Observe(func() { time.Sleep(5 * time.Millisecond) })
-	if tm.Count() != 1 {
-		t.Errorf("Count = %d", tm.Count())
-	}
-	if tm.Mean() < 5*time.Millisecond {
-		t.Errorf("Mean = %v, want >= 5ms", tm.Mean())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	var r Registry
 	r.Counter("a").Add(3)
 	r.Counter("a").Inc()
 	r.Counter("b").Inc()
-	r.Timer("t").Record(time.Second)
 	snap := r.Snapshot()
 	if snap["a"] != 4 || snap["b"] != 1 {
 		t.Errorf("Snapshot = %v", snap)
 	}
 	s := r.String()
-	if !strings.Contains(s, "a") || !strings.Contains(s, "t") {
+	if !strings.Contains(s, "a") || !strings.Contains(s, "b") {
 		t.Errorf("String = %q", s)
 	}
 	r.ResetAll()
-	if r.Counter("a").Value() != 0 || r.Timer("t").Count() != 0 {
+	if r.Counter("a").Value() != 0 {
 		t.Error("ResetAll did not clear")
 	}
 }

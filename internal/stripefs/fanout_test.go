@@ -268,7 +268,8 @@ func TestPageOutFansOutConcurrently(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	callsBefore := stats.Default.Export().Counters["stripe.fanout.calls"]
-	pager := &stripePager{file: f.(*stripeFile)}
+	sf := f.(*stripeFile)
+	pager := &fsys.FilePager{File: sf, In: sf.pageIn, Out: sf.pageOut}
 	data := make([]byte, pages*vm.PageSize)
 	for i := range data {
 		data[i] = byte(i % 251)

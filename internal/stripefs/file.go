@@ -563,53 +563,22 @@ func (f *stripeFile) SetLength(length vm.Offset) error {
 // per-server pieces that travel concurrently.
 func (f *stripeFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
 	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &stripePager{file: f}
+		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
 	})
 	return rights, nil
 }
 
-// stripePager serves mapped access to striped files.
-type stripePager struct {
-	file *stripeFile
-}
-
-var _ fsys.FsPagerObject = (*stripePager)(nil)
-
-// PageIn implements vm.PagerObject. Pages past the objects' data (holes,
+// pageIn is the pager's page-in. Pages past the objects' data (holes,
 // tails) come back zero-filled.
-func (p *stripePager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
+func (f *stripeFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
 	out := make([]byte, size)
-	if err := p.file.readSegments(out, int64(offset)); err != nil {
+	if err := f.readSegments(out, offset); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// PageOut implements vm.PagerObject.
-func (p *stripePager) PageOut(offset, size vm.Offset, data []byte) error {
-	return p.file.writeSegments(data[:size], int64(offset))
-}
-
-// WriteOut implements vm.PagerObject.
-func (p *stripePager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *stripePager) Sync(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *stripePager) DoneWithPagerObject() {}
-
-// GetAttributes implements fsys.FsPagerObject.
-func (p *stripePager) GetAttributes() (fsys.Attributes, error) { return p.file.Stat() }
-
-// SetAttributes implements fsys.FsPagerObject.
-func (p *stripePager) SetAttributes(attrs fsys.Attributes) error {
-	return p.file.SetLength(attrs.Length)
+// pageOut is the pager's page-out.
+func (f *stripeFile) pageOut(offset, size vm.Offset, data []byte) error {
+	return f.writeSegments(data, offset)
 }

@@ -116,6 +116,7 @@ type StripeFS struct {
 
 var (
 	_ fsys.StackableFS      = (*StripeFS)(nil)
+	_ fsys.PathRoot         = (*StripeFS)(nil)
 	_ naming.ProxyWrappable = (*StripeFS)(nil)
 )
 
@@ -716,9 +717,9 @@ func (s *StripeFS) Resolve(name string, cred naming.Credentials) (naming.Object,
 	if err != nil {
 		return nil, err
 	}
-	if ctx, ok := obj.(naming.Context); ok {
+	if _, ok := obj.(naming.Context); ok {
 		if _, isFile := obj.(fsys.File); !isFile {
-			return &stripeDir{fs: s, path: name, under: ctx}, nil
+			return &fsys.PathDir{Root: s, Path: strings.Trim(name, "/")}, nil
 		}
 	}
 	mf, err := fsys.AsFile(obj)
@@ -742,19 +743,28 @@ func (s *StripeFS) Unbind(name string, cred naming.Credentials) error {
 	return s.Remove(name, cred)
 }
 
-// List implements naming.Context: the metadata root's listing with the
-// layer's internal temporaries hidden and files re-wrapped.
+// List implements naming.Context.
 func (s *StripeFS) List(cred naming.Credentials) ([]naming.Binding, error) {
+	return s.ListPath("", cred)
+}
+
+// ListPath implements fsys.PathRoot: the metadata FS's listing of path
+// with the layer's internal temporaries hidden and files re-wrapped.
+func (s *StripeFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
 	meta, _, err := s.stacked()
 	if err != nil {
 		return nil, err
 	}
 	s.sweepOnce(cred)
-	bindings, err := meta.List(cred)
+	ctx, err := naming.ContextAt(meta, path, cred)
 	if err != nil {
 		return nil, err
 	}
-	return s.wrapBindings(bindings, "", cred), nil
+	bindings, err := ctx.List(cred)
+	if err != nil {
+		return nil, err
+	}
+	return s.wrapBindings(bindings, path, cred), nil
 }
 
 // wrapBindings rewrites a metadata listing into the striped view.
@@ -786,79 +796,7 @@ func (s *StripeFS) CreateContext(name string, cred naming.Credentials) (naming.C
 	if _, err := meta.CreateContext(name, cred); err != nil {
 		return nil, err
 	}
-	return &stripeDir{fs: s, path: name}, nil
-}
-
-// stripeDir is the striped view of a metadata directory: every operation
-// funnels back through the layer with the directory's path prefixed, so
-// files reached through it are striped wrappers, not raw layout files.
-type stripeDir struct {
-	fs    *StripeFS
-	path  string
-	under naming.Context
-}
-
-var _ naming.Context = (*stripeDir)(nil)
-
-func (d *stripeDir) join(name string) string {
-	if d.path == "" {
-		return name
-	}
-	return d.path + "/" + name
-}
-
-// Resolve implements naming.Context.
-func (d *stripeDir) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return d.fs.Resolve(d.join(name), cred)
-}
-
-// Bind implements naming.Context.
-func (d *stripeDir) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return d.fs.Bind(d.join(name), obj, cred)
-}
-
-// Unbind implements naming.Context.
-func (d *stripeDir) Unbind(name string, cred naming.Credentials) error {
-	return d.fs.Remove(d.join(name), cred)
-}
-
-// List implements naming.Context.
-func (d *stripeDir) List(cred naming.Credentials) ([]naming.Binding, error) {
-	ctx := d.under
-	if ctx == nil {
-		obj, err := d.fs.metaContext(d.path, cred)
-		if err != nil {
-			return nil, err
-		}
-		ctx = obj
-	}
-	bindings, err := ctx.List(cred)
-	if err != nil {
-		return nil, err
-	}
-	return d.fs.wrapBindings(bindings, d.path, cred), nil
-}
-
-// CreateContext implements naming.Context.
-func (d *stripeDir) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	return d.fs.CreateContext(d.join(name), cred)
-}
-
-// metaContext resolves path to a naming context on the metadata FS.
-func (s *StripeFS) metaContext(path string, cred naming.Credentials) (naming.Context, error) {
-	meta, _, err := s.stacked()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := meta.Resolve(path, cred)
-	if err != nil {
-		return nil, err
-	}
-	ctx, ok := obj.(naming.Context)
-	if !ok {
-		return nil, naming.ErrNotContext
-	}
-	return ctx, nil
+	return &fsys.PathDir{Root: s, Path: strings.Trim(name, "/")}, nil
 }
 
 // runFanOut executes the per-server tasks of one operation through a

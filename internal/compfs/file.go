@@ -471,17 +471,20 @@ func (f *compFile) SetLength(length vm.Offset) error {
 		if tail != 0 {
 			_, live := f.tbl.blocks[length/BlockSize]
 			if live || len(flushed) > 0 {
-				blk := make([]byte, BlockSize)
-				if err := f.readBlockLocked(length/BlockSize, blk); err != nil {
-					return err
-				}
-				for _, d := range flushed {
-					if d.Offset <= blockOff && blockOff+BlockSize <= d.Offset+vm.Offset(len(d.Bytes)) {
-						copy(blk, d.Bytes[blockOff-d.Offset:])
+				// The straddling block as it stands: stored, then
+				// overlaid with what the caches just flushed back.
+				current := func(bn int64, blk []byte) error {
+					if err := f.readBlockLocked(bn, blk); err != nil {
+						return err
 					}
+					for _, d := range flushed {
+						if d.Offset <= blockOff && blockOff+BlockSize <= d.Offset+vm.Offset(len(d.Bytes)) {
+							copy(blk, d.Bytes[blockOff-d.Offset:])
+						}
+					}
+					return nil
 				}
-				clear(blk[tail:])
-				if err := f.writeBlockLocked(length/BlockSize, blk); err != nil {
+				if err := fsys.ZeroTail(current, f.writeBlockLocked, length); err != nil {
 					return err
 				}
 			}

@@ -157,16 +157,7 @@ func (f *cryptFile) writeBlock(bn int64, plain []byte) error {
 // tail first, keeping the invariant that every lower byte inside the
 // logical length is real ciphertext. Caller holds f.mu.
 func (f *cryptFile) sealTailLocked(length vm.Offset) error {
-	if length%BlockSize == 0 {
-		return nil
-	}
-	bn := length / BlockSize
-	blk := make([]byte, BlockSize)
-	if err := f.readBlock(bn, blk); err != nil {
-		return err
-	}
-	clear(blk[length%BlockSize:])
-	return f.writeBlock(bn, blk)
+	return fsys.ZeroTail(f.readBlock, f.writeBlock, length)
 }
 
 // ReadAt implements fsys.File.

@@ -13,33 +13,30 @@ import (
 // layers. Credentials are checked at the home node against the server's own
 // credentials; the client-side ones are not transmitted.
 type ClientFS struct {
+	fsys.PathBase
 	client *Client
-	name   string
 }
 
-var (
-	_ fsys.StackableFS = (*ClientFS)(nil)
-	_ fsys.PathRoot    = (*ClientFS)(nil)
-)
+var _ fsys.PathLayer = (*ClientFS)(nil)
 
 // NewClientFS wraps client as a stackable file system named name.
 func NewClientFS(client *Client, name string) *ClientFS {
-	return &ClientFS{client: client, name: name}
+	c := &ClientFS{client: client}
+	c.Init(name, c)
+	return c
 }
 
 // ErrRemoteBind is returned for naming operations DFS cannot express on the
 // wire (binding arbitrary local objects into a remote name space).
 var ErrRemoteBind = errors.New("dfs: cannot bind local objects in a remote name space")
 
-// FSName implements fsys.FS.
-func (c *ClientFS) FSName() string { return c.name }
-
 // Create implements fsys.FS.
 func (c *ClientFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
 	return c.client.Create(name)
 }
 
-// Open implements fsys.FS.
+// Open implements fsys.FS in one round trip, where resolving the name
+// first would cost a second one to tell a missing file from a directory.
 func (c *ClientFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
 	return c.client.Open(name)
 }
@@ -84,7 +81,7 @@ func (c *ClientFS) Resolve(name string, cred naming.Credentials) (naming.Object,
 		return f, nil
 	}
 	if _, lerr := c.client.List(name); lerr == nil {
-		return &fsys.PathDir{Root: c, Path: name}, nil
+		return c.Dir(name), nil
 	}
 	return nil, oerr
 }
@@ -94,23 +91,12 @@ func (c *ClientFS) Bind(name string, obj naming.Object, cred naming.Credentials)
 	return ErrRemoteBind
 }
 
-// Unbind implements naming.Context: removing a binding removes the remote
-// file (or empty directory), mirroring the server-side Unbind semantics.
-func (c *ClientFS) Unbind(name string, cred naming.Credentials) error {
-	return c.client.Remove(name)
-}
-
-// List implements naming.Context.
-func (c *ClientFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return c.ListPath("", cred)
-}
-
 // CreateContext implements naming.Context.
 func (c *ClientFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
 	if err := c.client.Mkdir(name); err != nil {
 		return nil, err
 	}
-	return &fsys.PathDir{Root: c, Path: name}, nil
+	return c.Dir(name), nil
 }
 
 // ListPath implements fsys.PathRoot, converting a remote listing to
@@ -130,7 +116,7 @@ func (c *ClientFS) ListPath(path string, cred naming.Credentials) ([]naming.Bind
 			if path != "" {
 				sub = path + "/" + e.Name
 			}
-			obj = &fsys.PathDir{Root: c, Path: sub}
+			obj = c.Dir(sub)
 		}
 		out = append(out, naming.Binding{Name: e.Name, Object: obj})
 	}

@@ -82,6 +82,19 @@ func WriteBlocksAt(p []byte, off int64, readBlock, writeBlock BlockFunc) (int, e
 	return done, nil
 }
 
+// ZeroTail zeroes the part of the block straddling length that lies past
+// it, so bytes a shrink cut off (or fill a lower layer put there) cannot
+// reappear when the file grows again. A block-aligned length has no such
+// block and costs no I/O.
+func ZeroTail(readBlock, writeBlock BlockFunc, length int64) error {
+	bo := length % BlockSize
+	if bo == 0 {
+		return nil
+	}
+	_, err := WriteBlocksAt(make([]byte, BlockSize-bo), length, readBlock, writeBlock)
+	return err
+}
+
 // EachBlock runs fn over the blocks of the page-aligned range [offset,
 // offset+size) with the matching BlockSize window of buf: the loop of a
 // block-granular PageIn (fn reads into buf) or PageOut (fn writes from it).

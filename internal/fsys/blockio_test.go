@@ -131,6 +131,65 @@ func TestBlockHelpersAgainstModel(t *testing.T) {
 	}
 }
 
+// TestZeroTailAgainstModel shrinks the store and the flat model to the same
+// lengths — zero-tailing the one, truncating the other — and regrows both:
+// the store must read back as the model does, zeros past every cut.
+func TestZeroTailAgainstModel(t *testing.T) {
+	const B = BlockSize
+	store := &blockStore{blocks: map[int64][]byte{}}
+	ref := &model{}
+	p := pattern(3*B, 11)
+	if _, err := WriteBlocksAt(p, 0, store.read, store.write); err != nil {
+		t.Fatal(err)
+	}
+	ref.writeAt(p, 0)
+	ios := 0
+	read := func(bn int64, b []byte) error { ios++; return store.read(bn, b) }
+	write := func(bn int64, b []byte) error { ios++; return store.write(bn, b) }
+
+	for _, c := range []struct {
+		name   string
+		length int64
+		ios    int
+	}{
+		{"aligned", 2 * B, 0},
+		{"mid-block", B + 100, 2},
+		{"last-byte-of-block", B - 1, 2},
+		{"zero", 0, 0},
+		{"hole", 5*B + 7, 2},
+	} {
+		ios = 0
+		if err := ZeroTail(read, write, c.length); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ios != c.ios {
+			t.Errorf("%s: %d block I/Os, want %d", c.name, ios, c.ios)
+		}
+		// The caller owns the length and the whole blocks past it: the
+		// model truncates, the store drops them, then both regrow.
+		if int(c.length) < len(ref.data) {
+			ref.data = ref.data[:c.length]
+		}
+		for bn := range store.blocks {
+			if bn*B >= c.length {
+				delete(store.blocks, bn)
+			}
+		}
+		ref.writeAt(nil, 6*B) // regrow: zero-extends the model
+		got, want := make([]byte, 6*B), make([]byte, 6*B)
+		if _, err := ReadBlocksAt(got, 0, 6*B, store.read); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := ref.readAt(want, 0); err != nil {
+			t.Fatalf("%s: model: %v", c.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: regrown store differs from the model", c.name)
+		}
+		ref.data = ref.data[:min(int(c.length), len(ref.data))]
+	}
+}
+
 // TestReadBlocksAtReadsWholeBlocksInPlace checks the fast path every layer
 // now shares: an aligned whole block lands in the caller's buffer without a
 // scratch copy, and only an unaligned head or tail uses one.

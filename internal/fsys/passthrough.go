@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"springfs/internal/naming"
-	"springfs/internal/spring"
 )
 
 // Passthrough is the embeddable base of a layer stacked on exactly one
@@ -18,11 +17,10 @@ import (
 // contract of the bind protocol — and wraps directories too, so an object
 // reached through any sub-context is the object its full path resolves to.
 type Passthrough struct {
+	layerBase
 	passDir // the root directory: the layer's naming-context half
 
-	name  string
-	outer StackableFS
-	wrap  func(lower File) File
+	wrap func(lower File) File
 
 	mu    sync.Mutex
 	under StackableFS
@@ -35,18 +33,8 @@ type Passthrough struct {
 // name space. A wrapper with a `Lower() File` method is bound below as that
 // lower file when a client binds it under a second name.
 func (p *Passthrough) Init(name string, outer StackableFS, wrap func(lower File) File) {
-	p.passDir = passDir{p: p}
-	p.name, p.outer, p.wrap = name, outer, wrap
+	p.layerBase, p.passDir, p.wrap = layerBase{name, outer}, passDir{p: p}, wrap
 	p.files = make(map[any]File)
-}
-
-// FSName implements FS.
-func (p *Passthrough) FSName() string { return p.name }
-
-// WrapForChannel implements naming.ProxyWrappable: what travels is the
-// outer layer, so a same-domain channel collapses to the layer itself.
-func (p *Passthrough) WrapForChannel(ch *spring.Channel) naming.Object {
-	return WrapStackable(ch, p.outer)
 }
 
 // StackOn implements StackableFS; the layer stacks on exactly one file
@@ -125,15 +113,6 @@ func (p *Passthrough) Create(name string, cred naming.Credentials) (File, error)
 		return nil, err
 	}
 	return p.FileFor(lower), nil
-}
-
-// Open implements FS.
-func (p *Passthrough) Open(name string, cred naming.Credentials) (File, error) {
-	obj, err := p.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return AsFile(obj)
 }
 
 // Remove implements FS, dropping the wrapper before removing below.

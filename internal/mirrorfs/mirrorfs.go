@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,40 +26,34 @@ import (
 
 // MirrorFS is an instance of the mirroring layer.
 type MirrorFS struct {
-	name   string
-	domain *spring.Domain
-	table  *fsys.ConnectionTable
+	fsys.PathBase
+	table *fsys.ConnectionTable
 
 	mu          sync.Mutex
-	replicas    []fsys.StackableFS // exactly 2 once stacked
-	healthy     [2]bool            // replica i is in the fan-out
-	files       map[string]*mirrorFile
-	orphans     map[*mirrorFile]bool // unlinked while retained (nlink 0, storage live)
+	replicas    []fsys.StackableFS // exactly 2 once stacked: primary, mirror
+	health      fsys.Health
+	files       fsys.PathTable[*mirrorFile]
 	nextBacking atomic.Uint64
 
 	// Failovers counts reads served by the mirror after a primary
-	// failure; Degraded counts writes that reached only one replica;
-	// Resyncs counts successful replica resynchronisations.
+	// failure; Degraded counts mutations (writes, and name-space changes)
+	// that reached only one replica; Resyncs counts successful replica
+	// resynchronisations.
 	Failovers stats.Counter
 	Degraded  stats.Counter
 	Resyncs   stats.Counter
 }
 
 var (
-	_ fsys.StackableFS      = (*MirrorFS)(nil)
-	_ fsys.PathRoot         = (*MirrorFS)(nil)
+	_ fsys.PathLayer        = (*MirrorFS)(nil)
 	_ naming.ProxyWrappable = (*MirrorFS)(nil)
 )
 
 // New creates a mirroring layer served by domain.
 func New(domain *spring.Domain, name string) *MirrorFS {
-	return &MirrorFS{
-		name:    name,
-		domain:  domain,
-		table:   fsys.NewConnectionTable(domain),
-		files:   make(map[string]*mirrorFile),
-		orphans: make(map[*mirrorFile]bool),
-	}
+	m := &MirrorFS{table: fsys.NewConnectionTable(domain)}
+	m.Init(name, m)
+	return m
 }
 
 // NewCreator returns a stackable_fs_creator for mirroring layers.
@@ -75,14 +68,6 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 	})
 }
 
-// FSName implements fsys.FS.
-func (m *MirrorFS) FSName() string { return m.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (m *MirrorFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, m)
-}
-
 // StackOn implements fsys.StackableFS; it must be called exactly twice,
 // once per replica (primary first).
 func (m *MirrorFS) StackOn(under fsys.StackableFS) error {
@@ -91,148 +76,144 @@ func (m *MirrorFS) StackOn(under fsys.StackableFS) error {
 	if len(m.replicas) >= 2 {
 		return fsys.ErrAlreadyStacked
 	}
-	m.healthy[len(m.replicas)] = true
 	m.replicas = append(m.replicas, under)
+	m.health.Add()
 	return nil
-}
-
-// replicaHealthy reports whether replica i (0 = primary) is in the
-// fan-out.
-func (m *MirrorFS) replicaHealthy(i int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.healthy[i]
-}
-
-// noteError marks replica i unhealthy when err is a transport-level
-// failure (a timed-out or dead DFS link): subsequent operations skip the
-// replica instead of each paying the timeout, until Resync restores it.
-// Data-level errors (ErrNotFound, io.EOF, ...) do not indict the replica.
-func (m *MirrorFS) noteError(i int, err error) {
-	if err == nil || !errors.Is(err, fsys.ErrUnavailable) {
-		return
-	}
-	m.mu.Lock()
-	m.healthy[i] = false
-	m.mu.Unlock()
 }
 
 // Health returns the fan-out state of (primary, mirror).
 func (m *MirrorFS) Health() (primary, mirror bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.healthy[0], m.healthy[1]
+	return m.health.OK(0), m.health.OK(1)
 }
 
 // MarkUnhealthy removes replica i from the fan-out (test/operator hook;
-// the normal path is noteError observing fsys.ErrUnavailable).
-func (m *MirrorFS) MarkUnhealthy(i int) {
-	m.mu.Lock()
-	m.healthy[i] = false
-	m.mu.Unlock()
-}
+// the normal path is a call to the replica failing with
+// fsys.ErrUnavailable). Resync restores it.
+func (m *MirrorFS) MarkUnhealthy(i int) { m.health.MarkUnhealthy(i) }
 
 // both returns the two replicas or an error if the layer is not fully
 // stacked.
-func (m *MirrorFS) both() (fsys.StackableFS, fsys.StackableFS, error) {
+func (m *MirrorFS) both() ([]fsys.StackableFS, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.replicas) < 2 {
-		return nil, nil, fmt.Errorf("mirrorfs: %w: need two underlying file systems, have %d",
+		return nil, fmt.Errorf("mirrorfs: %w: need two underlying file systems, have %d",
 			fsys.ErrNotStacked, len(m.replicas))
 	}
-	return m.replicas[0], m.replicas[1], nil
+	return m.replicas, nil
+}
+
+// errNoCopy is what a fan-out op returns for a replica that holds no copy
+// of the file at hand (it was created while the replica was out): the
+// replica is passed over, not indicted.
+var errNoCopy = fmt.Errorf("mirrorfs: replica holds no copy (%w)", fsys.ErrUnavailable)
+
+// fanOut runs op on every replica in the fan-out — a replica that is out
+// is not called at all, so nothing pays a dead link's timeout twice — and
+// drops one whose call fails at the transport level. It returns how many
+// replicas did the operation, and the first error if none did.
+func (m *MirrorFS) fanOut(op func(i int) error) (ok int, err error) {
+	for i := 0; i < 2; i++ {
+		if !m.health.OK(i) {
+			continue
+		}
+		switch e := op(i); {
+		case e == nil:
+			ok++
+		case e != errNoCopy:
+			m.health.Note(i, e)
+			if err == nil {
+				err = e
+			}
+		}
+	}
+	switch {
+	case ok > 0:
+		return ok, nil
+	case err == nil:
+		err = fmt.Errorf("mirrorfs: no healthy replica (%w)", fsys.ErrUnavailable)
+	}
+	return 0, err
+}
+
+// mutate is fanOut for an operation that changes state: done by one
+// replica only it succeeds degraded, leaving Resync to reconcile the other.
+func (m *MirrorFS) mutate(op func(i int) error) error {
+	ok, err := m.fanOut(op)
+	if ok == 1 {
+		m.Degraded.Inc()
+	}
+	return err
+}
+
+// failOver runs a read-only op on the primary and, if that fails or the
+// primary is out of the fan-out, on the mirror.
+func (m *MirrorFS) failOver(op func(i int) error) error {
+	if m.health.OK(0) {
+		err := op(0)
+		if err == nil {
+			return nil
+		}
+		if err != errNoCopy {
+			m.health.Note(0, err)
+		}
+	}
+	if !m.health.OK(1) {
+		return fmt.Errorf("mirrorfs: both replicas unavailable (%w)", fsys.ErrUnavailable)
+	}
+	err := op(1)
+	if err != errNoCopy {
+		m.Failovers.Inc()
+		m.health.Note(1, err)
+	}
+	return err
 }
 
 // fileFor returns the canonical mirrored file for a path.
 func (m *MirrorFS) fileFor(name string, primary, mirror fsys.File) *mirrorFile {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f, ok := m.files[name]; ok {
-		return f
-	}
-	f := &mirrorFile{
-		fs:      m,
-		name:    name,
-		primary: primary,
-		mirror:  mirror,
-		backing: m.nextBacking.Add(1),
-	}
-	m.files[name] = f
-	return f
+	return m.files.LookupOrAdd(name, func() *mirrorFile {
+		return &mirrorFile{fs: m, primary: primary, mirror: mirror, backing: m.nextBacking.Add(1)}
+	})
 }
 
-// Create implements fsys.FS: the file is created on both replicas. If one
-// replica is down the create degrades to the survivor (like writes do)
-// rather than failing.
+// Create implements fsys.FS: the file is created on both replicas, or on
+// the survivor if one is down.
 func (m *MirrorFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return nil, err
 	}
-	var f1, f2 fsys.File
-	err1 := fmt.Errorf("mirrorfs: primary out of fan-out (%w)", fsys.ErrUnavailable)
-	err2 := fmt.Errorf("mirrorfs: mirror out of fan-out (%w)", fsys.ErrUnavailable)
-	if m.replicaHealthy(0) {
-		f1, err1 = r1.Create(name, cred)
-		m.noteError(0, err1)
-	}
-	if m.replicaHealthy(1) {
-		f2, err2 = r2.Create(name, cred)
-		m.noteError(1, err2)
-	}
-	if err1 != nil && err2 != nil {
-		return nil, fmt.Errorf("mirrorfs: create failed on both replicas: %w", err1)
-	}
-	if err1 != nil || err2 != nil {
-		m.Degraded.Inc()
-	}
-	return m.fileFor(name, f1, f2), nil
-}
-
-// Open implements fsys.FS.
-func (m *MirrorFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := m.Resolve(name, cred)
+	var made [2]fsys.File
+	err = m.mutate(func(i int) (e error) {
+		made[i], e = rs[i].Create(name, cred)
+		return e
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mirrorfs: create failed on both replicas: %w", err)
 	}
-	return fsys.AsFile(obj)
+	return m.fileFor(name, made[0], made[1]), nil
 }
 
-// Remove implements fsys.FS: removed from both replicas; the first error
-// wins but both removals are attempted.
+// Remove implements fsys.FS. A file unlinked while handles retain it keeps
+// its storage (nlink 0) on each replica; the handle table keeps the wrapper
+// as an orphan so Resync can rebuild it on a healed replica, which the
+// name-based tree copy cannot see.
 func (m *MirrorFS) Remove(name string, cred naming.Credentials) error {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return err
 	}
-	err1 := r1.Remove(name, cred)
-	err2 := r2.Remove(name, cred)
-	m.mu.Lock()
-	f := m.files[name]
-	delete(m.files, name)
-	m.mu.Unlock()
-	// A file unlinked while retained handles are outstanding keeps its
-	// storage (nlink 0) on each replica. Track the wrapper so Resync can
-	// reconstruct the orphan on a rebuilt replica — the name-based tree
-	// copy cannot see it.
-	if f != nil && (err1 == nil || err2 == nil) && f.retainCount() > 0 {
-		m.mu.Lock()
-		m.orphans[f] = true
-		m.mu.Unlock()
+	if err := m.mutate(func(i int) error { return rs[i].Remove(name, cred) }); err != nil {
+		return err
 	}
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	m.files.Remove(name)
+	return nil
 }
 
-// Rename implements fsys.FS: renamed on both replicas (first error wins,
-// both attempted; a split outcome degrades until Resync reconciles it).
-// The path-keyed wrapper map is re-keyed, dropping any overwritten
-// destination's wrapper.
+// Rename implements fsys.FS; the wrapper moves with the name, and an
+// overwritten destination's wrapper is dropped (or orphaned, like Remove).
 func (m *MirrorFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return err
 	}
@@ -240,91 +221,63 @@ func (m *MirrorFS) Rename(oldname, newname string, cred naming.Credentials) erro
 		_, err := m.Resolve(oldname, cred)
 		return err
 	}
-	err1 := r1.Rename(oldname, newname, cred)
-	err2 := r2.Rename(oldname, newname, cred)
-	if err1 == nil || err2 == nil {
-		m.mu.Lock()
-		if dest, ok := m.files[newname]; ok && dest.retainCount() > 0 {
-			// Rename-over an open destination: same orphan shape as
-			// Remove (see above).
-			m.orphans[dest] = true
-		}
-		delete(m.files, newname)
-		if f, ok := m.files[oldname]; ok {
-			delete(m.files, oldname)
-			f.rename(newname)
-			m.files[newname] = f
-		}
-		m.mu.Unlock()
+	if err := m.mutate(func(i int) error { return rs[i].Rename(oldname, newname, cred) }); err != nil {
+		return err
 	}
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	m.files.Rename(oldname, newname)
+	return nil
 }
 
 // SyncFS implements fsys.FS.
 func (m *MirrorFS) SyncFS() error {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return err
 	}
-	if err := r1.SyncFS(); err != nil {
-		return err
-	}
-	return r2.SyncFS()
+	return m.mutate(func(i int) error { return rs[i].SyncFS() })
 }
 
 // Resolve implements naming.Context. The file must exist on at least one
-// replica; a missing replica copy degrades rather than fails.
+// replica in the fan-out; a missing copy degrades rather than fails.
 func (m *MirrorFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return nil, err
 	}
-	obj1, err1 := r1.Resolve(name, cred)
-	obj2, err2 := r2.Resolve(name, cred)
-	if err1 != nil && err2 != nil {
-		return nil, err1
+	var objs [2]naming.Object
+	_, err = m.fanOut(func(i int) (e error) {
+		objs[i], e = rs[i].Resolve(name, cred)
+		return e
+	})
+	if err != nil {
+		return nil, err
 	}
-	f1, _ := obj1.(fsys.File)
-	f2, _ := obj2.(fsys.File)
+	f1, _ := objs[0].(fsys.File)
+	f2, _ := objs[1].(fsys.File)
 	if f1 == nil && f2 == nil {
 		// A directory: a view that funnels back through the layer, so
 		// files found through it are mirrored files too.
-		return &fsys.PathDir{Root: m, Path: strings.Trim(name, "/")}, nil
+		return m.Dir(name), nil
 	}
 	return m.fileFor(name, f1, f2), nil
-}
-
-// Bind implements naming.Context.
-func (m *MirrorFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return fmt.Errorf("mirrorfs: bind is not supported; create files through the layer")
-}
-
-// Unbind implements naming.Context.
-func (m *MirrorFS) Unbind(name string, cred naming.Credentials) error {
-	return m.Remove(name, cred)
-}
-
-// List implements naming.Context.
-func (m *MirrorFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return m.ListPath("", cred)
 }
 
 // ListPath implements fsys.PathRoot: the primary's listing of path (the
 // mirror's on failure), with files and directories re-resolved through the
 // layer.
 func (m *MirrorFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return nil, err
 	}
-	out, err := listAt(r1, path, cred)
-	if err != nil {
-		m.Failovers.Inc()
-		out, err = listAt(r2, path, cred)
-	}
+	var out []naming.Binding
+	err = m.failOver(func(i int) error {
+		ctx, err := naming.ContextAt(rs[i], path, cred)
+		if err == nil {
+			out, err = ctx.List(cred)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -340,28 +293,20 @@ func (m *MirrorFS) ListPath(path string, cred naming.Credentials) ([]naming.Bind
 	return out, nil
 }
 
-// listAt lists the directory at path ("" = the root) of one replica.
-func listAt(r fsys.StackableFS, path string, cred naming.Credentials) ([]naming.Binding, error) {
-	ctx, err := naming.ContextAt(r, path, cred)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.List(cred)
-}
-
 // CreateContext implements naming.Context (directories on both replicas).
 func (m *MirrorFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := r1.CreateContext(name, cred); err != nil {
+	err = m.mutate(func(i int) error {
+		_, e := rs[i].CreateContext(name, cred)
+		return e
+	})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := r2.CreateContext(name, cred); err != nil {
-		return nil, fmt.Errorf("mirrorfs: mkdir on mirror: %w", err)
-	}
-	return &fsys.PathDir{Root: m, Path: strings.Trim(name, "/")}, nil
+	return m.Dir(name), nil
 }
 
 // Resync rebuilds a replica that was dropped from the fan-out: the whole
@@ -371,25 +316,22 @@ func (m *MirrorFS) CreateContext(name string, cred naming.Credentials) (naming.C
 // the operator's (or test's) signal that the fault is repaired — the layer
 // cannot tell on its own that a dead link came back.
 func (m *MirrorFS) Resync(cred naming.Credentials) error {
-	r1, r2, err := m.both()
+	rs, err := m.both()
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	h0, h1 := m.healthy[0], m.healthy[1]
-	m.mu.Unlock()
-	var src, dst fsys.StackableFS
 	var healed int
-	switch {
+	switch h0, h1 := m.Health(); {
 	case h0 && h1:
 		return nil
 	case h0:
-		src, dst, healed = r1, r2, 1
+		healed = 1
 	case h1:
-		src, dst, healed = r2, r1, 0
+		healed = 0
 	default:
 		return fmt.Errorf("mirrorfs: resync: no healthy replica to copy from (%w)", fsys.ErrUnavailable)
 	}
+	src, dst := rs[1-healed], rs[healed]
 	if err := copyTree(src, dst, "", cred); err != nil {
 		return fmt.Errorf("mirrorfs: resync: %w", err)
 	}
@@ -402,37 +344,25 @@ func (m *MirrorFS) Resync(cred naming.Credentials) error {
 	// their storage lives only behind retained handles. Rebuild each one
 	// on the healed replica (or fail the resync loudly — rejoining the
 	// fan-out without them would split-brain the retained handles).
-	m.mu.Lock()
-	orphans := make([]*mirrorFile, 0, len(m.orphans))
-	for f := range m.orphans {
-		orphans = append(orphans, f)
-	}
-	m.mu.Unlock()
-	srcIdx := 1 - healed
+	_, orphans := m.files.Snapshot()
 	for _, f := range orphans {
-		if err := f.reconcileOrphan(srcIdx, dst, healed, cred); err != nil {
-			return fmt.Errorf("mirrorfs: resync: retained orphan %s: %w", f.pathName(), err)
+		if err := f.reconcileOrphan(dst, healed, cred); err != nil {
+			return fmt.Errorf("mirrorfs: resync: retained orphan %s: %w", f.Path(), err)
 		}
 	}
-	m.mu.Lock()
-	m.healthy[healed] = true
-	files := make(map[string]*mirrorFile, len(m.files))
-	for name, f := range m.files {
-		files[name] = f
-	}
-	m.mu.Unlock()
+	m.health.Revive(healed)
 	// Refresh replica handles: the healed side's old handles may refer to
 	// files from before the fault (or be nil for files created during the
 	// degradation).
-	for name, f := range files {
-		var p, q fsys.File
-		if obj, err := r1.Resolve(name, cred); err == nil {
-			p, _ = obj.(fsys.File)
+	filed, _ := m.files.Snapshot()
+	for name, f := range filed {
+		var fresh [2]fsys.File
+		for i, r := range rs {
+			if obj, err := r.Resolve(name, cred); err == nil {
+				fresh[i], _ = obj.(fsys.File)
+			}
 		}
-		if obj, err := r2.Resolve(name, cred); err == nil {
-			q, _ = obj.(fsys.File)
-		}
-		f.setCopies(p, q)
+		f.setCopies(fresh[0], fresh[1])
 	}
 	m.Resyncs.Inc()
 	return nil
@@ -443,41 +373,20 @@ func (m *MirrorFS) Resync(cred naming.Credentials) error {
 // temporary name, the new handle is retained once per outstanding upper
 // retain, and the temporary name is removed again — leaving the healed
 // replica with the same nlink-0, storage-live orphan the survivor holds.
-func (f *mirrorFile) reconcileOrphan(srcIdx int, dst fsys.StackableFS, dstIdx int, cred naming.Credentials) error {
-	f.hmu.Lock()
-	handles := [2]fsys.File{f.primary, f.mirror}
-	f.hmu.Unlock()
-	srcF := handles[srcIdx]
+func (f *mirrorFile) reconcileOrphan(dst fsys.StackableFS, dstIdx int, cred naming.Credentials) error {
+	srcF, mirror := f.copies()
+	if dstIdx == 0 {
+		srcF = mirror
+	}
 	if srcF == nil {
 		return fmt.Errorf("no surviving replica handle (%w)", fsys.ErrUnavailable)
 	}
-	attrs, err := srcF.Stat()
-	if err != nil {
-		return fmt.Errorf("reading survivor: %w", err)
-	}
-	buf := make([]byte, attrs.Length)
-	if attrs.Length > 0 {
-		if _, err := srcF.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
-			return fmt.Errorf("reading survivor: %w", err)
-		}
-	}
 	tmp := fmt.Sprintf(".mirror-orphan-%d", f.backing)
-	out, err := dst.Create(tmp, cred)
+	out, err := copyFile(srcF, dst, tmp, cred)
 	if err != nil {
 		return err
 	}
-	if len(buf) > 0 {
-		if _, err := out.WriteAt(buf, 0); err != nil {
-			return err
-		}
-	}
-	if err := out.SetLength(attrs.Length); err != nil {
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		return err
-	}
-	for i := int64(0); i < f.retainCount(); i++ {
+	for i := int64(0); i < f.Retained(); i++ {
 		fsys.Retain(out)
 	}
 	if err := dst.Remove(tmp, cred); err != nil {
@@ -569,7 +478,7 @@ func copyTree(src, dst fsys.StackableFS, prefix string, cred naming.Credentials)
 		}
 		switch o := b.Object.(type) {
 		case fsys.File:
-			if err := copyFile(o, dst, path, cred); err != nil {
+			if _, err := copyFile(o, dst, path, cred); err != nil {
 				return fmt.Errorf("copy %s: %w", path, err)
 			}
 		case naming.Context:
@@ -586,55 +495,49 @@ func copyTree(src, dst fsys.StackableFS, prefix string, cred naming.Credentials)
 	return nil
 }
 
-// copyFile replicates one file's contents onto dst at path.
-func copyFile(src fsys.File, dst fsys.StackableFS, path string, cred naming.Credentials) error {
+// copyFile replicates one file's contents onto dst at path and returns the
+// synced copy.
+func copyFile(src fsys.File, dst fsys.StackableFS, path string, cred naming.Credentials) (fsys.File, error) {
 	attrs, err := src.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	buf := make([]byte, attrs.Length)
 	if attrs.Length > 0 {
 		if _, err := src.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
-			return err
+			return nil, err
 		}
 	}
 	out, err := dst.Open(path, cred)
 	if err != nil {
 		out, err = dst.Create(path, cred)
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if len(buf) > 0 {
 		if _, err := out.WriteAt(buf, 0); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if err := out.SetLength(attrs.Length); err != nil {
-		return err
+		return nil, err
 	}
-	return out.Sync()
+	return out, out.Sync()
 }
 
 // mirrorFile is a file replicated on two underlying file systems.
 type mirrorFile struct {
+	fsys.PathHandle
 	fs      *MirrorFS
-	name    string
 	backing uint64
-
-	// retained counts outstanding Retains (open handles holding the
-	// file's storage past unlink).
-	retained atomic.Int64
 
 	// hmu guards the replica handles, which Resync refreshes after
 	// rebuilding a healed replica.
 	hmu     sync.Mutex
-	primary fsys.File // may be nil if the primary copy is missing
-	mirror  fsys.File // may be nil if the mirror copy is missing
+	primary fsys.File // nil if the primary holds no copy
+	mirror  fsys.File // nil if the mirror holds no copy
 }
-
-// retainCount reports the outstanding Retain balance.
-func (f *mirrorFile) retainCount() int64 { return f.retained.Load() }
 
 // copies snapshots the replica handles.
 func (f *mirrorFile) copies() (primary, mirror fsys.File) {
@@ -646,23 +549,8 @@ func (f *mirrorFile) copies() (primary, mirror fsys.File) {
 // setCopies installs refreshed replica handles (Resync).
 func (f *mirrorFile) setCopies(primary, mirror fsys.File) {
 	f.hmu.Lock()
-	f.primary = primary
-	f.mirror = mirror
+	f.primary, f.mirror = primary, mirror
 	f.hmu.Unlock()
-}
-
-// rename records the file's new path after a Rename re-keyed the map.
-func (f *mirrorFile) rename(name string) {
-	f.hmu.Lock()
-	f.name = name
-	f.hmu.Unlock()
-}
-
-// pathName returns the file's current path (for diagnostics).
-func (f *mirrorFile) pathName() string {
-	f.hmu.Lock()
-	defer f.hmu.Unlock()
-	return f.name
 }
 
 var (
@@ -675,66 +563,33 @@ func (f *mirrorFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)
 }
 
-// readFrom runs op against the primary, failing over to the mirror. A
-// replica marked unhealthy is skipped outright so reads stop paying a dead
-// link's timeout on every call.
-func (f *mirrorFile) readFrom(op func(fsys.File) error) error {
-	primary, mirror := f.copies()
-	if primary != nil && f.fs.replicaHealthy(0) {
-		err := op(primary)
-		if err == nil {
-			return nil
-		}
-		f.fs.noteError(0, err)
+// onCopy runs a file operation on one replica's copy of the file, if the
+// replica holds one.
+func onCopy(r fsys.File, op func(fsys.File) error) error {
+	if r == nil {
+		return errNoCopy
 	}
-	if mirror == nil || !f.fs.replicaHealthy(1) {
-		return fmt.Errorf("mirrorfs: %s: both replicas unavailable (%w)", f.pathName(), fsys.ErrUnavailable)
-	}
-	f.fs.Failovers.Inc()
-	err := op(mirror)
-	if err != nil {
-		f.fs.noteError(1, err)
-	}
-	return err
+	return op(r)
 }
 
-// writeBoth fans the write out to every healthy replica; it succeeds if at
-// least one replica accepted the write, counting the degradation. A
-// replica whose DFS calls time out is marked unhealthy by noteError and
-// dropped from the fan-out until Resync heals it.
+// readFrom runs op against the primary copy, failing over to the mirror.
+func (f *mirrorFile) readFrom(op func(fsys.File) error) error {
+	var c [2]fsys.File
+	c[0], c[1] = f.copies()
+	return f.fs.failOver(func(i int) error { return onCopy(c[i], op) })
+}
+
+// writeBoth fans the write out to the copy on every replica in the
+// fan-out; it succeeds, counting the degradation, if one accepted it.
 func (f *mirrorFile) writeBoth(op func(fsys.File) error) error {
-	primary, mirror := f.copies()
-	ok := 0
-	var firstErr error
-	apply := func(i int, r fsys.File) {
-		if r == nil || !f.fs.replicaHealthy(i) {
-			return
-		}
-		if err := op(r); err != nil {
-			f.fs.noteError(i, err)
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		ok++
-	}
-	apply(0, primary)
-	apply(1, mirror)
-	switch {
-	case ok == 0 && firstErr != nil:
-		return firstErr
-	case ok == 0:
-		return fmt.Errorf("mirrorfs: %s: no healthy replica (%w)", f.pathName(), fsys.ErrUnavailable)
-	case ok < 2:
-		f.fs.Degraded.Inc()
-	}
-	return nil
+	var c [2]fsys.File
+	c[0], c[1] = f.copies()
+	return f.fs.mutate(func(i int) error { return onCopy(c[i], op) })
 }
 
 // Retain implements fsys.HandleFile: the handle is held on both replicas.
 func (f *mirrorFile) Retain() {
-	f.retained.Add(1)
+	f.fs.files.Retain(f)
 	primary, mirror := f.copies()
 	if primary != nil {
 		fsys.Retain(primary)
@@ -746,11 +601,7 @@ func (f *mirrorFile) Retain() {
 
 // Release implements fsys.HandleFile.
 func (f *mirrorFile) Release() error {
-	if f.retained.Add(-1) <= 0 {
-		f.fs.mu.Lock()
-		delete(f.fs.orphans, f)
-		f.fs.mu.Unlock()
-	}
+	f.fs.files.Release(f)
 	primary, mirror := f.copies()
 	var err error
 	if primary != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -340,14 +342,51 @@ func TestStatAndLength(t *testing.T) {
 // dead DFS link (calls time out and surface fsys.ErrUnavailable).
 type flakyFS struct {
 	fsys.StackableFS
-	down atomic.Bool
+	down  atomic.Bool
+	calls atomic.Int64 // file-system-level calls received, up or down
 }
 
 func (f *flakyFS) errIfDown() error {
+	f.calls.Add(1)
 	if f.down.Load() {
 		return fmt.Errorf("flaky: link down (%w)", fsys.ErrUnavailable)
 	}
 	return nil
+}
+
+func (f *flakyFS) Remove(name string, cred naming.Credentials) error {
+	if err := f.errIfDown(); err != nil {
+		return err
+	}
+	return f.StackableFS.Remove(name, cred)
+}
+
+func (f *flakyFS) Rename(oldname, newname string, cred naming.Credentials) error {
+	if err := f.errIfDown(); err != nil {
+		return err
+	}
+	return f.StackableFS.Rename(oldname, newname, cred)
+}
+
+func (f *flakyFS) SyncFS() error {
+	if err := f.errIfDown(); err != nil {
+		return err
+	}
+	return f.StackableFS.SyncFS()
+}
+
+func (f *flakyFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
+	if err := f.errIfDown(); err != nil {
+		return nil, err
+	}
+	return f.StackableFS.CreateContext(name, cred)
+}
+
+func (f *flakyFS) List(cred naming.Credentials) ([]naming.Binding, error) {
+	if err := f.errIfDown(); err != nil {
+		return nil, err
+	}
+	return f.StackableFS.List(cred)
 }
 
 func (f *flakyFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
@@ -620,4 +659,159 @@ func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
 		t.Errorf("health after failed resync = (%v, %v), want (true, false)", p, hm)
 	}
 	_ = fsys.Release(f)
+}
+
+// TestNamespaceOpsHonourReplicaHealth: name-space operations treat a
+// replica like data operations do. One that is out of the fan-out is not
+// called at all; one that fails at the transport level is dropped; the
+// operation succeeds, degraded, on the survivor — whichever replica that
+// is — and Resync reconciles the name space afterwards.
+func TestNamespaceOpsHonourReplicaHealth(t *testing.T) {
+	for _, dead := range []int{1, 0} {
+		t.Run(fmt.Sprintf("replica%d", dead), func(t *testing.T) {
+			node := spring.NewNode("n-ns")
+			t.Cleanup(node.Stop)
+			vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
+			sfs1, _ := newSFS(t, node, vmm, "p1")
+			sfs2, _ := newSFS(t, node, vmm, "p2")
+			replicas := []*flakyFS{{StackableFS: sfs1}, {StackableFS: sfs2}}
+			m := New(spring.NewDomain(node, "mirror"), "mirror")
+			for _, r := range replicas {
+				if err := m.StackOn(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flaky := replicas[dead]
+			for _, name := range []string{"gone", "old", "stays"} {
+				f, err := m.Create(name, naming.Root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte(name), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The link dies; the first name-space call pays the failure
+			// once, drops the replica, and still succeeds on the survivor.
+			flaky.down.Store(true)
+			degraded := m.Degraded.Value()
+			if err := m.SyncFS(); err != nil {
+				t.Fatalf("SyncFS with replica %d dead: %v", dead, err)
+			}
+			if p, q := m.Health(); [2]bool{p, q}[dead] || ![2]bool{p, q}[1-dead] {
+				t.Fatalf("health after dead SyncFS = (%v, %v)", p, q)
+			}
+			if m.Degraded.Value() == degraded {
+				t.Error("degraded SyncFS not counted")
+			}
+
+			// From here on the dead replica must not see a single call.
+			before := flaky.calls.Load()
+			for i := 0; i < 10; i++ {
+				if _, err := m.Open("stays", naming.Root); err != nil {
+					t.Fatalf("degraded Open: %v", err)
+				}
+			}
+			if err := m.Remove("gone", naming.Root); err != nil {
+				t.Errorf("degraded Remove: %v", err)
+			}
+			if err := m.Rename("old", "new", naming.Root); err != nil {
+				t.Errorf("degraded Rename: %v", err)
+			}
+			if _, err := m.CreateContext("dir", naming.Root); err != nil {
+				t.Errorf("degraded CreateContext: %v", err)
+			}
+			if _, err := m.Create("dir/born", naming.Root); err != nil {
+				t.Errorf("degraded Create in new directory: %v", err)
+			}
+			if err := m.SyncFS(); err != nil {
+				t.Errorf("degraded SyncFS: %v", err)
+			}
+			bindings, err := m.List(naming.Root)
+			if err != nil {
+				t.Fatalf("degraded List: %v", err)
+			}
+			var names []string
+			for _, b := range bindings {
+				names = append(names, b.Name)
+			}
+			sort.Strings(names)
+			if want := []string{"dir", "new", "stays"}; !reflect.DeepEqual(names, want) {
+				t.Errorf("degraded listing = %v, want %v", names, want)
+			}
+			if n := flaky.calls.Load() - before; n != 0 {
+				t.Errorf("%d calls reached the replica that is out of the fan-out", n)
+			}
+
+			// Heal and resync: both replicas hold the same name space.
+			flaky.down.Store(false)
+			if err := m.Resync(naming.Root); err != nil {
+				t.Fatalf("Resync: %v", err)
+			}
+			for i, r := range []fsys.StackableFS{sfs1, sfs2} {
+				for _, name := range []string{"new", "stays", "dir/born"} {
+					if _, err := r.Open(name, naming.Root); err != nil {
+						t.Errorf("replica %d lacks %s after resync: %v", i, name, err)
+					}
+				}
+				for _, name := range []string{"gone", "old"} {
+					if _, err := r.Open(name, naming.Root); err == nil {
+						t.Errorf("replica %d still has %s after resync", i, name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHotPathsAddNoAllocation guards the per-call paths the layer kit sits
+// on: resolving a file whose wrapper exists is the two replica lookups plus
+// a handle-table hit, a read or write is the replicas' own plus a health
+// check that is an atomic load — and the layer's share of each allocates
+// nothing.
+func TestHotPathsAddNoAllocation(t *testing.T) {
+	node := spring.NewNode("n-alloc")
+	t.Cleanup(node.Stop)
+	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
+	sfs1, _ := newSFS(t, node, vmm, "p1")
+	sfs2, _ := newSFS(t, node, vmm, "p2")
+	m := New(spring.NewDomain(node, "mirror"), "mirror")
+	for _, r := range []fsys.StackableFS{sfs1, sfs2} {
+		if err := m.StackOn(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := m.Create("file", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, vm.PageSize)
+	if _, err := f.WriteAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	p, q := f.(*mirrorFile).copies()
+	allocs := func(fn func()) float64 { return testing.AllocsPerRun(200, fn) }
+	for _, c := range []struct {
+		what         string
+		lower, layer float64
+	}{
+		{"Resolve",
+			allocs(func() { _, _ = sfs1.Resolve("file", naming.Root); _, _ = sfs2.Resolve("file", naming.Root) }),
+			allocs(func() { _, _ = m.Resolve("file", naming.Root) })},
+		{"Open",
+			allocs(func() { _, _ = sfs1.Open("file", naming.Root); _, _ = sfs2.Open("file", naming.Root) }),
+			allocs(func() { _, _ = m.Open("file", naming.Root) })},
+		{"ReadAt",
+			allocs(func() { _, _ = p.ReadAt(buf, 0) }),
+			allocs(func() { _, _ = f.ReadAt(buf, 0) })},
+		{"WriteAt",
+			allocs(func() { _, _ = p.WriteAt(buf, 0); _, _ = q.WriteAt(buf, 0) }),
+			allocs(func() { _, _ = f.WriteAt(buf, 0) })},
+	} {
+		if c.layer > c.lower {
+			t.Errorf("%s: %.0f allocations per call, the replicas' own calls make %.0f; the layer must add none",
+				c.what, c.layer, c.lower)
+		}
+	}
 }

@@ -372,18 +372,10 @@ func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 				delete(m, bn)
 			}
 		}
-		// Zero the tail of the boundary block so a later re-extension
+		// The boundary block diverges zero-tailed, so a later re-extension
 		// reads zeros, not the old content.
-		if bo := length % BlockSize; bo != 0 {
-			bn := length / BlockSize
-			blk := make([]byte, BlockSize)
-			if err := img.blockReader(chain)(bn, blk); err != nil {
-				return err
-			}
-			clear(blk[bo:])
-			if err := img.writeBlockLocked(ep, bn, blk); err != nil {
-				return err
-			}
+		if err := fsys.ZeroTail(img.blockReader(chain), img.blockWriter(ep), length); err != nil {
+			return err
 		}
 	}
 	img.tbl.lengths[ep] = length

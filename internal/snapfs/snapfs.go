@@ -117,13 +117,13 @@ func (r epochRef) key() string {
 }
 
 // SnapFS is an instance of the snapshot/clone layer. The SnapFS value
-// itself is the view of the main (writable, most recent) epoch; Clone and
+// itself is the view of the main (writable, most recent) epoch — it embeds
+// that view, and only adds what the store as a whole does; Clone and
 // SnapshotView return sibling views of other epochs backed by the same
 // store.
 type SnapFS struct {
-	name   string
-	domain *spring.Domain
-	table  *fsys.ConnectionTable
+	SnapView // the main line
+	table    *fsys.ConnectionTable
 
 	// epochMu gates writers (read-held) against Snapshot (write-held), so
 	// a write never lands in an epoch that sealed mid-operation.
@@ -141,20 +141,22 @@ type SnapFS struct {
 }
 
 var (
-	_ fsys.StackableFS      = (*SnapFS)(nil)
-	_ fsys.PathRoot         = (*SnapFS)(nil)
+	_ fsys.PathLayer        = (*SnapFS)(nil)
 	_ naming.ProxyWrappable = (*SnapFS)(nil)
 )
 
+var mainRef = epochRef{main: true}
+
 // New creates a SNAPFS instance served by domain.
 func New(domain *spring.Domain, name string) *SnapFS {
-	return &SnapFS{
-		name:   name,
-		domain: domain,
+	s := &SnapFS{
 		table:  fsys.NewConnectionTable(domain),
 		epochs: make(map[uint64]*epoch),
 		files:  make(map[uint64]*snapImage),
 	}
+	s.SnapView = SnapView{s: s, ref: mainRef, writable: true}
+	s.Init(name, s)
+	return s
 }
 
 // NewCreator returns a stackable_fs_creator for SNAPFS.
@@ -167,14 +169,6 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 		}
 		return New(domain, name), nil
 	})
-}
-
-// FSName implements fsys.FS.
-func (s *SnapFS) FSName() string { return s.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (s *SnapFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, s)
 }
 
 // StackOn implements fsys.StackableFS.
@@ -201,9 +195,9 @@ func (s *SnapFS) loadLocked() error {
 	}
 	// A temporary manifest left behind by a power cut mid-commit is dead:
 	// the rename never happened, so the old manifest is still the truth.
-	if _, err := s.under.Resolve(manifestTmpName, naming.Root); err == nil {
-		_ = s.under.Remove(manifestTmpName, naming.Root)
-	}
+	// (Best effort, and usually there is none: the next commit truncates
+	// whatever stays.)
+	_ = s.under.Remove(manifestTmpName, naming.Root)
 	obj, err := s.under.Resolve(manifestName, naming.Root)
 	if err != nil {
 		// Fresh store: epoch 1 is the main epoch.
@@ -236,14 +230,15 @@ func (s *SnapFS) loadLocked() error {
 		return err
 	}
 	s.loaded = true
-	return s.sweepOrphanImagesLocked()
+	s.sweepOrphanImagesLocked()
+	return nil
 }
 
 // sweepOrphanImagesLocked removes image files no epoch references — the
 // leftovers of a crash between image creation and manifest commit (or
 // between the manifest commit that dropped the last reference and the
 // image removal). Caller holds s.mu with the manifest loaded.
-func (s *SnapFS) sweepOrphanImagesLocked() error {
+func (s *SnapFS) sweepOrphanImagesLocked() {
 	live := make(map[uint64]bool)
 	for _, e := range s.epochs {
 		for _, ent := range e.table {
@@ -252,21 +247,10 @@ func (s *SnapFS) sweepOrphanImagesLocked() error {
 			}
 		}
 	}
-	bindings, err := s.under.List(naming.Root)
-	if err != nil {
-		return nil // listing is advisory; the orphans just linger
-	}
-	for _, b := range bindings {
-		if !strings.HasPrefix(b.Name, imagePrefix) {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimPrefix(b.Name, imagePrefix), 16, 64)
-		if err != nil || live[id] {
-			continue
-		}
-		_ = s.under.Remove(b.Name, naming.Root)
-	}
-	return nil
+	_, _ = fsys.SweepPrefix(s.under, imagePrefix, func(name string) bool {
+		id, err := strconv.ParseUint(strings.TrimPrefix(name, imagePrefix), 16, 64)
+		return err != nil || live[id]
+	}, naming.Root)
 }
 
 // encodeManifestLocked serialises the epoch tree. One record per line;
@@ -371,30 +355,12 @@ func (s *SnapFS) parseManifestLocked(raw string) error {
 	return nil
 }
 
-// commitManifestLocked persists the epoch tree atomically: the encoded
-// manifest is written to a temporary file, synced, and renamed over the
-// live manifest. Stacked on SFS, the rename is a journaled transaction
-// whose commit barrier also makes the just-synced temporary durable — so
-// a power cut anywhere in here lands on exactly the old or the new tree.
-// Caller holds s.mu.
+// commitManifestLocked persists the epoch tree atomically
+// (fsys.CommitFile): a power cut anywhere in here lands on exactly the old
+// or the new tree. Caller holds s.mu.
 func (s *SnapFS) commitManifestLocked() error {
 	raw := []byte(s.encodeManifestLocked())
-	tmp, err := s.under.Create(manifestTmpName, naming.Root)
-	if err != nil {
-		return err
-	}
-	if err := tmp.SetLength(0); err != nil {
-		return err
-	}
-	if len(raw) > 0 {
-		if _, err := tmp.WriteAt(raw, 0); err != nil {
-			return err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	if err := s.under.Rename(manifestTmpName, manifestName, naming.Root); err != nil {
+	if err := fsys.CommitFile(s.under, manifestTmpName, manifestName, raw, naming.Root); err != nil {
 		return err
 	}
 	snapManifests.Inc()
@@ -492,120 +458,35 @@ func (s *SnapFS) handleForLocked(fileID uint64, ref epochRef, writable bool) (*s
 
 // ---- views ----
 
-// SnapView is a read-only snapshot view or a writable clone view over the
-// shared store; it implements the same stackable interface as SnapFS, so
-// a clone can be used anywhere a file system can (bound into a name
-// space, stacked under further layers, wrapped in a POSIX process).
+// SnapView is one epoch of the shared store seen as a file system: the
+// main line (embedded in SnapFS), a read-only snapshot view or a writable
+// clone view. Every view implements the whole stackable interface, so a
+// clone can be used anywhere a file system can (bound into a name space,
+// stacked under further layers, wrapped in a POSIX process).
 type SnapView struct {
+	fsys.PathBase
 	s        *SnapFS
 	ref      epochRef
 	writable bool
-	name     string
 }
 
 var (
-	_ fsys.StackableFS      = (*SnapView)(nil)
-	_ fsys.PathRoot         = (*SnapView)(nil)
+	_ fsys.PathLayer        = (*SnapView)(nil)
 	_ naming.ProxyWrappable = (*SnapView)(nil)
 )
 
-// FSName implements fsys.FS.
-func (v *SnapView) FSName() string { return v.s.name + "@" + v.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (v *SnapView) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, v)
+// view returns the view of epoch id under its snapshot or clone name.
+func (s *SnapFS) view(id uint64, writable bool, name string) *SnapView {
+	v := &SnapView{s: s, ref: epochRef{id: id}, writable: writable}
+	v.Init(s.FSName()+"@"+name, v)
+	return v
 }
 
 // StackOn implements fsys.StackableFS: views are born stacked.
 func (v *SnapView) StackOn(under fsys.StackableFS) error { return fsys.ErrAlreadyStacked }
 
-func (v *SnapView) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	if !v.writable {
-		return nil, fsys.ErrReadOnly
-	}
-	return v.s.createAt(v.ref, name)
-}
-
-func (v *SnapView) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := v.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-func (v *SnapView) Remove(name string, cred naming.Credentials) error {
-	if !v.writable {
-		return fsys.ErrReadOnly
-	}
-	return v.s.removeAt(v.ref, name)
-}
-
-func (v *SnapView) Rename(oldname, newname string, cred naming.Credentials) error {
-	if !v.writable {
-		return fsys.ErrReadOnly
-	}
-	return v.s.renameAt(v.ref, oldname, newname)
-}
-
+// SyncFS implements fsys.FS: the store syncs as a whole.
 func (v *SnapView) SyncFS() error { return v.s.SyncFS() }
-
-func (v *SnapView) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return v.s.resolveAt(v.ref, v.writable, name, v)
-}
-
-func (v *SnapView) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return fmt.Errorf("snapfs: bind is not supported; create files through the layer")
-}
-
-func (v *SnapView) Unbind(name string, cred naming.Credentials) error {
-	return v.Remove(name, cred)
-}
-
-func (v *SnapView) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return v.ListPath("", cred)
-}
-
-// ListPath implements fsys.PathRoot.
-func (v *SnapView) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
-	return v.s.listAt(v.ref, v.writable, cleanPath(path), v)
-}
-
-func (v *SnapView) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	if !v.writable {
-		return nil, fsys.ErrReadOnly
-	}
-	return v.s.createContextAt(v.ref, name, v)
-}
-
-// ---- the main-epoch view (SnapFS itself) ----
-
-var mainRef = epochRef{main: true}
-
-// Create implements fsys.FS on the main epoch.
-func (s *SnapFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	return s.createAt(mainRef, name)
-}
-
-// Open implements fsys.FS.
-func (s *SnapFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := s.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-// Remove implements fsys.FS.
-func (s *SnapFS) Remove(name string, cred naming.Credentials) error {
-	return s.removeAt(mainRef, name)
-}
-
-// Rename implements fsys.FS.
-func (s *SnapFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	return s.renameAt(mainRef, oldname, newname)
-}
 
 // SyncFS implements fsys.FS: flush every dirty image table, then the
 // layer below.
@@ -628,37 +509,7 @@ func (s *SnapFS) SyncFS() error {
 	return under.SyncFS()
 }
 
-// Resolve implements naming.Context.
-func (s *SnapFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	return s.resolveAt(mainRef, true, name, s)
-}
-
-// Bind implements naming.Context.
-func (s *SnapFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return fmt.Errorf("snapfs: bind is not supported; create files through the layer")
-}
-
-// Unbind implements naming.Context.
-func (s *SnapFS) Unbind(name string, cred naming.Credentials) error {
-	return s.Remove(name, cred)
-}
-
-// List implements naming.Context.
-func (s *SnapFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return s.ListPath("", cred)
-}
-
-// ListPath implements fsys.PathRoot.
-func (s *SnapFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
-	return s.listAt(mainRef, true, cleanPath(path), s)
-}
-
-// CreateContext implements naming.Context.
-func (s *SnapFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	return s.createContextAt(mainRef, name, s)
-}
-
-// ---- namespace operations (shared by every view) ----
+// ---- namespace operations (every view, the main line included) ----
 
 func cleanPath(name string) string { return strings.Trim(name, "/") }
 
@@ -680,8 +531,13 @@ func checkParentLocked(tbl map[string]nameEntry, path string) error {
 	return nil
 }
 
-// createAt creates (or truncates) a file in a writable epoch.
-func (s *SnapFS) createAt(ref epochRef, name string) (fsys.File, error) {
+// Create implements fsys.FS: it creates (or truncates) a file in a
+// writable epoch.
+func (v *SnapView) Create(name string, cred naming.Credentials) (fsys.File, error) {
+	if !v.writable {
+		return nil, fsys.ErrReadOnly
+	}
+	s, ref := v.s, v.ref
 	path := cleanPath(name)
 	if path == "" {
 		return nil, naming.ErrBadName
@@ -744,11 +600,15 @@ func (s *SnapFS) createAt(ref epochRef, name string) (fsys.File, error) {
 	return s.handleForLocked(fileID, ref, true)
 }
 
-// removeAt unlinks a file or empty directory from a writable epoch. The
-// image file is removed from the underlying store only once *no* epoch
-// references it; retained upper handles keep it alive below through the
-// ordinary retained-handle protocol.
-func (s *SnapFS) removeAt(ref epochRef, name string) error {
+// Remove implements fsys.FS: it unlinks a file or empty directory from a
+// writable epoch. The image file is removed from the underlying store only
+// once *no* epoch references it; retained upper handles keep it alive
+// below through the ordinary retained-handle protocol.
+func (v *SnapView) Remove(name string, cred naming.Credentials) error {
+	if !v.writable {
+		return fsys.ErrReadOnly
+	}
+	s, ref := v.s, v.ref
 	path := cleanPath(name)
 	if path == "" {
 		return naming.ErrBadName
@@ -817,10 +677,14 @@ func (s *SnapFS) maybeDropImageLocked(fileID uint64) {
 	_ = s.under.Remove(imageName(fileID), naming.Root)
 }
 
-// renameAt atomically renames within a writable epoch, replacing an
-// existing destination (whose image follows the unreferenced-image rule).
-// Directories move with their whole subtree.
-func (s *SnapFS) renameAt(ref epochRef, oldname, newname string) error {
+// Rename implements fsys.FS: it atomically renames within a writable
+// epoch, replacing an existing destination (whose image follows the
+// unreferenced-image rule). Directories move with their whole subtree.
+func (v *SnapView) Rename(oldname, newname string, cred naming.Credentials) error {
+	if !v.writable {
+		return fsys.ErrReadOnly
+	}
+	s, ref := v.s, v.ref
 	oldPath, newPath := cleanPath(oldname), cleanPath(newname)
 	if oldPath == "" || newPath == "" {
 		return naming.ErrBadName
@@ -906,13 +770,13 @@ func (s *SnapFS) renameAt(ref epochRef, oldname, newname string) error {
 	return nil
 }
 
-// resolveAt resolves a path in an epoch. root is the view doing the
-// resolving: the object returned for the empty path, and the root that
-// directories found on the way call back into.
-func (s *SnapFS) resolveAt(ref epochRef, writable bool, name string, root fsys.PathRoot) (naming.Object, error) {
+// Resolve implements naming.Context. Directories found on the way call
+// back into the view doing the resolving.
+func (v *SnapView) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
+	s, ref := v.s, v.ref
 	path := cleanPath(name)
 	if path == "" {
-		return root, nil
+		return v.Dir(""), nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -928,14 +792,15 @@ func (s *SnapFS) resolveAt(ref epochRef, writable bool, name string, root fsys.P
 		return nil, fmt.Errorf("snapfs: %s: %w", path, naming.ErrNotFound)
 	}
 	if ent.dir {
-		return &fsys.PathDir{Root: root, Path: path}, nil
+		return v.Dir(path), nil
 	}
-	return s.handleForLocked(ent.fileID, ref, writable)
+	return s.handleForLocked(ent.fileID, ref, v.writable)
 }
 
-// listAt lists the bindings directly under dir ("" = the root) of the
-// view root.
-func (s *SnapFS) listAt(ref epochRef, writable bool, dir string, root fsys.PathRoot) ([]naming.Binding, error) {
+// ListPath implements fsys.PathRoot: the bindings directly under path (""
+// = the root).
+func (v *SnapView) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
+	s, ref, dir := v.s, v.ref, cleanPath(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.loadLocked(); err != nil {
@@ -960,9 +825,9 @@ func (s *SnapFS) listAt(ref epochRef, writable bool, dir string, root fsys.PathR
 		}
 		var obj naming.Object
 		if ent.dir {
-			obj = &fsys.PathDir{Root: root, Path: p}
+			obj = v.Dir(p)
 		} else {
-			f, err := s.handleForLocked(ent.fileID, ref, writable)
+			f, err := s.handleForLocked(ent.fileID, ref, v.writable)
 			if err != nil {
 				return nil, err
 			}
@@ -974,9 +839,13 @@ func (s *SnapFS) listAt(ref epochRef, writable bool, dir string, root fsys.PathR
 	return out, nil
 }
 
-// createContextAt creates a directory entry in the writable epoch of the
-// view root.
-func (s *SnapFS) createContextAt(ref epochRef, name string, root fsys.PathRoot) (naming.Context, error) {
+// CreateContext implements naming.Context: it creates a directory entry
+// in a writable epoch.
+func (v *SnapView) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
+	if !v.writable {
+		return nil, fsys.ErrReadOnly
+	}
+	s, ref := v.s, v.ref
 	path := cleanPath(name)
 	if path == "" {
 		return nil, naming.ErrBadName
@@ -1003,7 +872,7 @@ func (s *SnapFS) createContextAt(ref epochRef, name string, root fsys.PathRoot) 
 		delete(e.table, path)
 		return nil, err
 	}
-	return &fsys.PathDir{Root: root, Path: path}, nil
+	return v.Dir(path), nil
 }
 
 // ---- snapshot / clone / diff ----
@@ -1103,7 +972,7 @@ func (s *SnapFS) Clone(snapName, cloneName string) (*SnapView, error) {
 		return nil, err
 	}
 	snapClones.Inc()
-	return &SnapView{s: s, ref: epochRef{id: fresh.id}, writable: true, name: cloneName}, nil
+	return s.view(fresh.id, true, cloneName), nil
 }
 
 // SnapshotView returns a read-only view of the named snapshot.
@@ -1117,7 +986,7 @@ func (s *SnapFS) SnapshotView(name string) (*SnapView, error) {
 	if e == nil || e.kind != kindSnapshot {
 		return nil, fmt.Errorf("%w: %q", ErrNoSnapshot, name)
 	}
-	return &SnapView{s: s, ref: epochRef{id: e.id}, name: name}, nil
+	return s.view(e.id, false, name), nil
 }
 
 // CloneView returns the writable view of an existing clone (clones
@@ -1132,7 +1001,7 @@ func (s *SnapFS) CloneView(name string) (*SnapView, error) {
 	if e == nil || e.kind != kindClone {
 		return nil, fmt.Errorf("%w: clone %q", ErrNoSnapshot, name)
 	}
-	return &SnapView{s: s, ref: epochRef{id: e.id}, writable: true, name: name}, nil
+	return s.view(e.id, true, name), nil
 }
 
 // Snapshots returns the snapshot names, oldest first.

@@ -289,3 +289,40 @@ func TestPageOutFansOutConcurrently(t *testing.T) {
 		t.Fatalf("PageIn returned different bytes")
 	}
 }
+
+// TestHotPathsAddNoAllocation guards the two per-call paths the layer kit
+// sits on: resolving a file whose wrapper exists costs what reading its
+// layout costs — the handle-table hit allocates nothing — and the health
+// check in front of a cached object handle is an atomic load.
+func TestHotPathsAddNoAllocation(t *testing.T) {
+	meta := sfsOn(t, newVolume(t), "alloc-m")
+	s := stripeOver(t, "alloc", meta, []fsys.StackableFS{sfsOn(t, newVolume(t), "alloc-d0")})
+	f, err := s.Create("file", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	layout := testing.AllocsPerRun(200, func() {
+		if _, err := s.layoutAt(meta, "file", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	resolve := testing.AllocsPerRun(200, func() {
+		if _, err := s.Resolve("file", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resolve > layout {
+		t.Errorf("allocations per call: reading the layout %.0f, StripeFS.Resolve %.0f; the handle table must add none", layout, resolve)
+	}
+	handle := testing.AllocsPerRun(200, func() {
+		if _, err := f.(*stripeFile).handle(0, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if handle != 0 {
+		t.Errorf("a cached object handle costs %.0f allocations", handle)
+	}
+}

@@ -102,15 +102,14 @@ func (l layout) segments(off int64, n int) [][]segment {
 
 // stripeFile is one logical file striped over the data servers.
 type stripeFile struct {
+	fsys.PathHandle
 	fs      *StripeFS
 	lay     layout
 	backing uint64
 	locks   []sync.Mutex // per-server object acquisition locks
 
 	mu       sync.Mutex
-	name     string
 	meta     fsys.File // the layout file (attribute fallback for empty files)
-	retained int64
 	unlinked bool
 	objs     []fsys.File // per-server object handles, nil until touched
 }
@@ -126,27 +125,6 @@ func (f *stripeFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)
 }
 
-// rename records the file's new path after a Rename re-keyed the map.
-func (f *stripeFile) rename(name string) {
-	f.mu.Lock()
-	f.name = name
-	f.mu.Unlock()
-}
-
-// pathName returns the file's current path (for diagnostics).
-func (f *stripeFile) pathName() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.name
-}
-
-// retainCount reports the outstanding Retain balance.
-func (f *stripeFile) retainCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.retained
-}
-
 // setUnlinked marks the file as removed-while-retained: stripe objects
 // created from now on immediately drop their server-side names, keeping
 // their storage live only behind the retained handles.
@@ -156,43 +134,37 @@ func (f *stripeFile) setUnlinked() {
 	f.mu.Unlock()
 }
 
-// Retain implements fsys.HandleFile: the handle is held on every stripe
-// object acquired so far; objects acquired later are retro-retained by
-// handle().
-func (f *stripeFile) Retain() {
+// heldObjects applies count — the handle table's Retain or Release — and
+// snapshots the objects acquired so far, both under f.mu: handle(),
+// retro-retaining a freshly acquired object under the same lock, then sees
+// either the old count and an object this call's snapshot has, or the new
+// count and one it lacks.
+func (f *stripeFile) heldObjects(count func(*stripeFile)) []fsys.File {
 	f.mu.Lock()
-	f.retained++
+	defer f.mu.Unlock()
+	count(f)
 	objs := make([]fsys.File, 0, len(f.objs))
 	for _, h := range f.objs {
 		if h != nil {
 			objs = append(objs, h)
 		}
 	}
-	f.mu.Unlock()
-	for _, h := range objs {
+	return objs
+}
+
+// Retain implements fsys.HandleFile: the handle is held on every stripe
+// object acquired so far; objects acquired later are retro-retained by
+// handle().
+func (f *stripeFile) Retain() {
+	for _, h := range f.heldObjects(f.fs.files.Retain) {
 		fsys.Retain(h)
 	}
 }
 
 // Release implements fsys.HandleFile.
 func (f *stripeFile) Release() error {
-	f.mu.Lock()
-	f.retained--
-	last := f.retained <= 0
-	objs := make([]fsys.File, 0, len(f.objs))
-	for _, h := range f.objs {
-		if h != nil {
-			objs = append(objs, h)
-		}
-	}
-	f.mu.Unlock()
-	if last {
-		f.fs.mu.Lock()
-		delete(f.fs.orphans, f)
-		f.fs.mu.Unlock()
-	}
 	var err error
-	for _, h := range objs {
+	for _, h := range f.heldObjects(f.fs.files.Release) {
 		if e := fsys.Release(h); err == nil {
 			err = e
 		}
@@ -201,21 +173,22 @@ func (f *stripeFile) Release() error {
 }
 
 // handle returns the file's object handle on data server k, resolving (or,
-// when create is set, creating) the stripe object on first touch. A
-// missing object with create unset returns errNoObject: the stripes that
-// server owns read as zeros. Per-server locks keep first-touch resolution
-// concurrent across servers while preventing duplicate creates on one.
+// when create is set, creating) the stripe object on first touch. A server
+// out of the fan-out fails fast. A missing object with create unset returns
+// errNoObject: the stripes that server owns read as zeros. Per-server locks
+// keep first-touch resolution concurrent across servers while preventing
+// duplicate creates on one.
 func (f *stripeFile) handle(k int, create bool) (fsys.File, error) {
+	if !f.fs.health.OK(k) {
+		stripeDegraded.Inc()
+		return nil, fmt.Errorf("stripefs: %s: data server %d out of fan-out (%w)",
+			f.Path(), k, fsys.ErrUnavailable)
+	}
 	f.mu.Lock()
 	h := f.objs[k]
 	f.mu.Unlock()
 	if h != nil {
 		return h, nil
-	}
-	if !f.fs.serverHealthy(k) {
-		stripeDegraded.Inc()
-		return nil, fmt.Errorf("stripefs: %s: data server %d out of fan-out (%w)",
-			f.pathName(), k, fsys.ErrUnavailable)
 	}
 	f.locks[k].Lock()
 	defer f.locks[k].Unlock()
@@ -239,21 +212,21 @@ func (f *stripeFile) handle(k int, create bool) (fsys.File, error) {
 			return nil, err
 		}
 	case !isNotFound(rerr):
-		f.fs.noteError(k, rerr)
+		f.fs.health.Note(k, rerr)
 		return nil, rerr
 	case !create:
 		return nil, errNoObject
 	default:
 		h, err = srv.Create(objName, naming.Root)
 		if err != nil {
-			f.fs.noteError(k, err)
+			f.fs.health.Note(k, err)
 			return nil, err
 		}
 		created = true
 		stripeObjects.Inc()
 	}
 	f.mu.Lock()
-	for i := int64(0); i < f.retained; i++ {
+	for i := int64(0); i < f.Retained(); i++ {
 		fsys.Retain(h)
 	}
 	unlinked := f.unlinked
@@ -276,127 +249,129 @@ func (f *stripeFile) acquireAll() {
 	}
 }
 
-// readSegments fills p with the bytes at [off, off+len(p)), fanning out to
-// the home servers in parallel. Bytes in holes — stripes on servers whose
-// object is missing or shorter — read as zeros; the caller has already
-// clamped the range to the file length.
-func (f *stripeFile) readSegments(p []byte, off int64) error {
-	for i := range p {
-		p[i] = 0
-	}
-	groups := f.lay.segments(off, len(p))
-	var tasks []func() error
-	for k := range groups {
-		segs := groups[k]
-		if len(segs) == 0 {
-			continue
-		}
-		k := k
-		tasks = append(tasks, func() error {
-			h, err := f.handle(k, false)
-			if errors.Is(err, errNoObject) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			for _, sg := range segs {
-				if _, err := h.ReadAt(p[sg.poff:sg.poff+sg.n], sg.objOff); err != nil && !errors.Is(err, io.EOF) {
-					f.fs.noteError(k, err)
-					return fmt.Errorf("stripefs: %s: server %d: %w", f.pathName(), k, err)
-				}
-			}
-			return nil
-		})
-	}
-	return f.fs.runFanOut(tasks)
-}
-
-// writeSegments writes p at [off, off+len(p)), creating stripe objects on
-// first touch and fanning out to the home servers in parallel.
-func (f *stripeFile) writeSegments(p []byte, off int64) error {
-	groups := f.lay.segments(off, len(p))
-	var tasks []func() error
-	for k := range groups {
-		segs := groups[k]
-		if len(segs) == 0 {
-			continue
-		}
-		k := k
-		tasks = append(tasks, func() error {
-			h, err := f.handle(k, true)
-			if err != nil {
-				return err
-			}
-			for _, sg := range segs {
-				if _, err := h.WriteAt(p[sg.poff:sg.poff+sg.n], sg.objOff); err != nil {
-					f.fs.noteError(k, err)
-					return fmt.Errorf("stripefs: %s: server %d: %w", f.pathName(), k, err)
-				}
-			}
-			return nil
-		})
-	}
-	return f.fs.runFanOut(tasks)
-}
-
-// length derives the file length: the maximum logical end implied by any
-// server's object length. Servers out of the fan-out are skipped (counted
-// as degradations) so healthy stripes stay readable; their stripes cannot
-// extend the visible length until Revive.
-func (f *stripeFile) length() (int64, error) {
-	var mu sync.Mutex
-	var L int64
-	var tasks []func() error
-	for k := 0; k < f.lay.count; k++ {
-		k := k
-		tasks = append(tasks, func() error {
-			if !f.fs.serverHealthy(k) {
+// visit runs op on the file's object on data server k — the one step every
+// file operation is made of. A server with no object (and create unset)
+// has nothing to do: its stripes are a hole. A failing op is reported with
+// its server, and indicts the server if the failure is the transport's. A
+// tolerant visit is for operations that can answer without the server (the
+// length is what the reachable servers imply): an unavailable server is
+// passed over, counted as a degradation.
+func (f *stripeFile) visit(k int, create, tolerant bool, op func(k int, h fsys.File) error) error {
+	h, err := f.handle(k, create)
+	if err == nil {
+		if err = op(k, h); err != nil {
+			f.fs.health.Note(k, err)
+			if tolerant && errors.Is(err, fsys.ErrUnavailable) {
 				stripeDegraded.Inc()
-				return nil
 			}
-			h, err := f.handle(k, false)
-			if errors.Is(err, errNoObject) {
-				return nil
-			}
-			if err != nil {
-				if errors.Is(err, fsys.ErrUnavailable) {
-					stripeDegraded.Inc()
-					return nil
+			err = fmt.Errorf("stripefs: %s: server %d: %w", f.Path(), k, err)
+		}
+	}
+	if errors.Is(err, errNoObject) || tolerant && errors.Is(err, fsys.ErrUnavailable) {
+		return nil
+	}
+	return err
+}
+
+// onAll visits the file's object on every server, in parallel, creating
+// the one on server createK (-1: none) if it is missing.
+func (f *stripeFile) onAll(createK int, tolerant bool, op func(k int, h fsys.File) error) error {
+	ks := make([]int, f.lay.count)
+	for k := range ks {
+		ks[k] = k
+	}
+	return f.fs.runFanOut(ks, func(k int) error { return f.visit(k, k == createK, tolerant, op) })
+}
+
+// moveSegments reads into (or, with write set, writes from) p the bytes at
+// [off, off+len(p)), fanning out to the home servers in parallel. A write
+// creates stripe objects on first touch. A read sees zeros in holes —
+// stripes on servers whose object is missing or shorter; its caller has
+// already clamped the range to the file length.
+func (f *stripeFile) moveSegments(p []byte, off int64, write bool) error {
+	if !write {
+		clear(p)
+	}
+	groups := f.lay.segments(off, len(p))
+	ks := make([]int, 0, len(groups))
+	for k, segs := range groups {
+		if len(segs) > 0 {
+			ks = append(ks, k)
+		}
+	}
+	return f.fs.runFanOut(ks, func(k int) error {
+		return f.visit(k, write, false, func(k int, h fsys.File) error {
+			for _, sg := range groups[k] {
+				buf := p[sg.poff : sg.poff+sg.n]
+				if write {
+					if _, err := h.WriteAt(buf, sg.objOff); err != nil {
+						return err
+					}
+				} else if _, err := h.ReadAt(buf, sg.objOff); err != nil && !errors.Is(err, io.EOF) {
+					return err
 				}
-				return err
 			}
-			n, err := h.GetLength()
-			if err != nil {
-				f.fs.noteError(k, err)
-				if errors.Is(err, fsys.ErrUnavailable) {
-					stripeDegraded.Inc()
-					return nil
-				}
-				return err
-			}
-			end := f.lay.logicalEnd(int64(n), k)
-			mu.Lock()
-			if end > L {
-				L = end
-			}
-			mu.Unlock()
 			return nil
 		})
+	})
+}
+
+// attrs derives the file's attributes from its objects: the length is the
+// maximum logical end implied by any server's object length; with times
+// set, the times are the newest any object reports, falling back to the
+// layout file's for files with no data yet (without, only the length is
+// asked for, which is what the read path can afford). Servers out of the
+// fan-out are skipped so healthy stripes stay readable; their stripes
+// cannot extend the visible length until Revive.
+func (f *stripeFile) attrs(times bool) (fsys.Attributes, error) {
+	var mu sync.Mutex
+	var out fsys.Attributes
+	if times {
+		f.mu.Lock()
+		meta := f.meta
+		f.mu.Unlock()
+		if meta != nil {
+			if a, err := meta.Stat(); err == nil {
+				out.AccessTime, out.ModifyTime = a.AccessTime, a.ModifyTime
+			}
+		}
 	}
-	if err := f.fs.runFanOut(tasks); err != nil {
-		return 0, err
+	err := f.onAll(-1, true, func(k int, h fsys.File) (err error) {
+		var a fsys.Attributes
+		if times {
+			a, err = h.Stat()
+		} else {
+			a.Length, err = h.GetLength()
+		}
+		if err != nil {
+			return err
+		}
+		end := f.lay.logicalEnd(a.Length, k)
+		mu.Lock()
+		defer mu.Unlock()
+		out.Length = max(out.Length, end)
+		if a.ModifyTime.After(out.ModifyTime) {
+			out.ModifyTime = a.ModifyTime
+		}
+		if a.AccessTime.After(out.AccessTime) {
+			out.AccessTime = a.AccessTime
+		}
+		return nil
+	})
+	if err != nil {
+		return fsys.Attributes{}, err
 	}
-	return L, nil
+	return out, nil
 }
 
 // ReadAt implements fsys.File.
 func (f *stripeFile) ReadAt(p []byte, off int64) (int, error) {
 	t := opRead.Start()
-	L, err := f.length()
+	a, err := f.attrs(false)
 	if err != nil {
 		return 0, err
 	}
+	L := a.Length
 	if off >= L {
 		if len(p) == 0 {
 			return 0, nil
@@ -409,7 +384,7 @@ func (f *stripeFile) ReadAt(p []byte, off int64) (int, error) {
 		n = int(L - off)
 		eof = true
 	}
-	if err := f.readSegments(p[:n], off); err != nil {
+	if err := f.moveSegments(p[:n], off, false); err != nil {
 		return 0, err
 	}
 	opRead.End(t, int64(n))
@@ -425,136 +400,40 @@ func (f *stripeFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	t := opWrite.Start()
-	if err := f.writeSegments(p, off); err != nil {
+	if err := f.moveSegments(p, off, true); err != nil {
 		return 0, err
 	}
 	opWrite.End(t, int64(len(p)))
 	return len(p), nil
 }
 
-// Stat implements fsys.File: the length is derived from the objects; the
-// times are the newest any object reports, falling back to the layout
-// file's times for files with no data yet.
-func (f *stripeFile) Stat() (fsys.Attributes, error) {
-	var mu sync.Mutex
-	var attrs fsys.Attributes
-	f.mu.Lock()
-	meta := f.meta
-	f.mu.Unlock()
-	if meta != nil {
-		if a, err := meta.Stat(); err == nil {
-			attrs.AccessTime = a.AccessTime
-			attrs.ModifyTime = a.ModifyTime
-		}
-	}
-	var tasks []func() error
-	for k := 0; k < f.lay.count; k++ {
-		k := k
-		tasks = append(tasks, func() error {
-			if !f.fs.serverHealthy(k) {
-				stripeDegraded.Inc()
-				return nil
-			}
-			h, err := f.handle(k, false)
-			if errors.Is(err, errNoObject) {
-				return nil
-			}
-			if err != nil {
-				if errors.Is(err, fsys.ErrUnavailable) {
-					stripeDegraded.Inc()
-					return nil
-				}
-				return err
-			}
-			a, err := h.Stat()
-			if err != nil {
-				f.fs.noteError(k, err)
-				if errors.Is(err, fsys.ErrUnavailable) {
-					stripeDegraded.Inc()
-					return nil
-				}
-				return err
-			}
-			end := f.lay.logicalEnd(a.Length, k)
-			mu.Lock()
-			if end > attrs.Length {
-				attrs.Length = end
-			}
-			if a.ModifyTime.After(attrs.ModifyTime) {
-				attrs.ModifyTime = a.ModifyTime
-			}
-			if a.AccessTime.After(attrs.AccessTime) {
-				attrs.AccessTime = a.AccessTime
-			}
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := f.fs.runFanOut(tasks); err != nil {
-		return fsys.Attributes{}, err
-	}
-	return attrs, nil
-}
+// Stat implements fsys.File.
+func (f *stripeFile) Stat() (fsys.Attributes, error) { return f.attrs(true) }
 
 // Sync implements fsys.File: every existing stripe object is flushed.
 func (f *stripeFile) Sync() error {
-	var tasks []func() error
-	for k := 0; k < f.lay.count; k++ {
-		k := k
-		tasks = append(tasks, func() error {
-			h, err := f.handle(k, false)
-			if errors.Is(err, errNoObject) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := h.Sync(); err != nil {
-				f.fs.noteError(k, err)
-				return err
-			}
-			return nil
-		})
-	}
-	return f.fs.runFanOut(tasks)
+	return f.onAll(-1, false, func(k int, h fsys.File) error { return h.Sync() })
 }
 
 // GetLength implements vm.MemoryObject.
 func (f *stripeFile) GetLength() (vm.Offset, error) {
-	n, err := f.length()
-	return vm.Offset(n), err
+	a, err := f.attrs(false)
+	return a.Length, err
 }
 
 // SetLength implements vm.MemoryObject: every existing object is set to
 // the exact length it would have were the file fully written out to L
-// (truncating or zero-extending per server), and the object owning the new
+// (truncating or zero-extending per server; a server with no object has
+// nothing to shrink, and holes stay holes), and the object owning the new
 // EOF is created if missing so the derived length lands exactly on L.
 func (f *stripeFile) SetLength(length vm.Offset) error {
-	L := int64(length)
 	eofK := -1
-	if L > 0 {
-		eofK = f.lay.eofServer(L)
+	if length > 0 {
+		eofK = f.lay.eofServer(length)
 	}
-	var tasks []func() error
-	for k := 0; k < f.lay.count; k++ {
-		k := k
-		tasks = append(tasks, func() error {
-			target := f.lay.objLenFor(L, k)
-			h, err := f.handle(k, k == eofK)
-			if errors.Is(err, errNoObject) {
-				return nil // nothing to shrink; holes stay holes
-			}
-			if err != nil {
-				return err
-			}
-			if err := h.SetLength(vm.Offset(target)); err != nil {
-				f.fs.noteError(k, err)
-				return err
-			}
-			return nil
-		})
-	}
-	return f.fs.runFanOut(tasks)
+	return f.onAll(eofK, false, func(k int, h fsys.File) error {
+		return h.SetLength(f.lay.objLenFor(length, k))
+	})
 }
 
 // Bind implements vm.MemoryObject: the striping layer is the pager for its
@@ -572,7 +451,7 @@ func (f *stripeFile) Bind(caller vm.CacheManager, access vm.Rights, offset, leng
 // tails) come back zero-filled.
 func (f *stripeFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
 	out := make([]byte, size)
-	if err := f.readSegments(out, offset); err != nil {
+	if err := f.moveSegments(out, offset, false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -580,5 +459,5 @@ func (f *stripeFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, e
 
 // pageOut is the pager's page-out.
 func (f *stripeFile) pageOut(offset, size vm.Offset, data []byte) error {
-	return f.writeSegments(data, offset)
+	return f.moveSegments(data, offset, true)
 }

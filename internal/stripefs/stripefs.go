@@ -98,8 +98,7 @@ type Options struct {
 
 // StripeFS is an instance of the striping layer.
 type StripeFS struct {
-	name       string
-	domain     *spring.Domain
+	fsys.PathBase
 	table      *fsys.ConnectionTable
 	stripeSize int64
 	workers    int
@@ -107,16 +106,15 @@ type StripeFS struct {
 	mu          sync.Mutex
 	meta        fsys.StackableFS
 	servers     []fsys.StackableFS
-	healthy     []bool
-	files       map[string]*stripeFile
-	orphans     map[*stripeFile]bool // unlinked while retained (nlink 0, storage live)
-	swept       bool
+	metaSwept   bool   // the metadata root has had its mount-time sweep
+	swept       []bool // server k's objects swept since mount or its last Revive
+	health      fsys.Health
+	files       fsys.PathTable[*stripeFile]
 	nextBacking atomic.Uint64
 }
 
 var (
-	_ fsys.StackableFS      = (*StripeFS)(nil)
-	_ fsys.PathRoot         = (*StripeFS)(nil)
+	_ fsys.PathLayer        = (*StripeFS)(nil)
 	_ naming.ProxyWrappable = (*StripeFS)(nil)
 )
 
@@ -134,15 +132,9 @@ func New(domain *spring.Domain, name string, opts Options) (*StripeFS, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	return &StripeFS{
-		name:       name,
-		domain:     domain,
-		table:      fsys.NewConnectionTable(domain),
-		stripeSize: size,
-		workers:    workers,
-		files:      make(map[string]*stripeFile),
-		orphans:    make(map[*stripeFile]bool),
-	}, nil
+	s := &StripeFS{table: fsys.NewConnectionTable(domain), stripeSize: size, workers: workers}
+	s.Init(name, s)
+	return s, nil
 }
 
 // NewCreator returns a stackable_fs_creator for striping layers. The config
@@ -173,28 +165,25 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 	})
 }
 
-// FSName implements fsys.FS.
-func (s *StripeFS) FSName() string { return s.name }
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (s *StripeFS) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.WrapStackable(ch, s)
-}
-
 // StripeSize returns the configured stripe width.
 func (s *StripeFS) StripeSize() int64 { return s.stripeSize }
 
 // StackOn implements fsys.StackableFS. The first call supplies the metadata
-// file system; every subsequent call appends a data server.
+// file system; every subsequent call appends a data server, up to
+// fsys.MaxBackends of them.
 func (s *StripeFS) StackOn(under fsys.StackableFS) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.meta == nil {
+	switch {
+	case s.meta == nil:
 		s.meta = under
 		return nil
+	case len(s.servers) == fsys.MaxBackends:
+		return fsys.ErrAlreadyStacked
 	}
 	s.servers = append(s.servers, under)
-	s.healthy = append(s.healthy, true)
+	s.swept = append(s.swept, false)
+	s.health.Add()
 	return nil
 }
 
@@ -225,58 +214,27 @@ func (s *StripeFS) serverFS(k, count int) (fsys.StackableFS, error) {
 	return s.servers[k], nil
 }
 
-// serverHealthy reports whether data server k is in the fan-out.
-func (s *StripeFS) serverHealthy(k int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return k >= 0 && k < len(s.healthy) && s.healthy[k]
-}
-
-// noteError marks data server k unhealthy when err is a transport-level
-// failure (a timed-out or dead DFS link): subsequent operations touching
-// its stripes fail fast instead of each paying the timeout, until Revive
-// restores it. Data-level errors (not-found, io.EOF, ...) do not indict the
-// server.
-func (s *StripeFS) noteError(k int, err error) {
-	if err == nil || !errors.Is(err, fsys.ErrUnavailable) {
-		return
-	}
-	s.mu.Lock()
-	if k >= 0 && k < len(s.healthy) {
-		s.healthy[k] = false
-	}
-	s.mu.Unlock()
-}
-
 // Health returns the fan-out state of each data server.
-func (s *StripeFS) Health() []bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]bool, len(s.healthy))
-	copy(out, s.healthy)
-	return out
-}
+func (s *StripeFS) Health() []bool { return s.health.Snapshot() }
 
 // MarkUnhealthy removes data server k from the fan-out (test/operator hook;
-// the normal path is noteError observing fsys.ErrUnavailable).
-func (s *StripeFS) MarkUnhealthy(k int) {
-	s.mu.Lock()
-	if k >= 0 && k < len(s.healthy) {
-		s.healthy[k] = false
-	}
-	s.mu.Unlock()
-}
+// the normal path is a call to the server failing with
+// fsys.ErrUnavailable).
+func (s *StripeFS) MarkUnhealthy(k int) { s.health.MarkUnhealthy(k) }
 
 // Revive puts data server k back in the fan-out. It is the operator's (or
 // test's) signal that the fault is repaired — the layer cannot tell on its
 // own that a dead link came back. Unlike mirrorfs there is nothing to
 // resync: each stripe has exactly one home, so a server that missed writes
 // while it was out simply failed them (the layer never pretends a degraded
-// write succeeded).
+// write succeeded). What it may still hold is debris — objects whose
+// removal it missed, or that a sweep skipped because it was down — so the
+// next operation sweeps it again.
 func (s *StripeFS) Revive(k int) {
+	s.health.Revive(k)
 	s.mu.Lock()
-	if k >= 0 && k < len(s.healthy) {
-		s.healthy[k] = true
+	if k >= 0 && k < len(s.swept) {
+		s.swept[k] = false
 	}
 	s.mu.Unlock()
 }
@@ -304,8 +262,8 @@ func (s *StripeFS) StripeStatus() Status {
 	if s.meta != nil {
 		st.Meta = s.meta.FSName()
 	}
-	for i, srv := range s.servers {
-		st.Servers = append(st.Servers, ServerStatus{Name: srv.FSName(), Healthy: s.healthy[i]})
+	for k, srv := range s.servers {
+		st.Servers = append(st.Servers, ServerStatus{Name: srv.FSName(), Healthy: s.health.OK(k)})
 	}
 	return st
 }
@@ -402,27 +360,12 @@ func newObjID() uint64 {
 	return binary.BigEndian.Uint64(b[:])
 }
 
-// commitLayout writes the layout crash-atomically: create a hidden
-// temporary in the metadata root, write, sync, then rename over the final
-// name. A crash before the rename leaves only the temporary (swept on the
-// next mount); a crash after leaves the complete layout.
+// commitLayout writes the layout crash-atomically (fsys.CommitFile) under a
+// temporary named after the fresh object id.
 func (s *StripeFS) commitLayout(meta fsys.StackableFS, name string, l layout, cred naming.Credentials) error {
 	tmp := fmt.Sprintf("%s%016x", layoutTmpPrefix, l.objID)
-	tf, err := meta.Create(tmp, cred)
-	if err != nil {
-		return fmt.Errorf("stripefs: creating layout: %w", err)
-	}
-	if _, err := tf.WriteAt(l.encode(), 0); err != nil {
-		_ = meta.Remove(tmp, cred)
-		return fmt.Errorf("stripefs: writing layout: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		_ = meta.Remove(tmp, cred)
-		return fmt.Errorf("stripefs: syncing layout: %w", err)
-	}
-	if err := meta.Rename(tmp, name, cred); err != nil {
-		_ = meta.Remove(tmp, cred)
-		return fmt.Errorf("stripefs: committing layout: %w", err)
+	if err := fsys.CommitFile(meta, tmp, name, l.encode(), cred); err != nil {
+		return fmt.Errorf("stripefs: layout: %w", err)
 	}
 	stripeLayouts.Inc()
 	return nil
@@ -441,51 +384,51 @@ func (s *StripeFS) layoutAt(meta fsys.StackableFS, name string, cred naming.Cred
 	return readLayout(mf)
 }
 
-// sweepOnce garbage-collects debris from crashed commits, once per mount:
-// stale ".stripe-tmp-" layouts in the metadata root, and stripe objects on
-// the data servers whose id no layout references (a create that committed
-// objects but crashed before the layout rename).
-func (s *StripeFS) sweepOnce(cred naming.Credentials) {
+// sweep garbage-collects debris from crashed commits: stale ".stripe-tmp-"
+// layouts in the metadata root, once per mount, and on each data server —
+// once per mount and again after each Revive, as soon as the server is in
+// the fan-out — stripe objects whose id no layout references (a create
+// that committed objects but crashed before the layout rename, a remove
+// the server missed).
+func (s *StripeFS) sweep(cred naming.Credentials) {
 	s.mu.Lock()
-	if s.swept || s.meta == nil || len(s.servers) == 0 {
+	meta, servers := s.meta, s.servers
+	if meta == nil || len(servers) == 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.swept = true
-	meta := s.meta
-	servers := make([]fsys.StackableFS, len(s.servers))
-	copy(servers, s.servers)
-	healthy := make([]bool, len(s.healthy))
-	copy(healthy, s.healthy)
-	s.mu.Unlock()
-
-	if bindings, err := meta.List(cred); err == nil {
-		for _, b := range bindings {
-			if strings.HasPrefix(b.Name, layoutTmpPrefix) {
-				if meta.Remove(b.Name, cred) == nil {
-					stripeSwept.Inc()
-				}
-			}
+	sweepMeta := !s.metaSwept
+	s.metaSwept = true
+	var due []int
+	for k, done := range s.swept {
+		if !done && s.health.OK(k) {
+			s.swept[k] = true
+			due = append(due, k)
 		}
 	}
-	ids := make(map[uint64]bool)
-	collectLayoutIDs(meta, cred, ids)
-	for k, srv := range servers {
-		if !healthy[k] {
-			continue
-		}
-		bindings, err := srv.List(cred)
-		if err != nil {
-			s.noteError(k, err)
-			continue
-		}
-		for _, b := range bindings {
-			if id, ok := parseObjName(b.Name); ok && !ids[id] {
-				if srv.Remove(b.Name, cred) == nil {
-					stripeSwept.Inc()
-				}
+	s.mu.Unlock()
+
+	if sweepMeta {
+		n, _ := fsys.SweepPrefix(meta, layoutTmpPrefix, nil, cred)
+		stripeSwept.Add(int64(n))
+	}
+	var ids map[uint64]bool
+	for _, k := range due {
+		// A layout is committed before any of its objects exists, so an
+		// object listed now is judged only by layout ids read after the
+		// listing: ids read before it would condemn an object created in
+		// between. One walk serves every server with nothing to collect.
+		fresh := false
+		n, err := fsys.SweepPrefix(servers[k], objPrefix, func(name string) bool {
+			id, ok := parseObjName(name)
+			if ok && !ids[id] && !fresh {
+				ids, fresh = make(map[uint64]bool), true
+				collectLayoutIDs(meta, cred, ids)
 			}
-		}
+			return !ok || ids[id]
+		}, cred)
+		s.health.Note(k, err)
+		stripeSwept.Add(int64(n))
 	}
 }
 
@@ -513,26 +456,18 @@ func collectLayoutIDs(ctx naming.Context, cred naming.Credentials, ids map[uint6
 	}
 }
 
-// fileFor returns the canonical striped file wrapper for a path: one
-// wrapper per path, so retained handles, the append fallback's per-file
-// lock, and the pager connection all share identity.
+// fileFor returns the canonical striped file wrapper for a path.
 func (s *StripeFS) fileFor(name string, l layout, metaFile fsys.File) *stripeFile {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.files[name]; ok {
-		return f
-	}
-	f := &stripeFile{
-		fs:      s,
-		name:    name,
-		lay:     l,
-		meta:    metaFile,
-		backing: s.nextBacking.Add(1),
-		locks:   make([]sync.Mutex, l.count),
-		objs:    make([]fsys.File, l.count),
-	}
-	s.files[name] = f
-	return f
+	return s.files.LookupOrAdd(name, func() *stripeFile {
+		return &stripeFile{
+			fs:      s,
+			lay:     l,
+			meta:    metaFile,
+			backing: s.nextBacking.Add(1),
+			locks:   make([]sync.Mutex, l.count),
+			objs:    make([]fsys.File, l.count),
+		}
+	})
 }
 
 // Create implements fsys.FS: a fresh layout is committed on the metadata
@@ -544,7 +479,7 @@ func (s *StripeFS) Create(name string, cred naming.Credentials) (fsys.File, erro
 	if err != nil {
 		return nil, err
 	}
-	s.sweepOnce(cred)
+	s.sweep(cred)
 	if obj, rerr := meta.Resolve(name, cred); rerr == nil {
 		mf, err := fsys.AsFile(obj)
 		if err != nil {
@@ -568,59 +503,60 @@ func (s *StripeFS) Create(name string, cred naming.Credentials) (fsys.File, erro
 	return s.fileFor(name, l, mf), nil
 }
 
-// Open implements fsys.FS.
-func (s *StripeFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := s.Resolve(name, cred)
+// unlinking prepares for name losing its file (a Remove, or a Rename over
+// it): it reads the doomed file's layout and, if open handles retain the
+// file, acquires a handle on every existing object while the layout still
+// vouches for them — afterwards a sweep may take their names at any time —
+// so the retained wrapper keeps the storage reachable.
+func (s *StripeFS) unlinking(meta fsys.StackableFS, name string, cred naming.Credentials) (l layout, isFile bool) {
+	l, err := s.layoutAt(meta, name, cred)
 	if err != nil {
-		return nil, err
+		return l, false
 	}
-	return fsys.AsFile(obj)
+	if f, ok := s.files.Lookup(name); ok && f.Retained() > 0 {
+		f.acquireAll()
+	}
+	return l, true
+}
+
+// unlinked finishes what unlinking prepared, once the metadata FS has
+// committed: the displaced wrapper, if still retained, learns it has no
+// name, and the objects are removed from the servers (where retained ones
+// stay live, nlink 0, behind their handles — exactly like a single-server
+// unlink).
+func (s *StripeFS) unlinked(f *stripeFile, retained bool, l layout, isFile bool, cred naming.Credentials) {
+	if retained {
+		f.setUnlinked()
+	}
+	if isFile {
+		s.removeObjects(l, cred)
+	}
 }
 
 // Remove implements fsys.FS: the layout unlink on the metadata FS is the
-// commit point; the stripe objects are removed afterwards. A file removed
-// while retained handles are outstanding keeps its object storage live
-// (nlink 0) behind those handles, exactly like a single-server unlink.
+// commit point; the stripe objects are removed afterwards.
 func (s *StripeFS) Remove(name string, cred naming.Credentials) error {
 	meta, _, err := s.stacked()
 	if err != nil {
 		return err
 	}
-	s.sweepOnce(cred)
-	l, lerr := s.layoutAt(meta, name, cred)
-	isFile := lerr == nil
-
-	s.mu.Lock()
-	f := s.files[name]
-	s.mu.Unlock()
-	if isFile && f != nil && f.retainCount() > 0 {
-		// Acquire handles for every existing object before the names go
-		// away, so the retained wrapper keeps the storage reachable.
-		f.acquireAll()
-	}
+	s.sweep(cred)
+	l, isFile := s.unlinking(meta, name, cred)
 	if err := meta.Remove(name, cred); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	delete(s.files, name)
-	if f != nil && f.retainCount() > 0 {
-		s.orphans[f] = true
-		f.setUnlinked()
-	}
-	s.mu.Unlock()
-	if isFile {
-		s.removeObjects(l, cred)
-	}
+	f, retained := s.files.Remove(name)
+	s.unlinked(f, retained, l, isFile, cred)
 	return nil
 }
 
 // removeObjects unlinks the file's stripe objects from every data server it
 // was striped over (best effort: a missing object — never written, or on a
-// dead server — is not an error; the mount-time sweep mops up survivors).
+// dead server — is not an error; the sweep mops up survivors).
 func (s *StripeFS) removeObjects(l layout, cred naming.Credentials) {
 	objName := l.objName()
 	for k := 0; k < l.count; k++ {
-		if !s.serverHealthy(k) {
+		if !s.health.OK(k) {
 			stripeDegraded.Inc()
 			continue
 		}
@@ -629,53 +565,31 @@ func (s *StripeFS) removeObjects(l layout, cred naming.Credentials) {
 			continue
 		}
 		if err := srv.Remove(objName, cred); err != nil && !isNotFound(err) {
-			s.noteError(k, err)
+			s.health.Note(k, err)
 		}
 	}
 }
 
 // Rename implements fsys.FS: the metadata rename is the atomic commit
 // point (it carries the layout with it — objects are named by id, not by
-// path, so no data moves). An overwritten destination's objects are
-// removed, or kept live behind retained handles like Remove does.
+// path, so no data moves). An overwritten destination goes the way of a
+// removed file.
 func (s *StripeFS) Rename(oldname, newname string, cred naming.Credentials) error {
 	meta, _, err := s.stacked()
 	if err != nil {
 		return err
 	}
-	s.sweepOnce(cred)
+	s.sweep(cred)
 	if oldname == newname {
 		_, err := s.Resolve(oldname, cred)
 		return err
 	}
-	destLay, derr := s.layoutAt(meta, newname, cred)
-	destIsFile := derr == nil
-	s.mu.Lock()
-	destF := s.files[newname]
-	s.mu.Unlock()
-	if destIsFile && destF != nil && destF.retainCount() > 0 {
-		destF.acquireAll()
-	}
+	l, isFile := s.unlinking(meta, newname, cred)
 	if err := meta.Rename(oldname, newname, cred); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if destF != nil {
-		delete(s.files, newname)
-		if destF.retainCount() > 0 {
-			s.orphans[destF] = true
-			destF.setUnlinked()
-		}
-	}
-	if f, ok := s.files[oldname]; ok {
-		delete(s.files, oldname)
-		f.rename(newname)
-		s.files[newname] = f
-	}
-	s.mu.Unlock()
-	if destIsFile {
-		s.removeObjects(destLay, cred)
-	}
+	f, retained := s.files.Rename(oldname, newname)
+	s.unlinked(f, retained, l, isFile, cred)
 	return nil
 }
 
@@ -692,12 +606,12 @@ func (s *StripeFS) SyncFS() error {
 		errs = append(errs, err)
 	}
 	for k, srv := range servers {
-		if !s.serverHealthy(k) {
+		if !s.health.OK(k) {
 			stripeDegraded.Inc()
 			continue
 		}
 		if err := srv.SyncFS(); err != nil {
-			s.noteError(k, err)
+			s.health.Note(k, err)
 			errs = append(errs, err)
 		}
 	}
@@ -712,14 +626,14 @@ func (s *StripeFS) Resolve(name string, cred naming.Credentials) (naming.Object,
 	if err != nil {
 		return nil, err
 	}
-	s.sweepOnce(cred)
+	s.sweep(cred)
 	obj, err := meta.Resolve(name, cred)
 	if err != nil {
 		return nil, err
 	}
 	if _, ok := obj.(naming.Context); ok {
 		if _, isFile := obj.(fsys.File); !isFile {
-			return &fsys.PathDir{Root: s, Path: strings.Trim(name, "/")}, nil
+			return s.Dir(name), nil
 		}
 	}
 	mf, err := fsys.AsFile(obj)
@@ -733,21 +647,6 @@ func (s *StripeFS) Resolve(name string, cred naming.Credentials) (naming.Object,
 	return s.fileFor(name, l, mf), nil
 }
 
-// Bind implements naming.Context.
-func (s *StripeFS) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	return fmt.Errorf("stripefs: bind is not supported; create files through the layer")
-}
-
-// Unbind implements naming.Context.
-func (s *StripeFS) Unbind(name string, cred naming.Credentials) error {
-	return s.Remove(name, cred)
-}
-
-// List implements naming.Context.
-func (s *StripeFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	return s.ListPath("", cred)
-}
-
 // ListPath implements fsys.PathRoot: the metadata FS's listing of path
 // with the layer's internal temporaries hidden and files re-wrapped.
 func (s *StripeFS) ListPath(path string, cred naming.Credentials) ([]naming.Binding, error) {
@@ -755,7 +654,7 @@ func (s *StripeFS) ListPath(path string, cred naming.Credentials) ([]naming.Bind
 	if err != nil {
 		return nil, err
 	}
-	s.sweepOnce(cred)
+	s.sweep(cred)
 	ctx, err := naming.ContextAt(meta, path, cred)
 	if err != nil {
 		return nil, err
@@ -764,26 +663,21 @@ func (s *StripeFS) ListPath(path string, cred naming.Credentials) ([]naming.Bind
 	if err != nil {
 		return nil, err
 	}
-	return s.wrapBindings(bindings, path, cred), nil
-}
-
-// wrapBindings rewrites a metadata listing into the striped view.
-func (s *StripeFS) wrapBindings(bindings []naming.Binding, prefix string, cred naming.Credentials) []naming.Binding {
 	out := make([]naming.Binding, 0, len(bindings))
 	for _, b := range bindings {
 		if strings.HasPrefix(b.Name, layoutTmpPrefix) {
 			continue
 		}
-		path := b.Name
-		if prefix != "" {
-			path = prefix + "/" + b.Name
+		full := b.Name
+		if path != "" {
+			full = path + "/" + b.Name
 		}
-		if obj, err := s.Resolve(path, cred); err == nil {
+		if obj, err := s.Resolve(full, cred); err == nil {
 			b.Object = obj
 		}
 		out = append(out, b)
 	}
-	return out
+	return out, nil
 }
 
 // CreateContext implements naming.Context (directories live on the
@@ -796,39 +690,33 @@ func (s *StripeFS) CreateContext(name string, cred naming.Credentials) (naming.C
 	if _, err := meta.CreateContext(name, cred); err != nil {
 		return nil, err
 	}
-	return &fsys.PathDir{Root: s, Path: strings.Trim(name, "/")}, nil
+	return s.Dir(name), nil
 }
 
-// runFanOut executes the per-server tasks of one operation through a
-// bounded worker pool (the vm flush-pool idiom): every task runs, errors
-// are joined. Tasks for distinct servers run concurrently, so an extent
-// spanning K servers issues K concurrent RPCs.
-func (s *StripeFS) runFanOut(tasks []func() error) error {
-	if len(tasks) == 0 {
+// runFanOut runs visit(k) for each data server k in ks through a bounded
+// worker pool (the vm flush-pool idiom): every visit runs, errors are
+// joined. Visits run concurrently, so an extent spanning K servers issues
+// K concurrent RPCs.
+func (s *StripeFS) runFanOut(ks []int, visit func(k int) error) error {
+	if len(ks) == 0 {
 		return nil
 	}
 	stripeFanOps.Inc()
-	for range tasks {
-		stripeFanCalls.Inc()
-	}
-	if len(tasks) == 1 {
-		return tasks[0]()
+	stripeFanCalls.Add(int64(len(ks)))
+	if len(ks) == 1 {
+		return visit(ks[0])
 	}
 	stripeFanWide.Inc()
-	workers := s.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	ch := make(chan func() error)
+	ch := make(chan int)
 	var wg sync.WaitGroup
 	var emu sync.Mutex
 	var errs []error
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(s.workers, len(ks)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for task := range ch {
-				if err := task(); err != nil {
+			for k := range ch {
+				if err := visit(k); err != nil {
 					emu.Lock()
 					errs = append(errs, err)
 					emu.Unlock()
@@ -836,8 +724,8 @@ func (s *StripeFS) runFanOut(tasks []func() error) error {
 			}
 		}()
 	}
-	for _, task := range tasks {
-		ch <- task
+	for _, k := range ks {
+		ch <- k
 	}
 	close(ch)
 	wg.Wait()

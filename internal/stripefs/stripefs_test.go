@@ -13,6 +13,7 @@ import (
 	"springfs"
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
+	"springfs/internal/stats"
 )
 
 // rig is a striping layer over one metadata SFS and k data SFS instances,
@@ -376,6 +377,49 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 	if n := r.objCount(t, 0) + r.objCount(t, 1); n != 2 {
 		t.Fatalf("live objects after sweep: %d, want 2", n)
 	}
+}
+
+// TestStripeReviveRearmsSweep: a data server that was out of the fan-out
+// when the mount-time sweep ran is swept once it is revived, so the debris
+// it holds does not stay forever.
+func TestStripeReviveRearmsSweep(t *testing.T) {
+	const S = springfs.PageSize
+	const debris = ".sobj-00000000deadbeef"
+	r := newRig(t, 2, S)
+	swept := stats.Default.Counter("stripe.swept")
+	r.st.MarkUnhealthy(1)
+	if _, err := r.data[1].FS().Create(debris, springfs.Root); err != nil {
+		t.Fatalf("debris object: %v", err)
+	}
+	f, err := r.st.Create("live.bin", springfs.Root)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{7}, S), 0); err != nil {
+		t.Fatalf("write to the healthy server's stripe: %v", err)
+	}
+	if _, err := r.data[1].FS().Resolve(debris, springfs.Root); err != nil {
+		t.Fatalf("the first sweep reached a server that is out of the fan-out: %v", err)
+	}
+
+	before := swept.Value()
+	r.st.Revive(1)
+	if _, err := f.WriteAt(bytes.Repeat([]byte{9}, S), S); err != nil {
+		t.Fatalf("write to the revived server's stripe: %v", err)
+	}
+	if _, err := r.st.Resolve("live.bin", springfs.Root); err != nil {
+		t.Fatalf("Resolve after revive: %v", err)
+	}
+	if _, err := r.data[1].FS().Resolve(debris, springfs.Root); err == nil {
+		t.Errorf("debris on the revived server survived the next operation's sweep")
+	}
+	if got := swept.Value() - before; got != 1 {
+		t.Errorf("stripe.swept moved by %d after the revive, want 1", got)
+	}
+	if n := r.objCount(t, 0) + r.objCount(t, 1); n != 2 {
+		t.Errorf("live objects after the revive sweep: %d, want 2", n)
+	}
+	verify(t, f, append(bytes.Repeat([]byte{7}, S), bytes.Repeat([]byte{9}, S)...), "after revive sweep")
 }
 
 // TestStripeConcurrentDisjointStripes: writers on disjoint stripes never

@@ -64,40 +64,12 @@ type (
 	// StackableFS is the stackable_fs interface (Figure 8): it inherits
 	// from fs and naming_context and adds StackOn.
 	StackableFS = fsys.StackableFS
-	// Creator is the stackable_fs_creator interface.
-	Creator = fsys.Creator
-	// Attributes are the cached/coherent file attributes.
-	Attributes = fsys.Attributes
 	// Context is a naming context.
 	Context = naming.Context
-	// Credentials authenticate naming operations.
-	Credentials = naming.Credentials
-	// Domain is a Spring address space with threads.
-	Domain = spring.Domain
-	// Channel is an invocation path between two domains.
-	Channel = spring.Channel
-	// Mapping is a mapped view of a memory object.
-	Mapping = vm.Mapping
-	// Rights are memory access rights.
-	Rights = vm.Rights
 	// VMM is the per-node virtual memory manager.
 	VMM = vm.VMM
 	// Network is the simulated network used by DFS.
 	Network = netsim.Network
-	// DFSServer exports files to remote machines.
-	DFSServer = dfs.Server
-	// DFSClient is the remote-machine half of DFS.
-	DFSClient = dfs.Client
-	// RemoteFile is a DFS file viewed from a remote machine.
-	RemoteFile = dfs.RemoteFile
-	// DFSClientFS adapts a DFS client to the stackable_fs interface, so a
-	// remote export can be used wherever a local stack can (e.g. under a
-	// POSIX process view).
-	DFSClientFS = dfs.ClientFS
-	// CFS is the attribute-caching interposing file system.
-	CFS = cfs.CFS
-	// SnapFS is the copy-on-write snapshot/clone layer.
-	SnapFS = snapfs.SnapFS
 	// SnapView is one snapshot (read-only) or clone (writable) view over
 	// a SnapFS store.
 	SnapView = snapfs.SnapView
@@ -107,15 +79,11 @@ type (
 	// StripeFS is the parallel striping layer: RAID-0 over N data servers
 	// with the name space on a separate metadata FS (see docs/STRIPING.md).
 	StripeFS = stripefs.StripeFS
-	// StripeOptions configure a striping layer instance.
-	StripeOptions = stripefs.Options
 	// StripeStatus describes a striping layer's configuration and
 	// per-server health.
 	StripeStatus = stripefs.Status
 	// WatchdogHooks intercept individual file operations (Section 5).
 	WatchdogHooks = interpose.Hooks
-	// LatencyProfile models block device timing.
-	LatencyProfile = blockdev.LatencyProfile
 	// NetProfile models network link timing.
 	NetProfile = netsim.Profile
 	// NetFaults configures fault injection (drop/duplicate/delay
@@ -136,15 +104,9 @@ const (
 // Root is the all-powerful principal.
 var Root = naming.Root
 
-// Device latency profiles.
-var (
-	// Disk1993 approximates the paper's 424 MB 4400 RPM disk.
-	Disk1993 = blockdev.Profile1993
-	// DiskFast preserves Disk1993's ratios at 1000x speed (benchmarks).
-	DiskFast = blockdev.ProfileFast
-	// DiskInstant disables the latency model.
-	DiskInstant = blockdev.ProfileNone
-)
+// DiskFast is the device latency profile of the benchmarks: the ratios of
+// the paper's 424 MB 4400 RPM disk (blockdev.Profile1993) at 1000x speed.
+var DiskFast = blockdev.ProfileFast
 
 // Network profiles.
 var (
@@ -205,17 +167,13 @@ func must(err error) {
 // Name returns the node name.
 func (n *Node) Name() string { return n.name }
 
-// StatsSnapshot is a point-in-time export of the observability registry:
-// every counter value plus count/mean/p50/p95/p99 for every non-empty
-// latency histogram, keyed by the `layer.op` names documented in
-// docs/OBSERVABILITY.md.
-type StatsSnapshot = stats.Snapshot
-
-// Snapshot exports the current observability state. The registry is
-// process-wide (layer instrumentation records into one shared registry
+// Snapshot exports the current observability state: every counter value
+// plus count/mean/p50/p95/p99 for every non-empty latency histogram, keyed
+// by the `layer.op` names documented in docs/OBSERVABILITY.md. The registry
+// is process-wide (layer instrumentation records into one shared registry
 // regardless of which simulated node it serves), so in multi-node processes
 // the snapshot covers all nodes.
-func (n *Node) Snapshot() StatsSnapshot { return stats.Default.Export() }
+func (n *Node) Snapshot() stats.Snapshot { return stats.Default.Export() }
 
 // ResetStats zeroes every counter and histogram in the observability
 // registry, starting a fresh measurement interval.
@@ -242,7 +200,7 @@ func Connect(client, server *spring.Domain) *spring.Channel {
 
 // LookupCreator resolves a registered stackable_fs_creator by name (e.g.
 // "compfs_creator").
-func (n *Node) LookupCreator(name string) (Creator, error) {
+func (n *Node) LookupCreator(name string) (fsys.Creator, error) {
 	return fsys.LookupCreator(n.root, name, Root)
 }
 
@@ -258,8 +216,8 @@ func (n *Node) ConfigureStack(creatorName string, config map[string]string, unde
 type DiskOptions struct {
 	// Blocks is the device size in 4 KiB blocks (default 4096 = 16 MiB).
 	Blocks int64
-	// Latency is the device timing model (default DiskInstant).
-	Latency LatencyProfile
+	// Latency is the device timing model (default: none).
+	Latency blockdev.LatencyProfile
 	// SeparateDomains puts the coherency layer in its own domain, with
 	// the disk layer in another — the paper's production configuration
 	// where the disk layer is wired down and the coherency layer is
@@ -437,7 +395,7 @@ func (n *Node) DialDFS(conn net.Conn, name string) *dfs.Client {
 }
 
 // NewDFSClientFS wraps a DFS client as a stackable file system.
-func NewDFSClientFS(client *dfs.Client, name string) *DFSClientFS {
+func NewDFSClientFS(client *dfs.Client, name string) *dfs.ClientFS {
 	return dfs.NewClientFS(client, name)
 }
 
@@ -545,22 +503,14 @@ func (n *Node) ExportTo(name string, fs StackableFS, principals ...string) (Cont
 }
 
 // Credential builds credentials for a principal name.
-func Credential(principal string) Credentials {
-	return Credentials{Principal: principal}
+func Credential(principal string) naming.Credentials {
+	return naming.Credentials{Principal: principal}
 }
 
-// Process is a POSIX-style process view over a stackable file system — the
-// adapter Spring's UNIX emulation used (reference [11] of the paper):
-// descriptors, open flags, lseek, a working directory.
-type Process = unixapi.Process
-
-// NewProcess starts a process over fs with root credentials.
-func NewProcess(fs StackableFS) *Process {
+// NewProcess starts a process over fs with root credentials: a POSIX-style
+// process view over a stackable file system — the adapter Spring's UNIX
+// emulation used (reference [11] of the paper) — with descriptors, open
+// flags, lseek and a working directory.
+func NewProcess(fs StackableFS) *unixapi.Process {
 	return unixapi.NewProcess(fs, Root)
-}
-
-// NewProcessOn starts a process over fs whose address space is managed by
-// the node's VMM, enabling Mmap.
-func (n *Node) NewProcessOn(fs StackableFS) *Process {
-	return unixapi.NewProcessVM(fs, Root, n.vmm)
 }

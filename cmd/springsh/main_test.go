@@ -182,7 +182,7 @@ func TestStatsShowHitPathCounters(t *testing.T) {
 		"cat fs/sfs0a/hot.txt",
 		"stats")
 	out := stats.Default.String()
-	for _, name := range []string{"vmm.hits", "vmm.misses", "vmm.pool.hits", "vmm.lru.sweeps"} {
+	for _, name := range []string{"vmm.hits", "vmm.misses", "vmm.pool.hits", "vmm.lru.sweeps", "vmm.grants", "vmm.grant.pages", "coh.grants"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("stats output missing %s:\n%s", name, out)
 		}

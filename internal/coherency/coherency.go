@@ -90,6 +90,12 @@ var (
 	opRevoke       = stats.NewOp("coh.revoke", stats.BoundaryDirect)
 )
 
+// grantsStat counts write page-ins answered with the coherency action alone
+// (cohFile.grantWrite). LowerPageIns keeps counting only fetches that moved
+// data from the layer below. Registered eagerly so `springsh stats` shows
+// it before traffic arrives.
+var grantsStat = stats.Default.Counter("coh.grants")
+
 // CohFS is an instance of the coherency layer: the pass-through name space
 // of fsys.Passthrough with every file wrapped in a cohFile.
 type CohFS struct {

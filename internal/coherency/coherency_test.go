@@ -676,3 +676,84 @@ func TestConvergenceAfterConcurrentWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestGrantRevokesReadersWithoutLowerPageIn: a whole-block overwrite needs
+// the coherency action of a write fault and none of the data. VMM B holds
+// block 0 read-only; VMM A overwrites blocks 0 and 1 whole. B is revoked,
+// the layer fetches nothing from the disk layer — block 1 is never valid
+// here until A's copy is absorbed — and B's next reads see A's bytes.
+func TestGrantRevokesReadersWithoutLowerPageIn(t *testing.T) {
+	r := newSFS(t, true)
+	f, err := r.coh.Create("overwritten", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte{0x11}, 2*vm.PageSize)
+	if _, err := f.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.coh.DropDataCaches(); err != nil {
+		t.Fatal(err)
+	}
+	vmmA := vm.New(spring.NewDomain(r.node, "vmmA"), "vmmA")
+	vmmB := vm.New(spring.NewDomain(r.node, "vmmB"), "vmmB")
+	mapA, err := vmmA.Map(f, vm.RightsWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapB, err := vmmB.Map(f, vm.RightsWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapB.Cache().SetReadAhead(-1) // keep block 1 out of B's first read
+	got := make([]byte, vm.PageSize)
+	if _, err := mapB.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rights, ok := mapB.Cache().PageRights(0); !ok || rights != vm.RightsRead {
+		t.Fatalf("B holds block 0 as %v (present=%v), want read-only", rights, ok)
+	}
+	lowerIns, grants := r.coh.LowerPageIns.Value(), grantsStat.Value()
+
+	fresh := bytes.Repeat([]byte{0xA7}, 2*vm.PageSize)
+	if _, err := mapA.WriteAt(fresh, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mapB.Cache().PageRights(0); ok {
+		t.Error("B still caches block 0 after A's whole-block overwrite")
+	}
+	if got := r.coh.LowerPageIns.Value() - lowerIns; got != 0 {
+		t.Errorf("the overwrite made %d lower page-ins, want 0", got)
+	}
+	if got := grantsStat.Value() - grants; got != 1 {
+		t.Errorf("coh.grants moved by %d, want 1 (one call for the run)", got)
+	}
+	if vmmA.PageIns.Value() != 0 {
+		t.Errorf("A's VMM paged in %d times for a whole-block overwrite", vmmA.PageIns.Value())
+	}
+	cf := f.(*cohFile)
+	b := cf.acquire(1)
+	valid, writer := b.valid, b.hasWriter()
+	cf.release(b)
+	if valid || !writer {
+		t.Errorf("block 1 at the layer: valid=%v writer=%v, want a writer and no copy", valid, writer)
+	}
+
+	for bn := int64(0); bn < 2; bn++ {
+		if _, err := mapB.ReadAt(got, bn*vm.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fresh[:vm.PageSize]) {
+			t.Errorf("B read block %d: %#x..., want A's bytes", bn, got[0])
+		}
+	}
+	if got := r.coh.LowerPageIns.Value() - lowerIns; got != 0 {
+		t.Errorf("B's reads made %d lower page-ins; A's copy should have been absorbed", got)
+	}
+	if rights, _ := mapA.Cache().PageRights(1); rights != vm.RightsRead {
+		t.Errorf("A holds block 1 as %v after B's read, want read-only", rights)
+	}
+}

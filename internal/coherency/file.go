@@ -35,6 +35,18 @@ type blockState struct {
 	dirty   bool
 }
 
+// hasWriter reports whether some holder has the block read-write. Its
+// current bytes then come from that holder, by revocation, whatever the
+// layer below has. Caller holds busy.
+func (b *blockState) hasWriter() bool {
+	for _, r := range b.holders {
+		if r.CanWrite() {
+			return true
+		}
+	}
+	return false
+}
+
 // cohFile is one coherent file: a wrapper around a lower-layer file that
 // acts as a pager to the caches above it and as a cache manager to the
 // layer below it (Figure 4 of the paper: a file system as pager and cache
@@ -314,6 +326,39 @@ func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights)
 		// Loop: the next iteration re-runs revocation and grants from the
 		// (now valid) cached copy, or refetches if a revocation landed.
 	}
+}
+
+// grantWrite answers a write page-in that asked for no data (see
+// vm.RightsNoData): the coherency action of a write fault and nothing else.
+// Every other holder of each block is revoked and conn is recorded as its
+// writer, one block busy at a time; the block's cached copy is left as it
+// is and nothing is fetched from the layer below. A copy that was valid
+// stays valid — stale behind the new writer like behind any writer, and
+// what absorb merges the writer's data into when it is next revoked; one
+// that was not becomes valid then, or when the writer writes back.
+//
+// The one thing a data-carrying fault does below that a grant still needs
+// is the bind: it is what makes this layer a cache manager of the lower
+// file, so that the lower layer's own coherency actions (a truncate's
+// purge) reach the blocks granted here.
+func (f *cohFile) grantWrite(conn *fsys.Connection, offset, size vm.Offset) error {
+	if _, err := f.ensureLowerPager(); err != nil {
+		return err
+	}
+	for pn := offset / BlockSize; pn*BlockSize < offset+size; pn++ {
+		b := f.acquire(pn)
+		lost := f.revokeForWrite(b, pn, conn)
+		if !lost {
+			b.holders[conn] = vm.RightsWrite
+		}
+		f.release(b)
+		if lost {
+			// As in pageInBlock: the dead holder is gone, a retry proceeds.
+			return ErrHolderUnreachable
+		}
+	}
+	grantsStat.Inc()
+	return nil
 }
 
 // storeBlock records data written back by conn, adjusting its holding.
@@ -672,6 +717,10 @@ func (p *cohPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, err
 	if !vm.PageAligned(offset, size) {
 		return nil, vm.ErrUnaligned
 	}
+	if access.NoData() {
+		return nil, p.file.grantWrite(p.conn, offset, size)
+	}
+	access = access.Access() // holders record rights, never the modifier
 	out := make([]byte, size)
 	for pn := offset / BlockSize; pn*BlockSize < offset+size; pn++ {
 		data, err := p.file.pageInBlock(p.conn, pn, access)
@@ -710,7 +759,8 @@ func (p *cohPager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.Righ
 // block's epoch so a revocation that lands mid-flight discards the stale
 // copy (the per-block protocol then refetches it). It returns how many
 // bytes (at least minSize) the caller should serve: the full window when
-// every block is already cached, what the lower layer actually granted
+// every block is already cached or held by a writer above (whose copy the
+// per-block protocol reclaims), what the lower layer actually granted
 // when it was consulted, and just minSize on any error (the normal
 // single-block path takes over).
 func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights) vm.Offset {
@@ -726,7 +776,7 @@ func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights)
 	for pn := first; pn <= last; pn++ {
 		b := f.acquire(pn)
 		epochs[pn-first] = b.epoch
-		if !b.valid {
+		if !b.valid && !b.hasWriter() {
 			missing = true
 		}
 		f.release(b)

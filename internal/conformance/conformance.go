@@ -29,6 +29,9 @@ type Stack struct {
 	// shape dials a fresh client connection per process, so each process
 	// lives on its own remote machine.
 	NewProcess func() (*unixapi.Process, error)
+	// DropCaches writes every modified page and block back and empties the
+	// stack's caches, so the next access is cold.
+	DropCaches func() error
 	// Close tears the stack's nodes and connections down.
 	Close func()
 }
@@ -49,10 +52,12 @@ func Checks() []Check {
 		{"open-flags", checkOpenFlags},
 		{"sparse", checkSparse},
 		{"trunc-reextend", checkTruncReextend},
+		{"overwrite-cold", checkOverwriteCold},
 		{"rename-basic", checkRenameBasic},
 		{"rename-over", checkRenameOver},
 		{"rename-self", checkRenameSelf},
 		{"rename-dirs", checkRenameDirs},
+		{"rename-dir-reuse", checkRenameDirReuse},
 		{"rename-over-open-dest", checkRenameOverOpenDest},
 		{"unlink-while-open", checkUnlinkWhileOpen},
 		{"unlink-recreate", checkUnlinkRecreate},
@@ -427,6 +432,121 @@ func checkTruncReextend(s *Stack) error {
 	return p.Unlink("reextend.bin")
 }
 
+// checkOverwriteCold: writes that replace whole pages of a file whose pages
+// are not cached take a write grant instead of paging the old bytes in
+// (vm.FileCache.grant). Nothing of the old content may survive where the
+// write landed and nothing around it may change — through a cache drop, at
+// a page straddling end-of-file, and when the overwritten pages are then
+// cut mid-page by a truncate and re-exposed.
+func checkOverwriteCold(s *Stack) error {
+	p, err := s.NewProcess()
+	if err != nil {
+		return err
+	}
+	const page = 4096
+	model := pattern("overwrite-old", 9*page+1000) // EOF falls inside page 9
+	fd, err := p.Open("overwrite.bin", unixapi.O_CREAT|unixapi.O_RDWR)
+	if err != nil {
+		return err
+	}
+	defer p.Close(fd)
+	pwrite := func(data []byte, off int) error {
+		if _, err := p.Pwrite(fd, data, int64(off)); err != nil {
+			return err
+		}
+		if off+len(data) > len(model) {
+			model = append(model, make([]byte, off+len(data)-len(model))...)
+		}
+		copy(model[off:], data)
+		return nil
+	}
+	verify := func(step string) error {
+		st, err := p.Fstat(fd)
+		if err != nil {
+			return err
+		}
+		if st.Size != int64(len(model)) {
+			return fmt.Errorf("%s: size %d, want %d", step, st.Size, len(model))
+		}
+		got := make([]byte, len(model))
+		if _, err := p.Pread(fd, got, 0); err != nil && err != io.EOF {
+			return err
+		}
+		for i := range model {
+			if got[i] != model[i] {
+				return fmt.Errorf("%s: byte %d reads %#x, want %#x", step, i, got[i], model[i])
+			}
+		}
+		return nil
+	}
+	cold := func() error {
+		if err := p.Fsync(fd); err != nil {
+			return err
+		}
+		return s.DropCaches()
+	}
+	if err := pwrite(model, 0); err != nil {
+		return err
+	}
+
+	// Whole cold pages, and an unaligned write whose middle is whole pages
+	// and whose two ends are not.
+	if err := cold(); err != nil {
+		return err
+	}
+	if err := pwrite(pattern("overwrite-whole", 3*page), 2*page); err != nil {
+		return err
+	}
+	if err := pwrite(pattern("overwrite-ragged", 2*page+300), 6*page-100); err != nil {
+		return err
+	}
+	if err := verify("after cold overwrite"); err != nil {
+		return err
+	}
+	if err := cold(); err != nil {
+		return err
+	}
+	if err := verify("after cold overwrite and cache drop"); err != nil {
+		return err
+	}
+
+	// The page straddling EOF, replaced whole: the file grows to the end
+	// of the write and the old tail is gone.
+	if err := pwrite(pattern("overwrite-eof", page), 9*page); err != nil {
+		return err
+	}
+	if err := verify("after overwriting the EOF page"); err != nil {
+		return err
+	}
+	if err := cold(); err != nil {
+		return err
+	}
+
+	// Overwrite whole pages, cut the file in the middle of one of them,
+	// and re-extend: the cut bytes read back as zeros, not as the write.
+	if err := pwrite(pattern("overwrite-cut", 4*page), 4*page); err != nil {
+		return err
+	}
+	const cut = 5*page + 123
+	if err := p.Ftruncate(fd, cut); err != nil {
+		return err
+	}
+	if err := p.Ftruncate(fd, 8*page); err != nil {
+		return err
+	}
+	model = append(model[:cut], make([]byte, 8*page-cut)...)
+	if err := verify("after truncating an overwritten page and re-extending"); err != nil {
+		return err
+	}
+	if err := cold(); err != nil {
+		return err
+	}
+	if err := verify("after truncate, re-extend and cache drop"); err != nil {
+		return err
+	}
+	return p.Unlink("overwrite.bin")
+}
+
 // checkRenameBasic: after a rename the old name is gone and the new name
 // has the content.
 func checkRenameBasic(s *Stack) error {
@@ -547,6 +667,78 @@ func checkRenameDirs(s *Stack) error {
 		return err
 	}
 	return p.Unlink("ren-d2")
+}
+
+// checkRenameDirReuse: after a directory is renamed, its old name is free:
+// a directory and a file created at the old paths are new objects, and the
+// files that moved — one of them through a descriptor opened before the
+// rename — keep their own content. (A path-keyed layer that leaves its
+// handle table filed under the old paths hands the moved file's wrapper to
+// the new file, and the two then share storage.)
+func checkRenameDirReuse(s *Stack) error {
+	p, err := s.NewProcess()
+	if err != nil {
+		return err
+	}
+	moved := pattern("rdr-moved", 5000)
+	fresh := pattern("rdr-fresh", 700)
+	if err := p.Mkdir("rdr-d"); err != nil {
+		return err
+	}
+	if err := p.Mkdir("rdr-d/sub"); err != nil {
+		return err
+	}
+	if err := writePath(p, "rdr-d/f.bin", moved); err != nil {
+		return err
+	}
+	if err := writePath(p, "rdr-d/sub/g.bin", moved[:900]); err != nil {
+		return err
+	}
+	fd, err := p.Open("rdr-d/f.bin", unixapi.O_RDWR)
+	if err != nil {
+		return err
+	}
+	defer p.Close(fd)
+	if err := p.Rename("rdr-d", "rdr-e"); err != nil {
+		return err
+	}
+	if err := p.Mkdir("rdr-d"); err != nil {
+		return fmt.Errorf("mkdir at the renamed directory's old name: %w", err)
+	}
+	if err := writePath(p, "rdr-d/f.bin", fresh); err != nil {
+		return err
+	}
+	// The descriptor follows the file, not the path.
+	patch := []byte("through the old descriptor")
+	if _, err := p.Pwrite(fd, patch, 100); err != nil {
+		return err
+	}
+	copy(moved[100:], patch)
+	for _, c := range []struct {
+		path string
+		want []byte
+	}{
+		{"rdr-e/f.bin", moved},
+		{"rdr-e/sub/g.bin", pattern("rdr-moved", 5000)[:900]},
+		{"rdr-d/f.bin", fresh},
+	} {
+		got, err := readPath(p, c.path)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.path, err)
+		}
+		if !bytes.Equal(got, c.want) {
+			return fmt.Errorf("%s holds %d bytes that are not its own after the directory rename", c.path, len(got))
+		}
+	}
+	if _, err := p.Stat("rdr-d/sub"); !errors.Is(err, unixapi.ENOENT) {
+		return fmt.Errorf("subdirectory under the old name: %v, want ENOENT", err)
+	}
+	for _, path := range []string{"rdr-d/f.bin", "rdr-d", "rdr-e/f.bin", "rdr-e/sub/g.bin", "rdr-e/sub", "rdr-e"} {
+		if err := p.Unlink(path); err != nil {
+			return fmt.Errorf("unlink %s: %w", path, err)
+		}
+	}
+	return nil
 }
 
 // checkRenameOverOpenDest: replacing an open file by rename must not

@@ -51,6 +51,23 @@ func sharedProcs(fs springfs.StackableFS) func() (*unixapi.Process, error) {
 	}
 }
 
+// coldCaches is Stack.DropCaches for a shape built on one node: the node's
+// VMM writes back and drops every page, then each SFS's coherency layer
+// writes through and drops its block cache.
+func coldCaches(node *springfs.Node, sfss ...*springfs.SFS) func() error {
+	return func() error {
+		if err := node.VMM().DropCaches(); err != nil {
+			return err
+		}
+		for _, sfs := range sfss {
+			if err := sfs.Coherency.DropDataCaches(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // newDiskStack is the base shape: the raw (non-coherent) disk layer alone.
 func newDiskStack() (*Stack, error) {
 	node := springfs.NewNode("conf-disk")
@@ -67,6 +84,7 @@ func newDiskStack() (*Stack, error) {
 	return &Stack{
 		Name:       "disk",
 		NewProcess: sharedProcs(disk),
+		DropCaches: coldCaches(node),
 		Close:      node.Stop,
 	}, nil
 }
@@ -87,6 +105,7 @@ func newCompStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-compfs",
 		NewProcess: sharedProcs(comp),
+		DropCaches: coldCaches(node, sfs),
 		Close:      node.Stop,
 	}, nil
 }
@@ -111,6 +130,7 @@ func newCryptStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-cryptfs",
 		NewProcess: sharedProcs(crypt),
+		DropCaches: coldCaches(node, sfs),
 		Close:      node.Stop,
 	}, nil
 }
@@ -132,6 +152,7 @@ func newPassthroughStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-passthrough",
 		NewProcess: sharedProcs(ident),
+		DropCaches: coldCaches(node, sfs),
 		Close:      node.Stop,
 	}, nil
 }
@@ -162,6 +183,7 @@ func newMirrorStack() (*Stack, error) {
 	return &Stack{
 		Name:       "mirror",
 		NewProcess: sharedProcs(mirror),
+		DropCaches: coldCaches(node, sfs1, sfs2),
 		Close:      node.Stop,
 	}, nil
 }
@@ -182,6 +204,7 @@ func newSnapStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-snapfs",
 		NewProcess: sharedProcs(snap),
+		DropCaches: coldCaches(node, sfs),
 		Close:      node.Stop,
 	}, nil
 }
@@ -213,6 +236,7 @@ func newSnapCloneStack() (*Stack, error) {
 	return &Stack{
 		Name:       "sfs-snapfs-clone",
 		NewProcess: sharedProcs(clone),
+		DropCaches: coldCaches(node, sfs),
 		Close:      node.Stop,
 	}, nil
 }
@@ -236,6 +260,7 @@ func newStripeStack() (*Stack, error) {
 		node.Stop()
 		return nil, err
 	}
+	sfss := []*springfs.SFS{meta}
 	for i := 0; i < 3; i++ {
 		data, err := node.NewSFS(fmt.Sprintf("data%d", i), springfs.DiskOptions{Blocks: 8192})
 		if err != nil {
@@ -246,10 +271,12 @@ func newStripeStack() (*Stack, error) {
 			node.Stop()
 			return nil, err
 		}
+		sfss = append(sfss, data)
 	}
 	return &Stack{
 		Name:       "sfs-stripe",
 		NewProcess: sharedProcs(stripe),
+		DropCaches: coldCaches(node, sfss...),
 		Close:      node.Stop,
 	}, nil
 }
@@ -308,6 +335,7 @@ func newStripeMirrorStack() (*Stack, error) {
 	return &Stack{
 		Name:       "stripe-mirror",
 		NewProcess: sharedProcs(stripe),
+		DropCaches: coldCaches(node, meta, m1, m2, data1),
 		Close:      node.Stop,
 	}, nil
 }
@@ -353,6 +381,14 @@ func newDFSStack() (*Stack, error) {
 	return &Stack{
 		Name:       "dfs-remote",
 		NewProcess: newProcess,
+		DropCaches: func() error {
+			for _, nd := range nodes {
+				if err := nd.VMM().DropCaches(); err != nil {
+					return err
+				}
+			}
+			return coldCaches(home, sfs)()
+		},
 		Close: func() {
 			for _, c := range clients {
 				_ = c.Close()

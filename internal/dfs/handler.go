@@ -313,7 +313,17 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		var data []byte
-		if hp, ok := pager.(vm.HintedPager); ok && maxSize > size {
+		if access.NoData() {
+			// A write grant without the data (vm.RightsNoData): the pager
+			// below walks the range block by block, so guard it like a
+			// page-out payload — whole pages, no more than one write-back
+			// frame could return. The reply carries no data even if the
+			// pager below did not know the bit: the client ignores it.
+			if !vm.PageAligned(off, size) || size == 0 || size > maxPageOutPayload {
+				return nil, fmt.Errorf("%w: write grant over [%d,+%d)", ErrProtocol, off, size)
+			}
+			_, err = pager.PageIn(off, size, access)
+		} else if hp, ok := pager.(vm.HintedPager); ok && maxSize > size {
 			// The client conveyed a min/max range (the Section 8
 			// read-ahead extension carried over the wire); the home node
 			// may return more data than strictly needed.

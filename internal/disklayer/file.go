@@ -367,6 +367,11 @@ func (p *diskPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 	if !vm.PageAligned(offset, size) {
 		return nil, vm.ErrUnaligned
 	}
+	if access.NoData() {
+		// The caller overwrites the range whole and the disk layer keeps no
+		// holders to revoke: there is nothing to do, least of all a read.
+		return nil, nil
+	}
 	ot := opPageIn.Start()
 	defer func() { opPageIn.End(ot, size) }()
 	fs := p.file.fs

@@ -128,6 +128,12 @@ func (p *FilePager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 	if !vm.PageAligned(offset, size) {
 		return nil, vm.ErrUnaligned
 	}
+	if access.NoData() {
+		// A write grant without the data: the adapter keeps no per-holder
+		// state, so the blocks about to be replaced whole are neither read
+		// below nor decoded.
+		return nil, nil
+	}
 	return p.In(offset, size, access)
 }
 

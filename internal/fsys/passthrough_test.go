@@ -239,6 +239,7 @@ func TestPassthroughBindStoresLowerFile(t *testing.T) {
 type pagedFile struct {
 	*memFile
 	table *ConnectionTable
+	ins   int // calls to pageIn
 }
 
 func (f *pagedFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
@@ -249,6 +250,7 @@ func (f *pagedFile) Bind(caller vm.CacheManager, access vm.Rights, offset, lengt
 }
 
 func (f *pagedFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
+	f.ins++
 	out := make([]byte, size)
 	if _, err := f.ReadAt(out, offset); err != nil && err != io.EOF {
 		return nil, err
@@ -298,6 +300,47 @@ func TestFilePagerRoundTrip(t *testing.T) {
 	}
 	if l, _ := f.GetLength(); l != int64(len(want)) {
 		t.Fatalf("page-out changed the length to %d, want %d", l, len(want))
+	}
+}
+
+// TestFilePagerGrantSkipsIn: a whole-block overwrite through a mapping asks
+// the pager for write access without the data (vm.RightsNoData), across the
+// fs_pager proxy; FilePager answers it without calling the layer's In, so
+// the block about to be replaced is neither read below nor decoded. A
+// partial block still goes through In.
+func TestFilePagerGrantSkipsIn(t *testing.T) {
+	node := spring.NewNode("vm")
+	defer node.Stop()
+	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
+	f := &pagedFile{memFile: &memFile{}, table: NewConnectionTable(spring.NewDomain(node, "fs"))}
+	want := pattern(3*BlockSize, 5)
+	if _, err := f.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := vmm.Map(f, vm.RightsWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(want, pattern(2*BlockSize, 6))
+	if _, err := m.WriteAt(want[:2*BlockSize], 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.ins != 0 {
+		t.Errorf("whole-block overwrite called In %d times, want 0", f.ins)
+	}
+	copy(want[2*BlockSize+7:], "partial")
+	if _, err := m.WriteAt([]byte("partial"), 2*BlockSize+7); err != nil {
+		t.Fatal(err)
+	}
+	if f.ins != 1 {
+		t.Errorf("partial-block write: In called %d times in all, want 1", f.ins)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("file after the overwrites + sync differs from the model (err %v)", err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestPathTableAgainstModel(t *testing.T) {
 		checkTable(t, step, &tbl, m)
 	}
 	rename := func(step, from, to string) {
-		gf, gr := tbl.Rename(from, to)
+		gf, gr := tbl.Rename(from, to, false)
 		var wf *tableFile
 		var wr bool
 		if from != to {
@@ -209,6 +209,66 @@ func TestPathTableAgainstModel(t *testing.T) {
 	tbl.Release(d)
 	delete(m.orphans, d)
 	checkTable(t, "last release of d", &tbl, m)
+}
+
+// TestPathTableRenameOfDirectoryRekeysPrefix is the regression test for the
+// stale-wrapper bug: after rename(dir, dir2) the wrappers of dir's files
+// stayed filed under dir/..., so a file later created at an old path got
+// the wrapper — and the lower handles — of the file that had moved away.
+// The filed wrappers, the one with open handles, and an orphan move; a
+// sibling whose name merely starts like the directory's does not.
+func TestPathTableRenameOfDirectoryRekeysPrefix(t *testing.T) {
+	var tbl PathTable[*tableFile]
+	next := 0
+	add := func(path string) *tableFile {
+		return tbl.LookupOrAdd(path, func() *tableFile { next++; return &tableFile{id: next} })
+	}
+	a, deep, open, gone := add("dir/a"), add("dir/sub/deep"), add("dir/open"), add("dir/gone")
+	sibling, other := add("dir2x"), add("dirt/a")
+	tbl.Retain(open)
+	tbl.Retain(gone)
+	if _, retained := tbl.Remove("dir/gone"); !retained {
+		t.Fatal("dir/gone should be an orphan")
+	}
+
+	// Without the layer's word that the name was a directory nothing
+	// beneath it moves: that is the old behaviour, kept for files.
+	tbl.Rename("dir", "dir2", false)
+	if f, ok := tbl.Lookup("dir/a"); !ok || f != a {
+		t.Fatal("a file rename re-keyed a prefix")
+	}
+
+	if f, retained := tbl.Rename("dir", "dir2", true); f != nil || retained {
+		t.Fatalf("directory rename displaced %v, %v", f, retained)
+	}
+	filed, orphans := tbl.Snapshot()
+	want := map[string]*tableFile{
+		"dir2/a": a, "dir2/sub/deep": deep, "dir2/open": open,
+		"dir2x": sibling, "dirt/a": other,
+	}
+	if !reflect.DeepEqual(filed, want) {
+		t.Fatalf("filed after rename(dir, dir2): %v, want %v", filed, want)
+	}
+	for path, f := range filed {
+		if f.Path() != path {
+			t.Errorf("wrapper %d filed under %q says %q", f.id, path, f.Path())
+		}
+	}
+	if open.Retained() != 1 {
+		t.Errorf("the open handle's retain count moved: %d", open.Retained())
+	}
+	if len(orphans) != 1 || orphans[0] != gone || gone.Path() != "dir2/gone" {
+		t.Errorf("orphans %v, path %q; want the one orphan re-keyed to dir2/gone", orphans, gone.Path())
+	}
+
+	// The point of it all: a file created at the old path is a new file.
+	if f := add("dir/a"); f == a {
+		t.Error("a new file at the old path got the wrapper of the file that moved")
+	}
+	tbl.Release(gone)
+	if _, orphans := tbl.Snapshot(); len(orphans) != 0 {
+		t.Error("re-keyed orphan did not leave on its last release")
+	}
 }
 
 // TestPathTableConcurrentLookups: racing lookups of one path build one

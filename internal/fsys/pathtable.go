@@ -1,8 +1,11 @@
 package fsys
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
+
+	"springfs/internal/naming"
 )
 
 // PathHandle is what a PathTable keeps in each file wrapper, which embeds
@@ -83,8 +86,11 @@ func (t *PathTable[F]) dropLocked(path string) (f F, retained bool) {
 
 // Rename re-files the wrapper at oldPath under newPath once the layer has
 // renamed below, displacing an overwritten destination like Remove does.
-// Renaming a path onto itself displaces nothing.
-func (t *PathTable[F]) Rename(oldPath, newPath string) (displaced F, retained bool) {
+// Renaming a path onto itself displaces nothing. dir says the name was a
+// directory — only the layer can know — and then every wrapper filed or
+// orphaned under oldPath/ moves with it, open handles and all: left
+// behind, one would be handed to the next file created at its old path.
+func (t *PathTable[F]) Rename(oldPath, newPath string, dir bool) (displaced F, retained bool) {
 	if oldPath == newPath {
 		return displaced, false
 	}
@@ -96,7 +102,44 @@ func (t *PathTable[F]) Rename(oldPath, newPath string) (displaced F, retained bo
 		f.pathHandle().path.Store(&newPath)
 		t.files[newPath] = f
 	}
+	if !dir {
+		return displaced, retained
+	}
+	prefix := oldPath + "/"
+	rekey := func(f F) {
+		if rest, under := strings.CutPrefix(f.pathHandle().Path(), prefix); under {
+			to := newPath + "/" + rest
+			f.pathHandle().path.Store(&to)
+		}
+	}
+	var under []F // re-filed after the range: a moved key could be visited again
+	for path, f := range t.files {
+		if strings.HasPrefix(path, prefix) {
+			delete(t.files, path)
+			under = append(under, f)
+		}
+	}
+	for _, f := range under {
+		rekey(f)
+		t.files[f.pathHandle().Path()] = f
+	}
+	for f := range t.orphans {
+		rekey(f)
+	}
 	return displaced, retained
+}
+
+// IsDirAt reports whether name resolves on fs to a directory. A path-keyed
+// layer that has just renamed a name it holds no wrapper for — a file
+// nobody opened, or a directory — asks it of the file system below, to
+// tell Rename which.
+func IsDirAt(fs naming.Context, name string, cred naming.Credentials) bool {
+	obj, err := fs.Resolve(name, cred)
+	if err != nil {
+		return false
+	}
+	_, isFile := obj.(File)
+	return !isFile
 }
 
 // Retain records one more open handle on f.

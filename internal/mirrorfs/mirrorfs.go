@@ -210,8 +210,9 @@ func (m *MirrorFS) Remove(name string, cred naming.Credentials) error {
 	return nil
 }
 
-// Rename implements fsys.FS; the wrapper moves with the name, and an
-// overwritten destination's wrapper is dropped (or orphaned, like Remove).
+// Rename implements fsys.FS; the wrapper moves with the name — every wrapper
+// beneath it, if the name is a directory — and an overwritten destination's
+// wrapper is dropped (or orphaned, like Remove).
 func (m *MirrorFS) Rename(oldname, newname string, cred naming.Credentials) error {
 	rs, err := m.both()
 	if err != nil {
@@ -221,10 +222,22 @@ func (m *MirrorFS) Rename(oldname, newname string, cred naming.Credentials) erro
 		_, err := m.Resolve(oldname, cred)
 		return err
 	}
-	if err := m.mutate(func(i int) error { return rs[i].Rename(oldname, newname, cred) }); err != nil {
+	// With no wrapper filed under the old name it is a file nobody opened
+	// or a directory, whose wrappers are filed beneath it: ask a replica
+	// that did the rename which.
+	_, filed := m.files.Lookup(oldname)
+	dir := false
+	err = m.mutate(func(i int) error {
+		if err := rs[i].Rename(oldname, newname, cred); err != nil {
+			return err
+		}
+		dir = dir || !filed && fsys.IsDirAt(rs[i], newname, cred)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	m.files.Rename(oldname, newname)
+	m.files.Rename(oldname, newname, dir)
 	return nil
 }
 

@@ -588,7 +588,10 @@ func (s *StripeFS) Rename(oldname, newname string, cred naming.Credentials) erro
 	if err := meta.Rename(oldname, newname, cred); err != nil {
 		return err
 	}
-	f, retained := s.files.Rename(oldname, newname)
+	// No wrapper under the old name: a file nobody opened, or a directory
+	// with its wrappers filed beneath it.
+	_, filed := s.files.Lookup(oldname)
+	f, retained := s.files.Rename(oldname, newname, !filed && fsys.IsDirAt(meta, newname, cred))
 	s.unlinked(f, retained, l, isFile, cred)
 	return nil
 }

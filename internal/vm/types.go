@@ -70,6 +70,26 @@ const (
 	RightsWrite Rights = 3
 )
 
+// RightsNoData is not an access right but a modifier on the access argument
+// of a write page-in: the cache manager is about to overwrite every byte of
+// the range (or already holds its current bytes read-only), so it needs the
+// pager's coherency action — the write grant — and none of the data. A pager
+// that honours it returns an empty slice; one that does not know the bit
+// sees plain write access (CanWrite still holds) and returns the data, which
+// the requester ignores. The bit rides the access argument because that
+// already crosses every pager proxy and the DFS wire; it exists only for the
+// duration of the call — a pager strips it with Access before recording
+// what a holder holds, and no cached page ever carries it.
+const RightsNoData Rights = 4
+
+// NoData reports whether a page-in's access argument asks for the grant
+// alone (see RightsNoData). Only a write request can: read rights without
+// the data are no use to anyone.
+func (r Rights) NoData() bool { return r&RightsNoData != 0 && r.CanWrite() }
+
+// Access returns the rights proper, without the RightsNoData modifier.
+func (r Rights) Access() Rights { return r &^ RightsNoData }
+
 // CanRead reports whether the rights allow reading.
 func (r Rights) CanRead() bool { return r&RightsRead != 0 }
 
@@ -175,7 +195,9 @@ type MemoryObject interface {
 // B). Cache managers invoke these operations to obtain and write out data.
 type PagerObject interface {
 	// PageIn requests data in [offset, offset+size) in read-only or
-	// read-write mode. The returned slice is size bytes long.
+	// read-write mode. The returned slice is size bytes long — or empty,
+	// when access carried RightsNoData and the pager granted write access
+	// to the whole range without moving its bytes.
 	PageIn(offset, size Offset, access Rights) ([]byte, error)
 	// PageOut writes data to the pager; the caller no longer retains it.
 	PageOut(offset, size Offset, data []byte) error

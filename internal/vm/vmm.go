@@ -89,6 +89,11 @@ var (
 	sweepsStat         = stats.Default.Counter("vmm.lru.sweeps")
 	secondChancesStat  = stats.Default.Counter("vmm.lru.second_chances")
 	rotationsStat      = stats.Default.Counter("vmm.lru.rotations")
+	// Write grants (see FileCache.grant): pager calls that asked for write
+	// access without the data, and the pages they made writable. They are
+	// neither hits nor misses — a miss is a page-in that moved data.
+	grantsStat     = stats.Default.Counter("vmm.grants")
+	grantPagesStat = stats.Default.Counter("vmm.grant.pages")
 )
 
 // New creates a VMM served by domain.
@@ -343,13 +348,15 @@ type page struct {
 	// data is flushed again rather than lost. Same pattern as
 	// coherency.blockState.version.
 	gen uint64
-	// epoch counts revocations that hit this page while it was faulting.
-	// A coherency action overlapping an in-flight fault cannot wait for
-	// the fault (the fault may be blocked inside the very pager issuing
-	// the action — waiting would deadlock); instead it bumps the epoch,
-	// and the install path discards the granted data and retries when the
-	// epoch moved. This keeps the MRSW invariant: data granted before a
-	// revocation is never installed after it.
+	// epoch counts the coherency actions that hit this page. A coherency
+	// action overlapping an in-flight fault cannot wait for the fault (the
+	// fault may be blocked inside the very pager issuing the action —
+	// waiting would deadlock); instead it bumps the epoch, and the install
+	// path discards the grant and retries when the epoch moved. This keeps
+	// the MRSW invariant: what was granted before a revocation is never
+	// installed after it. Present pages count too, because a resident
+	// read-only page can have a write grant in flight (FileCache.grant) and
+	// a DenyWrites against it changes nothing else the grant could see.
 	epoch uint64
 }
 
@@ -493,6 +500,7 @@ func (fc *FileCache) pageOut(pn int64, data []byte) error {
 // which makes the install path discard the granted data and retry the
 // fault (see page.epoch).
 func (fc *FileCache) ensure(pn int64, want Rights) (*page, error) {
+	upgradeInPlace := true
 	for {
 		fc.mu.Lock()
 		for {
@@ -513,9 +521,22 @@ func (fc *FileCache) ensure(pn int64, want Rights) (*page, error) {
 				p.noteHit()
 				return p, nil
 			}
-			// Present with insufficient rights: upgrade fault. Modified
-			// data must go back to the pager first so it is not lost;
-			// the pager hands the current contents back from the new
+			// Present with insufficient rights: upgrade fault. A clean
+			// read-only page is current under MRSW, so it needs the write
+			// grant and none of the data: it keeps its bytes and its place
+			// while the grant is in flight. Tried once; if a coherency
+			// action crossed the grant, the full re-fault below runs.
+			if upgradeInPlace && !p.dirty {
+				upgradeInPlace = false
+				fc.mu.Unlock()
+				if _, err := fc.grant(pn, nil); err != nil {
+					return nil, err
+				}
+				fc.mu.Lock()
+				continue
+			}
+			// Modified data must go back to the pager first so it is not
+			// lost; the pager hands the current contents back from the new
 			// page-in.
 			dirtyData := p.dirty
 			dataCopy := p.data
@@ -625,6 +646,114 @@ func (fc *FileCache) fault(pn int64, want Rights) (p *page, retry bool, err erro
 	return p, false, nil
 }
 
+// grantee is one page of a write grant in flight: the page object the
+// request was made for — a faulting placeholder, or a resident read-only
+// page — and its epoch when the request left.
+type grantee struct {
+	p     *page
+	epoch uint64
+}
+
+// grant makes pages writable without paging their data in: it asks the
+// pager for write access alone (RightsNoData) over a run of pages starting
+// at pn, in one pager call, and reports how many pages of the run — always
+// a prefix — it made writable. Zero means a coherency action or another
+// fault got in the way; the caller then takes the ordinary fault path.
+//
+// With src, the caller is overwriting whole pages with src's bytes: the run
+// extends over the pages src covers (at most the write-back extent bound)
+// for as long as they are absent or resident read-only, and each granted
+// page is installed straight from src, dirty. With src nil the single
+// resident read-only page pn is upgraded in place and keeps its bytes.
+//
+// The protocol is fault's: absent pages get faulting placeholders (readers
+// and writers wait on them), the pager is called with fc.mu released, and
+// a page is settled only if it is still the object the request was made
+// for and no coherency action bumped its epoch meanwhile — otherwise that
+// page and the rest of the run give the grant up. A pager that does not
+// know RightsNoData returns the data; it is counted as the page-in it was
+// and ignored.
+func (fc *FileCache) grant(pn int64, src []byte) (int, error) {
+	limit := 1
+	if src != nil {
+		limit = min(len(src)/PageSize, fc.vmm.maxExtentPageCount())
+	}
+	run := make([]grantee, 0, limit)
+	fc.mu.Lock()
+	for len(run) < limit && !fc.destroyed {
+		k := pn + int64(len(run))
+		p, ok := fc.pages[k]
+		if !ok && src != nil {
+			p = &page{state: pageFaulting}
+			fc.pages[k] = p
+		} else if !ok || p.state != pagePresent || p.rights.CanWrite() || p.dirty {
+			break
+		}
+		run = append(run, grantee{p: p, epoch: p.epoch})
+	}
+	fc.mu.Unlock()
+	if len(run) == 0 {
+		return 0, nil
+	}
+
+	size := Offset(len(run)) * PageSize
+	grantsStat.Inc()
+	t := opPageIn.Start()
+	data, err := fc.pager.PageIn(pn*PageSize, size, RightsWrite|RightsNoData)
+	if err == nil && len(data) != 0 {
+		opPageIn.End(t, int64(len(data)))
+		fc.vmm.PageIns.Inc()
+		missesStat.Inc()
+		if Offset(len(data)) != size {
+			err = fmt.Errorf("vm: pager returned %d bytes for a write grant of %d", len(data), size)
+		}
+	}
+
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	defer fc.cond.Broadcast()
+	if err == nil && fc.destroyed {
+		err = ErrDestroyed
+	}
+	intact := err == nil // false from the first page a coherency action crossed
+	granted := 0
+	for i, g := range run {
+		k := pn + int64(i)
+		if fc.pages[k] != g.p {
+			// Removed or replaced (evicted, flushed back, populated): the
+			// new occupant is not ours to touch.
+			intact = false
+			continue
+		}
+		if g.p.epoch != g.epoch {
+			intact = false
+		}
+		switch {
+		case !intact:
+			if g.p.state == pageFaulting {
+				delete(fc.pages, k)
+			}
+		case g.p.state == pageFaulting:
+			buf := getPageBuf()
+			copy(buf, src[i*PageSize:(i+1)*PageSize])
+			p := &page{state: pagePresent, data: buf, rights: RightsWrite, dirty: true, gen: 1}
+			fc.pages[k] = p
+			fc.vmm.noteInstalled(fc, k, p)
+			granted++
+		default:
+			if src != nil {
+				copy(g.p.data, src[i*PageSize:(i+1)*PageSize])
+				g.p.dirty = true
+				g.p.gen++
+			}
+			g.p.rights = RightsWrite
+			granted++
+		}
+	}
+	grantPagesStat.Add(int64(granted))
+	return granted, err
+}
+
 // abortFault removes the faulting placeholder for pn after an error.
 func (fc *FileCache) abortFault(pn int64) {
 	fc.mu.Lock()
@@ -707,13 +836,13 @@ func (fc *FileCache) evict(pn int64) bool {
 	return !still
 }
 
-// revokeFaulting bumps the epoch of every in-flight fault in [first, last]
-// so the granted data is discarded on install and the fault retried.
-// Caller holds fc.mu. See page.epoch for why coherency actions must not
-// wait for in-flight faults.
-func (fc *FileCache) revokeFaulting(first, last int64) {
+// revokeInFlight bumps the epoch of every page in [first, last] so that a
+// fault or write grant in flight for it is discarded on install and
+// retried. Caller holds fc.mu. See page.epoch for why coherency actions
+// must not wait for in-flight faults.
+func (fc *FileCache) revokeInFlight(first, last int64) {
 	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pageFaulting {
+		if pn >= first && pn <= last {
 			p.epoch++
 		}
 	}
@@ -785,7 +914,7 @@ func (c *vmmCacheObject) FlushBack(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	out := fc.collectModified(first, last)
 	for pn, p := range fc.pages {
 		if pn >= first && pn <= last && p.state == pagePresent {
@@ -802,7 +931,7 @@ func (c *vmmCacheObject) DenyWrites(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	out := fc.collectModified(first, last)
 	for pn, p := range fc.pages {
 		if pn >= first && pn <= last && p.state == pagePresent {
@@ -819,7 +948,7 @@ func (c *vmmCacheObject) WriteBack(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	out := fc.collectModified(first, last)
 	for pn, p := range fc.pages {
 		if pn >= first && pn <= last && p.state == pagePresent {
@@ -835,7 +964,7 @@ func (c *vmmCacheObject) DeleteRange(offset, size Offset) {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	for pn, p := range fc.pages {
 		if pn >= first && pn <= last && p.state == pagePresent {
 			fc.removePageLocked(pn, p)
@@ -852,7 +981,7 @@ func (c *vmmCacheObject) ZeroFill(offset, size Offset) {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	if fc.destroyed {
 		return
 	}
@@ -875,7 +1004,7 @@ func (c *vmmCacheObject) Populate(offset, size Offset, access Rights, data []byt
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeFaulting(first, last)
+	fc.revokeInFlight(first, last)
 	if fc.destroyed {
 		return
 	}
@@ -966,7 +1095,9 @@ func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt copies p into the mapping at offset off, faulting pages in
-// read-write mode and marking them modified.
+// read-write mode and marking them modified. Pages p covers completely are
+// not faulted in: they take a write grant and are installed from p (see
+// FileCache.grant); partial pages take the ordinary fault.
 func (m *Mapping) WriteAt(p []byte, off int64) (int, error) {
 	if !m.access.CanWrite() {
 		return 0, ErrNoAccess
@@ -979,6 +1110,19 @@ func (m *Mapping) WriteAt(p []byte, off int64) (int, error) {
 		if n, ok := m.fc.writeCached(pn, pageOff, p[done:]); ok {
 			done += n
 			continue
+		}
+		if pageOff == 0 && len(p)-done >= PageSize {
+			// p replaces this page whole, and maybe a run after it: the
+			// fault needs the write grant, not the bytes about to be
+			// overwritten.
+			n, err := m.fc.grant(pn, p[done:])
+			if err != nil {
+				return done, err
+			}
+			if n > 0 {
+				done += n * PageSize
+				continue
+			}
 		}
 		pg, err := m.fc.ensure(pn, RightsWrite)
 		if err != nil {

@@ -1,6 +1,8 @@
 package coherency
 
 import (
+	"math"
+
 	"springfs/internal/fsys"
 	"springfs/internal/vm"
 )
@@ -21,170 +23,90 @@ type lowerCacheObject struct {
 
 var _ fsys.FsCacheObject = (*lowerCacheObject)(nil)
 
-// blockNumbers lists the blocks this layer has state for in the range.
+// blockNumbers lists, ascending, the blocks this layer has state for in the
+// range.
 func (c *lowerCacheObject) blockNumbers(offset, size vm.Offset) []int64 {
-	first, last := vm.PageRange(offset, size)
-	c.f.bmu.Lock()
-	defer c.f.bmu.Unlock()
-	var out []int64
-	for pn := range c.f.blocks {
-		if pn >= first && pn <= last {
-			out = append(out, pn)
-		}
-	}
-	return out
+	return c.f.blockNumbers(vm.PageRange(offset, size))
 }
 
 // FlushBack implements vm.CacheObject: remove the range from this layer
 // (and everything above it), returning modified blocks.
 func (c *lowerCacheObject) FlushBack(offset, size vm.Offset) []vm.Data {
-	f := c.f
 	var out []vm.Data
-	for _, pn := range c.blockNumbers(offset, size) {
-		b := f.acquire(pn)
+	c.f.revoke(c.blockNumbers(offset, size), flushBack, nil, func(pn int64, b *blockState, _ bool) {
 		b.epoch++
-		f.revokeForWrite(b, pn, nil) // reconcile writers above
-		for h := range b.holders {
-			h.Cache.DeleteRange(pn*BlockSize, BlockSize)
-			delete(b.holders, h)
-		}
-		if b.valid && b.dirty {
-			data := make([]byte, BlockSize)
-			copy(data, b.data)
-			out = append(out, vm.Data{Offset: pn * BlockSize, Bytes: data})
-		}
-		b.valid = false
-		b.dirty = false
-		b.data = nil
-		b.version++
-		f.release(b)
-	}
+		out = b.takeDirty(pn, out)
+		b.discard()
+	})
 	return out
 }
 
 // DenyWrites implements vm.CacheObject: downgrade writers above, return
 // modified blocks, retain data read-only.
 func (c *lowerCacheObject) DenyWrites(offset, size vm.Offset) []vm.Data {
-	f := c.f
 	var out []vm.Data
-	for _, pn := range c.blockNumbers(offset, size) {
-		b := f.acquire(pn)
+	c.f.revoke(c.blockNumbers(offset, size), denyWrites, nil, func(pn int64, b *blockState, _ bool) {
 		b.epoch++
-		f.revokeForRead(b, pn, nil)
-		if b.valid && b.dirty {
-			data := make([]byte, BlockSize)
-			copy(data, b.data)
-			out = append(out, vm.Data{Offset: pn * BlockSize, Bytes: data})
-			b.dirty = false
-		}
-		f.release(b)
-	}
+		out = b.takeDirty(pn, out)
+	})
 	return out
 }
 
 // WriteBack implements vm.CacheObject: return modified blocks, keep
-// everything cached in the same mode.
+// everything cached here in the same mode. Modified data held by writers
+// above is pulled in by denying their writes.
 func (c *lowerCacheObject) WriteBack(offset, size vm.Offset) []vm.Data {
-	f := c.f
 	var out []vm.Data
-	for _, pn := range c.blockNumbers(offset, size) {
-		b := f.acquire(pn)
-		f.revokeForRead(b, pn, nil) // pull modified data from writers above
-		if b.valid && b.dirty {
-			data := make([]byte, BlockSize)
-			copy(data, b.data)
-			out = append(out, vm.Data{Offset: pn * BlockSize, Bytes: data})
-			b.dirty = false
-		}
-		f.release(b)
-	}
+	c.f.revoke(c.blockNumbers(offset, size), denyWrites, nil, func(pn int64, b *blockState, _ bool) {
+		out = b.takeDirty(pn, out)
+	})
 	return out
 }
 
 // DeleteRange implements vm.CacheObject: drop the range everywhere above;
 // nothing is returned.
 func (c *lowerCacheObject) DeleteRange(offset, size vm.Offset) {
-	f := c.f
-	for _, pn := range c.blockNumbers(offset, size) {
-		b := f.acquire(pn)
+	c.f.revoke(c.blockNumbers(offset, size), deleteRange, nil, func(_ int64, b *blockState, _ bool) {
 		b.epoch++
-		for h := range b.holders {
-			h.Cache.DeleteRange(pn*BlockSize, BlockSize)
-			delete(b.holders, h)
-			f.fs.Revocations.Inc()
-		}
-		b.valid = false
-		b.dirty = false
-		b.data = nil
-		b.version++
-		f.release(b)
-	}
+		b.discard()
+	})
 }
 
 // ZeroFill implements vm.CacheObject: the lower layer declares the range
-// zero-filled.
+// zero-filled. The caches above drop it and refetch the zeros from here.
 func (c *lowerCacheObject) ZeroFill(offset, size vm.Offset) {
-	f := c.f
-	first, last := vm.PageRange(offset, size)
-	for pn := first; pn <= last; pn++ {
-		b := f.acquire(pn)
+	c.f.revoke(blockRange(offset, size), deleteRange, nil, func(_ int64, b *blockState, _ bool) {
 		b.epoch++
-		for h := range b.holders {
-			h.Cache.ZeroFill(pn*BlockSize, BlockSize)
-			delete(b.holders, h)
-		}
-		b.data = make([]byte, BlockSize)
-		b.valid = true
-		b.dirty = false
+		b.data, b.valid, b.dirty = make([]byte, BlockSize), true, false
 		b.version++
-		f.release(b)
-	}
+	})
 }
 
 // Populate implements vm.CacheObject: the lower layer pushes fresh data.
 func (c *lowerCacheObject) Populate(offset, size vm.Offset, access vm.Rights, data []byte) {
-	f := c.f
-	first, last := vm.PageRange(offset, size)
-	for pn := first; pn <= last; pn++ {
-		b := f.acquire(pn)
+	first := offset / BlockSize
+	c.f.revoke(blockRange(offset, size), deleteRange, nil, func(pn int64, b *blockState, _ bool) {
 		b.epoch++
-		for h := range b.holders {
-			h.Cache.DeleteRange(pn*BlockSize, BlockSize)
-			delete(b.holders, h)
-		}
 		if b.data == nil {
 			b.data = make([]byte, BlockSize)
 		}
-		copy(b.data, data[(pn-first)*BlockSize:])
-		b.valid = true
-		b.dirty = false
+		n := copy(b.data, data[(pn-first)*BlockSize:])
+		clear(b.data[n:])
+		b.valid, b.dirty = true, false
 		b.version++
-		f.release(b)
-	}
+	})
 }
 
 // DestroyCache implements vm.CacheObject.
 func (c *lowerCacheObject) DestroyCache() {
-	f := c.f
-	f.bmu.Lock()
-	pns := make([]int64, 0, len(f.blocks))
-	for pn := range f.blocks {
-		pns = append(pns, pn)
-	}
-	f.bmu.Unlock()
-	for _, pn := range pns {
-		b := f.acquire(pn)
+	c.f.revoke(c.f.blockNumbers(0, math.MaxInt64), holdOnly, nil, func(_ int64, b *blockState, _ bool) {
 		b.epoch++
 		for h := range b.holders {
 			h.Cache.DestroyCache()
 			delete(b.holders, h)
 		}
-		b.valid = false
-		b.dirty = false
-		b.data = nil
-		b.version++
-		f.release(b)
-	}
+		b.discard()
+	})
 }
 
 // FlushAttributes implements fsys.FsCacheObject.

@@ -21,13 +21,22 @@
 //     with its underlying file.
 //
 // Deadlock discipline: a block's protocol state is guarded by a busy flag.
-// The busy flag is held only across local work and *upward* call-outs
+// A busy flag is held only across local work and *upward* call-outs
 // (coherency actions against the caches above, which are bounded by
 // induction up the stack); every *downward* call (fetching from or writing
 // to the layer below, which can block inside the lower layer's own
-// protocol) happens with the busy flag released, and installs revalidate a
+// protocol) happens with no busy flag held, and installs revalidate a
 // block epoch that revocations bump — the same protocol the VMM uses for
 // in-flight faults.
+//
+// The unit of a coherency action is the run: cohFile.revoke holds the busy
+// flags of up to maxWriteThroughBlocks contiguous blocks at once and makes
+// one call-out per holder per sub-run. It takes the flags of a run in
+// ascending block order, so two runs cannot wait for each other in a cycle;
+// everything else that takes a flag — storeBlock, the install after a lower
+// fetch, the write-through snapshot — holds one at a time and so cannot be
+// part of a cycle either. The rule above is unchanged for runs: local work
+// and upward call-outs only, never a downward call.
 //
 // # Vocabulary
 //
@@ -46,7 +55,7 @@
 //   - coherency action (revocation): the call-outs that restore the rule —
 //     flush_back (retrieve dirty data), deny_writes (downgrade to
 //     read-only), delete_range (discard) — issued against holders when a
-//     conflicting request arrives.
+//     conflicting request arrives, one call per holder per run of blocks.
 //   - write-through: dirty blocks are synced to the lower layer when
 //     coherency demands it or on Sync, not on every write.
 package coherency

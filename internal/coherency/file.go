@@ -1,9 +1,11 @@
 package coherency
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,6 +29,7 @@ import (
 //     writes free of lower-layer calls in Table 2).
 type blockState struct {
 	busy    bool
+	writing bool   // a write-through is in flight below; the next one waits its turn
 	epoch   uint64 // bumped by revocations; in-flight fetches revalidate
 	version uint64 // bumped on every data change; guards dirty-clearing
 	holders map[*fsys.Connection]vm.Rights
@@ -45,6 +48,22 @@ func (b *blockState) hasWriter() bool {
 		}
 	}
 	return false
+}
+
+// takeDirty appends the block's modified copy, if it has one, to out and
+// marks the block clean: the caller hands the data to the layer below.
+func (b *blockState) takeDirty(pn int64, out []vm.Data) []vm.Data {
+	if b.valid && b.dirty {
+		out = append(out, vm.Data{Offset: pn * BlockSize, Bytes: bytes.Clone(b.data)})
+		b.dirty = false
+	}
+	return out
+}
+
+// discard drops the block's cached copy.
+func (b *blockState) discard() {
+	b.valid, b.dirty, b.data = false, false, nil
+	b.version++
 }
 
 // cohFile is one coherent file: a wrapper around a lower-layer file that
@@ -167,14 +186,22 @@ func (f *cohFile) pushLowerAttrs(attrs fsys.Attributes) error {
 // ---- block protocol ----
 
 // acquire waits for and claims the busy flag of block pn.
-func (f *cohFile) acquire(pn int64) *blockState {
+func (f *cohFile) acquire(pn int64) *blockState { return f.claim(pn, false) }
+
+// claim is acquire that, for a write-through, also waits out one already in
+// flight for the block: the lower layer then sees the writes of one block in
+// version order, and a stale one cannot land on top of a newer one whose
+// dirty bit is already cleared. Only the next write-through waits — a
+// coherency action from below, which the lower call may be waiting for,
+// needs just the busy flag.
+func (f *cohFile) claim(pn int64, writeThrough bool) *blockState {
 	f.bmu.Lock()
 	b, ok := f.blocks[pn]
 	if !ok {
 		b = &blockState{holders: make(map[*fsys.Connection]vm.Rights)}
 		f.blocks[pn] = b
 	}
-	for b.busy {
+	for b.busy || (writeThrough && b.writing) {
 		f.bcond.Wait()
 	}
 	b.busy = true
@@ -215,57 +242,131 @@ func unreachableHolder(c vm.CacheObject) bool {
 	return ok && u.Unreachable()
 }
 
-// revokeForWrite removes every other holder of block pn, reconciling
-// modified data. Caller holds busy. Upward call-outs only.
-//
-// A write-holding cache that turns out to be unreachable is dropped like
-// any other holder, but its unflushed modifications are lost; lost reports
-// that, so the caller can surface an error instead of silently serving the
-// last copy this layer has.
-func (f *cohFile) revokeForWrite(b *blockState, pn int64, requester *fsys.Connection) (lost bool) {
-	off := pn * BlockSize
-	for h, r := range b.holders {
-		if h == requester {
-			continue
-		}
-		t := opRevoke.Start()
-		if r.CanWrite() {
-			f.absorb(b, pn, h.Cache.FlushBack(off, BlockSize))
-			if unreachableHolder(h.Cache) {
-				lost = true
-				f.fs.LostHolders.Inc()
-			}
-		} else {
-			h.Cache.DeleteRange(off, BlockSize)
-		}
-		opRevoke.End(t, BlockSize)
-		delete(b.holders, h)
-		f.fs.Revocations.Inc()
+// revokeMode is the coherency action revoke takes against the holders of a
+// run of blocks.
+type revokeMode int
+
+const (
+	holdOnly    revokeMode = iota // no call-out: the caller's settle is the whole action
+	denyWrites                    // writers hand back modified data and keep the blocks read-only
+	flushBack                     // writers flush back, readers delete; every holder is removed
+	deleteRange                   // every holder deletes and is removed; nothing comes back
+)
+
+// revokeModeFor is the action a page-in with the given access needs.
+func revokeModeFor(access vm.Rights) revokeMode {
+	if access.CanWrite() {
+		return flushBack
 	}
-	return lost
+	return denyWrites
 }
 
-// revokeForRead downgrades any writer of block pn. Caller holds busy. An
-// unreachable writer cannot be downgraded and is removed outright.
-func (f *cohFile) revokeForRead(b *blockState, pn int64, requester *fsys.Connection) (lost bool) {
-	off := pn * BlockSize
-	for h, r := range b.holders {
-		if h == requester || !r.CanWrite() {
-			continue
+// revoke is the one place this layer issues coherency actions, and its unit
+// is the run, not the block. pns lists blocks in ascending order. revoke
+// claims the busy flags of one contiguous run at a time — ascending, at most
+// maxWriteThroughBlocks, so a holder's reply stays within 256 KiB and a run
+// revoked is a run written through — and makes ONE call-out per holder (other
+// than requester) per maximal sub-run that holder holds in the same way. The
+// reply may be one coalesced extent, several, or cover only part of the
+// sub-run: it is absorbed block by block, and a block it does not cover
+// keeps the copy it had. The holder is downgraded (denyWrites) or removed.
+//
+// A write-holding cache that turns out to be unreachable is dropped like any
+// other holder, but its unflushed modifications are lost; its blocks, and
+// only those, are reported lost (to settle, and anyLost if there was one) so
+// the caller can surface an error instead of silently serving the last copy
+// this layer has.
+//
+// settle, if not nil, then runs for each block of the run with its flag
+// still held, and the run is released. Upward call-outs only.
+func (f *cohFile) revoke(pns []int64, mode revokeMode, requester *fsys.Connection, settle func(pn int64, b *blockState, lost bool)) (anyLost bool) {
+	var bs [maxWriteThroughBlocks]*blockState
+	var lost [maxWriteThroughBlocks]bool
+	for len(pns) > 0 {
+		n := 1
+		for n < len(pns) && n < len(bs) && pns[n] == pns[n-1]+1 {
+			n++
 		}
-		t := opRevoke.Start()
-		f.absorb(b, pn, h.Cache.DenyWrites(off, BlockSize))
-		opRevoke.End(t, BlockSize)
-		if unreachableHolder(h.Cache) {
-			lost = true
-			f.fs.LostHolders.Inc()
-			delete(b.holders, h)
-		} else {
-			b.holders[h] = vm.RightsRead
+		for i, pn := range pns[:n] {
+			bs[i], lost[i] = f.acquire(pn), false
 		}
-		f.fs.Revocations.Inc()
+		for i := 0; i < n && mode != holdOnly; i++ {
+			for h, r := range bs[i].holders {
+				if h == requester || (mode == denyWrites && !r.CanWrite()) {
+					continue
+				}
+				// Extend over the blocks h holds the same way. Settling takes
+				// h out of the affected set of each, so no block is visited
+				// twice for one holder.
+				j := i + 1
+				for ; j < n; j++ {
+					if rj, ok := bs[j].holders[h]; !ok || (mode != deleteRange && rj.CanWrite() != r.CanWrite()) {
+						break
+					}
+				}
+				off, size := pns[i]*BlockSize, vm.Offset(j-i)*BlockSize
+				reclaim := mode != deleteRange && r.CanWrite()
+				var datas []vm.Data
+				t := opRevoke.Start()
+				switch {
+				case !reclaim:
+					h.Cache.DeleteRange(off, size)
+				case mode == flushBack:
+					datas = h.Cache.FlushBack(off, size)
+				default:
+					datas = h.Cache.DenyWrites(off, size)
+				}
+				opRevoke.End(t, size)
+				dead := reclaim && unreachableHolder(h.Cache)
+				for k := i; k < j; k++ {
+					f.absorb(bs[k], pns[k], datas)
+					if mode == denyWrites && !dead {
+						bs[k].holders[h] = vm.RightsRead
+					} else {
+						delete(bs[k].holders, h)
+					}
+					if dead {
+						lost[k], anyLost = true, true
+						f.fs.LostHolders.Inc()
+					}
+					f.fs.Revocations.Inc()
+				}
+			}
+		}
+		for i, pn := range pns[:n] {
+			if settle != nil {
+				settle(pn, bs[i], lost[i])
+			}
+			f.release(bs[i])
+		}
+		pns = pns[n:]
 	}
-	return lost
+	return anyLost
+}
+
+// blockNumbers lists, in ascending order, the blocks in [first, last] this
+// layer has state for — never the raw range, which may be the whole file.
+func (f *cohFile) blockNumbers(first, last int64) []int64 {
+	f.bmu.Lock()
+	var pns []int64
+	for pn := range f.blocks {
+		if pn >= first && pn <= last {
+			pns = append(pns, pn)
+		}
+	}
+	f.bmu.Unlock()
+	slices.Sort(pns)
+	return pns
+}
+
+// blockRange lists every block of [offset, offset+size).
+func blockRange(offset, size vm.Offset) []int64 {
+	first, last := vm.PageRange(offset, size)
+	pns := make([]int64, 0, last-first+1)
+	for pn := first; pn <= last; pn++ {
+		pns = append(pns, pn)
+	}
+	return pns
 }
 
 // maxRights merges an existing holding with a new grant.
@@ -278,29 +379,24 @@ func maxRights(a, b vm.Rights) vm.Rights {
 // epoch (see the package comment for the deadlock discipline).
 func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights) ([]byte, error) {
 	for {
-		b := f.acquire(pn)
-		var lost bool
-		if access.CanWrite() {
-			lost = f.revokeForWrite(b, pn, conn)
-		} else {
-			lost = f.revokeForRead(b, pn, conn)
-		}
+		var out []byte
+		var epoch uint64
+		lost := f.revoke([]int64{pn}, revokeModeFor(access), conn, func(_ int64, b *blockState, lost bool) {
+			epoch = b.epoch
+			if !lost && b.valid {
+				out = bytes.Clone(b.data)
+				b.holders[conn] = maxRights(b.holders[conn], access)
+			}
+		})
 		if lost {
 			// The dead holder is already removed, so a retry proceeds
 			// normally; this attempt fails so the caller learns that
 			// unflushed remote modifications may be gone.
-			f.release(b)
 			return nil, ErrHolderUnreachable
 		}
-		if b.valid {
-			out := make([]byte, BlockSize)
-			copy(out, b.data)
-			b.holders[conn] = maxRights(b.holders[conn], access)
-			f.release(b)
+		if out != nil {
 			return out, nil
 		}
-		epoch := b.epoch
-		f.release(b)
 
 		// Fetch from the lower layer without holding the block.
 		pager, err := f.ensureLowerPager()
@@ -309,13 +405,13 @@ func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights)
 		}
 		t := opPageIn.Start()
 		data, err := pager.PageIn(pn*BlockSize, BlockSize, access)
+		opPageIn.End(t, BlockSize)
 		if err != nil {
 			return nil, err
 		}
-		opPageIn.End(t, BlockSize)
 		f.fs.LowerPageIns.Inc()
 
-		b = f.acquire(pn)
+		b := f.acquire(pn)
 		if b.epoch == epoch && !b.valid {
 			b.data = data
 			b.valid = true
@@ -331,11 +427,11 @@ func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights)
 // grantWrite answers a write page-in that asked for no data (see
 // vm.RightsNoData): the coherency action of a write fault and nothing else.
 // Every other holder of each block is revoked and conn is recorded as its
-// writer, one block busy at a time; the block's cached copy is left as it
-// is and nothing is fetched from the layer below. A copy that was valid
-// stays valid — stale behind the new writer like behind any writer, and
-// what absorb merges the writer's data into when it is next revoked; one
-// that was not becomes valid then, or when the writer writes back.
+// writer, run by run; the block's cached copy is left as it is and nothing
+// is fetched from the layer below. A copy that was valid stays valid — stale
+// behind the new writer like behind any writer, and what absorb merges the
+// writer's data into when it is next revoked; one that was not becomes valid
+// then, or when the writer writes back.
 //
 // The one thing a data-carrying fault does below that a grant still needs
 // is the bind: it is what makes this layer a cache manager of the lower
@@ -345,17 +441,14 @@ func (f *cohFile) grantWrite(conn *fsys.Connection, offset, size vm.Offset) erro
 	if _, err := f.ensureLowerPager(); err != nil {
 		return err
 	}
-	for pn := offset / BlockSize; pn*BlockSize < offset+size; pn++ {
-		b := f.acquire(pn)
-		lost := f.revokeForWrite(b, pn, conn)
+	lost := f.revoke(blockRange(offset, size), flushBack, conn, func(_ int64, b *blockState, lost bool) {
 		if !lost {
 			b.holders[conn] = vm.RightsWrite
 		}
-		f.release(b)
-		if lost {
-			// As in pageInBlock: the dead holder is gone, a retry proceeds.
-			return ErrHolderUnreachable
-		}
+	})
+	if lost {
+		// As in pageInBlock: the dead holder is gone, a retry proceeds.
+		return ErrHolderUnreachable
 	}
 	grantsStat.Inc()
 	return nil
@@ -382,41 +475,8 @@ func (f *cohFile) storeBlock(conn *fsys.Connection, pn int64, data []byte, retai
 	f.release(b)
 }
 
-// writeThrough pushes the block's cached copy to the lower layer and
-// clears dirty if nothing changed meanwhile. The lower call happens with
-// busy released.
-func (f *cohFile) writeThrough(pn int64) error {
-	b := f.acquire(pn)
-	if !b.valid || !b.dirty {
-		f.release(b)
-		return nil
-	}
-	data := make([]byte, BlockSize)
-	copy(data, b.data)
-	version := b.version
-	f.release(b)
-
-	pager, err := f.ensureLowerPager()
-	if err != nil {
-		return err
-	}
-	t := opWriteThrough.Start()
-	if err := pager.Sync(pn*BlockSize, BlockSize, data); err != nil {
-		return err
-	}
-	opWriteThrough.End(t, BlockSize)
-	f.fs.LowerPageOuts.Inc()
-
-	b = f.acquire(pn)
-	if b.version == version {
-		b.dirty = false
-	}
-	f.release(b)
-	return nil
-}
-
-// maxWriteThroughBlocks bounds one clustered lower write (mirrors the
-// VMM's DefaultMaxExtentPages).
+// maxWriteThroughBlocks bounds one clustered lower write and one revoked
+// run (mirrors the VMM's DefaultMaxExtentPages).
 const maxWriteThroughBlocks = 64
 
 // writeThroughRuns pushes the dirty blocks among pns (sorted ascending,
@@ -427,8 +487,9 @@ const maxWriteThroughBlocks = 64
 // with its busy flag held, one block at a time; the lower calls run with
 // no busy flag held (the deadlock discipline), and dirty is cleared only
 // where the version did not move meanwhile, so a write landing mid-flush
-// keeps its block dirty. Runs that fail leave their blocks dirty; all
-// errors are joined.
+// keeps its block dirty. A block is in at most one lower write at a time
+// (see claim). Runs that fail leave their blocks dirty; all errors are
+// joined.
 func (f *cohFile) writeThroughRuns(pns []int64) error {
 	type snap struct {
 		pn      int64
@@ -445,11 +506,12 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 		if pn == prev {
 			continue
 		}
-		b := f.acquire(pn)
+		b := f.claim(pn, true)
 		if !b.valid || !b.dirty {
 			f.release(b)
 			continue
 		}
+		b.writing = true
 		if cur == nil || pn != prev+1 || len(cur.snaps) >= maxWriteThroughBlocks {
 			cur = &run{}
 			runs = append(runs, cur)
@@ -462,23 +524,23 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 	if len(runs) == 0 {
 		return nil
 	}
-	pager, err := f.ensureLowerPager()
-	if err != nil {
-		return err
-	}
-	var errs []error
+	pager, bindErr := f.ensureLowerPager()
+	errs := []error{bindErr}
 	for _, r := range runs {
-		t := opWriteThrough.Start()
-		err := pager.Sync(r.snaps[0].pn*BlockSize, vm.Offset(len(r.data)), r.data)
-		opWriteThrough.End(t, int64(len(r.data)))
-		if err != nil {
+		err := bindErr // without a lower pager every run fails, and settles, alike
+		if err == nil {
+			t := opWriteThrough.Start()
+			err = pager.Sync(r.snaps[0].pn*BlockSize, vm.Offset(len(r.data)), r.data)
+			opWriteThrough.End(t, int64(len(r.data)))
 			errs = append(errs, err)
-			continue
+		}
+		if err == nil {
+			f.fs.LowerPageOuts.Add(int64(len(r.snaps)))
 		}
 		for _, s := range r.snaps {
-			f.fs.LowerPageOuts.Inc()
 			b := f.acquire(s.pn)
-			if b.version == s.version {
+			b.writing = false
+			if err == nil && b.version == s.version {
 				b.dirty = false
 			}
 			f.release(b)
@@ -490,21 +552,11 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 // flushAll downgrades writers, writes every dirty block through to the
 // lower layer in clustered runs, and pushes modified attributes down.
 func (f *cohFile) flushAll() error {
-	f.bmu.Lock()
-	pns := make([]int64, 0, len(f.blocks))
-	for pn := range f.blocks {
-		pns = append(pns, pn)
-	}
-	f.bmu.Unlock()
 	// Flush in file order: allocation below then lays blocks out
 	// sequentially, which keeps later clustered reads — and the clustered
 	// write-back itself — cheap.
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		b := f.acquire(pn)
-		f.revokeForRead(b, pn, nil) // collect modified data from writers
-		f.release(b)
-	}
+	pns := f.blockNumbers(0, math.MaxInt64)
+	f.revoke(pns, denyWrites, nil, nil) // collect modified data from writers
 	if err := f.writeThroughRuns(pns); err != nil {
 		return err
 	}
@@ -721,8 +773,16 @@ func (p *cohPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, err
 		return nil, p.file.grantWrite(p.conn, offset, size)
 	}
 	access = access.Access() // holders record rights, never the modifier
+	pns := blockRange(offset, size)
+	if len(pns) > 1 {
+		// Revoke the whole range in runs first; the per-block protocol
+		// below then finds nothing left to call out for, bar a race.
+		if p.file.revoke(pns, revokeModeFor(access), p.conn, nil) {
+			return nil, ErrHolderUnreachable
+		}
+	}
 	out := make([]byte, size)
-	for pn := offset / BlockSize; pn*BlockSize < offset+size; pn++ {
+	for _, pn := range pns {
 		data, err := p.file.pageInBlock(p.conn, pn, access)
 		if err != nil {
 			return nil, err
@@ -795,10 +855,10 @@ func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights)
 	} else {
 		bulk, err = pager.PageIn(first*BlockSize, minSize, access)
 	}
+	opPageIn.End(t, int64(len(bulk)))
 	if err != nil || vm.Offset(len(bulk)) < minSize {
 		return minSize
 	}
-	opPageIn.End(t, int64(len(bulk)))
 	f.fs.LowerPageIns.Inc()
 	got := vm.Offset(len(bulk)) - vm.Offset(len(bulk))%BlockSize
 	if got > maxSize {
@@ -862,17 +922,9 @@ func (p *cohPager) store(offset, size vm.Offset, data []byte, retain int, throug
 // holdings.
 func (p *cohPager) DoneWithPagerObject() {
 	f := p.file
-	f.bmu.Lock()
-	pns := make([]int64, 0, len(f.blocks))
-	for pn := range f.blocks {
-		pns = append(pns, pn)
-	}
-	f.bmu.Unlock()
-	for _, pn := range pns {
-		b := f.acquire(pn)
+	f.revoke(f.blockNumbers(0, math.MaxInt64), holdOnly, nil, func(_ int64, b *blockState, _ bool) {
 		delete(b.holders, p.conn)
-		f.release(b)
-	}
+	})
 	f.fs.table.Remove(p.conn.Manager, f.backing)
 }
 
@@ -905,32 +957,17 @@ func (f *cohFile) dropAll() error {
 	if err := f.flushAll(); err != nil {
 		return err
 	}
-	f.bmu.Lock()
-	pns := make([]int64, 0, len(f.blocks))
-	for pn := range f.blocks {
-		pns = append(pns, pn)
+	pns := f.blockNumbers(0, math.MaxInt64)
+	// Reconcile any late writers and remove every holder, write what that
+	// brought in, then discard whatever is clean.
+	f.revoke(pns, flushBack, nil, func(_ int64, b *blockState, _ bool) { b.epoch++ })
+	if err := f.writeThroughRuns(pns); err != nil {
+		return err
 	}
-	f.bmu.Unlock()
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		b := f.acquire(pn)
-		b.epoch++
-		f.revokeForWrite(b, pn, nil) // reconcile any late writers
-		for h := range b.holders {
-			h.Cache.DeleteRange(pn*BlockSize, BlockSize)
-			delete(b.holders, h)
-		}
-		f.release(b)
-		if err := f.writeThrough(pn); err != nil {
-			return err
-		}
-		b = f.acquire(pn)
+	f.revoke(pns, holdOnly, nil, func(_ int64, b *blockState, _ bool) {
 		if !b.dirty {
-			b.data = nil
-			b.valid = false
-			b.version++
+			b.discard()
 		}
-		f.release(b)
-	}
+	})
 	return nil
 }

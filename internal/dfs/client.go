@@ -47,6 +47,7 @@ func NewClient(conn net.Conn, domain *spring.Domain, name string) *Client {
 		files:  make(map[uint64]*RemoteFile),
 	}
 	c.peer = newPeer(conn, c.handleCallback, nil)
+	c.peer.start()
 	return c
 }
 

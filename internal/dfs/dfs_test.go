@@ -473,7 +473,7 @@ func TestFrameSizeLimit(t *testing.T) {
 			return
 		}
 		newPeer(conn, func(Op, []byte) ([]byte, error) { return nil, nil },
-			func(error) { close(closed) })
+			func(error) { close(closed) }).start()
 	}()
 	conn, err := network.Dial("s:1")
 	if err != nil {

@@ -97,9 +97,11 @@ func (p *peer) isClosed() bool {
 	return p.closed
 }
 
-// newPeer wraps conn and starts the read loop. onClose (optional) runs
-// once when the connection tears down; it must be supplied here, before
-// the read loop starts, so it is never raced with an immediate failure.
+// newPeer wraps conn; start begins serving it. The two are separate so the
+// owner can store the peer where its handler and onClose look for it before
+// the first frame is read — a client that speaks at once must not find a
+// half-built server side. onClose (optional) runs once when the connection
+// tears down.
 func newPeer(conn net.Conn, handler func(op Op, payload []byte) ([]byte, error), onClose func(err error)) *peer {
 	p := &peer{
 		conn:     conn,
@@ -113,9 +115,10 @@ func newPeer(conn net.Conn, handler func(op Op, payload []byte) ([]byte, error),
 	}
 	p.setTimeout(DefaultCallTimeout)
 	p.setByteRate(DefaultCallBytesPerSecond)
-	go p.readLoop()
 	return p
 }
+
+func (p *peer) start() { go p.readLoop() }
 
 // frameBufPool recycles writeFrame's assembly buffers. The scratch is
 // strictly send-local: net.Conn implementations copy on Write (netsim

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -118,6 +119,7 @@ func (s *Server) addClient(conn net.Conn) *srvClient {
 	s.mu.Lock()
 	s.clients[c] = true
 	s.mu.Unlock()
+	c.peer.start()
 	return c
 }
 
@@ -347,17 +349,16 @@ func (c *forwardingCache) rangeCallback(op Op, offset, size vm.Offset) []vm.Data
 		return nil // client gone: nothing to reclaim
 	}
 	d := decoder{b: body}
-	n := d.u32()
-	out := make([]vm.Data, 0, n)
-	for i := uint32(0); i < n; i++ {
+	var out []vm.Data
+	for i, n := uint32(0), d.u32(); i < n && d.err == nil; i++ {
 		off := d.i64()
-		data := d.bytes()
-		if d.err != nil {
-			return nil
-		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		out = append(out, vm.Data{Offset: off, Bytes: cp})
+		out = append(out, vm.Data{Offset: off, Bytes: bytes.Clone(d.bytes())})
+	}
+	if d.err != nil {
+		// A reply that does not decode says nothing about what the client
+		// holds; reading it as "nothing dirty" would drop a writer silently.
+		c.markUnreachable()
+		return nil
 	}
 	return out
 }

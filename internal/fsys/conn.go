@@ -1,6 +1,7 @@
 package fsys
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,12 +120,6 @@ type ConnectionAware interface {
 	AttachConnection(c *Connection)
 }
 
-// connKey identifies a connection: one per (cache manager, backing file).
-type connKey struct {
-	manager vm.CacheManager
-	backing uint64
-}
-
 // ConnectionTable implements the pager side of the bind protocol (Section
 // 3.3.2): when a bind operation arrives, the pager must determine whether
 // there is already a pager-cache connection for the memory object at the
@@ -134,8 +129,12 @@ type connKey struct {
 type ConnectionTable struct {
 	domain *spring.Domain // the pager's domain
 
+	// conns holds the connections of each backing file, one per cache
+	// manager — a handful at most, so a slice; indexing by backing keeps
+	// every per-file query independent of how many files are bound.
 	mu    sync.Mutex
-	conns map[connKey]*Connection
+	conns map[uint64][]*Connection
+	n     int
 
 	// fsCacheConns counts connections whose manager is an fs_cache, so
 	// the attribute-coherency fast path is a single atomic load.
@@ -144,7 +143,7 @@ type ConnectionTable struct {
 
 // NewConnectionTable creates a table for a pager served by domain.
 func NewConnectionTable(domain *spring.Domain) *ConnectionTable {
-	return &ConnectionTable{domain: domain, conns: make(map[connKey]*Connection)}
+	return &ConnectionTable{domain: domain, conns: make(map[uint64][]*Connection)}
 }
 
 // Bind returns the cache-rights for (manager, backing), performing the
@@ -154,12 +153,11 @@ func NewConnectionTable(domain *spring.Domain) *ConnectionTable {
 // created.
 func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager func() vm.PagerObject) (vm.CacheRights, *Connection, bool) {
 	t.mu.Lock()
-	key := connKey{manager: manager, backing: backing}
-	if c, ok := t.conns[key]; ok {
-		t.mu.Unlock()
+	c := t.find(manager, backing)
+	t.mu.Unlock()
+	if c != nil {
 		return c.Rights, c, false
 	}
-	t.mu.Unlock()
 
 	// Exchange objects outside the table lock: NewConnection may call
 	// back into this pager (and binds for other files must proceed).
@@ -170,7 +168,7 @@ func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager 
 	toManager := spring.Connect(t.domain, manager.ManagerDomain())
 	wrappedCache := WrapCache(toManager, cache)
 
-	c := &Connection{
+	c = &Connection{
 		Manager: manager,
 		Backing: backing,
 		Cache:   wrappedCache,
@@ -186,15 +184,27 @@ func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager 
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if existing, ok := t.conns[key]; ok {
+	if existing := t.find(manager, backing); existing != nil {
 		// Lost a bind race; use the established connection.
 		return existing.Rights, existing, false
 	}
-	t.conns[key] = c
+	t.conns[backing] = append(t.conns[backing], c)
+	t.n++
 	if c.FsCache != nil {
 		t.fsCacheConns.Add(1)
 	}
 	return c.Rights, c, true
+}
+
+// find returns the connection for (manager, backing), or nil. Caller holds
+// t.mu.
+func (t *ConnectionTable) find(manager vm.CacheManager, backing uint64) *Connection {
+	for _, c := range t.conns[backing] {
+		if c.Manager == manager {
+			return c
+		}
+	}
+	return nil
 }
 
 // ConnectionsFor returns all connections for a backing file. Pagers
@@ -203,13 +213,7 @@ func (t *ConnectionTable) Bind(manager vm.CacheManager, backing uint64, mkPager 
 func (t *ConnectionTable) ConnectionsFor(backing uint64) []*Connection {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []*Connection
-	for k, c := range t.conns {
-		if k.backing == backing {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.Clone(t.conns[backing])
 }
 
 // HasFsCache reports whether any connection for backing belongs to an
@@ -222,12 +226,7 @@ func (t *ConnectionTable) HasFsCache(backing uint64) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for k, c := range t.conns {
-		if k.backing == backing && c.FsCache != nil {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(t.conns[backing], func(c *Connection) bool { return c.FsCache != nil })
 }
 
 // Remove drops the connection for (manager, backing), returning it if it
@@ -235,10 +234,17 @@ func (t *ConnectionTable) HasFsCache(backing uint64) bool {
 func (t *ConnectionTable) Remove(manager vm.CacheManager, backing uint64) *Connection {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := connKey{manager: manager, backing: backing}
-	c := t.conns[key]
-	delete(t.conns, key)
-	if c != nil && c.FsCache != nil {
+	c := t.find(manager, backing)
+	if c == nil {
+		return nil
+	}
+	if rest := slices.DeleteFunc(t.conns[backing], func(o *Connection) bool { return o == c }); len(rest) > 0 {
+		t.conns[backing] = rest
+	} else {
+		delete(t.conns, backing)
+	}
+	t.n--
+	if c.FsCache != nil {
 		t.fsCacheConns.Add(-1)
 	}
 	return c
@@ -248,5 +254,5 @@ func (t *ConnectionTable) Remove(manager vm.CacheManager, backing uint64) *Conne
 func (t *ConnectionTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.conns)
+	return t.n
 }

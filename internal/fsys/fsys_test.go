@@ -190,6 +190,53 @@ func TestConnectionTableBindReuse(t *testing.T) {
 	}
 }
 
+// TestConnectionTableIsIndexedByBacking: per-file queries see exactly that
+// file's connections however many other files are bound, removing a file's
+// last connection leaves nothing behind, and Len still counts connections.
+func TestConnectionTableIsIndexedByBacking(t *testing.T) {
+	node := spring.NewNode("n")
+	defer node.Stop()
+	d := spring.NewDomain(node, "d")
+	table := NewConnectionTable(d)
+	a, b := &fakeManager{name: "a", domain: d}, &fakeManager{name: "b", domain: d}
+	mk := func() vm.PagerObject { return &fakeFsPager{} }
+	const files = 1000
+	for backing := uint64(1); backing <= files; backing++ {
+		table.Bind(a, backing, mk)
+	}
+	_, shared, _ := table.Bind(b, 500, mk)
+	if table.Len() != files+1 {
+		t.Fatalf("Len = %d, want %d", table.Len(), files+1)
+	}
+	if got := table.ConnectionsFor(500); len(got) != 2 || got[1] != shared {
+		t.Errorf("ConnectionsFor(500) = %d connections, want a's then b's", len(got))
+	}
+	if got := table.ConnectionsFor(501); len(got) != 1 || got[0].Manager != a {
+		t.Errorf("ConnectionsFor(501) = %v", got)
+	}
+	if !table.HasFsCache(500) || table.HasFsCache(files+1) {
+		t.Error("HasFsCache does not follow the backing")
+	}
+	// The returned slice is the caller's: removing does not disturb it.
+	held := table.ConnectionsFor(500)
+	if table.Remove(a, 500) == nil || table.Remove(a, 500) != nil {
+		t.Error("Remove did not return the connection exactly once")
+	}
+	if held[0].Manager != a || held[1] != shared {
+		t.Error("Remove changed a slice ConnectionsFor had handed out")
+	}
+	if got := table.ConnectionsFor(500); len(got) != 1 || got[0] != shared {
+		t.Errorf("after removing a: ConnectionsFor(500) = %v", got)
+	}
+	table.Remove(b, 500)
+	if got := table.ConnectionsFor(500); len(got) != 0 || table.HasFsCache(500) || table.Len() != files-1 {
+		t.Errorf("after removing both: %d connections for 500, Len %d", len(got), table.Len())
+	}
+	if _, _, isNew := table.Bind(a, 500, mk); !isNew {
+		t.Error("bind after remove reused a connection")
+	}
+}
+
 func TestConnectionTableNarrowsAndAttaches(t *testing.T) {
 	node := spring.NewNode("n")
 	defer node.Stop()

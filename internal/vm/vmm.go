@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -836,38 +836,59 @@ func (fc *FileCache) evict(pn int64) bool {
 	return !still
 }
 
+// inRange calls visit for every entry of the page map in [first, last] and
+// reports whether it did so in ascending order. A range op costs the range,
+// not the cache: it walks the range when that is shorter than the map, and
+// the sparse map otherwise — the range may be "the whole file" (2^50+
+// pages). visit may delete the entry it is given. Caller holds fc.mu.
+func (fc *FileCache) inRange(first, last int64, visit func(pn int64, p *page)) (ascending bool) {
+	if last-first < int64(len(fc.pages)) {
+		for pn := first; pn <= last; pn++ {
+			if p, ok := fc.pages[pn]; ok {
+				visit(pn, p)
+			}
+		}
+		return true
+	}
+	for pn, p := range fc.pages {
+		if pn >= first && pn <= last {
+			visit(pn, p)
+		}
+	}
+	return false
+}
+
 // revokeInFlight bumps the epoch of every page in [first, last] so that a
 // fault or write grant in flight for it is discarded on install and
 // retried. Caller holds fc.mu. See page.epoch for why coherency actions
 // must not wait for in-flight faults.
 func (fc *FileCache) revokeInFlight(first, last int64) {
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last {
-			p.epoch++
-		}
-	}
+	fc.inRange(first, last, func(_ int64, p *page) { p.epoch++ })
 }
 
 // presentInRange returns the sorted page numbers of present pages in
-// [first, last]. Cache operations iterate the sparse page map — never the
-// raw range, which may be "the whole file" (2^50+ pages). Caller holds
-// fc.mu.
+// [first, last]. Caller holds fc.mu.
 func (fc *FileCache) presentInRange(first, last int64) []int64 {
 	var pns []int64
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pagePresent {
+	ascending := fc.inRange(first, last, func(pn int64, p *page) {
+		if p.state == pagePresent {
 			pns = append(pns, pn)
 		}
+	})
+	if !ascending {
+		slices.Sort(pns)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	return pns
 }
 
-// collect gathers contiguous runs of modified pages in [first,last] into
-// Data extents, applying f to each dirty page (f may clear dirty, downgrade
-// or delete). Caller holds fc.mu.
-func (fc *FileCache) collectModified(first, last int64) []Data {
-	var out []Data
+// revoke is the common head of the range coherency actions: it invalidates
+// what is in flight for [first, last], gathers the contiguous runs of
+// modified pages among the present ones into Data extents, and returns those
+// together with the present pages' numbers (ascending) for the action to
+// settle — clear dirty, downgrade or delete. Caller holds fc.mu.
+func (fc *FileCache) revoke(first, last int64) (present []int64, out []Data) {
+	fc.revokeInFlight(first, last)
+	present = fc.presentInRange(first, last)
 	var run []byte
 	var runStart int64 = -1
 	flush := func() {
@@ -878,7 +899,7 @@ func (fc *FileCache) collectModified(first, last int64) []Data {
 		}
 	}
 	prev := int64(-2)
-	for _, pn := range fc.presentInRange(first, last) {
+	for _, pn := range present {
 		p := fc.pages[pn]
 		if !p.dirty {
 			flush()
@@ -895,7 +916,7 @@ func (fc *FileCache) collectModified(first, last int64) []Data {
 		prev = pn
 	}
 	flush()
-	return out
+	return present, out
 }
 
 // vmmCacheObject adapts a FileCache to the CacheObject interface pagers
@@ -914,12 +935,9 @@ func (c *vmmCacheObject) FlushBack(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeInFlight(first, last)
-	out := fc.collectModified(first, last)
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pagePresent {
-			fc.removePageLocked(pn, p)
-		}
+	present, out := fc.revoke(first, last)
+	for _, pn := range present {
+		fc.removePageLocked(pn, fc.pages[pn])
 	}
 	fc.cond.Broadcast()
 	return out
@@ -931,13 +949,11 @@ func (c *vmmCacheObject) DenyWrites(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeInFlight(first, last)
-	out := fc.collectModified(first, last)
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pagePresent {
-			p.rights = RightsRead
-			p.dirty = false
-		}
+	present, out := fc.revoke(first, last)
+	for _, pn := range present {
+		p := fc.pages[pn]
+		p.rights = RightsRead
+		p.dirty = false
 	}
 	return out
 }
@@ -948,12 +964,9 @@ func (c *vmmCacheObject) WriteBack(offset, size Offset) []Data {
 	first, last := PageRange(offset, size)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	fc.revokeInFlight(first, last)
-	out := fc.collectModified(first, last)
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pagePresent {
-			p.dirty = false
-		}
+	present, out := fc.revoke(first, last)
+	for _, pn := range present {
+		fc.pages[pn].dirty = false
 	}
 	return out
 }
@@ -965,10 +978,8 @@ func (c *vmmCacheObject) DeleteRange(offset, size Offset) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.revokeInFlight(first, last)
-	for pn, p := range fc.pages {
-		if pn >= first && pn <= last && p.state == pagePresent {
-			fc.removePageLocked(pn, p)
-		}
+	for _, pn := range fc.presentInRange(first, last) {
+		fc.removePageLocked(pn, fc.pages[pn])
 	}
 	fc.cond.Broadcast()
 }

@@ -10,7 +10,6 @@
 //	fsbench -figures           # verify the Figure 5/6/7 coherency claims
 //	fsbench -writeback         # write-back clustering vs page-at-a-time
 //	fsbench -journal           # metadata journaling overhead vs no-journal
-//	fsbench -recovery          # journal replay time at Mount vs journal size
 //	fsbench -parallel 16       # cached hot-path scaling up to 16 goroutines
 //	fsbench -metaops           # metadata txn throughput under group commit
 //	fsbench -stream            # streaming reads: read-ahead + extent layout
@@ -43,7 +42,6 @@ import (
 	"springfs"
 	"springfs/internal/bench"
 	"springfs/internal/blockdev"
-	"springfs/internal/disklayer"
 	"springfs/internal/stats"
 )
 
@@ -55,7 +53,6 @@ func main() {
 		macro    = flag.Bool("macro", false, "run the software-build macro workload (the §6.4 open-density argument)")
 		wback    = flag.Bool("writeback", false, "measure write-back clustering (clustered vs page-at-a-time flush)")
 		journal  = flag.Bool("journal", false, "measure metadata journaling overhead against the no-journal baseline")
-		recovery = flag.Bool("recovery", false, "measure journal replay time at Mount against journal size")
 		all      = flag.Bool("all", false, "run everything")
 		parallN  = flag.Int("parallel", 0, "measure cached hot-path scaling at 1..N goroutines (e.g. -parallel 16)")
 		metaops  = flag.Bool("metaops", false, "measure metadata transaction throughput under group commit (1..16 goroutines)")
@@ -77,7 +74,7 @@ func main() {
 		soakSeed    = flag.Int64("soak-seed", 1, "soak determinism seed")
 	)
 	flag.Parse()
-	if !*table2 && !*table3 && !*figures && !*macro && !*wback && !*journal && !*recovery && *parallN == 0 && !*metaops && !*stream && !*snapF && *stripeN == 0 && *soakDur == 0 && !*all {
+	if !*table2 && !*table3 && !*figures && !*macro && !*wback && !*journal && *parallN == 0 && !*metaops && !*stream && !*snapF && *stripeN == 0 && *soakDur == 0 && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -123,11 +120,6 @@ func main() {
 	if *journal || *all {
 		if err := runJournal(latency, *iters); err != nil {
 			fail("journal", err)
-		}
-	}
-	if *recovery || *all {
-		if err := runRecovery(); err != nil {
-			fail("recovery", err)
 		}
 	}
 	if *parallN > 0 || *all {
@@ -284,157 +276,6 @@ func runJournal(latency blockdev.LatencyProfile, iters int) error {
 		float64(jr.createRemove) < 4*float64(base.createRemove))
 	fmt.Println()
 	return nil
-}
-
-// runRecovery measures Mount-time journal replay as a function of the
-// committed transaction's size: the file system is crashed with an
-// uncheckpointed transaction of ~N record blocks in the journal, and Mount
-// must replay it before the volume is usable.
-func runRecovery() error {
-	fmt.Println("== Recovery: journal replay time at Mount ==")
-	fmt.Printf("%8s %8s %12s\n", "records", "trials", "mount+replay")
-	for _, blocks := range []int{4, 8, 16, 32, 48} {
-		records, d, err := measureReplay(blocks)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%8d %8d %12s\n", records, replayTrials, fmtDur(d))
-	}
-	base, err := measureCleanMount()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%8s %8d %12s  (clean mount, nothing to replay)\n", "-", replayTrials, fmtDur(base))
-	fmt.Println("\nreplay reads the journal region, rewrites the named home blocks, and")
-	fmt.Println("barriers once — time grows with the transaction's record count and")
-	fmt.Println("stays far below a full fsck walk of the image.")
-	fmt.Println()
-	return nil
-}
-
-const replayTrials = 25
-
-// buildCrashedImage formats a volume, then leaves one committed but
-// uncheckpointed transaction of ~dataBlocks+3 records in the journal (the
-// block allocations of a dataBlocks-sized file write).
-func buildCrashedImage(dataBlocks int) (*blockdev.MemDevice, int, error) {
-	dev := blockdev.NewMem(4096, blockdev.ProfileNone)
-	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{JournalBlocks: 128}); err != nil {
-		return nil, 0, err
-	}
-	node := springfs.NewNode("rec")
-	defer node.Stop()
-	sfs, err := node.MountSFS("r", dev, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	f, err := sfs.FS().Create("crash.dat", springfs.Root)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Dirty the pages through a mapping and flush as one extent: the
-	// write-back's block-allocation transaction is then the journal's final
-	// occupant (file-level Sync would seal the inode in a later, tiny txn).
-	node.VMM().SetMaxExtentPages(dataBlocks)
-	m, err := node.VMM().Map(f, springfs.RightsWrite)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := m.WriteAt(make([]byte, dataBlocks*springfs.PageSize), 0); err != nil {
-		return nil, 0, err
-	}
-	sfs.Disk.SetJournalCheckpoint(false)
-	if err := m.Sync(); err != nil {
-		return nil, 0, err
-	}
-	return dev, sfs.Disk.LastTxnRecords(), nil
-}
-
-// measureReplay times Mount on copies of a crashed image whose journal
-// holds a transaction allocating dataBlocks blocks.
-func measureReplay(dataBlocks int) (int, time.Duration, error) {
-	src, records, err := buildCrashedImage(dataBlocks)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := time.Duration(0)
-	for t := 0; t < replayTrials; t++ {
-		cp, err := copyImage(src)
-		if err != nil {
-			return 0, 0, err
-		}
-		node := springfs.NewNode("rec-mount")
-		start := time.Now()
-		if _, err := node.MountSFS("r", cp, false); err != nil {
-			node.Stop()
-			return 0, 0, err
-		}
-		d := time.Since(start)
-		node.Stop()
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return records, best, nil
-}
-
-// measureCleanMount times Mount on a cleanly unmounted image (no replay).
-func measureCleanMount() (time.Duration, error) {
-	src := blockdev.NewMem(4096, blockdev.ProfileNone)
-	{
-		if err := disklayer.Mkfs(src, disklayer.MkfsOptions{JournalBlocks: 128}); err != nil {
-			return 0, err
-		}
-		node := springfs.NewNode("rec")
-		sfs, err := node.MountSFS("r", src, false)
-		if err != nil {
-			node.Stop()
-			return 0, err
-		}
-		if _, err := sfs.FS().Create("clean.dat", springfs.Root); err != nil {
-			node.Stop()
-			return 0, err
-		}
-		if err := sfs.FS().SyncFS(); err != nil {
-			node.Stop()
-			return 0, err
-		}
-		node.Stop()
-	}
-	best := time.Duration(0)
-	for t := 0; t < replayTrials; t++ {
-		cp, err := copyImage(src)
-		if err != nil {
-			return 0, err
-		}
-		node := springfs.NewNode("rec-mount")
-		start := time.Now()
-		if _, err := node.MountSFS("r", cp, false); err != nil {
-			node.Stop()
-			return 0, err
-		}
-		d := time.Since(start)
-		node.Stop()
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// copyImage clones a RAM-disk image block by block.
-func copyImage(src *blockdev.MemDevice) (*blockdev.MemDevice, error) {
-	dst := blockdev.NewMem(src.NumBlocks(), blockdev.ProfileNone)
-	buf := make([]byte, blockdev.BlockSize)
-	for bn := int64(0); bn < src.NumBlocks(); bn++ {
-		if err := src.ReadBlock(bn, buf); err != nil {
-			return nil, err
-		}
-		if err := dst.WriteBlock(bn, buf); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // runWriteback measures the clustered write-back engine: a 256-page

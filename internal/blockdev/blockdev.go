@@ -18,8 +18,10 @@
 // Device is the interface: ReadBlock/WriteBlock for single blocks,
 // ReadRun/WriteRun for contiguous multi-block transfers that pay one
 // positioning delay for the whole run (what makes extent-clustered
-// write-back and sequential read-ahead worth doing), and Flush as the
-// write barrier — the only durability point the crash model honours.
+// write-back, sequential read-ahead, and the journal's one-run commits,
+// merged checkpoints and by-the-run ring and inode-table reads worth
+// doing), and Flush as the write barrier — the only durability point the
+// crash model honours.
 //
 //   - NewMem: the latency-modelled RAM disk. The modelled delay is slept
 //     outside the device mutex, so concurrent callers overlap their I/O
@@ -427,9 +429,11 @@ func (d *MemDevice) WriteRun(bn int64, buf []byte) error {
 // blocks starting at bn in one call, paying a single positioning delay
 // (seek + rotation) for the whole run plus per-block transfer time. buf
 // must be a non-empty multiple of BlockSize and the run must lie within
-// the device. Clustered page-ins (read-ahead, Section 8) and clustered
-// write-back both lean on this interface: it is what turns an N-page
-// extent into one device transfer instead of N.
+// the device. Clustered page-ins (read-ahead, Section 8), clustered
+// write-back and the disk layer's journal (a commit is one run; so are a
+// checkpoint's adjacent homes and Mount's read of the ring) all lean on
+// this interface: it is what turns an N-block extent into one device
+// transfer instead of N.
 type RunReader interface {
 	ReadRun(bn int64, buf []byte) error
 	WriteRun(bn int64, buf []byte) error

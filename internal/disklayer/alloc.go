@@ -27,7 +27,14 @@ const allocGroupBlocks = 2048 // 8 MiB per group
 // write lands in the current metadata transaction (via the write hook), so
 // a crash either applies the whole mutation or none of it.
 //
-// Placement is extent-aware: alloc takes a hint (the block the caller
+// Beside the bitmap sits the held set: blocks that are free in the bitmap —
+// and so in every committed state — but must not be handed out. A block is
+// held while an allocating page-out has reserved it and is writing its data
+// (reserve; commit then sets the bitmap bit inside the transaction that
+// references the block), and while it sits in quarantine after a free (see
+// the reuse rule in journal.go). release ends either hold.
+//
+// Placement is extent-aware: reserve takes a hint (the block the caller
 // wants to extend — typically the file's previous block + 1) and tries, in
 // order, the hinted block itself, a next-fit scan within the hint's
 // allocation group, the emptiest group, and finally a full device scan.
@@ -38,11 +45,14 @@ type allocator struct {
 	dev    blockdev.Device
 	sb     *superblock
 	bitmap []byte // sb.bitmapBlocks * BlockSize bytes
+	held   []byte // same shape: free in the bitmap but not allocatable
+	nheld  int64
 	// write sinks bitmap block writes; DiskFS points it at metaWrite so
 	// they join the open transaction. Nil means write the device directly.
 	write func(bn int64, buf []byte) error
-	// groupFree tracks free blocks per allocation group so picking the
-	// emptiest group is O(groups), not a bitmap walk.
+	// groupFree tracks allocatable (free and not held) blocks per
+	// allocation group so picking the emptiest group is O(groups), not a
+	// bitmap walk.
 	groupFree []int64
 	// hint is the fallback rotor for hintless allocations.
 	hint int64
@@ -53,12 +63,11 @@ func loadAllocator(dev blockdev.Device, sb *superblock) (*allocator, error) {
 		dev:    dev,
 		sb:     sb,
 		bitmap: make([]byte, sb.bitmapBlocks*BlockSize),
+		held:   make([]byte, sb.bitmapBlocks*BlockSize),
 		hint:   sb.dataStart,
 	}
-	for b := int64(0); b < sb.bitmapBlocks; b++ {
-		if err := dev.ReadBlock(sb.bitmapStart+b, a.bitmap[b*BlockSize:(b+1)*BlockSize]); err != nil {
-			return nil, fmt.Errorf("disklayer: reading bitmap: %w", err)
-		}
+	if err := readRun(dev, sb.bitmapStart, a.bitmap); err != nil {
+		return nil, fmt.Errorf("disklayer: reading bitmap: %w", err)
 	}
 	ngroups := (sb.nblocks - sb.dataStart + allocGroupBlocks - 1) / allocGroupBlocks
 	if ngroups < 1 {
@@ -95,12 +104,13 @@ func (a *allocator) groupRange(g int64) (int64, int64) {
 	return lo, hi
 }
 
-func (a *allocator) isSet(bn int64) bool {
-	return a.bitmap[bn/8]&(1<<(bn%8)) != 0
-}
+func (a *allocator) isSet(bn int64) bool  { return a.bitmap[bn/8]&(1<<(bn%8)) != 0 }
+func (a *allocator) isHeld(bn int64) bool { return a.held[bn/8]&(1<<(bn%8)) != 0 }
 
-func (a *allocator) set(bn int64)   { a.bitmap[bn/8] |= 1 << (bn % 8) }
-func (a *allocator) clear(bn int64) { a.bitmap[bn/8] &^= 1 << (bn % 8) }
+// usable reports whether bn can be handed out: free and not held.
+func (a *allocator) usable(bn int64) bool {
+	return (a.bitmap[bn/8]|a.held[bn/8])&(1<<(bn%8)) == 0
+}
 
 // writeBitmapBlock flushes the bitmap block containing bit bn.
 func (a *allocator) writeBitmapBlock(bn int64) error {
@@ -112,64 +122,93 @@ func (a *allocator) writeBitmapBlock(bn int64) error {
 	return a.dev.WriteBlock(a.sb.bitmapStart+blk, buf)
 }
 
-// take claims a known-free block: bitmap bit, counters, write-through.
-func (a *allocator) take(bn int64) (int64, error) {
-	a.set(bn)
-	a.sb.freeBlocks--
+// hold takes a usable block out of circulation without touching the
+// bitmap.
+func (a *allocator) hold(bn int64) int64 {
+	a.held[bn/8] |= 1 << (bn % 8)
+	a.nheld++
 	a.groupFree[a.group(bn)]--
-	a.hint = bn + 1
-	if a.hint >= a.sb.nblocks {
-		a.hint = a.sb.dataStart
-	}
-	if err := a.writeBitmapBlock(bn); err != nil {
-		a.clear(bn)
-		a.sb.freeBlocks++
-		a.groupFree[a.group(bn)]++
-		return 0, err
-	}
-	return bn, nil
+	return bn
 }
 
-// scan returns the first free block in [lo, hi), or -1.
+// release ends a hold (a reservation abandoned, or a quarantine served):
+// the block is allocatable again. Releasing a block that is not held is a
+// no-op, so a hold lost to a cache reload is harmless.
+func (a *allocator) release(bn int64) {
+	if a.isHeld(bn) {
+		a.held[bn/8] &^= 1 << (bn % 8)
+		a.nheld--
+		a.groupFree[a.group(bn)]++
+	}
+}
+
+// commit turns a reservation into an allocation: bitmap bit, free count,
+// write-through. It runs inside the transaction that makes the block
+// reachable.
+func (a *allocator) commit(bn int64) error {
+	a.held[bn/8] &^= 1 << (bn % 8)
+	a.nheld--
+	a.bitmap[bn/8] |= 1 << (bn % 8)
+	a.sb.freeBlocks--
+	if err := a.writeBitmapBlock(bn); err != nil {
+		a.bitmap[bn/8] &^= 1 << (bn % 8)
+		a.sb.freeBlocks++
+		a.groupFree[a.group(bn)]++
+		return err
+	}
+	return nil
+}
+
+// scan returns the first usable block in [lo, hi), or -1.
 func (a *allocator) scan(lo, hi int64) int64 {
 	for bn := lo; bn < hi; bn++ {
-		if !a.isSet(bn) {
+		if a.usable(bn) {
 			return bn
 		}
 	}
 	return -1
 }
 
-// alloc returns a free data block, zeroed on disk by convention (callers
-// overwrite it entirely or rely on free blocks having been zeroed when
-// freed — DiskFS.freeBlock enforces the zeroing, deferred until the
-// freeing transaction is durable; TestFreedBlocksAreZeroedOnDisk is the
-// regression test).
+// reserve picks a usable data block and holds it. Its on-disk content is
+// arbitrary until the caller overwrites it: the caller writes the whole
+// block (file data, before commit) or journals a whole image of it
+// (metadata). Blocks are zeroed as they leave quarantine, so a free block
+// normally reads as zeros — TestFreedBlocksAreZeroedOnDisk is the
+// regression test — but nothing depends on it.
 //
 // near is the placement hint: the block the caller would like, usually the
 // previous block of the same file plus one, so sequential writes lay out
 // contiguously and streaming reads coalesce into runs. near <= 0 means no
 // preference.
-func (a *allocator) alloc(near int64) (int64, error) {
-	if a.sb.freeBlocks == 0 {
+func (a *allocator) reserve(near int64) (int64, error) {
+	if a.sb.freeBlocks-a.nheld <= 0 {
 		return 0, ErrNoSpace
 	}
 	allocTotal.Inc()
+	bn := a.place(near)
+	if bn < 0 {
+		return 0, ErrNoSpace
+	}
+	a.hint = bn + 1
+	if a.hint >= a.sb.nblocks {
+		a.hint = a.sb.dataStart
+	}
+	return a.hold(bn), nil
+}
+
+// place applies the placement policy and returns a usable block, or -1.
+func (a *allocator) place(near int64) int64 {
 	hinted := near >= a.sb.dataStart && near < a.sb.nblocks
 	// 1. The hinted block itself: a contiguous extension.
-	if hinted && !a.isSet(near) {
-		bn, err := a.take(near)
-		if err == nil {
-			allocContig.Inc()
-		}
-		return bn, err
+	if hinted && a.usable(near) {
+		allocContig.Inc()
+		return near
 	}
 	// 2. Next-fit within the hint's group: stay near the file.
 	if hinted {
-		g := a.group(near)
-		_, hi := a.groupRange(g)
+		_, hi := a.groupRange(a.group(near))
 		if bn := a.scan(near+1, hi); bn >= 0 {
-			return a.take(bn)
+			return bn
 		}
 	}
 	// 3. The emptiest group (hintless allocations start from the fallback
@@ -194,21 +233,19 @@ func (a *allocator) alloc(near int64) (int64, error) {
 		if !hinted && a.hint > lo && a.hint < hi {
 			// Next-fit from the rotor inside its group.
 			if bn := a.scan(a.hint, hi); bn >= 0 {
-				return a.take(bn)
+				return bn
 			}
 		}
 		if bn := a.scan(lo, hi); bn >= 0 {
-			return a.take(bn)
+			return bn
 		}
 	}
 	// 4. Full scan — only reachable if groupFree is somehow stale.
-	if bn := a.scan(a.sb.dataStart, a.sb.nblocks); bn >= 0 {
-		return a.take(bn)
-	}
-	return 0, ErrNoSpace
+	return a.scan(a.sb.dataStart, a.sb.nblocks)
 }
 
-// free releases block bn.
+// free releases block bn in the bitmap and holds it in quarantine; the
+// caller (DiskFS.freeBlock) records it in the freeing transaction.
 func (a *allocator) free(bn int64) error {
 	if bn < a.sb.dataStart || bn >= a.sb.nblocks {
 		return fmt.Errorf("disklayer: freeing out-of-range block %d", bn)
@@ -216,9 +253,10 @@ func (a *allocator) free(bn int64) error {
 	if !a.isSet(bn) {
 		return fmt.Errorf("disklayer: double free of block %d", bn)
 	}
-	a.clear(bn)
+	a.bitmap[bn/8] &^= 1 << (bn % 8)
 	a.sb.freeBlocks++
-	a.groupFree[a.group(bn)]++
+	a.held[bn/8] |= 1 << (bn % 8) // straight into quarantine: not yet allocatable
+	a.nheld++
 	return a.writeBitmapBlock(bn)
 }
 

@@ -190,24 +190,18 @@ func scan(dev blockdev.Device) (*checkState, error) {
 	if err := st.sb.validate(dev.NumBlocks()); err != nil {
 		return nil, fmt.Errorf("disklayer: fsck: %w", err)
 	}
+	// The bitmap and the inode table are read by the run, like Mount does.
 	st.bitmap = make([]byte, st.sb.bitmapBlocks*BlockSize)
-	for b := int64(0); b < st.sb.bitmapBlocks; b++ {
-		if err := dev.ReadBlock(st.sb.bitmapStart+b, st.bitmap[b*BlockSize:(b+1)*BlockSize]); err != nil {
-			return nil, err
-		}
+	if err := readRun(dev, st.sb.bitmapStart, st.bitmap); err != nil {
+		return nil, err
+	}
+	table := make([]byte, st.sb.itableBlocks*BlockSize)
+	if err := readRun(dev, st.sb.itableStart, table); err != nil {
+		return nil, err
 	}
 	st.inodes = make([]inode, st.sb.ninodes+1)
-	for b := int64(0); b < st.sb.itableBlocks; b++ {
-		if err := dev.ReadBlock(st.sb.itableStart+b, buf); err != nil {
-			return nil, err
-		}
-		for i := int64(0); i < InodesPerBlock; i++ {
-			ino := b*InodesPerBlock + i
-			if ino < 1 || ino > st.sb.ninodes {
-				continue
-			}
-			st.inodes[ino].decode(buf[i*InodeSize:])
-		}
+	for ino := int64(1); ino <= st.sb.ninodes; ino++ {
+		st.inodes[ino].decode(table[ino*InodeSize:])
 	}
 
 	refs := make(map[int64]uint64) // block -> first referencing inode

@@ -18,8 +18,9 @@ import (
 //
 //   - the image passes fsck with zero inconsistencies,
 //   - a fresh Mount succeeds, and
-//   - every file acknowledged by the last completed SyncFS checkpoint is
-//     intact.
+//   - every file whose f.Sync() returned before the cut — not only what
+//     the last completed SyncFS covered — is intact: a returned fsync is
+//     durable.
 //
 // TestCrashSweepEveryWrite cuts at every buffered-write index of the
 // workload; TestCrashRandomTornReorder adds randomized crash points with
@@ -37,14 +38,14 @@ func crashPattern(path string, size int) []byte {
 	return out
 }
 
-// crashWorkload runs the scripted workload on fs. It returns the contents
-// acknowledged by the last SyncFS that completed (the durable snapshot)
-// and the first error hit — expected to be a power cut when the trap is
-// armed. Files present in the snapshot are never modified afterwards, so
-// on any crash the snapshot is exactly what recovery must preserve.
+// crashWorkload runs the scripted workload on fs. It returns the durable
+// snapshot — the contents of every file as of its last returned f.Sync() —
+// and the first error hit, expected to be a power cut when the trap is
+// armed. A path leaves the snapshot the moment a remove or truncate of it
+// is attempted, so on any crash the snapshot is exactly what recovery must
+// preserve.
 func crashWorkload(fs *DiskFS) (map[string][]byte, error) {
 	durable := make(map[string][]byte)
-	current := make(map[string][]byte)
 
 	put := func(path string, size int) error {
 		f, err := fs.Create(path, naming.Root)
@@ -58,14 +59,13 @@ func crashWorkload(fs *DiskFS) (map[string][]byte, error) {
 		if err := f.Sync(); err != nil {
 			return fmt.Errorf("sync %s: %w", path, err)
 		}
-		current[path] = data
+		durable[path] = data
 		return nil
 	}
 	remove := func(path string) error {
-		// Drop the path from the snapshots first: a power cut surfacing
+		// Drop the path from the snapshot first: a power cut surfacing
 		// as an error does not mean the transaction missed the disk, so
 		// after the attempt the file's fate is ambiguous either way.
-		delete(current, path)
 		delete(durable, path)
 		if err := fs.Remove(path, naming.Root); err != nil {
 			return fmt.Errorf("remove %s: %w", path, err)
@@ -80,7 +80,8 @@ func crashWorkload(fs *DiskFS) (map[string][]byte, error) {
 	}
 	truncate := func(path string, length int64) error {
 		// As with remove: once the truncate is attempted, the on-disk
-		// length is ambiguous until the next checkpoint.
+		// length is ambiguous until its fsync returns.
+		data := durable[path]
 		delete(durable, path)
 		f, err := fs.Open(path, naming.Root)
 		if err != nil {
@@ -92,19 +93,15 @@ func crashWorkload(fs *DiskFS) (map[string][]byte, error) {
 		if err := f.Sync(); err != nil {
 			return fmt.Errorf("sync %s: %w", path, err)
 		}
-		data := current[path]
 		if int64(len(data)) > length {
 			data = data[:length]
 		}
-		current[path] = data
+		durable[path] = data
 		return nil
 	}
 	checkpoint := func() error {
 		if err := fs.SyncFS(); err != nil {
 			return fmt.Errorf("syncfs: %w", err)
-		}
-		for p, d := range current {
-			durable[p] = d
 		}
 		return nil
 	}
@@ -300,9 +297,10 @@ func TestCrashRandomTornReorder(t *testing.T) {
 	t.Logf("tested %d randomized torn/reordered crash points", points)
 }
 
-// TestCrashMidCheckpointReplay drives the journal into its
-// committed-but-not-checkpointed window and verifies Mount replays the
-// transaction: the classic crash the redo journal exists for.
+// TestCrashMidCheckpointReplay cuts the power inside the journal's
+// committed-but-not-checkpointed window — where every transaction sits
+// until the lazy checkpoint — and verifies Mount replays it: the classic
+// crash the redo journal exists for.
 func TestCrashMidCheckpointReplay(t *testing.T) {
 	inner := blockdev.NewMem(1024, blockdev.ProfileNone)
 	if err := Mkfs(inner, MkfsOptions{}); err != nil {
@@ -315,11 +313,10 @@ func TestCrashMidCheckpointReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Leave exactly one committed transaction in the journal (the slot is
-	// single-entry, so only the last uncheckpointed transaction survives),
-	// then lose the volatile cache: the commit barrier made the journal
-	// records durable, so recovery must reconstruct the home locations.
-	fs.SetJournalCheckpoint(false)
+	// A commit writes the ring and nothing else, so a power cut right
+	// after it finds the transaction committed but no home touched: the
+	// commit barrier made the journal records durable, and recovery must
+	// reconstruct the home locations from them.
 	if _, err := fs.Create("survivor", naming.Root); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package disklayer
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,7 +28,7 @@ func (fs *DiskFS) readFileData(ci *cachedInode) ([]byte, error) {
 	buf := getBlockBuf()
 	defer putBlockBuf(buf)
 	for off := int64(0); off < ci.in.length; off += BlockSize {
-		bn, err := fs.bmap(ci, off/BlockSize, false)
+		bn, err := fs.bmap(ci, off/BlockSize, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -57,8 +58,9 @@ func (fs *DiskFS) writeFileData(ci *cachedInode, data []byte) error {
 	}
 	buf := getBlockBuf()
 	defer putBlockBuf(buf)
+	alloc := func() (int64, error) { return fs.allocZeroed(ci) }
 	for off := 0; off < len(data); off += BlockSize {
-		bn, err := fs.bmap(ci, int64(off/BlockSize), true)
+		bn, err := fs.bmap(ci, int64(off/BlockSize), alloc)
 		if err != nil {
 			return err
 		}
@@ -157,49 +159,55 @@ func (fs *DiskFS) dirLookup(dirIno uint64, name string) (uint64, error) {
 	return 0, fmt.Errorf("disklayer: %q: not found", name)
 }
 
-// dirInsert adds (name, ino) to directory dirIno, failing if name exists.
-// Caller holds fs.mu.
-func (fs *DiskFS) dirInsert(dirIno uint64, name string, ino uint64) error {
-	if len(name) > MaxNameLen {
-		return ErrNameTooLong
-	}
+// dirEdit rewrites directory dirIno once: every name in drop is removed
+// (each must exist) and add, if non-nil, inserted (its name must not
+// survive the drops). One edit is one write of the directory's data
+// however many entries change — a rename inside one directory must not
+// empty it, free its block and allocate another on the way. Caller holds
+// fs.mu.
+func (fs *DiskFS) dirEdit(dirIno uint64, drop []string, add *dirEntry) error {
 	entries, ci, err := fs.dirEntries(dirIno)
 	if err != nil {
 		return err
 	}
+	// Build a fresh slice: entries may be the cached one.
+	out := make([]dirEntry, 0, len(entries)+1)
+	dropped := 0
 	for _, e := range entries {
-		if e.name == name {
-			return fmt.Errorf("disklayer: %q: already exists", name)
+		if slices.Contains(drop, e.name) {
+			dropped++
+			continue
 		}
+		if add != nil && e.name == add.name {
+			return fmt.Errorf("disklayer: %q: already exists", e.name)
+		}
+		out = append(out, e)
 	}
-	// Copy before mutating: the slice may be the cached one.
-	entries = append(append([]dirEntry(nil), entries...), dirEntry{name: name, ino: ino})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	if err := fs.writeFileData(ci, encodeDir(entries)); err != nil {
+	if dropped != len(drop) {
+		return fmt.Errorf("disklayer: %q: not found", drop)
+	}
+	if add != nil {
+		if len(add.name) > MaxNameLen {
+			return ErrNameTooLong
+		}
+		out = append(out, *add)
+		sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	}
+	if err := fs.writeFileData(ci, encodeDir(out)); err != nil {
 		delete(fs.dcache, dirIno)
 		return err
 	}
-	fs.dcache[dirIno] = entries
+	fs.dcache[dirIno] = out
 	return nil
 }
 
-// dirRemove removes name from directory dirIno, returning the inode it
-// referenced. Caller holds fs.mu.
-func (fs *DiskFS) dirRemove(dirIno uint64, name string) (uint64, error) {
-	entries, ci, err := fs.dirEntries(dirIno)
-	if err != nil {
-		return 0, err
-	}
-	for i, e := range entries {
-		if e.name == name {
-			entries = append(entries[:i:i], entries[i+1:]...)
-			if err := fs.writeFileData(ci, encodeDir(entries)); err != nil {
-				delete(fs.dcache, dirIno)
-				return 0, err
-			}
-			fs.dcache[dirIno] = entries
-			return e.ino, nil
-		}
-	}
-	return 0, fmt.Errorf("disklayer: %q: not found", name)
+// dirInsert adds (name, ino) to directory dirIno, failing if name exists.
+// Caller holds fs.mu.
+func (fs *DiskFS) dirInsert(dirIno uint64, name string, ino uint64) error {
+	return fs.dirEdit(dirIno, nil, &dirEntry{name: name, ino: ino})
+}
+
+// dirRemove removes name from directory dirIno. Caller holds fs.mu.
+func (fs *DiskFS) dirRemove(dirIno uint64, name string) error {
+	return fs.dirEdit(dirIno, []string{name}, nil)
 }

@@ -139,7 +139,7 @@ func (f *diskFile) zeroTail(length vm.Offset) error {
 		f.fs.mu.Unlock()
 		return err
 	}
-	bn, err := f.fs.bmap(ci, blockOff/BlockSize, false)
+	bn, err := f.fs.bmap(ci, blockOff/BlockSize, nil)
 	f.fs.mu.Unlock()
 	if err != nil {
 		return err
@@ -299,7 +299,10 @@ func (f *diskFile) Stat() (fsys.Attributes, error) {
 }
 
 // Sync implements fsys.File: push cached modified pages to the pager (the
-// disk) and write the inode back (a one-inode journal transaction).
+// disk) and write the inode back (a one-inode journal transaction, whose
+// commit barrier also covers the data of plain overwrites). A clean inode
+// means nothing is left to do: every page-out either committed the inode
+// after writing its data or left it dirty.
 func (f *diskFile) Sync() error {
 	if err := f.io.Sync(); err != nil {
 		return err
@@ -310,7 +313,7 @@ func (f *diskFile) Sync() error {
 	if err != nil {
 		return err
 	}
-	if ci.in.mode != ModeFile {
+	if ci.in.mode != ModeFile || !ci.dirty {
 		return nil
 	}
 	return f.fs.withTxn(func() error {
@@ -382,48 +385,40 @@ func (p *diskPager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 		fs.mu.Unlock()
 		return nil, err
 	}
-	type ioReq struct {
-		bn  int64 // device block
-		fbn int64 // file block
-	}
-	var reqs []ioReq
-	for fbn := offset / BlockSize; fbn*BlockSize < offset+size; fbn++ {
-		bn, err := fs.bmap(ci, fbn, false)
-		if err != nil {
+	bns := make([]int64, size/BlockSize) // device block per file block; 0 = hole
+	for i := range bns {
+		if bns[i], err = fs.bmap(ci, offset/BlockSize+int64(i), nil); err != nil {
 			fs.mu.Unlock()
 			return nil, err
 		}
-		if bn != 0 {
-			reqs = append(reqs, ioReq{bn: bn, fbn: fbn})
-		}
 	}
 	fs.mu.Unlock()
-	// Perform the disk I/O outside the metadata lock, coalescing runs
-	// that are consecutive both in the file and on the device into single
-	// transfers (one positioning delay per run) when the device supports
-	// it. This is what makes clustered page-ins (Section 8 read-ahead)
-	// cheap.
-	rr, canRun := fs.dev.(blockdev.RunReader)
-	dstFor := func(fbn int64) []byte {
-		return out[fbn*BlockSize-offset : (fbn+1)*BlockSize-offset]
+	// Perform the disk I/O outside the metadata lock. This is what makes
+	// clustered page-ins (Section 8 read-ahead) cheap.
+	if err := extentIO(fs.dev, bns, out, readRun); err != nil {
+		return nil, err
 	}
-	for i := 0; i < len(reqs); {
+	return out, nil
+}
+
+// extentIO moves one file extent between buf and the device: bns[i] is the
+// device block of the extent's i-th file block (0 = a hole, skipped), and
+// blocks consecutive on the device travel as one run — one positioning
+// delay — through io (readRun or writeRun).
+func extentIO(dev blockdev.Device, bns []int64, buf []byte, io func(blockdev.Device, int64, []byte) error) error {
+	for i := 0; i < len(bns); {
 		j := i + 1
-		for canRun && j < len(reqs) &&
-			reqs[j].bn == reqs[j-1].bn+1 && reqs[j].fbn == reqs[j-1].fbn+1 {
-			j++
-		}
-		if j-i > 1 {
-			full := out[reqs[i].fbn*BlockSize-offset : reqs[j-1].fbn*BlockSize-offset+BlockSize]
-			if err := rr.ReadRun(reqs[i].bn, full); err != nil {
-				return nil, err
+		if bns[i] != 0 {
+			for j < len(bns) && bns[j] == bns[j-1]+1 {
+				j++
 			}
-		} else if err := fs.dev.ReadBlock(reqs[i].bn, dstFor(reqs[i].fbn)); err != nil {
-			return nil, err
+			if err := io(dev, bns[i], buf[i*BlockSize:j*BlockSize]); err != nil {
+				return err
+			}
 		}
 		i = j
 	}
-	return out, nil
+	return nil
 }
 
 // PageInHint implements vm.HintedPager: return minSize plus however much
@@ -499,13 +494,21 @@ func (p *diskPager) streamWindow(offset, minSize, maxSize, end vm.Offset) vm.Off
 
 // PageOut implements vm.PagerObject. The data may span many pages (the
 // VMM's clustered write-back): block lookups happen under the metadata
-// lock, then the device writes run outside it, coalescing runs that are
-// consecutive both in the file and on the device into single transfers
-// (one positioning delay per run) when the device supports it — the write
-// mirror of PageIn's clustered reads. The inode's mtime advances only
-// after every write has succeeded, so a failed device write does not
-// stamp modification metadata for data that never reached the disk.
-func (p *diskPager) PageOut(offset, size vm.Offset, data []byte) error {
+// lock, then the device writes run outside it, coalescing blocks that are
+// consecutive on the device into single transfers — the write mirror of
+// PageIn's clustered reads.
+//
+// Data is ordered before metadata and never journaled. Where the extent
+// covers holes, their blocks are reserved in one go — blocks free in every
+// committed state, so overwriting them can hurt nothing — the data is
+// written first, and only then does one transaction commit the bitmap, the
+// pointer blocks and the inode that make the blocks reachable. The commit
+// barrier covers the data, so once an fsync's page-outs and inode
+// transaction have returned the file survives a power cut; a crash before
+// the commit leaves the old file intact. The inode's mtime advances only
+// after every write has succeeded, so a failed device write does not stamp
+// modification metadata for data that never reached the disk.
+func (p *diskPager) PageOut(offset, size vm.Offset, data []byte) (err error) {
 	if !vm.PageAligned(offset, size) {
 		return vm.ErrUnaligned
 	}
@@ -515,82 +518,84 @@ func (p *diskPager) PageOut(offset, size vm.Offset, data []byte) error {
 	ot := opPageOut.Start()
 	defer func() { opPageOut.End(ot, size) }()
 	fs := p.file.fs
+	first := offset / BlockSize
+	bns := make([]int64, size/BlockSize) // device block per file block
+	var fresh []int                      // indexes of the bns reserved here
+
 	fs.mu.Lock()
 	ci, err := fs.readInode(p.file.ino)
-	if err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	if ci.in.mode != ModeFile {
+	if err == nil && ci.in.mode != ModeFile {
 		// The file was unlinked and reclaimed while a cache above still held
 		// dirty pages; its data is discardable, and allocating blocks into a
 		// freed (or since-reused) inode would corrupt the file system.
 		fs.mu.Unlock()
 		return nil
 	}
-	type ioReq struct {
-		bn  int64 // device block
-		fbn int64 // file block
+	for i := 0; err == nil && i < len(bns); i++ {
+		if bns[i], err = fs.bmap(ci, first+int64(i), nil); err == nil && bns[i] == 0 {
+			if bns[i], err = fs.reserveBlock(ci); err == nil {
+				fresh = append(fresh, i)
+			}
+		}
 	}
-	// Map (and allocate) the extent's blocks inside a metadata transaction:
-	// the bitmap bits, pointer blocks, and inode image commit atomically,
-	// and the commit lands *before* the data writes below — so the journal
-	// slot's staged zero images can never checkpoint over fresh data, and a
-	// crash that discards the transaction leaves the old file intact. A wide
-	// extent can allocate more blocks than one transaction holds, so the
-	// loop splits at self-consistent points (a partially allocated tail is
-	// just zeroed blocks). Durability of the data itself comes from the
-	// caller's eventual SyncFS barrier.
-	var reqs []ioReq
-	err = fs.withTxn(func() error {
-		for fbn := offset / BlockSize; fbn*BlockSize < offset+size; fbn++ {
-			bn, err := fs.bmap(ci, fbn, true)
-			if err != nil {
+	fs.mu.Unlock()
+	wrote := err == nil
+	if wrote {
+		err = extentIO(fs.dev, bns, data, writeRun)
+	}
+
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	// A reservation still standing on the way out was never committed (a
+	// failure, or another pager filled the hole first): the all-or-nothing
+	// release, scrubbed if data may have been written into the blocks.
+	defer func() {
+		var left []int64
+		for _, i := range fresh {
+			if bns[i] != 0 {
+				left = append(left, bns[i])
+			}
+		}
+		if wrote {
+			_ = zeroBlocks(fs.dev, left) // best effort: the blocks are free either way
+		}
+		for _, bn := range left {
+			fs.alloc.release(bn)
+		}
+	}()
+	if err != nil {
+		return err
+	}
+	if ci, err = fs.readInode(p.file.ino); err != nil || ci.in.mode != ModeFile {
+		return err
+	}
+	if len(fresh) == 0 {
+		ci.in.mtime = fs.now()
+		ci.dirty = true
+		return nil
+	}
+	// The inode rides along (length and mtime with the blocks they
+	// describe), so it is clean when the commit returns and an fsync has no
+	// transaction of its own left to run. A wide extent's pointer blocks can
+	// outgrow a small journal, so the transaction splits at self-consistent
+	// points: every block it has installed so far already holds its data.
+	return fs.withTxn(func() error {
+		ci.in.mtime = fs.now()
+		fs.txnRegister(ci)
+		for _, i := range fresh {
+			bn := bns[i]
+			if _, err := fs.bmap(ci, first+int64(i), func() (int64, error) {
+				bns[i] = 0 // committed: no longer a reservation to release
+				return bn, fs.alloc.commit(bn)
+			}); err != nil {
 				return err
 			}
-			reqs = append(reqs, ioReq{bn: bn, fbn: fbn})
 			if err := fs.txnMaybeSplit(ci); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	fs.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	rr, canRun := fs.dev.(blockdev.RunReader)
-	srcFor := func(fbn int64) []byte {
-		return data[fbn*BlockSize-offset : (fbn+1)*BlockSize-offset]
-	}
-	for i := 0; i < len(reqs); {
-		j := i + 1
-		for canRun && j < len(reqs) &&
-			reqs[j].bn == reqs[j-1].bn+1 && reqs[j].fbn == reqs[j-1].fbn+1 {
-			j++
-		}
-		if j-i > 1 {
-			full := data[reqs[i].fbn*BlockSize-offset : reqs[j-1].fbn*BlockSize-offset+BlockSize]
-			if err := rr.WriteRun(reqs[i].bn, full); err != nil {
-				return err
-			}
-		} else if err := fs.dev.WriteBlock(reqs[i].bn, srcFor(reqs[i].fbn)); err != nil {
-			return err
-		}
-		i = j
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ci, err = fs.readInode(p.file.ino)
-	if err != nil {
-		return err
-	}
-	if ci.in.mode != ModeFile {
-		return nil
-	}
-	ci.in.mtime = fs.now()
-	ci.dirty = true
-	return nil
 }
 
 // WriteOut implements vm.PagerObject.

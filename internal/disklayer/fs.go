@@ -50,9 +50,9 @@ type DiskFS struct {
 	icache    map[uint64]*cachedInode
 	dcache    map[uint64][]dirEntry
 	mcache    map[int64][]int64 // indirect (pointer) blocks
+	itable    map[int64][]byte  // inode-table blocks, write-through (itableBlock)
 	files     map[uint64]*diskFile
 	dirs      map[uint64]*diskDir
-	zero      []byte
 	closed    bool
 }
 
@@ -65,11 +65,11 @@ var (
 // domain; vmm is the node's VMM, used to implement read/write operations
 // through mappings.
 //
-// Mount is the recovery point: it replays a committed journal transaction
-// left by a crash (discarding torn tails) before loading any state, and it
-// validates the superblock's geometry against the device so a truncated
-// image fails with a clear ErrGeometry error instead of out-of-range I/O
-// later.
+// Mount is the recovery point: it scans the journal ring once, replays the
+// committed batches a crash left un-checkpointed (discarding torn tails)
+// before loading any state, and validates the superblock's geometry against
+// the device so a truncated image fails with a clear ErrGeometry error
+// instead of out-of-range I/O later.
 func Mount(dev blockdev.Device, domain *spring.Domain, vmm *vm.VMM, name string) (*DiskFS, error) {
 	buf := make([]byte, BlockSize)
 	if err := dev.ReadBlock(0, buf); err != nil {
@@ -86,16 +86,20 @@ func Mount(dev blockdev.Device, domain *spring.Domain, vmm *vm.VMM, name string)
 		icache:    make(map[uint64]*cachedInode),
 		dcache:    make(map[uint64][]dirEntry),
 		mcache:    make(map[int64][]int64),
+		itable:    make(map[int64][]byte),
 		files:     make(map[uint64]*diskFile),
 		dirs:      make(map[uint64]*diskDir),
-		zero:      make([]byte, BlockSize),
 	}
 	sbErr := fs.sb.decode(buf)
 	// Replay before trusting the superblock: a crash mid-checkpoint can
 	// leave the in-place superblock copy torn, with the good image sitting
 	// in the journal (the slot address is a format constant, so replay
 	// does not need the superblock).
-	replayed, err := replayJournal(dev)
+	cands, maxSeq, err := loadRing(dev)
+	if err != nil {
+		return nil, fmt.Errorf("disklayer: journal scan: %w", err)
+	}
+	replayed, err := replayRing(dev, cands, maxSeq)
 	if err != nil {
 		return nil, fmt.Errorf("disklayer: journal replay: %w", err)
 	}
@@ -117,11 +121,7 @@ func Mount(dev blockdev.Device, domain *spring.Domain, vmm *vm.VMM, name string)
 	}
 	alloc.write = fs.metaWrite
 	fs.alloc = alloc
-	jnl, err := openJournal(dev, &fs.sb)
-	if err != nil {
-		return nil, err
-	}
-	fs.jnl = jnl
+	fs.jnl = openJournal(dev, &fs.sb, cands, maxSeq)
 	// Sweep orphans: inodes unlinked while open whose last-close reclaim a
 	// crash cut short. The unlink transaction left them allocated with no
 	// links and no directory entry — their storage must go back to the pool
@@ -137,21 +137,33 @@ func Mount(dev blockdev.Device, domain *spring.Domain, vmm *vm.VMM, name string)
 // link count atomically with the directory update and defers block
 // reclamation to the last Release, so a crash in the window leaves the
 // inode allocated but unreferenced. Called from Mount, before any handle
-// can exist.
+// can exist — the journal has just been replayed, so the table is read
+// straight off the device, by the run, and the blocks warm the table cache.
 func (fs *DiskFS) sweepOrphans() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for ino := uint64(1); int64(ino) <= fs.sb.ninodes; ino++ {
-		ci, err := fs.readInode(ino)
-		if err != nil {
+	var orphans []uint64
+	buf := make([]byte, min(fs.sb.itableBlocks, itableCacheBlocks)*BlockSize)
+	for b := int64(0); b < fs.sb.itableBlocks; b += itableCacheBlocks {
+		run := buf[:min(itableCacheBlocks, fs.sb.itableBlocks-b)*BlockSize]
+		if err := readRun(fs.dev, fs.sb.itableStart+b, run); err != nil {
 			return err
 		}
-		if ci.in.mode == ModeFile && ci.in.nlink == 0 {
-			if err := fs.withTxn(func() error {
-				return fs.freeInode(ino)
-			}); err != nil {
-				return err
+		for off := int64(0); off < int64(len(run)); off += InodeSize {
+			ino := b*InodesPerBlock + off/InodeSize
+			if off%BlockSize == 0 && len(fs.itable) < itableCacheBlocks {
+				fs.itable[fs.sb.itableStart+b+off/BlockSize] = append([]byte(nil), run[off:off+BlockSize]...)
 			}
+			var in inode
+			in.decode(run[off:])
+			if ino >= 1 && ino <= fs.sb.ninodes && in.mode == ModeFile && in.nlink == 0 {
+				orphans = append(orphans, uint64(ino))
+			}
+		}
+	}
+	for _, ino := range orphans {
+		if err := fs.withTxn(func() error { return fs.freeInode(ino) }); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -328,7 +340,7 @@ func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
 				return ErrDirNotEmpty
 			}
 		}
-		if _, err := fs.dirRemove(dirIno, last); err != nil {
+		if err := fs.dirRemove(dirIno, last); err != nil {
 			return err
 		}
 		freed, err := fs.dropLinkLocked(ino)
@@ -448,7 +460,10 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 		if err != nil {
 			return err
 		}
-		if dstIno, err := fs.dirLookup(ndIno, nLast); err == nil {
+		drop := []string{oLast}
+		dstIno, err := fs.dirLookup(ndIno, nLast)
+		replaced := err == nil
+		if replaced {
 			if dstIno == ino {
 				return nil // same file: POSIX leaves both names alone
 			}
@@ -470,32 +485,38 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 					return ErrDirNotEmpty
 				}
 			}
-			if _, err := fs.dirRemove(ndIno, nLast); err != nil {
-				return err
-			}
-			freed, err := fs.dropLinkLocked(dstIno)
-			if err != nil {
-				return err
-			}
-			if freed {
-				freedIno = dstIno
-			}
+			drop = append(drop, nLast)
 		}
-		if _, err := fs.dirRemove(odIno, oLast); err != nil {
+		// Each directory is rewritten once: inside one directory the old
+		// name (and a replaced destination) go and the new name arrives in
+		// a single edit.
+		moved := &dirEntry{name: nLast, ino: ino}
+		if odIno == ndIno {
+			err = fs.dirEdit(odIno, drop, moved)
+		} else if err = fs.dirEdit(ndIno, drop[1:], moved); err == nil {
+			err = fs.dirEdit(odIno, drop[:1], nil)
+		}
+		if err != nil || !replaced {
 			return err
 		}
-		return fs.dirInsert(ndIno, nLast, ino)
+		freed, err := fs.dropLinkLocked(dstIno)
+		if freed {
+			freedIno = dstIno
+		}
+		return err
 	})
 }
 
-// SyncFS implements fsys.FS: flush dirty inodes and the superblock, then
-// barrier the device. With journaling on, the dirty inodes go down in
-// capacity-bounded transactions (each batch is a pure inode write-back, so
-// any prefix of batches is a consistent on-disk state), and a final "seal"
-// transaction writes the superblock. The seal also maintains an invariant
-// the recovery path relies on: after a successful SyncFS the journal slot
-// holds a transaction whose records are all metadata, so a later replay
-// can never re-zero data blocks that this sync made durable.
+// SyncFS implements fsys.FS: flush dirty inodes and the superblock, send
+// every committed image home, then barrier the device. With journaling on,
+// the dirty inodes go down in capacity-bounded transactions (each batch is
+// a pure inode write-back, so any prefix of batches is a consistent on-disk
+// state), and a final "seal" transaction writes the superblock behind a
+// checkpoint of everything older. The seal's own image is then homed too
+// and the blocks the checkpoint released from quarantine are zeroed, so
+// after a successful SyncFS the device alone holds the file system: replay
+// finds one batch, already current, and fsck of the raw device (mounted or
+// not) reads a clean image with no freed data left in it.
 func (fs *DiskFS) SyncFS() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -506,6 +527,9 @@ func (fs *DiskFS) SyncFS() error {
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].ino < dirty[j].ino })
+	sbuf := getBlockBuf()
+	defer putBlockBuf(sbuf)
+	clear(sbuf)
 	if fs.journaled {
 		batch := fs.jnl.capacity() - 2
 		if batch < 1 {
@@ -530,12 +554,15 @@ func (fs *DiskFS) SyncFS() error {
 		}
 		if err := fs.withTxn(func() error {
 			fs.txn.seal = true
-			buf := getBlockBuf()
-			defer putBlockBuf(buf)
-			clear(buf)
-			fs.sb.encode(buf)
-			return fs.metaWrite(0, buf)
+			fs.sb.encode(sbuf)
+			return fs.metaWrite(0, sbuf)
 		}); err != nil {
+			return err
+		}
+		if err := fs.jnl.checkpointAll(); err != nil {
+			return err
+		}
+		if err := fs.reclaim(); err != nil {
 			return err
 		}
 	} else {
@@ -544,11 +571,8 @@ func (fs *DiskFS) SyncFS() error {
 				return err
 			}
 		}
-		buf := getBlockBuf()
-		defer putBlockBuf(buf)
-		clear(buf)
-		fs.sb.encode(buf)
-		if err := fs.dev.WriteBlock(0, buf); err != nil {
+		fs.sb.encode(sbuf)
+		if err := fs.dev.WriteBlock(0, sbuf); err != nil {
 			return err
 		}
 	}
@@ -737,7 +761,7 @@ func (d *diskDir) Unbind(name string, cred naming.Credentials) error {
 				return ErrDirNotEmpty
 			}
 		}
-		if _, err := d.fs.dirRemove(d.ino, parts[0]); err != nil {
+		if err := d.fs.dirRemove(d.ino, parts[0]); err != nil {
 			return err
 		}
 		freed, err := d.fs.dropLinkLocked(ino)

@@ -14,7 +14,7 @@ import (
 
 // newGroupRig mounts a fresh file system on dev (any Device) for the
 // group-commit tests.
-func newGroupRig(t *testing.T, dev blockdev.Device) *DiskFS {
+func newGroupRig(t testing.TB, dev blockdev.Device) *DiskFS {
 	t.Helper()
 	node := spring.NewNode("gc")
 	t.Cleanup(node.Stop)
@@ -105,9 +105,9 @@ func TestGroupCommitBatchesConcurrentTxns(t *testing.T) {
 }
 
 // buildMultiTxnWindow formats an image, commits several metadata
-// transactions with checkpointing off (so the ring holds a
-// committed-but-unhomed window of more than one transaction), and cuts
-// the power. It returns the crashed device and the names every committed
+// transactions — too few to trigger the lazy checkpoint of a 128-block
+// ring, so the ring holds a committed-but-unhomed window of more than one
+// transaction — and cuts the power. It returns the crashed device and the names every committed
 // transaction promised to exist (the metadata journal's contract; data
 // durability is SyncFS's, exercised by the crash sweep in crash_test.go).
 func buildMultiTxnWindow(t *testing.T) (*blockdev.CrashDevice, []string) {
@@ -118,7 +118,6 @@ func buildMultiTxnWindow(t *testing.T) (*blockdev.CrashDevice, []string) {
 	}
 	crash := blockdev.NewCrash(inner, 7)
 	fs := newGroupRig(t, crash)
-	fs.SetJournalCheckpoint(false)
 
 	var want []string
 	for i := 0; i < 5; i++ {
@@ -139,6 +138,9 @@ func buildMultiTxnWindow(t *testing.T) (*blockdev.CrashDevice, []string) {
 		t.Fatal(err)
 	}
 	want = append(want[:2], want[3:]...)
+	if fs.jnl.checkpoints != 0 || len(fs.jnl.live) < 7 {
+		t.Fatalf("window not left on the ring: %d checkpoints, %d live batches", fs.jnl.checkpoints, len(fs.jnl.live))
+	}
 	_ = crash.PowerCut()
 	crash.Restart()
 	return crash, want
@@ -185,16 +187,7 @@ func TestGroupCommitPowerCutKeepsCommittedWindow(t *testing.T) {
 func TestGroupCommitReplayIdempotent(t *testing.T) {
 	crash, want := buildMultiTxnWindow(t)
 
-	snapshot := func() []byte {
-		n := crash.NumBlocks()
-		img := make([]byte, n*BlockSize)
-		for bn := int64(0); bn < n; bn++ {
-			if err := crash.ReadBlock(bn, img[bn*BlockSize:(bn+1)*BlockSize]); err != nil {
-				t.Fatalf("snapshot read %d: %v", bn, err)
-			}
-		}
-		return img
-	}
+	snapshot := func() []byte { return deviceImage(t, crash) }
 
 	if _, err := replayJournal(crash); err != nil {
 		t.Fatalf("first replay: %v", err)

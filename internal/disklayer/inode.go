@@ -2,6 +2,7 @@ package disklayer
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -19,6 +20,32 @@ type cachedInode struct {
 	lastBn int64
 }
 
+// itableCacheBlocks bounds the inode-table block cache (2048 inodes).
+const itableCacheBlocks = 64
+
+// itableBlock returns the image of inode-table block blk from the
+// write-through table cache, reading it (through the journal overlay) on a
+// miss. The image is the current one: every table write goes through
+// metaWrite, which keeps cached images in step — so at the bound any entry
+// can be evicted. Caller holds fs.mu.
+func (fs *DiskFS) itableBlock(blk int64) ([]byte, error) {
+	if img, ok := fs.itable[blk]; ok {
+		return img, nil
+	}
+	img := make([]byte, BlockSize)
+	if err := fs.metaRead(blk, img); err != nil {
+		return nil, err
+	}
+	if len(fs.itable) >= itableCacheBlocks {
+		for victim := range fs.itable {
+			delete(fs.itable, victim)
+			break
+		}
+	}
+	fs.itable[blk] = img
+	return img, nil
+}
+
 // readInode returns the cached inode for ino, loading it from the inode
 // table if needed. Caller holds fs.mu.
 func (fs *DiskFS) readInode(ino uint64) (*cachedInode, error) {
@@ -28,57 +55,66 @@ func (fs *DiskFS) readInode(ino uint64) (*cachedInode, error) {
 	if ci, ok := fs.icache[ino]; ok {
 		return ci, nil
 	}
-	blk := fs.sb.itableStart + int64(ino)/InodesPerBlock
-	buf := getBlockBuf()
-	defer putBlockBuf(buf)
-	if err := fs.metaRead(blk, buf); err != nil {
+	img, err := fs.itableBlock(fs.sb.itableStart + int64(ino)/InodesPerBlock)
+	if err != nil {
 		return nil, err
 	}
 	ci := &cachedInode{ino: ino}
-	ci.in.decode(buf[(int64(ino)%InodesPerBlock)*InodeSize:])
+	ci.in.decode(img[(int64(ino)%InodesPerBlock)*InodeSize:])
 	fs.icache[ino] = ci
 	return ci, nil
 }
 
 // writeInode flushes a cached inode to the inode table (through the open
-// transaction when journaling). The read-modify-write of the shared table
-// block goes through metaRead so that two inodes updated in one
-// transaction do not clobber each other. Caller holds fs.mu.
+// transaction when journaling): the inode is encoded into the cached image
+// of its table block and the whole block staged, so two inodes updated in
+// one transaction do not clobber each other and no write re-reads the
+// block it is about to write. Caller holds fs.mu.
 func (fs *DiskFS) writeInode(ci *cachedInode) error {
 	blk := fs.sb.itableStart + int64(ci.ino)/InodesPerBlock
-	buf := getBlockBuf()
-	defer putBlockBuf(buf)
-	if err := fs.metaRead(blk, buf); err != nil {
+	img, err := fs.itableBlock(blk)
+	if err != nil {
 		return err
 	}
-	ci.in.encode(buf[(int64(ci.ino)%InodesPerBlock)*InodeSize:])
-	if err := fs.metaWrite(blk, buf); err != nil {
+	ci.in.encode(img[(int64(ci.ino)%InodesPerBlock)*InodeSize:])
+	if err := fs.metaWrite(blk, img); err != nil {
+		delete(fs.itable, blk)
 		return err
 	}
 	ci.dirty = false
 	return nil
 }
 
-// allocInode allocates a fresh inode with the given mode. Caller holds
-// fs.mu.
+// allocInode allocates a fresh inode with the given mode, scanning the
+// table by the block (an inode's mode is written through on every
+// allocation and release, so the table images are authoritative for it).
+// Caller holds fs.mu.
 func (fs *DiskFS) allocInode(mode uint32) (*cachedInode, error) {
 	if fs.sb.freeInodes == 0 {
 		return nil, ErrNoInodes
 	}
+	var img []byte
 	for ino := uint64(1); int64(ino) <= fs.sb.ninodes; ino++ {
+		if img == nil || ino%InodesPerBlock == 0 {
+			var err error
+			if img, err = fs.itableBlock(fs.sb.itableStart + int64(ino)/InodesPerBlock); err != nil {
+				return nil, err
+			}
+		}
+		if binary.BigEndian.Uint32(img[(ino%InodesPerBlock)*InodeSize:]) != ModeFree {
+			continue
+		}
 		ci, err := fs.readInode(ino)
 		if err != nil {
 			return nil, err
 		}
-		if ci.in.mode == ModeFree {
-			ci.in = inode{mode: mode, nlink: 1, atime: fs.now(), mtime: fs.now()}
-			ci.dirty = true
-			fs.sb.freeInodes--
-			if err := fs.writeInode(ci); err != nil {
-				return nil, err
-			}
-			return ci, nil
+		ci.in = inode{mode: mode, nlink: 1, atime: fs.now(), mtime: fs.now()}
+		ci.dirty = true
+		fs.sb.freeInodes--
+		if err := fs.writeInode(ci); err != nil {
+			return nil, err
 		}
+		return ci, nil
 	}
 	return nil, ErrNoInodes
 }
@@ -139,145 +175,130 @@ func (fs *DiskFS) writePtrBlock(bn int64, ptrs []int64) error {
 	return nil
 }
 
-// bmap maps file block fbn of inode ci to a device block. With alloc set,
-// missing blocks (and missing indirect blocks) are allocated. A return of
-// 0 with alloc unset means a hole (reads as zeros). Caller holds fs.mu.
-func (fs *DiskFS) bmap(ci *cachedInode, fbn int64, alloc bool) (int64, error) {
+// bmap maps file block fbn of inode ci to a device block. With leaf set,
+// a missing block is filled in: leaf supplies the block for fbn itself (a
+// page-out's reserved data block, or a freshly allocated directory block),
+// and missing indirect blocks on the way are allocated. A return of 0 with
+// leaf nil means a hole (reads as zeros). Caller holds fs.mu.
+func (fs *DiskFS) bmap(ci *cachedInode, fbn int64, leaf func() (int64, error)) (int64, error) {
 	if fbn < 0 || fbn >= MaxFileBlocks {
 		return 0, ErrFileTooBig
 	}
-	// Direct pointers.
-	if fbn < NumDirect {
-		if ci.in.direct[fbn] == 0 && alloc {
-			bn, err := fs.allocZeroed(ci)
-			if err != nil {
-				return 0, err
-			}
-			ci.in.direct[fbn] = bn
-			ci.dirty = true
-			// The inode's pointers changed; commit must write it with the
-			// bitmap/pointer blocks it references.
-			fs.txnRegister(ci)
+	// fill points *slot at a new block from alloc if it is empty.
+	fill := func(slot *int64, alloc func() (int64, error)) error {
+		if *slot != 0 || leaf == nil {
+			return nil
 		}
-		if bn := ci.in.direct[fbn]; bn != 0 {
-			ci.lastBn = bn // warm the placement hint from existing layout
+		bn, err := alloc()
+		if err == nil {
+			*slot = bn
 		}
-		return ci.in.direct[fbn], nil
+		return err
 	}
-	fbn -= NumDirect
-	// Single indirect.
-	if fbn < PtrsPerBlock {
-		if ci.in.indirect == 0 {
-			if !alloc {
-				return 0, nil
-			}
-			bn, err := fs.allocZeroed(ci)
-			if err != nil {
-				return 0, err
-			}
-			ci.in.indirect = bn
+	// inodeSlot fills one of the inode's own pointers; the inode must then
+	// commit with the bitmap and pointer blocks it references.
+	inodeSlot := func(slot *int64, alloc func() (int64, error)) error {
+		was := *slot
+		if err := fill(slot, alloc); err != nil {
+			return err
+		}
+		if *slot != was {
 			ci.dirty = true
 			fs.txnRegister(ci)
 		}
-		ptrs, err := fs.readPtrBlock(ci.in.indirect)
+		return nil
+	}
+	// ptrSlot fills entry i of the indirect block at bn and returns it.
+	ptrSlot := func(bn, i int64, alloc func() (int64, error)) (int64, error) {
+		ptrs, err := fs.readPtrBlock(bn)
 		if err != nil {
 			return 0, err
 		}
-		if ptrs[fbn] == 0 && alloc {
-			bn, err := fs.allocZeroed(ci)
-			if err != nil {
-				return 0, err
-			}
-			ptrs[fbn] = bn
-			if err := fs.writePtrBlock(ci.in.indirect, ptrs); err != nil {
-				return 0, err
-			}
-		}
-		if ptrs[fbn] != 0 {
-			ci.lastBn = ptrs[fbn]
-		}
-		return ptrs[fbn], nil
-	}
-	fbn -= PtrsPerBlock
-	// Double indirect.
-	if ci.in.dindirect == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		bn, err := fs.allocZeroed(ci)
-		if err != nil {
+		was := ptrs[i]
+		if err := fill(&ptrs[i], alloc); err != nil {
 			return 0, err
 		}
-		ci.in.dindirect = bn
-		ci.dirty = true
-		fs.txnRegister(ci)
+		if ptrs[i] != was {
+			if err := fs.writePtrBlock(bn, ptrs); err != nil {
+				return 0, err
+			}
+		}
+		return ptrs[i], nil
 	}
-	outer, err := fs.readPtrBlock(ci.in.dindirect)
+	meta := func() (int64, error) { return fs.allocZeroed(ci) }
+
+	var bn int64
+	var err error
+	switch {
+	case fbn < NumDirect:
+		err = inodeSlot(&ci.in.direct[fbn], leaf)
+		bn = ci.in.direct[fbn]
+	case fbn < NumDirect+PtrsPerBlock:
+		if err = inodeSlot(&ci.in.indirect, meta); err == nil && ci.in.indirect != 0 {
+			bn, err = ptrSlot(ci.in.indirect, fbn-NumDirect, leaf)
+		}
+	default:
+		rel := fbn - NumDirect - PtrsPerBlock
+		var inner int64
+		if err = inodeSlot(&ci.in.dindirect, meta); err == nil && ci.in.dindirect != 0 {
+			inner, err = ptrSlot(ci.in.dindirect, rel/PtrsPerBlock, meta)
+		}
+		if err == nil && inner != 0 {
+			bn, err = ptrSlot(inner, rel%PtrsPerBlock, leaf)
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
-	oi := fbn / PtrsPerBlock
-	ii := fbn % PtrsPerBlock
-	if outer[oi] == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		bn, err := fs.allocZeroed(ci)
-		if err != nil {
-			return 0, err
-		}
-		outer[oi] = bn
-		if err := fs.writePtrBlock(ci.in.dindirect, outer); err != nil {
-			return 0, err
-		}
+	if bn != 0 {
+		ci.lastBn = bn // warm the placement hint from existing layout
 	}
-	inner, err := fs.readPtrBlock(outer[oi])
-	if err != nil {
-		return 0, err
-	}
-	if inner[ii] == 0 && alloc {
-		bn, err := fs.allocZeroed(ci)
-		if err != nil {
-			return 0, err
-		}
-		inner[ii] = bn
-		if err := fs.writePtrBlock(outer[oi], inner); err != nil {
-			return 0, err
-		}
-	}
-	if inner[ii] != 0 {
-		ci.lastBn = inner[ii]
-	}
-	return inner[ii], nil
+	return bn, nil
 }
 
-// allocZeroed allocates a data block (near ci's previous block when the
-// hint is warm) and zeroes it, so holes materialise
-// as zeros even if the block previously held data. The zero image is
-// staged in the transaction, not written in place: the block may still
-// hold committed file content (freed earlier in this same transaction),
-// which must survive if a crash discards the transaction. Any stale
-// metadata cache entry for a reused block is dropped, and a pending
-// deferred zero for it is cancelled — the transaction's record supersedes
-// it.
-func (fs *DiskFS) allocZeroed(ci *cachedInode) (int64, error) {
+// reserveBlock reserves a block near ci's previous one (when the hint is
+// warm). An allocator that finds only quarantined blocks forces a
+// checkpoint — which puts their freeing batches behind the watermark — and
+// retries before it may report ErrNoSpace. Caller holds fs.mu.
+func (fs *DiskFS) reserveBlock(ci *cachedInode) (int64, error) {
 	var near int64
-	if ci != nil && ci.lastBn > 0 {
+	if ci.lastBn > 0 {
 		near = ci.lastBn + 1
 	}
-	bn, err := fs.alloc.alloc(near)
+	bn, err := fs.alloc.reserve(near)
+	if errors.Is(err, ErrNoSpace) && fs.journaled && fs.alloc.nheld > 0 {
+		if err := fs.jnl.checkpointAll(); err != nil {
+			return 0, err
+		}
+		if err := fs.reclaim(); err != nil {
+			return 0, err
+		}
+		bn, err = fs.alloc.reserve(near)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if ci != nil {
-		ci.lastBn = bn
+	ci.lastBn = bn
+	delete(fs.mcache, bn) // a stale pointer-block entry from the block's earlier life
+	return bn, nil
+}
+
+// allocZeroed allocates a metadata block (an indirect block or a directory
+// block) inside the open transaction and stages a zero image of it: the
+// block's content travels whole through the journal, so it is well defined
+// from its first commit whatever the block held before. File data blocks
+// do not come this way (diskPager.PageOut).
+func (fs *DiskFS) allocZeroed(ci *cachedInode) (int64, error) {
+	bn, err := fs.reserveBlock(ci)
+	if err != nil {
+		return 0, err
 	}
-	delete(fs.mcache, bn)
-	if fs.txn != nil {
-		delete(fs.txn.zeroAfter, bn)
+	if err := fs.alloc.commit(bn); err != nil {
+		return 0, err
 	}
-	if err := fs.metaWrite(bn, fs.zero); err != nil {
-		_ = fs.alloc.free(bn)
+	if err := fs.metaWrite(bn, zeroBlock[:]); err != nil {
+		_ = fs.alloc.free(bn) // cannot fail: bn was allocated two lines up
+		fs.alloc.release(bn)
 		return 0, err
 	}
 	return bn, nil
@@ -294,7 +315,7 @@ func (fs *DiskFS) truncateLocked(ci *cachedInode, length int64) error {
 	oldBlocks := (ci.in.length + BlockSize - 1) / BlockSize
 	newBlocks := (length + BlockSize - 1) / BlockSize
 	for fbn := newBlocks; fbn < oldBlocks; fbn++ {
-		bn, err := fs.bmap(ci, fbn, false)
+		bn, err := fs.bmap(ci, fbn, nil)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
+	"sort"
 	"sync"
 
 	"springfs/internal/blockdev"
@@ -15,15 +17,14 @@ import (
 // The disk layer keeps its metadata crash-consistent with a physical redo
 // journal, the standard move for a layered store (Lustre journals metadata
 // transactions at its lowest layer so every layer stacked above inherits
-// durability). Every metadata mutation — block alloc/free, inode
-// create/delete/update, directory add/remove, superblock — is grouped into
-// a transaction. Transactions are group-committed: concurrent transactions
-// stage independently, and the first one to reach the commit path becomes
-// the leader, drains every transaction staged behind it, and commits the
-// whole batch with one record run, one commit block, and one barrier (the
-// ext3/jbd group-commit design — batching is self-clocking under barrier
-// latency, because new arrivals pile up while the previous leader waits on
-// the device).
+// durability, and so that a commit is one sequential log write while the
+// in-place update is deferred and batched). Every metadata mutation — block
+// alloc/free, inode create/delete/update, directory add/remove, superblock
+// — is grouped into a transaction. Transactions are group-committed:
+// concurrent transactions stage independently, and the first one to reach
+// the commit path becomes the leader, drains every transaction staged
+// behind it, and commits the whole batch as ONE sequential device write
+// (records + commit block) and one barrier.
 //
 // Journal lifecycle (one transaction's journey):
 //
@@ -31,40 +32,54 @@ import (
 //	                 |
 //	                 v
 //	[open] --commitTxn--> [staged]        images visible to metaRead
-//	                 \       |            via the pending overlay
+//	                 \       |            via the overlay
 //	                  \      v
 //	                   [batched]          a leader merged it with its
 //	                         |            queue neighbours (dedup by
 //	                         v            block, last image wins)
-//	      records -> commit block -> Flush
+//	   one WriteRun (records + commit block) -> Flush
 //	                         |
-//	                 [committed, live]    durable in the ring; homes
-//	                         |            written but not yet barriered
+//	                 [committed, live]    durable in the ring; the images
+//	                         |            stay in the overlay, no home
+//	                         |            has been touched
 //	                         v
-//	      next barrier advances the durability watermark
+//	   checkpoint: live batches folded newest-wins, sorted, adjacent
+//	   homes written as runs      (ring half full | ring space needed |
+//	                         |     SyncFS seal | allocator out of blocks)
+//	                         v
+//	                      [homed]         overlay entries dropped
 //	                         |
 //	                         v
-//	                  [checkpointed]      ring space reusable
-//	                                      (pruned from the live list)
+//	   next barrier advances the durability watermark
+//	                         |
+//	                         v
+//	                  [checkpointed]      ring space reusable; the blocks
+//	                                      the batch freed leave quarantine
+//
+// File DATA never enters the journal: an allocating page-out writes the
+// data first, into blocks that are free in every committed state, and then
+// commits the bitmap, pointer blocks and inode that reference them (the
+// commit barrier covers the data too, so a returned fsync is durable).
 //
 // The ring occupies blocks journalBase .. journalBase+R-1 (R =
 // superblock.journalBlocks). A batch is laid out as n record blocks
-// followed by one commit block, written at the ring head; the head then
-// advances n+1 (mod R). Replay reads the newest valid commit block, whose
-// tailSeq field names the oldest batch that might not be checkpointed, and
-// re-applies every batch in [tailSeq, newest] in sequence order (later
-// images win). Anything with a bad CRC is a torn tail from a crash before
-// its barrier and is discarded — that is the contract: it never committed.
+// followed by one commit block, written at the ring head as one run (two
+// where it wraps); the head then advances n+1 (mod R). Replay reads the
+// newest valid commit block, whose tailSeq field names the oldest batch
+// that might not be checkpointed, and re-applies every batch in [tailSeq,
+// newest] in sequence order (later images win). Anything with a bad CRC is
+// a torn tail from a crash before its barrier and is discarded — that is
+// the contract: it never committed.
 //
-// Checkpointing is asynchronous with respect to barriers: a batch's homes
-// are written immediately after its commit barrier, but the write-back is
-// NOT barriered. The next batch's commit barrier doubles as the checkpoint
-// barrier for its predecessors (the durability watermark durableSeq
-// advances at each Flush), so steady-state cost is one barrier per batch
-// instead of PR 4's two per transaction. Ring space for a batch is
-// reclaimed only once its homes are durable, which is what keeps replay
-// safe: a batch overwritten by ring reuse is by construction older than
-// every tailSeq still reachable.
+// One reuse rule keeps both replay and the lazy checkpoint from ever
+// writing a stale image over a reused block: a block freed by batch s is
+// quarantined — free in the bitmap, but not allocatable — until the
+// watermark durableSeq reaches s. From then on every commit block carries
+// tailSeq > s, so no image from the block's earlier life is inside any
+// replay window that also holds a reference to its new life, and every
+// live image of it has gone home. Leaving quarantine, the block is zeroed
+// (in sorted runs, after the commit that released it has been
+// acknowledged) and handed back to the allocator.
 var (
 	opJournal       = stats.NewOp("disk.journal", stats.BoundaryDirect)
 	journalTxns     = stats.Default.Counter("disk.journal.txns")
@@ -117,6 +132,65 @@ var ErrTxnTooBig = errors.New("disklayer: transaction exceeds journal capacity")
 // bug, not a runtime condition.
 var errNoTxn = errors.New("disklayer: metadata write outside a transaction")
 
+// readRun and writeRun move len(buf)/BlockSize consecutive blocks in one
+// device call where the device supports runs, block by block otherwise.
+func readRun(dev blockdev.Device, bn int64, buf []byte) error {
+	if rr, ok := dev.(blockdev.RunReader); ok && len(buf) > BlockSize {
+		return rr.ReadRun(bn, buf)
+	}
+	for off := 0; off < len(buf); off += BlockSize {
+		if err := dev.ReadBlock(bn+int64(off/BlockSize), buf[off:off+BlockSize]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeRun(dev blockdev.Device, bn int64, buf []byte) error {
+	if rr, ok := dev.(blockdev.RunReader); ok && len(buf) > BlockSize {
+		return rr.WriteRun(bn, buf)
+	}
+	for off := 0; off < len(buf); off += BlockSize {
+		if err := dev.WriteBlock(bn+int64(off/BlockSize), buf[off:off+BlockSize]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeSorted writes one image per block of bns (ascending), adjacent
+// blocks assembled into one run.
+func writeSorted(dev blockdev.Device, bns []int64, image func(bn int64) []byte) error {
+	for i := 0; i < len(bns); {
+		j := i + 1
+		for j < len(bns) && bns[j] == bns[j-1]+1 {
+			j++
+		}
+		run := image(bns[i])
+		if j-i > 1 {
+			run = make([]byte, 0, (j-i)*BlockSize)
+			for _, bn := range bns[i:j] {
+				run = append(run, image(bn)...)
+			}
+		}
+		if err := writeRun(dev, bns[i], run); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
+}
+
+// zeroBlock is a block of zeros; read-only.
+var zeroBlock [BlockSize]byte
+
+// zeroBlocks zeroes blocks on the device, adjacent ones as one run. It
+// sorts blocks in place.
+func zeroBlocks(dev blockdev.Device, blocks []int64) error {
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	return writeSorted(dev, blocks, func(int64) []byte { return zeroBlock[:] })
+}
+
 // txn accumulates the block images of one metadata mutation. Writes are
 // deduplicated by block address (the last image wins) and reads during the
 // transaction observe them, so read-modify-write cycles inside one
@@ -124,11 +198,10 @@ var errNoTxn = errors.New("disklayer: metadata write outside a transaction")
 type txn struct {
 	writes map[int64][]byte
 	order  []int64
-	// zeroAfter lists blocks freed by this transaction. They are zeroed
-	// on the device only after the transaction commits: zeroing earlier
-	// would destroy committed file content if the crash discarded the
-	// transaction that freed them.
-	zeroAfter map[int64]bool
+	// freed lists the blocks this transaction freed. They stay quarantined
+	// (see the reuse rule above) until the batch carrying the transaction
+	// is behind the durability watermark.
+	freed []int64
 	// inodes are the cached inodes structurally changed by this
 	// transaction (new/cleared block pointers, link counts). They are
 	// written into the transaction at commit so the on-disk inode can
@@ -136,9 +209,8 @@ type txn struct {
 	inodes map[uint64]*cachedInode
 	// seal marks the transaction as a SyncFS seal: the leader checkpoints
 	// and barriers everything older first, so the batch carrying the seal
-	// becomes the entire replay window. After a successful SyncFS, replay
-	// can therefore never re-apply a pre-sync zero image over data the
-	// sync made durable.
+	// becomes the entire replay window — a window of pure metadata with no
+	// image of any block the sync is about to zero out of quarantine.
 	seal bool
 	// committed and commitErr publish the batch outcome to the staging
 	// goroutine. Written by the leader (which holds cmu) and read in
@@ -149,9 +221,8 @@ type txn struct {
 
 func newTxn() *txn {
 	return &txn{
-		writes:    make(map[int64][]byte),
-		zeroAfter: make(map[int64]bool),
-		inodes:    make(map[uint64]*cachedInode),
+		writes: make(map[int64][]byte),
+		inodes: make(map[uint64]*cachedInode),
 	}
 }
 
@@ -182,15 +253,14 @@ func sameBuf(a, b []byte) bool {
 }
 
 // liveBatch is a committed batch whose homes are not yet known durable;
-// its ring blocks must not be reused. writes/order are retained only while
-// the batch is un-checkpointed (deferred checkpoint mode, or a checkpoint
-// write that failed): they hold the images the eventual checkpoint must
-// write.
+// its ring blocks must not be reused. writes holds the images the
+// checkpoint must write home (the newest image of each block the batch
+// named), and is nil once they have been written.
 type liveBatch struct {
 	seq    uint64
 	blocks int64 // records + commit block
-	order  []int64
 	writes map[int64][]byte
+	freed  []int64 // blocks the batch freed, quarantined until it is durable
 }
 
 // journal drives the group-commit protocol for one mounted DiskFS.
@@ -204,26 +274,23 @@ type journal struct {
 	sb  *superblock
 
 	// qmu guards the staging side: the queue of transactions waiting for
-	// a leader, and the overlay of staged-but-not-homed block images that
-	// metaRead must observe (without it, a later transaction's
-	// read-modify-write of a shared block — an inode table block, say —
-	// would resurrect the on-device image and clobber a queued
-	// neighbour's update).
+	// a leader, and the overlay of staged or committed images that have not
+	// been written home, which metaRead must observe (it is the only
+	// current copy of a block between its commit and its checkpoint).
 	qmu     sync.Mutex
 	queue   []*txn
 	overlay map[int64][]byte
-	// checkpoint is normally true; fsbench -recovery disables it so
-	// committed batches stay in the journal for Mount to replay.
-	checkpoint  bool
-	lastRecords int
+	// reclaim lists blocks whose freeing batch is behind the watermark:
+	// ready to be zeroed and released from quarantine (DiskFS.commitTxn).
+	reclaim []int64
 	// Per-journal copies of the batching counters, so tests can assert on
 	// one mount's behaviour without racing other mounts' global stats.
 	statTxns    int64
 	statBatches int64
 	statBatched int64
 
-	// cmu is the leader lock; it serialises batch commits and guards the
-	// ring cursor state below.
+	// cmu is the leader lock; it serialises batch commits and checkpoints
+	// and guards the ring cursor state below.
 	cmu  sync.Mutex
 	seq  uint64 // next batch sequence number
 	head int64  // ring index of the next record write
@@ -231,24 +298,21 @@ type journal struct {
 	// durableSeq has durable homes, so its ring space is reusable and
 	// replay never needs it. Advanced at each Flush. tailSeq in a commit
 	// block is durableSeq+1 at commit time.
-	durableSeq uint64
-	live       []liveBatch
+	durableSeq  uint64
+	live        []liveBatch
+	checkpoints int64  // checkpoints that wrote at least one home (tests)
+	run         []byte // scratch for assembling a commit run
 }
 
-// openJournal builds the journal for a mounted device, deriving the ring
-// cursor from the newest valid commit block (Mount has already replayed,
-// so everything on the ring is also homed and durable).
-func openJournal(dev blockdev.Device, sb *superblock) (*journal, error) {
+// openJournal builds the journal for a mounted device from Mount's scan of
+// the ring: the cursor follows the newest valid commit block (Mount has
+// already replayed, so everything on the ring is also homed and durable).
+func openJournal(dev blockdev.Device, sb *superblock, cands map[uint64]*ringCommit, maxSeq uint64) *journal {
 	j := &journal{
-		dev:        dev,
-		sb:         sb,
-		overlay:    make(map[int64][]byte),
-		checkpoint: true,
-		seq:        1,
-	}
-	cands, maxSeq, err := scanRing(dev, sb.journalBlocks)
-	if err != nil {
-		return nil, err
+		dev:     dev,
+		sb:      sb,
+		overlay: make(map[int64][]byte),
+		seq:     1,
 	}
 	if maxSeq != 0 {
 		newest := cands[maxSeq]
@@ -256,7 +320,7 @@ func openJournal(dev blockdev.Device, sb *superblock) (*journal, error) {
 		j.head = (newest.start + int64(len(newest.homes)) + 1) % sb.journalBlocks
 		j.durableSeq = maxSeq
 	}
-	return j, nil
+	return j
 }
 
 // capacity returns the number of record blocks one batch can hold.
@@ -280,8 +344,8 @@ func (j *journal) stage(t *txn) {
 	}
 }
 
-// readStaged copies the newest staged-but-not-homed image of bn into buf,
-// if one exists.
+// readStaged copies the newest image of bn that has not been written home
+// into buf, if one exists.
 func (j *journal) readStaged(bn int64, buf []byte) bool {
 	j.qmu.Lock()
 	defer j.qmu.Unlock()
@@ -290,6 +354,16 @@ func (j *journal) readStaged(bn int64, buf []byte) bool {
 		copy(buf, img)
 	}
 	return ok
+}
+
+// dropImage releases one block image: the overlay entry still pointing at
+// it goes (an entry overwritten by a later stager is left for that
+// stager's batch) and the buffer returns to the pool. Caller holds qmu.
+func (j *journal) dropImage(bn int64, img []byte) {
+	if ov, ok := j.overlay[bn]; ok && sameBuf(ov, img) {
+		delete(j.overlay, bn)
+	}
+	putBlockBuf(img)
 }
 
 // commitGroup blocks until t is committed. The first caller in becomes the
@@ -306,9 +380,10 @@ func (j *journal) commitGroup(t *txn) error {
 }
 
 // commitBatch drains a capacity-bounded prefix of the staging queue and
-// runs the commit protocol for it: record run, commit block, one barrier,
-// then an unbarriered checkpoint of the homes. Caller holds cmu. Errors
-// are delivered to every member transaction via completeBatch.
+// commits it: a checkpoint of older batches when one is due, then the
+// record run and commit block as one device write, then one barrier. No
+// home is written for the batch itself. Caller holds cmu. Errors are
+// delivered to every member transaction via completeBatch.
 func (j *journal) commitBatch() {
 	capRecords := j.capacity()
 	j.qmu.Lock()
@@ -329,10 +404,7 @@ func (j *journal) commitBatch() {
 			// invalidates and reloads) rather than commit it non-atomically.
 			j.queue = j.queue[1:]
 			for bn, img := range t.writes {
-				if ov, ok := j.overlay[bn]; ok && sameBuf(ov, img) {
-					delete(j.overlay, bn)
-				}
-				putBlockBuf(img)
+				j.dropImage(bn, img)
 				delete(t.writes, bn)
 			}
 			t.commitErr = fmt.Errorf("%w: %d blocks > %d record slots", ErrTxnTooBig, fresh, capRecords)
@@ -354,14 +426,13 @@ func (j *journal) commitBatch() {
 		batch = append(batch, t)
 		j.queue = j.queue[1:]
 	}
-	checkpoint := j.checkpoint
 	j.qmu.Unlock()
 	if len(batch) == 0 {
 		return
 	}
 	n := len(order)
 	if n == 0 {
-		j.completeBatch(batch, merged, false, nil)
+		j.completeBatch(batch, merged, nil)
 		return
 	}
 	ot := opJournal.Start()
@@ -369,35 +440,34 @@ func (j *journal) commitBatch() {
 
 	R := j.sb.journalBlocks
 	needed := int64(n) + 1
-	var used int64
+	var used int64 // ring blocks held by live batches
 	for _, lb := range j.live {
 		used += lb.blocks
 	}
-	if needed > R-used || (sealed && checkpoint) {
-		// Force the watermark forward: home everything still live, then
-		// barrier, so every prior batch's ring space is reclaimable. A
-		// seal does this unconditionally so that its own batch becomes
-		// the entire replay window.
-		if err := j.homeLive(); err != nil {
-			j.completeBatch(batch, merged, false, err)
+	if sealed || needed > R-used {
+		// The ring blocks of live batches are about to be overwritten (or
+		// a seal wants its batch to be the whole replay window): their
+		// homes must be durable first.
+		if err := j.checkpoint(true); err != nil {
+			j.completeBatch(batch, merged, err)
 			return
 		}
-		if err := j.dev.Flush(); err != nil {
-			j.completeBatch(batch, merged, false, err)
+	} else if used > R/2 {
+		// Lazy checkpoint: the homes ride this commit's barrier.
+		if err := j.checkpoint(false); err != nil {
+			j.completeBatch(batch, merged, err)
 			return
 		}
-		j.advanceDurable()
 	}
 
-	ringBn := func(i int64) int64 { return journalBase + (j.head+i)%R }
-	for i, bn := range order {
-		if err := j.dev.WriteBlock(ringBn(int64(i)), merged[bn]); err != nil {
-			j.completeBatch(batch, merged, false, err)
-			return
-		}
+	if int64(cap(j.run)) < needed*BlockSize {
+		j.run = make([]byte, needed*BlockSize)
 	}
-	cb := getBlockBuf()
-	defer putBlockBuf(cb)
+	run := j.run[:needed*BlockSize]
+	for i, bn := range order {
+		copy(run[i*BlockSize:], merged[bn])
+	}
+	cb := run[n*BlockSize:]
 	clear(cb)
 	be := binary.BigEndian
 	be.PutUint64(cb[0:], journalMagic)
@@ -413,109 +483,133 @@ func (j *journal) commitBatch() {
 	h := crc64.New(crcTable)
 	h.Write(cb[8:56])
 	h.Write(cb[commitHdrSize : commitHdrSize+8*n])
-	for _, bn := range order {
-		h.Write(merged[bn])
-	}
+	h.Write(run[:n*BlockSize])
 	be.PutUint64(cb[56:], h.Sum64())
-	if err := j.dev.WriteBlock(ringBn(int64(n)), cb); err != nil {
-		j.completeBatch(batch, merged, false, err)
-		return
+	// One sequential write, two where the batch wraps the ring. Nothing
+	// orders the records before the commit block: the CRC covers them, so
+	// a torn run is simply a batch that never committed.
+	first := min(needed, R-j.head)
+	err := writeRun(j.dev, journalBase+j.head, run[:first*BlockSize])
+	if err == nil && first < needed {
+		err = writeRun(j.dev, journalBase, run[first*BlockSize:])
 	}
-	// Commit barrier: the batch (and every earlier buffered write,
-	// including file data it references and all predecessors' homes)
-	// becomes durable here.
-	if err := j.dev.Flush(); err != nil {
-		j.completeBatch(batch, merged, false, err)
+	if err == nil {
+		// Commit barrier: the batch — and every earlier buffered write,
+		// including the file data it references and the homes a lazy
+		// checkpoint just wrote — becomes durable here.
+		err = j.dev.Flush()
+	}
+	if err != nil {
+		j.completeBatch(batch, merged, err)
 		return
 	}
 	j.advanceDurable()
-	lb := liveBatch{seq: j.seq, blocks: needed}
-	j.head = (j.head + needed) % R
-	j.seq++
-	if checkpoint {
-		// Checkpoint the homes now, unbarriered: the next batch's commit
-		// barrier makes them durable and reclaims this batch's ring space.
-		for _, bn := range order {
-			if err := j.dev.WriteBlock(bn, merged[bn]); err != nil {
-				// The batch is committed (durable in the ring) but its
-				// homes are suspect; keep the images live so a later
-				// forced checkpoint retries, and let the caller
-				// invalidate + replay.
-				lb.order, lb.writes = order, merged
-				j.live = append(j.live, lb)
-				j.completeBatch(batch, merged, true, err)
-				return
-			}
-		}
-	} else {
-		lb.order, lb.writes = order, merged
+	lb := liveBatch{seq: j.seq, blocks: needed, writes: merged}
+	for _, t := range batch {
+		lb.freed = append(lb.freed, t.freed...)
 	}
 	j.live = append(j.live, lb)
-	j.completeBatch(batch, merged, !checkpoint, nil)
+	j.head = (j.head + needed) % R
+	j.seq++
+	j.completeBatch(batch, merged, nil)
 }
 
-// homeLive writes the home blocks of every committed-but-unhomed live
-// batch, releasing their images and overlay entries. Caller holds cmu.
-func (j *journal) homeLive() error {
-	for i := range j.live {
-		lb := &j.live[i]
-		if lb.writes == nil {
-			continue
-		}
-		for _, bn := range lb.order {
-			if err := j.dev.WriteBlock(bn, lb.writes[bn]); err != nil {
-				return err
-			}
-		}
-		j.qmu.Lock()
+// checkpoint writes the homes of every live batch that has not been homed:
+// the batches are folded newest-wins, the blocks sorted, and adjacent ones
+// written as runs, so the superblock, bitmap and hot inode-table block go
+// home once per checkpoint however many transactions touched them. With
+// barrier set the homes are flushed and the watermark advanced; otherwise
+// the next commit barrier does that. Caller holds cmu.
+func (j *journal) checkpoint(barrier bool) error {
+	final := make(map[int64][]byte)
+	for _, lb := range j.live {
 		for bn, img := range lb.writes {
-			if ov, ok := j.overlay[bn]; ok && sameBuf(ov, img) {
-				delete(j.overlay, bn)
+			final[bn] = img
+		}
+	}
+	if len(final) > 0 {
+		bns := make([]int64, 0, len(final))
+		for bn := range final {
+			bns = append(bns, bn)
+		}
+		sort.Slice(bns, func(a, b int) bool { return bns[a] < bns[b] })
+		if err := writeSorted(j.dev, bns, func(bn int64) []byte { return final[bn] }); err != nil {
+			return err // the images stay live; a later checkpoint retries
+		}
+		j.checkpoints++
+		j.qmu.Lock()
+		for i := range j.live {
+			for bn, img := range j.live[i].writes {
+				j.dropImage(bn, img)
 			}
-			putBlockBuf(img)
+			j.live[i].writes = nil
 		}
 		j.qmu.Unlock()
-		lb.order, lb.writes = nil, nil
 	}
+	if !barrier {
+		return nil
+	}
+	if err := j.dev.Flush(); err != nil {
+		return err
+	}
+	j.advanceDurable()
 	return nil
 }
 
+// checkpointAll homes and barriers every committed batch: afterwards the
+// device alone holds the committed state and no block is quarantined on
+// the journal's account.
+func (j *journal) checkpointAll() error {
+	j.cmu.Lock()
+	defer j.cmu.Unlock()
+	return j.checkpoint(true)
+}
+
 // advanceDurable moves the durability watermark over the homed prefix of
-// the live list after a barrier. Caller holds cmu; the barrier has just
-// completed, so every home write issued before it is durable.
+// the live list after a barrier, and hands the blocks those batches freed
+// to the reclaim list. Caller holds cmu; the barrier has just completed, so
+// every home write issued before it is durable.
 func (j *journal) advanceDurable() {
 	for len(j.live) > 0 && j.live[0].writes == nil {
 		j.durableSeq = j.live[0].seq
+		if freed := j.live[0].freed; len(freed) > 0 {
+			j.qmu.Lock()
+			j.reclaim = append(j.reclaim, freed...)
+			j.qmu.Unlock()
+		}
 		j.live = j.live[1:]
 	}
 }
 
+// scrub takes the reclaim list and zeroes its blocks on the device, in
+// sorted runs. The caller releases the returned blocks from quarantine
+// (also when zeroing failed: they are free either way).
+func (j *journal) scrub() ([]int64, error) {
+	j.qmu.Lock()
+	blocks := j.reclaim
+	j.reclaim = nil
+	j.qmu.Unlock()
+	return blocks, zeroBlocks(j.dev, blocks)
+}
+
 // completeBatch publishes the batch outcome to its member transactions and
-// reclaims their images. retained means the merged (newest-per-block)
-// images stay owned by the live list for a deferred checkpoint; everything
-// else goes back to the pool, and overlay entries still pointing at a
-// reclaimed image are dropped (entries overwritten by a later stager are
-// left for that stager's batch).
-func (j *journal) completeBatch(batch []*txn, merged map[int64][]byte, retained bool, err error) {
+// settles their images. On success the merged (newest-per-block) images
+// pass to the live list and stay in the overlay until their checkpoint;
+// everything else goes back to the pool.
+func (j *journal) completeBatch(batch []*txn, merged map[int64][]byte, err error) {
 	j.qmu.Lock()
 	defer j.qmu.Unlock()
 	for _, t := range batch {
 		for bn, img := range t.writes {
-			if retained && sameBuf(merged[bn], img) {
-				delete(t.writes, bn)
-				continue
+			if err != nil || !sameBuf(merged[bn], img) {
+				j.dropImage(bn, img)
 			}
-			if ov, ok := j.overlay[bn]; ok && sameBuf(ov, img) {
-				delete(j.overlay, bn)
-			}
-			putBlockBuf(img)
 			delete(t.writes, bn)
 		}
 		t.commitErr = err
 		t.committed = true
 	}
 	if err == nil {
-		j.lastRecords = len(merged)
 		j.statTxns += int64(len(batch))
 		j.statBatches++
 		journalTxns.Add(int64(len(batch)))
@@ -525,14 +619,6 @@ func (j *journal) completeBatch(batch []*txn, merged map[int64][]byte, retained 
 			journalBatched.Add(int64(len(batch)))
 		}
 	}
-}
-
-// checkpointOn reports whether committed batches are checkpointed
-// immediately (the default).
-func (j *journal) checkpointOn() bool {
-	j.qmu.Lock()
-	defer j.qmu.Unlock()
-	return j.checkpoint
 }
 
 // --- Replay ---------------------------------------------------------------
@@ -547,12 +633,13 @@ type ringCommit struct {
 	records [][]byte
 }
 
-// scanRing finds every valid commit block on the ring. ringBlocks > 0
-// bounds the scan with the superblock's geometry; ringBlocks <= 0 means
-// the superblock is untrusted and the scan relies on the commit blocks
-// being self-describing (each carries its ring size, and its position must
-// be consistent with its startIdx and record count). Returns the valid
-// commits by sequence number and the highest sequence seen.
+// scanRing finds every valid commit block on the ring, which it reads in
+// one run. ringBlocks > 0 bounds the scan with the superblock's geometry;
+// ringBlocks <= 0 means the superblock is untrusted and the scan relies on
+// the commit blocks being self-describing (each carries its ring size, and
+// its position must be consistent with its startIdx and record count).
+// Returns the valid commits by sequence number and the highest sequence
+// seen.
 func scanRing(dev blockdev.Device, ringBlocks int64) (map[uint64]*ringCommit, uint64, error) {
 	nblocks := dev.NumBlocks()
 	limit := int64(maxRingBlocks)
@@ -563,14 +650,17 @@ func scanRing(dev blockdev.Device, ringBlocks int64) (map[uint64]*ringCommit, ui
 		limit = nblocks - journalBase
 	}
 	cands := make(map[uint64]*ringCommit)
+	if limit <= 0 {
+		return cands, 0, nil
+	}
+	ring := make([]byte, limit*BlockSize)
+	if err := readRun(dev, journalBase, ring); err != nil {
+		return nil, 0, err
+	}
 	var maxSeq uint64
-	cb := make([]byte, BlockSize)
-	rec := make([]byte, BlockSize)
 	be := binary.BigEndian
 	for idx := int64(0); idx < limit; idx++ {
-		if err := dev.ReadBlock(journalBase+idx, cb); err != nil {
-			return nil, 0, err
-		}
+		cb := ring[idx*BlockSize : (idx+1)*BlockSize]
 		if be.Uint64(cb[0:]) != journalMagic {
 			continue
 		}
@@ -602,11 +692,7 @@ func scanRing(dev blockdev.Device, ringBlocks int64) (map[uint64]*ringCommit, ui
 			homes[i] = int64(be.Uint64(cb[commitHdrSize+8*i:]))
 			// A record homes to the superblock or a block past the ring;
 			// anything else is garbage from a torn commit block.
-			if homes[i] != 0 && homes[i] < journalBase+ringR {
-				bad = true
-				break
-			}
-			if homes[i] >= nblocks {
+			if homes[i] != 0 && homes[i] < journalBase+ringR || homes[i] >= nblocks {
 				bad = true
 				break
 			}
@@ -619,13 +705,19 @@ func scanRing(dev blockdev.Device, ringBlocks int64) (map[uint64]*ringCommit, ui
 		h.Write(cb[commitHdrSize : commitHdrSize+8*n])
 		records := make([][]byte, n)
 		for i := range records {
-			if err := dev.ReadBlock(journalBase+(start+int64(i))%ringR, rec); err != nil {
-				return nil, 0, err
-			}
-			records[i] = append([]byte(nil), rec...)
+			at := (start + int64(i)) % ringR // < ringR <= limit
+			records[i] = ring[at*BlockSize : (at+1)*BlockSize]
 			h.Write(records[i])
 		}
 		if h.Sum64() != be.Uint64(cb[56:]) {
+			continue
+		}
+		// A superblock image must describe this device and the ring the
+		// commit claims, or the commit is foreign (an earlier format's
+		// ghost) or forged — and replaying it would change what the next
+		// scan trusts.
+		var sb superblock
+		if i := slices.Index(homes, 0); i >= 0 && (sb.decode(records[i]) != nil || sb.validate(nblocks) != nil || sb.journalBlocks != ringR) {
 			continue
 		}
 		if _, dup := cands[seq]; dup {
@@ -639,22 +731,14 @@ func scanRing(dev blockdev.Device, ringBlocks int64) (map[uint64]*ringCommit, ui
 	return cands, maxSeq, nil
 }
 
-// replayJournal re-applies the committed batches sitting on the journal
-// ring, if any. The replay window is [tailSeq of the newest valid commit,
-// newest]: older batches are checkpointed and durable by the watermark
-// invariant. Within the window the longest valid suffix is applied in
-// sequence order (later images win), which is idempotent — replay after
-// replay is a no-op. Torn or absent batches never committed and are
-// silently discarded. Returns whether anything was actually re-applied.
-//
-// The superblock bounds the scan when it is intact; when it is torn, the
-// self-describing commit blocks carry enough geometry to validate
-// themselves, so replay still works — and typically restores the
-// superblock, whose image travels in every batch.
-func replayJournal(dev blockdev.Device) (bool, error) {
+// loadRing scans the ring of dev. The superblock bounds the scan when it
+// is intact; when it is torn, the self-describing commit blocks carry
+// enough geometry to validate themselves, so replay still works — and
+// typically restores the superblock, whose image travels in every batch.
+func loadRing(dev blockdev.Device) (map[uint64]*ringCommit, uint64, error) {
 	nblocks := dev.NumBlocks()
 	if nblocks <= journalBase+1 {
-		return false, nil
+		return nil, 0, nil
 	}
 	var ringBlocks int64
 	sbb := make([]byte, BlockSize)
@@ -664,10 +748,26 @@ func replayJournal(dev blockdev.Device) (bool, error) {
 			ringBlocks = sb.journalBlocks
 		}
 	}
-	cands, maxSeq, err := scanRing(dev, ringBlocks)
+	return scanRing(dev, ringBlocks)
+}
+
+// replayJournal re-applies the committed batches sitting on the journal
+// ring, if any. Returns whether anything was actually re-applied.
+func replayJournal(dev blockdev.Device) (bool, error) {
+	cands, maxSeq, err := loadRing(dev)
 	if err != nil {
 		return false, err
 	}
+	return replayRing(dev, cands, maxSeq)
+}
+
+// replayRing applies a ring scan. The replay window is [tailSeq of the
+// newest valid commit, newest]: older batches are checkpointed and durable
+// by the watermark invariant. Within the window the longest valid suffix is
+// applied in sequence order (later images win), which is idempotent —
+// replay after replay is a no-op. Torn or absent batches never committed
+// and are silently discarded.
+func replayRing(dev blockdev.Device, cands map[uint64]*ringCommit, maxSeq uint64) (bool, error) {
 	if maxSeq == 0 {
 		return false, nil
 	}
@@ -684,17 +784,22 @@ func replayJournal(dev blockdev.Device) (bool, error) {
 			final[bn] = c.records[i]
 		}
 	}
+	bns := make([]int64, 0, len(final))
+	for bn := range final {
+		bns = append(bns, bn)
+	}
+	sort.Slice(bns, func(a, b int) bool { return bns[a] < bns[b] })
 	// A fully checkpointed window already matches the home locations (the
 	// normal state after a clean unmount); applying it again would be a
 	// harmless no-op, so skip it and only report replays that actually
 	// recovered something.
 	home := make([]byte, BlockSize)
 	current := true
-	for bn, img := range final {
+	for _, bn := range bns {
 		if err := dev.ReadBlock(bn, home); err != nil {
 			return false, err
 		}
-		if !bytes.Equal(home, img) {
+		if !bytes.Equal(home, final[bn]) {
 			current = false
 			break
 		}
@@ -702,10 +807,8 @@ func replayJournal(dev blockdev.Device) (bool, error) {
 	if current {
 		return false, nil
 	}
-	for bn, img := range final {
-		if err := dev.WriteBlock(bn, img); err != nil {
-			return false, err
-		}
+	if err := writeSorted(dev, bns, func(bn int64) []byte { return final[bn] }); err != nil {
+		return false, err
 	}
 	if err := dev.Flush(); err != nil {
 		return false, err
@@ -718,25 +821,13 @@ func replayJournal(dev blockdev.Device) (bool, error) {
 // after repairs: replaying a stale batch over a repaired image could
 // reintroduce the inconsistency.
 func eraseJournal(dev blockdev.Device) error {
-	var ringBlocks int64
-	sbb := make([]byte, BlockSize)
-	if err := dev.ReadBlock(0, sbb); err == nil {
-		var sb superblock
-		if sb.decode(sbb) == nil && sb.validate(dev.NumBlocks()) == nil {
-			ringBlocks = sb.journalBlocks
-		}
-	}
-	cands, maxSeq, err := scanRing(dev, ringBlocks)
-	if err != nil {
+	cands, maxSeq, err := loadRing(dev)
+	if err != nil || maxSeq == 0 {
 		return err
 	}
-	if maxSeq == 0 {
-		return nil
-	}
-	zero := make([]byte, BlockSize)
 	for _, c := range cands {
 		idx := (c.start + int64(len(c.homes))) % c.ring
-		if err := dev.WriteBlock(journalBase+idx, zero); err != nil {
+		if err := dev.WriteBlock(journalBase+idx, zeroBlock[:]); err != nil {
 			return err
 		}
 	}
@@ -746,9 +837,12 @@ func eraseJournal(dev blockdev.Device) error {
 // --- DiskFS transaction plumbing ------------------------------------------
 
 // metaWrite stages a metadata block write in the current transaction (or
-// writes through directly when journaling is disabled). Caller holds
-// fs.mu.
+// writes through directly when journaling is disabled), keeping a cached
+// inode-table image of the block in step. Caller holds fs.mu.
 func (fs *DiskFS) metaWrite(bn int64, buf []byte) error {
+	if img, ok := fs.itable[bn]; ok && !sameBuf(img, buf) {
+		copy(img, buf)
+	}
 	if !fs.journaled {
 		return fs.dev.WriteBlock(bn, buf)
 	}
@@ -760,8 +854,9 @@ func (fs *DiskFS) metaWrite(bn int64, buf []byte) error {
 }
 
 // metaRead reads a metadata block, observing writes staged in the current
-// transaction, then images staged by queued-but-uncommitted (or
-// committed-but-unhomed) neighbours, then the device. Caller holds fs.mu.
+// transaction, then the journal's overlay (images staged by queued
+// neighbours or committed but not yet checkpointed), then the device.
+// Caller holds fs.mu.
 func (fs *DiskFS) metaRead(bn int64, buf []byte) error {
 	if fs.txn != nil {
 		if img, ok := fs.txn.writes[bn]; ok {
@@ -784,21 +879,30 @@ func (fs *DiskFS) txnRegister(ci *cachedInode) {
 	}
 }
 
-// freeBlock releases bn and schedules it to be zeroed once the freeing
-// transaction is durable (so a discarded transaction cannot have destroyed
-// committed data). Caller holds fs.mu.
+// freeBlock releases bn into quarantine: free in the bitmap at once, but
+// zeroed and allocatable only once the freeing transaction is behind the
+// durability watermark (so a discarded transaction cannot have destroyed
+// committed data, and no stale image can land on a reused block). Caller
+// holds fs.mu.
 func (fs *DiskFS) freeBlock(bn int64) error {
+	if fs.txn == nil {
+		return errNoTxn
+	}
 	if err := fs.alloc.free(bn); err != nil {
 		return err
 	}
-	if fs.txn != nil {
-		fs.txn.zeroAfter[bn] = true
-	} else if fs.journaled {
-		return errNoTxn
-	} else if err := fs.dev.WriteBlock(bn, fs.zero); err != nil {
-		return err
-	}
+	fs.txn.freed = append(fs.txn.freed, bn)
 	return nil
+}
+
+// reclaim zeroes the blocks the watermark has released from quarantine and
+// hands them back to the allocator. Caller holds fs.mu.
+func (fs *DiskFS) reclaim() error {
+	blocks, err := fs.jnl.scrub()
+	for _, bn := range blocks {
+		fs.alloc.release(bn)
+	}
+	return err
 }
 
 // withTxn runs fn inside a metadata transaction and commits it. The
@@ -827,27 +931,29 @@ func (fs *DiskFS) withTxn(fn func() error) error {
 
 // commitTxn finalises the current transaction: registered inodes and the
 // superblock are folded in, the transaction is staged and group-committed,
-// and freed blocks are zeroed. Caller holds fs.mu; with unlock set the
-// lock is released around the journal wait so other operations can stage
-// behind this one and share its leader's barrier (txnMaybeSplit passes
-// false: a mid-operation split must not expose its intermediate in-memory
-// state).
+// and blocks the watermark has released from quarantine are zeroed and
+// handed back to the allocator. Caller holds fs.mu; with unlock set the
+// lock is released around the journal wait and the zeroing so other
+// operations can stage behind this one and share its leader's barrier
+// (txnMaybeSplit passes false: a mid-operation split must not expose its
+// intermediate in-memory state).
 func (fs *DiskFS) commitTxn(unlock bool) error {
 	t := fs.txn
 	if t == nil {
 		return nil
 	}
 	if !fs.journaled {
+		// Bare mode has no quarantine to serve: zero and release at once.
 		fs.txn = nil
-		t.release()
-		for bn := range t.zeroAfter {
-			if err := fs.dev.WriteBlock(bn, fs.zero); err != nil {
-				return err
-			}
+		err := zeroBlocks(fs.dev, t.freed)
+		for _, bn := range t.freed {
+			fs.alloc.release(bn)
 		}
-		return nil
+		return err
 	}
 	staged := false
+	var scrubbed []int64
+	var scrubErr error
 	commitErr := func() error {
 		for _, ci := range t.inodes {
 			if err := fs.writeInode(ci); err != nil {
@@ -867,11 +973,13 @@ func (fs *DiskFS) commitTxn(unlock bool) error {
 		staged = true
 		if unlock {
 			fs.mu.Unlock()
-			err := fs.jnl.commitGroup(t)
-			fs.mu.Lock()
-			return err
+			defer fs.mu.Lock()
 		}
-		return fs.jnl.commitGroup(t)
+		err := fs.jnl.commitGroup(t)
+		if err == nil {
+			scrubbed, scrubErr = fs.jnl.scrub()
+		}
+		return err
 	}()
 	fs.txn = nil
 	if !staged {
@@ -881,21 +989,10 @@ func (fs *DiskFS) commitTxn(unlock bool) error {
 		fs.invalidateCaches()
 		return commitErr
 	}
-	if !fs.jnl.checkpointOn() {
-		return nil
+	for _, bn := range scrubbed {
+		fs.alloc.release(bn)
 	}
-	for bn := range t.zeroAfter {
-		// While the lock was dropped a concurrent transaction may have
-		// re-allocated the freed block (and staged its own zero image);
-		// zeroing it now would destroy that transaction's view.
-		if fs.alloc.isSet(bn) {
-			continue
-		}
-		if err := fs.dev.WriteBlock(bn, fs.zero); err != nil {
-			return err
-		}
-	}
-	return nil
+	return scrubErr
 }
 
 // txnMaybeSplit commits the current transaction and opens a fresh one when
@@ -928,9 +1025,10 @@ func (fs *DiskFS) invalidateCaches() {
 	fs.icache = make(map[uint64]*cachedInode)
 	fs.dcache = make(map[uint64][]dirEntry)
 	fs.mcache = make(map[int64][]int64)
-	// Committed-but-not-checkpointed batches may be sitting in the
-	// journal; fold them in before re-reading state.
-	_, _ = replayJournal(fs.dev)
+	fs.itable = make(map[int64][]byte)
+	// Committed batches live only in the ring and the overlay until their
+	// checkpoint; send them home before re-reading state from the device.
+	_ = fs.jnl.checkpointAll()
 	buf := make([]byte, BlockSize)
 	if err := fs.dev.ReadBlock(0, buf); err == nil {
 		var sb superblock
@@ -940,6 +1038,13 @@ func (fs *DiskFS) invalidateCaches() {
 	}
 	if a, err := loadAllocator(fs.dev, &fs.sb); err == nil {
 		a.write = fs.metaWrite
+		// Holds outlive the reload: in-flight page-out reservations, and
+		// blocks still quarantined if the checkpoint above failed.
+		for bn := fs.sb.dataStart; bn < fs.sb.nblocks; bn++ {
+			if fs.alloc.isHeld(bn) && !a.isSet(bn) {
+				a.hold(bn)
+			}
+		}
 		fs.alloc = a
 	}
 }
@@ -952,24 +1057,6 @@ func (fs *DiskFS) SetJournaled(on bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.journaled = on
-}
-
-// SetJournalCheckpoint controls whether committed batches are immediately
-// checkpointed to their home locations (the default). fsbench -recovery
-// disables it so committed batches stay in the journal for the next Mount
-// to replay.
-func (fs *DiskFS) SetJournalCheckpoint(on bool) {
-	fs.jnl.qmu.Lock()
-	defer fs.jnl.qmu.Unlock()
-	fs.jnl.checkpoint = on
-}
-
-// LastTxnRecords reports the record count of the most recently committed
-// batch (benchmarks).
-func (fs *DiskFS) LastTxnRecords() int {
-	fs.jnl.qmu.Lock()
-	defer fs.jnl.qmu.Unlock()
-	return fs.jnl.lastRecords
 }
 
 // JournalStats reports this mount's commit activity: transactions

@@ -12,13 +12,31 @@ import (
 	"springfs/internal/vm"
 )
 
-// recordingDevice wraps a MemDevice and records how block writes arrive:
-// single WriteBlock calls vs clustered WriteRun transfers.
+// recordingDevice wraps a MemDevice and records how I/O arrives: device
+// calls (single-block vs clustered run transfers), blocks moved, barriers.
 type recordingDevice struct {
 	*blockdev.MemDevice
 	mu        sync.Mutex
+	reads     int   // ReadBlock + ReadRun calls
 	writes    int   // WriteBlock calls
 	writeRuns []int // blocks per WriteRun call
+	flushes   int
+}
+
+// ReadBlock implements blockdev.Device.
+func (d *recordingDevice) ReadBlock(bn int64, buf []byte) error {
+	d.mu.Lock()
+	d.reads++
+	d.mu.Unlock()
+	return d.MemDevice.ReadBlock(bn, buf)
+}
+
+// ReadRun implements blockdev.RunReader.
+func (d *recordingDevice) ReadRun(bn int64, buf []byte) error {
+	d.mu.Lock()
+	d.reads++
+	d.mu.Unlock()
+	return d.MemDevice.ReadRun(bn, buf)
 }
 
 // WriteBlock implements blockdev.Device.
@@ -37,10 +55,17 @@ func (d *recordingDevice) WriteRun(bn int64, buf []byte) error {
 	return d.MemDevice.WriteRun(bn, buf)
 }
 
+// Flush implements blockdev.Device.
+func (d *recordingDevice) Flush() error {
+	d.mu.Lock()
+	d.flushes++
+	d.mu.Unlock()
+	return d.MemDevice.Flush()
+}
+
 func (d *recordingDevice) reset() {
 	d.mu.Lock()
-	d.writes = 0
-	d.writeRuns = nil
+	d.reads, d.writes, d.writeRuns, d.flushes = 0, 0, nil, 0
 	d.mu.Unlock()
 }
 
@@ -48,6 +73,18 @@ func (d *recordingDevice) snapshot() (writes int, runs []int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.writes, append([]int(nil), d.writeRuns...)
+}
+
+// io returns the totals since the last reset: read calls, write calls,
+// blocks written and barriers.
+func (d *recordingDevice) io() (reads, writeCalls, blocksWritten, flushes int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	blocksWritten = d.writes
+	for _, n := range d.writeRuns {
+		blocksWritten += n
+	}
+	return d.reads, d.writes + len(d.writeRuns), blocksWritten, d.flushes
 }
 
 // TestPageOutClustersDeviceWrites checks that a multi-page PageOut extent

@@ -1,14 +1,13 @@
-// soak.go implements the trace-driven soak engine: simulated client
-// machines replay declarative workload mixes against a DFS-exported SFS
-// over a faulty network while the storage device loses power again and
-// again. After every cut the engine runs recovery the way an operator
-// would — fsck with repair, then a fresh mount — and requires a clean
-// image plus byte-identical content for every file the last checkpoint
-// made durable.
+// soak is the trace-driven soak engine: simulated client machines replay
+// declarative workload mixes against a DFS-exported SFS over a faulty
+// network while the storage device loses power again and again. After
+// every cut the engine runs recovery the way an operator would — fsck with
+// repair, then a fresh mount — and requires a clean image plus
+// byte-identical content for every file the last checkpoint made durable.
 //
-//	fsbench -soak 60s                        # the CI smoke configuration
-//	fsbench -soak 10m -soak-clients 8        # longer, wider
-//	fsbench -soak 60s -soak-drop 0.02 -soak-delay 0.1
+//	soak -dur 60s -crashes 20   # the CI smoke configuration
+//	soak -dur 10m               # longer
+//	soak -dur 60s -seed 7       # replay the run a failure named
 //
 // One soak round is: mount + verify the previous round's durable
 // snapshot, serve DFS, dial the clients, replay one trace per client
@@ -22,8 +21,10 @@ package main
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"time"
 
@@ -36,13 +37,30 @@ import (
 	"springfs/internal/unixapi"
 )
 
+// The fault mix every soak has run with: four client machines, one
+// message in a hundred dropped, one in twenty delayed.
+const (
+	soakClients = 4
+	soakDrop    = 0.01
+	soakDelay   = 0.05
+)
+
 type soakConfig struct {
 	dur     time.Duration
-	clients int
 	crashes int // minimum power cuts before the soak may end
-	drop    float64
-	delay   float64
 	seed    int64
+}
+
+func main() {
+	var cfg soakConfig
+	flag.DurationVar(&cfg.dur, "dur", 60*time.Second, "run for at least this long")
+	flag.IntVar(&cfg.crashes, "crashes", 20, "minimum power cuts before the soak may end")
+	flag.Int64Var(&cfg.seed, "seed", 1, "determinism seed; a failed run names the one to replay")
+	flag.Parse()
+	if err := runSoak(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "soak:", err)
+		os.Exit(1)
+	}
 }
 
 // soakOp is one step of a declarative workload trace.
@@ -410,8 +428,8 @@ func (s *soakState) serve(home *springfs.Node, sfs *coherency.CohFS, round int) 
 	st := &soakStack{home: home, sfs: sfs}
 	network := springfs.NewNetwork(springfs.LANInstant)
 	network.SetFaults(netsim.Faults{
-		DropProb:   s.cfg.drop,
-		DelayProb:  s.cfg.delay,
+		DropProb:   soakDrop,
+		DelayProb:  soakDelay,
 		ExtraDelay: 500 * time.Microsecond,
 		Seed:       s.cfg.seed + int64(round),
 	})
@@ -428,7 +446,7 @@ func (s *soakState) serve(home *springfs.Node, sfs *coherency.CohFS, round int) 
 	// tighten them to soak-scale.
 	srv.SetCallbackTimeout(20 * time.Millisecond)
 	st.srv = srv
-	for i := 0; i < s.cfg.clients; i++ {
+	for i := 0; i < soakClients; i++ {
 		machine := springfs.NewNode(fmt.Sprintf("soak-c%d-r%d", i, round))
 		conn, err := network.Dial("home:dfs")
 		if err != nil {
@@ -466,12 +484,16 @@ func (s *soakState) burst(st *soakStack, round, phase int) {
 	wg.Wait()
 }
 
-// runSoak is the engine's entry point.
+// runSoak is the engine's entry point. Every error it returns names the
+// seed and the round, which is all a replay needs.
 func runSoak(cfg soakConfig) error {
+	fail := func(round int, err error) error {
+		return fmt.Errorf("-seed %d round %d: %w", cfg.seed, round, err)
+	}
 	const blocks = 16384
 	mem := blockdev.NewMem(blocks, blockdev.ProfileNone)
 	if err := disklayer.Mkfs(mem, disklayer.MkfsOptions{}); err != nil {
-		return err
+		return fail(0, err)
 	}
 	s := &soakState{
 		cfg:     cfg,
@@ -485,26 +507,27 @@ func runSoak(cfg soakConfig) error {
 	rng := rand.New(rand.NewSource(cfg.seed))
 	start := time.Now()
 
-	for round := 0; time.Since(start) < cfg.dur || s.cuts < cfg.crashes; round++ {
+	round := 0
+	for ; time.Since(start) < cfg.dur || s.cuts < cfg.crashes; round++ {
 		home, sfs, err := s.mountHome(fmt.Sprintf("r%d", round))
 		if err != nil {
-			return fmt.Errorf("round %d: %w", round, err)
+			return fail(round, err)
 		}
 		if err := s.verifyDurable(sfs); err != nil {
 			home.Stop()
-			return fmt.Errorf("round %d: %w", round, err)
+			return fail(round, err)
 		}
 		st, err := s.serve(home, sfs, round)
 		if err != nil {
 			home.Stop()
-			return fmt.Errorf("round %d: serve: %w", round, err)
+			return fail(round, fmt.Errorf("serve: %w", err))
 		}
 
 		// Burst 1, then checkpoint while the clients are quiescent.
 		s.burst(st, round, 0)
 		if err := s.checkpoint(sfs); err != nil {
 			st.teardown()
-			return fmt.Errorf("round %d: %w", round, err)
+			return fail(round, err)
 		}
 
 		// Burst 2 with the power-cut trap armed: odd rounds die at a
@@ -532,25 +555,25 @@ func runSoak(cfg soakConfig) error {
 		// Recovery: restart, repair-mode fsck, and require a clean image.
 		s.crash.Restart()
 		if _, err := disklayer.Check(s.crash, true); err != nil {
-			return fmt.Errorf("round %d: fsck(repair): %w", round, err)
+			return fail(round, fmt.Errorf("fsck(repair): %w", err))
 		}
 		rep, err := disklayer.Check(s.crash, false)
 		if err != nil {
-			return fmt.Errorf("round %d: fsck: %w", round, err)
+			return fail(round, fmt.Errorf("fsck: %w", err))
 		}
 		if !rep.Clean {
-			return fmt.Errorf("round %d: image not clean after recovery:\n%s", round, rep)
+			return fail(round, fmt.Errorf("image not clean after recovery:\n%s", rep))
 		}
 	}
 
 	// Final verification pass over the last crash.
 	home, sfs, err := s.mountHome("final")
 	if err != nil {
-		return err
+		return fail(round, err)
 	}
 	defer home.Stop()
 	if err := s.verifyDurable(sfs); err != nil {
-		return err
+		return fail(round, err)
 	}
 
 	errPct := 0.0
@@ -559,8 +582,5 @@ func runSoak(cfg soakConfig) error {
 	}
 	fmt.Printf("soak: %d power cuts, %d clean fscks, %d durable files verified byte-identical, %d client ops (%.1f%% faulted), %s elapsed\n",
 		s.cuts, s.cuts, s.verified, s.ops, errPct, time.Since(start).Round(time.Millisecond))
-	if s.cuts < cfg.crashes {
-		return fmt.Errorf("soak: only %d power cuts, wanted >= %d", s.cuts, cfg.crashes)
-	}
 	return nil
 }

@@ -36,9 +36,9 @@
 // MemDevice additionally injects errors (FailReads/FailWrites/MarkBad/
 // FailAfter), which the disk layer's and mirrorfs's failure tests use.
 //
-// Latency profiles: Profile1993 approximates the paper's 4400 RPM disk,
-// ProfileFast a modern device, ProfileNone charges nothing (pure
-// functional testing).
+// Latency profiles: ProfileFast keeps the ratios of the paper's 4400 RPM
+// disk at 1000x speed, ProfileNone charges nothing (pure functional
+// testing).
 package blockdev
 
 import (
@@ -85,20 +85,12 @@ type LatencyProfile struct {
 	PerBlock time.Duration
 }
 
-// Profile1993 approximates the paper's 424 MB 4400 RPM disk: ~12 ms average
-// seek, half-revolution rotational delay at 4400 RPM (~6.8 ms), and ~1.5
-// MB/s media rate (~2.6 ms per 4 KB block). With this profile an uncached
-// 4 KB read costs on the order of the paper's 13–14 ms.
-var Profile1993 = LatencyProfile{
-	Seek:     12 * time.Millisecond,
-	Rotation: 6800 * time.Microsecond,
-	PerBlock: 2600 * time.Microsecond,
-}
-
-// ProfileFast is a deliberately scaled-down version of Profile1993 (1000x
-// faster) preserving the same *ratios*. Benchmarks use it so that uncached
-// rows finish in reasonable wall-clock time while the shape of Table 2 is
-// preserved (device time still dominates cross-domain call time).
+// ProfileFast keeps the ratios of the paper's 424 MB 4400 RPM disk (~12 ms
+// average seek, ~6.8 ms half-revolution, ~2.6 ms per 4 KB block) at 1000x
+// speed, so tests that only need "an I/O costs something" stay quick. Its
+// delays are under 1 ms, which is below the sandbox timer floor (see
+// benchmark/README.md): timing a run on it measures the timer, so the
+// benchmark uses 0 or at least 2 ms instead.
 var ProfileFast = LatencyProfile{
 	Seek:     12 * time.Microsecond,
 	Rotation: 6800 * time.Nanosecond,

@@ -5,9 +5,8 @@
 // layer, SFS with compression or encryption stacked on it, a mirror of two
 // SFS instances, and a DFS export used from remote machines).
 //
-// The checks are plain functions over a Stack, so the same suite runs from
-// `go test` (internal/conformance) and from the fsbench soak engine after
-// every simulated crash.
+// The checks are plain functions over a Stack, so `go test` runs the same
+// suite over every shape.
 package conformance
 
 import (

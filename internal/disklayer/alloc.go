@@ -9,8 +9,8 @@ import (
 
 // Contiguity stats: how many data-block allocations landed exactly where
 // the caller's placement hint asked (previous block + 1). The ratio
-// contig/total is the layout quality the blockdev seek model rewards —
-// fsbench -stream reports it.
+// contig/total is the layout quality the blockdev seek model rewards — the
+// benchmark reports it as disklayer.alloc_contig_share.
 var (
 	allocTotal  = stats.Default.Counter("disk.alloc.blocks")
 	allocContig = stats.Default.Counter("disk.alloc.contig")
@@ -23,9 +23,9 @@ var (
 const allocGroupBlocks = 2048 // 8 MiB per group
 
 // allocator manages the block allocation bitmap. The bitmap is kept in
-// memory and written through on every change; with journaling on, the
-// write lands in the current metadata transaction (via the write hook), so
-// a crash either applies the whole mutation or none of it.
+// memory and written through on every change; the write lands in the
+// current metadata transaction (via the write hook), so a crash either
+// applies the whole mutation or none of it.
 //
 // Beside the bitmap sits the held set: blocks that are free in the bitmap —
 // and so in every committed state — but must not be handed out. A block is

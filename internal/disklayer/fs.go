@@ -41,19 +41,18 @@ type DiskFS struct {
 	table  *fsys.ConnectionTable
 	clock  func() time.Time
 
-	mu        sync.Mutex
-	sb        superblock
-	alloc     *allocator
-	jnl       *journal
-	txn       *txn // open metadata transaction, nil between operations
-	journaled bool
-	icache    map[uint64]*cachedInode
-	dcache    map[uint64][]dirEntry
-	mcache    map[int64][]int64 // indirect (pointer) blocks
-	itable    map[int64][]byte  // inode-table blocks, write-through (itableBlock)
-	files     map[uint64]*diskFile
-	dirs      map[uint64]*diskDir
-	closed    bool
+	mu     sync.Mutex
+	sb     superblock
+	alloc  *allocator
+	jnl    *journal
+	txn    *txn // open metadata transaction, nil between operations
+	icache map[uint64]*cachedInode
+	dcache map[uint64][]dirEntry
+	mcache map[int64][]int64 // indirect (pointer) blocks
+	itable map[int64][]byte  // inode-table blocks, write-through (itableBlock)
+	files  map[uint64]*diskFile
+	dirs   map[uint64]*diskDir
+	closed bool
 }
 
 var (
@@ -76,19 +75,18 @@ func Mount(dev blockdev.Device, domain *spring.Domain, vmm *vm.VMM, name string)
 		return nil, err
 	}
 	fs := &DiskFS{
-		name:      name,
-		dev:       dev,
-		domain:    domain,
-		vmm:       vmm,
-		table:     fsys.NewConnectionTable(domain),
-		clock:     time.Now,
-		journaled: true,
-		icache:    make(map[uint64]*cachedInode),
-		dcache:    make(map[uint64][]dirEntry),
-		mcache:    make(map[int64][]int64),
-		itable:    make(map[int64][]byte),
-		files:     make(map[uint64]*diskFile),
-		dirs:      make(map[uint64]*diskDir),
+		name:   name,
+		dev:    dev,
+		domain: domain,
+		vmm:    vmm,
+		table:  fsys.NewConnectionTable(domain),
+		clock:  time.Now,
+		icache: make(map[uint64]*cachedInode),
+		dcache: make(map[uint64][]dirEntry),
+		mcache: make(map[int64][]int64),
+		itable: make(map[int64][]byte),
+		files:  make(map[uint64]*diskFile),
+		dirs:   make(map[uint64]*diskDir),
 	}
 	sbErr := fs.sb.decode(buf)
 	// Replay before trusting the superblock: a crash mid-checkpoint can
@@ -508,10 +506,10 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 }
 
 // SyncFS implements fsys.FS: flush dirty inodes and the superblock, send
-// every committed image home, then barrier the device. With journaling on,
-// the dirty inodes go down in capacity-bounded transactions (each batch is
-// a pure inode write-back, so any prefix of batches is a consistent on-disk
-// state), and a final "seal" transaction writes the superblock behind a
+// every committed image home, then barrier the device. The dirty inodes go
+// down in capacity-bounded transactions (each batch is a pure inode
+// write-back, so any prefix of batches is a consistent on-disk state), and
+// a final "seal" transaction writes the superblock behind a
 // checkpoint of everything older. The seal's own image is then homed too
 // and the blocks the checkpoint released from quarantine are zeroed, so
 // after a successful SyncFS the device alone holds the file system: replay
@@ -530,51 +528,39 @@ func (fs *DiskFS) SyncFS() error {
 	sbuf := getBlockBuf()
 	defer putBlockBuf(sbuf)
 	clear(sbuf)
-	if fs.journaled {
-		batch := fs.jnl.capacity() - 2
-		if batch < 1 {
-			batch = 1
+	batch := fs.jnl.capacity() - 2
+	if batch < 1 {
+		batch = 1
+	}
+	for i := 0; i < len(dirty); i += batch {
+		end := i + batch
+		if end > len(dirty) {
+			end = len(dirty)
 		}
-		for i := 0; i < len(dirty); i += batch {
-			end := i + batch
-			if end > len(dirty) {
-				end = len(dirty)
-			}
-			group := dirty[i:end]
-			if err := fs.withTxn(func() error {
-				for _, ci := range group {
-					if err := fs.writeInode(ci); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
+		group := dirty[i:end]
 		if err := fs.withTxn(func() error {
-			fs.txn.seal = true
-			fs.sb.encode(sbuf)
-			return fs.metaWrite(0, sbuf)
+			for _, ci := range group {
+				if err := fs.writeInode(ci); err != nil {
+					return err
+				}
+			}
+			return nil
 		}); err != nil {
 			return err
 		}
-		if err := fs.jnl.checkpointAll(); err != nil {
-			return err
-		}
-		if err := fs.reclaim(); err != nil {
-			return err
-		}
-	} else {
-		for _, ci := range dirty {
-			if err := fs.writeInode(ci); err != nil {
-				return err
-			}
-		}
+	}
+	if err := fs.withTxn(func() error {
+		fs.txn.seal = true
 		fs.sb.encode(sbuf)
-		if err := fs.dev.WriteBlock(0, sbuf); err != nil {
-			return err
-		}
+		return fs.metaWrite(0, sbuf)
+	}); err != nil {
+		return err
+	}
+	if err := fs.jnl.checkpointAll(); err != nil {
+		return err
+	}
+	if err := fs.reclaim(); err != nil {
+		return err
 	}
 	return fs.dev.Flush()
 }

@@ -316,65 +316,57 @@ func TestMountRejectsTruncatedImage(t *testing.T) {
 // TestFreedBlocksAreZeroedOnDisk is the regression test for the
 // allocator's convention that free blocks are zeroed: after a file is
 // removed and the file system synced, none of its content may remain in
-// the data region — in both journaled mode (where zeroing is deferred
-// until the freeing transaction checkpoints) and the bare write-through
-// mode.
+// the data region (zeroing is deferred until the freeing transaction
+// checkpoints, which SyncFS forces).
 func TestFreedBlocksAreZeroedOnDisk(t *testing.T) {
-	for _, journaled := range []bool{true, false} {
-		name := "journaled"
-		if !journaled {
-			name = "bare"
+	t.Run("journaled", func(t *testing.T) {
+		node := spring.NewNode("zero")
+		defer node.Stop()
+		dev := blockdev.NewMem(512, blockdev.ProfileNone)
+		if err := Mkfs(dev, MkfsOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			node := spring.NewNode("zero")
-			defer node.Stop()
-			dev := blockdev.NewMem(512, blockdev.ProfileNone)
-			if err := Mkfs(dev, MkfsOptions{}); err != nil {
+		fs, err := Mount(dev, spring.NewDomain(node, "disk"), vm.New(spring.NewDomain(node, "vmm"), "vmm"), "z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		marker := bytes.Repeat([]byte("SECRET-8"), BlockSize/8)
+		f, err := fs.Create("doomed", naming.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := f.WriteAt(marker, int64(i)*BlockSize); err != nil {
 				t.Fatal(err)
 			}
-			fs, err := Mount(dev, spring.NewDomain(node, "disk"), vm.New(spring.NewDomain(node, "vmm"), "vmm"), "z")
-			if err != nil {
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncFS(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove("doomed", naming.Root); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncFS(); err != nil {
+			t.Fatal(err)
+		}
+		var sb superblock
+		buf := make([]byte, BlockSize)
+		if err := dev.ReadBlock(0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := sb.decode(buf); err != nil {
+			t.Fatal(err)
+		}
+		for bn := sb.dataStart; bn < sb.nblocks; bn++ {
+			if err := dev.ReadBlock(bn, buf); err != nil {
 				t.Fatal(err)
 			}
-			fs.SetJournaled(journaled)
-			marker := bytes.Repeat([]byte("SECRET-8"), BlockSize/8)
-			f, err := fs.Create("doomed", naming.Root)
-			if err != nil {
-				t.Fatal(err)
+			if bytes.Contains(buf, []byte("SECRET-8")) {
+				t.Fatalf("freed block %d still holds file content", bn)
 			}
-			for i := 0; i < 4; i++ {
-				if _, err := f.WriteAt(marker, int64(i)*BlockSize); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := f.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.SyncFS(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.Remove("doomed", naming.Root); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.SyncFS(); err != nil {
-				t.Fatal(err)
-			}
-			var sb superblock
-			buf := make([]byte, BlockSize)
-			if err := dev.ReadBlock(0, buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := sb.decode(buf); err != nil {
-				t.Fatal(err)
-			}
-			for bn := sb.dataStart; bn < sb.nblocks; bn++ {
-				if err := dev.ReadBlock(bn, buf); err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Contains(buf, []byte("SECRET-8")) {
-					t.Fatalf("freed block %d still holds file content", bn)
-				}
-			}
-		})
-	}
+		}
+	})
 }

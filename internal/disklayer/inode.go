@@ -65,11 +65,11 @@ func (fs *DiskFS) readInode(ino uint64) (*cachedInode, error) {
 	return ci, nil
 }
 
-// writeInode flushes a cached inode to the inode table (through the open
-// transaction when journaling): the inode is encoded into the cached image
-// of its table block and the whole block staged, so two inodes updated in
-// one transaction do not clobber each other and no write re-reads the
-// block it is about to write. Caller holds fs.mu.
+// writeInode flushes a cached inode to the inode table through the open
+// transaction: the inode is encoded into the cached image of its table
+// block and the whole block staged, so two inodes updated in one
+// transaction do not clobber each other and no write re-reads the block it
+// is about to write. Caller holds fs.mu.
 func (fs *DiskFS) writeInode(ci *cachedInode) error {
 	blk := fs.sb.itableStart + int64(ci.ino)/InodesPerBlock
 	img, err := fs.itableBlock(blk)
@@ -266,7 +266,7 @@ func (fs *DiskFS) reserveBlock(ci *cachedInode) (int64, error) {
 		near = ci.lastBn + 1
 	}
 	bn, err := fs.alloc.reserve(near)
-	if errors.Is(err, ErrNoSpace) && fs.journaled && fs.alloc.nheld > 0 {
+	if errors.Is(err, ErrNoSpace) && fs.alloc.nheld > 0 {
 		if err := fs.jnl.checkpointAll(); err != nil {
 			return 0, err
 		}

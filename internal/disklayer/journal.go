@@ -836,15 +836,12 @@ func eraseJournal(dev blockdev.Device) error {
 
 // --- DiskFS transaction plumbing ------------------------------------------
 
-// metaWrite stages a metadata block write in the current transaction (or
-// writes through directly when journaling is disabled), keeping a cached
-// inode-table image of the block in step. Caller holds fs.mu.
+// metaWrite stages a metadata block write in the current transaction,
+// keeping a cached inode-table image of the block in step. Caller holds
+// fs.mu.
 func (fs *DiskFS) metaWrite(bn int64, buf []byte) error {
 	if img, ok := fs.itable[bn]; ok && !sameBuf(img, buf) {
 		copy(img, buf)
-	}
-	if !fs.journaled {
-		return fs.dev.WriteBlock(bn, buf)
 	}
 	if fs.txn == nil {
 		return errNoTxn
@@ -864,7 +861,7 @@ func (fs *DiskFS) metaRead(bn int64, buf []byte) error {
 			return nil
 		}
 	}
-	if fs.journaled && fs.jnl != nil && fs.jnl.readStaged(bn, buf) {
+	if fs.jnl != nil && fs.jnl.readStaged(bn, buf) {
 		return nil
 	}
 	return fs.dev.ReadBlock(bn, buf)
@@ -942,15 +939,6 @@ func (fs *DiskFS) commitTxn(unlock bool) error {
 	if t == nil {
 		return nil
 	}
-	if !fs.journaled {
-		// Bare mode has no quarantine to serve: zero and release at once.
-		fs.txn = nil
-		err := zeroBlocks(fs.dev, t.freed)
-		for _, bn := range t.freed {
-			fs.alloc.release(bn)
-		}
-		return err
-	}
 	staged := false
 	var scrubbed []int64
 	var scrubErr error
@@ -1003,10 +991,7 @@ func (fs *DiskFS) commitTxn(unlock bool) error {
 // split commits without dropping it.
 func (fs *DiskFS) txnMaybeSplit(ci *cachedInode) error {
 	t := fs.txn
-	if t == nil || !fs.journaled {
-		return nil
-	}
-	if len(t.order) < fs.jnl.capacity()/2 {
+	if t == nil || len(t.order) < fs.jnl.capacity()/2 {
 		return nil
 	}
 	if err := fs.commitTxn(false); err != nil {
@@ -1047,16 +1032,6 @@ func (fs *DiskFS) invalidateCaches() {
 		}
 		fs.alloc = a
 	}
-}
-
-// SetJournaled enables or disables metadata journaling (enabled by
-// default). With journaling off the disk layer reverts to bare
-// write-through metadata — the crash-unsafe baseline fsbench -journal
-// measures against.
-func (fs *DiskFS) SetJournaled(on bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.journaled = on
 }
 
 // JournalStats reports this mount's commit activity: transactions

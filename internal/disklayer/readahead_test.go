@@ -128,3 +128,44 @@ func TestReadAheadResetsOnPagerShrink(t *testing.T) {
 		t.Errorf("pager-path shrink charged %d pages to disk.readahead.wasted", d)
 	}
 }
+
+// One sequential writer's new file is laid out contiguously (at least 80 %
+// of its allocations land on the block after the previous one), and a cold
+// sequential read of it engages the stream detector without a single
+// speculative page going unused.
+func TestSequentialStreamIsContiguousAndWastesNoReadAhead(t *testing.T) {
+	r := newRig(t, 4096)
+	const blocks = 1024
+	f, err := r.fs.Create("stream", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total0, contig0 := allocTotal.Value(), allocContig.Value()
+	if _, err := f.WriteAt(make([]byte, blocks*BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	total, contig := allocTotal.Value()-total0, allocContig.Value()-contig0
+	if total < blocks || contig*10 < total*8 {
+		t.Errorf("%d of %d allocations contiguous, want >= 80%% of at least %d", contig, total, blocks)
+	}
+
+	if err := r.vmm.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	hits0, wasted0 := raHits.Value(), raWasted.Value()
+	buf := make([]byte, BlockSize)
+	for bn := int64(0); bn < blocks; bn++ {
+		if _, err := f.ReadAt(buf, bn*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := raHits.Value() - hits0; hits == 0 {
+		t.Error("the stream detector never engaged on a cold sequential read")
+	}
+	if wasted := raWasted.Value() - wasted0; wasted != 0 {
+		t.Errorf("a clean sequential read charged %d pages to disk.readahead.wasted", wasted)
+	}
+}

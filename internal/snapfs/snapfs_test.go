@@ -15,8 +15,8 @@ import (
 	"springfs/internal/vm"
 )
 
-// newStack builds snapfs on SFS (coherency on disk) on a fresh device.
-func newStack(t *testing.T, blocks int64) (*SnapFS, *blockdev.MemDevice) {
+// newSFS builds SFS (coherency on disk) on a fresh device.
+func newSFS(t *testing.T, blocks int64) (*coherency.CohFS, *vm.VMM, *blockdev.MemDevice) {
 	t.Helper()
 	node := spring.NewNode("snap-test")
 	t.Cleanup(node.Stop)
@@ -33,11 +33,24 @@ func newStack(t *testing.T, blocks int64) (*SnapFS, *blockdev.MemDevice) {
 	if err := coh.StackOn(disk); err != nil {
 		t.Fatal(err)
 	}
-	snap := New(spring.NewDomain(node, "snap"), "snap")
+	return coh, vmm, dev
+}
+
+// stackSnap stacks snapfs, in its own domain, on coh.
+func stackSnap(t *testing.T, coh *coherency.CohFS) *SnapFS {
+	t.Helper()
+	snap := New(spring.NewDomain(coh.Domain().Node(), "snap"), "snap")
 	if err := snap.StackOn(coh); err != nil {
 		t.Fatal(err)
 	}
-	return snap, dev
+	return snap
+}
+
+// newStack builds snapfs on a fresh SFS.
+func newStack(t *testing.T, blocks int64) (*SnapFS, *blockdev.MemDevice) {
+	t.Helper()
+	coh, _, dev := newSFS(t, blocks)
+	return stackSnap(t, coh), dev
 }
 
 func writeFile(t *testing.T, fs fsys.FS, name string, data []byte) {
@@ -433,5 +446,73 @@ func TestSharedCacheAcrossClones(t *testing.T) {
 	_ = readFile(t, c2, "shared")
 	if delta := dev.Reads.Value() - before; delta > 0 {
 		t.Errorf("clone 2's read of shared data hit the device %d times; want 0 (shared cache)", delta)
+	}
+}
+
+// TestCloneColdReadCostsPlainReadsPlusHeader is the I/O half of the sharing
+// claim: a clone serves an unmodified file through the very lower pages a
+// stack without snapfs would read, so a cold sequential read through the
+// clone costs that stack's device reads plus one, the image header.
+func TestCloneColdReadCostsPlainReadsPlusHeader(t *testing.T) {
+	const blocks = 512
+	payload := make([]byte, blocks*BlockSize)
+	for i := range payload {
+		payload[i] = byte(i >> 12)
+	}
+	coldReads := func(coh *coherency.CohFS, vmm *vm.VMM, dev *blockdev.MemDevice, f fsys.File) int64 {
+		t.Helper()
+		if err := vmm.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if err := coh.DropDataCaches(); err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Reads.Value()
+		buf := make([]byte, BlockSize)
+		for bn := int64(0); bn < blocks; bn++ {
+			if _, err := f.ReadAt(buf, bn*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != byte(bn) {
+				t.Fatalf("block %d reads %#x", bn, buf[0])
+			}
+		}
+		return dev.Reads.Value() - before
+	}
+
+	pcoh, pvmm, pdev := newSFS(t, 4096)
+	writeFile(t, pcoh, "stream", payload)
+	if err := pcoh.SyncFS(); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := pcoh.Open("stream", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ccoh, cvmm, cdev := newSFS(t, 4096)
+	snap := stackSnap(t, ccoh)
+	writeFile(t, snap, "stream", payload)
+	if err := snap.SyncFS(); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Snapshot("base"); err != nil {
+		t.Fatal(err)
+	}
+	clone, err := snap.Clone("base", "work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := clone.Open("stream", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	plain := coldReads(pcoh, pvmm, pdev, pf)
+	if plain < blocks {
+		t.Fatalf("plain cold read = %d device reads for %d blocks; caches were not dropped", plain, blocks)
+	}
+	if got := coldReads(ccoh, cvmm, cdev, cf); got != plain+1 {
+		t.Errorf("clone cold read = %d device reads, plain stack = %d; want plain + 1", got, plain)
 	}
 }

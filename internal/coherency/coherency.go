@@ -30,7 +30,7 @@
 // in-flight faults.
 //
 // The unit of a coherency action is the run: cohFile.revoke holds the busy
-// flags of up to maxWriteThroughBlocks contiguous blocks at once and makes
+// flags of up to maxRevokeBlocks contiguous blocks at once and makes
 // one call-out per holder per sub-run. It takes the flags of a run in
 // ascending block order, so two runs cannot wait for each other in a cycle;
 // everything else that takes a flag — storeBlock, the install after a lower

@@ -264,12 +264,12 @@ func revokeModeFor(access vm.Rights) revokeMode {
 // revoke is the one place this layer issues coherency actions, and its unit
 // is the run, not the block. pns lists blocks in ascending order. revoke
 // claims the busy flags of one contiguous run at a time — ascending, at most
-// maxWriteThroughBlocks, so a holder's reply stays within 256 KiB and a run
-// revoked is a run written through — and makes ONE call-out per holder (other
-// than requester) per maximal sub-run that holder holds in the same way. The
-// reply may be one coalesced extent, several, or cover only part of the
-// sub-run: it is absorbed block by block, and a block it does not cover
-// keeps the copy it had. The holder is downgraded (denyWrites) or removed.
+// maxRevokeBlocks, so a holder's reply fits one DFS frame — and makes ONE
+// call-out per holder (other than requester) per maximal sub-run that holder
+// holds in the same way. The reply may be one coalesced extent, several, or
+// cover only part of the sub-run: it is absorbed block by block, and a block
+// it does not cover keeps the copy it had. The holder is downgraded
+// (denyWrites) or removed.
 //
 // A write-holding cache that turns out to be unreachable is dropped like any
 // other holder, but its unflushed modifications are lost; its blocks, and
@@ -280,12 +280,18 @@ func revokeModeFor(access vm.Rights) revokeMode {
 // settle, if not nil, then runs for each block of the run with its flag
 // still held, and the run is released. Upward call-outs only.
 func (f *cohFile) revoke(pns []int64, mode revokeMode, requester *fsys.Connection, settle func(pn int64, b *blockState, lost bool)) (anyLost bool) {
-	var bs [maxWriteThroughBlocks]*blockState
-	var lost [maxWriteThroughBlocks]bool
+	// Runs up to a write-through's length — every single-block page-in —
+	// stay on the stack; only a longer run allocates.
+	var bsArr [maxWriteThroughBlocks]*blockState
+	var lostArr [maxWriteThroughBlocks]bool
+	bs, lost := bsArr[:], lostArr[:]
 	for len(pns) > 0 {
 		n := 1
-		for n < len(pns) && n < len(bs) && pns[n] == pns[n-1]+1 {
+		for n < len(pns) && n < maxRevokeBlocks && pns[n] == pns[n-1]+1 {
 			n++
+		}
+		if n > len(bs) {
+			bs, lost = make([]*blockState, maxRevokeBlocks), make([]bool, maxRevokeBlocks)
 		}
 		for i, pn := range pns[:n] {
 			bs[i], lost[i] = f.acquire(pn), false
@@ -475,9 +481,14 @@ func (f *cohFile) storeBlock(conn *fsys.Connection, pn int64, data []byte, retai
 	f.release(b)
 }
 
-// maxWriteThroughBlocks bounds one clustered lower write and one revoked
-// run (mirrors the VMM's DefaultMaxExtentPages).
-const maxWriteThroughBlocks = 64
+// maxWriteThroughBlocks bounds one clustered lower write (mirrors the VMM's
+// DefaultMaxExtentPages). maxRevokeBlocks bounds one revoked run, and so one
+// call-out and its reply, by what a DFS frame carries (4 MiB): a holder's
+// contiguous holding of any length up to that costs one round trip.
+const (
+	maxWriteThroughBlocks = 64
+	maxRevokeBlocks       = 1024
+)
 
 // writeThroughRuns pushes the dirty blocks among pns (sorted ascending,
 // duplicates allowed) to the lower layer, coalescing contiguous dirty

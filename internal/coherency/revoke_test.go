@@ -212,8 +212,9 @@ func run(op string, first, n int64) callOut {
 }
 
 // TestRangedFlushCallsOutOncePerHolderRun: an fsync's revocation costs one
-// deny_writes per (holder, maximal run of at most 64 blocks), whatever the
-// shape of the holdings, and the data ends up below either way.
+// deny_writes per (holder, maximal run of at most maxRevokeBlocks), whatever
+// the shape of the holdings, and the data ends up below either way — in
+// write-throughs of at most 64 blocks, which no longer bound the call-out.
 func TestRangedFlushCallsOutOncePerHolderRun(t *testing.T) {
 	t.Run("one writer, 256 contiguous blocks", func(t *testing.T) {
 		r := newRevokeRig(t, 256)
@@ -224,7 +225,7 @@ func TestRangedFlushCallsOutOncePerHolderRun(t *testing.T) {
 		if err := r.file.flushAll(); err != nil {
 			t.Fatal(err)
 		}
-		want := []callOut{run("deny_writes", 0, 64), run("deny_writes", 64, 64), run("deny_writes", 128, 64), run("deny_writes", 192, 64)}
+		want := []callOut{run("deny_writes", 0, 256)}
 		if got := a.takeCalls(); !slices.Equal(got, want) {
 			t.Errorf("call-outs = %v, want %v", got, want)
 		}
@@ -294,15 +295,46 @@ func TestRangedFlushCallsOutOncePerHolderRun(t *testing.T) {
 		if err := r.file.flushAll(); err != nil {
 			t.Fatal(err)
 		}
-		// Runs are cut from the blocks the layer has state for — here all
-		// of [0, 128) — so the cap falls at block 64, inside A's holding.
-		want := []callOut{run("deny_writes", 10, 54), run("deny_writes", 64, 46)}
+		// The 64-block cap is the write-through's: the call-out crosses
+		// block 64, inside A's holding, in one piece.
+		want := []callOut{run("deny_writes", 10, 100)}
 		if got := a.takeCalls(); !slices.Equal(got, want) {
 			t.Errorf("call-outs = %v, want %v", got, want)
 		}
 		r.wantLower(t, 10, 100, 0xA3)
 		r.wantLower(t, 0, 10, 0x01)
 	})
+
+	t.Run("a run longer than one call-out carries", func(t *testing.T) {
+		r := newRevokeRig(t, maxRevokeBlocks+40)
+		a := r.holder(t, "A")
+		a.writeBlocks(t, 10, maxRevokeBlocks+20, 0xA4)
+		a.takeCalls()
+		if err := r.file.flushAll(); err != nil {
+			t.Fatal(err)
+		}
+		// Runs are cut from the blocks the layer has state for — here all
+		// of the file — so the cap falls at block maxRevokeBlocks.
+		want := []callOut{run("deny_writes", 10, maxRevokeBlocks-10), run("deny_writes", maxRevokeBlocks, 30)}
+		if got := a.takeCalls(); !slices.Equal(got, want) {
+			t.Errorf("call-outs = %v, want %v", got, want)
+		}
+		r.wantLower(t, 10, maxRevokeBlocks+20, 0xA4)
+	})
+}
+
+// TestRevokeShortRunAllocatesNothing: the call-out bound is sixteen times the
+// write-through's, but a revoke of one block (every page-in) or of one
+// write-through's worth still keeps its run on the stack.
+func TestRevokeShortRunAllocatesNothing(t *testing.T) {
+	r := newRevokeRig(t, maxWriteThroughBlocks)
+	a := r.holder(t, "A")
+	a.writeBlocks(t, 0, maxWriteThroughBlocks, 0xA5)
+	for _, pns := range [][]int64{{7}, blockRange(0, maxWriteThroughBlocks*BlockSize)} {
+		if n := testing.AllocsPerRun(100, func() { r.file.revoke(pns, holdOnly, nil, nil) }); n != 0 {
+			t.Errorf("revoke of %d blocks allocates %v times", len(pns), n)
+		}
+	}
 }
 
 // TestRangedRevokeAbsorbsAnyReplyShape: the reply to one ranged call-out may

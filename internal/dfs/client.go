@@ -3,6 +3,7 @@ package dfs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -96,29 +97,17 @@ func (c *Client) fileFor(id uint64) *RemoteFile {
 }
 
 // Open resolves a remote path to a file.
-func (c *Client) Open(path string) (*RemoteFile, error) {
-	var e encoder
-	e.str(path)
-	body, err := c.call(OpLookup, e.b)
-	if err != nil {
-		return nil, err
-	}
-	d := decoder{b: body}
-	id := d.u64()
-	attrs := decodeAttrs(&d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	f := c.fileFor(id)
-	f.attrs.Set(attrs)
-	return f, nil
-}
+func (c *Client) Open(path string) (*RemoteFile, error) { return c.open(OpLookup, path) }
 
 // Create creates a remote file.
-func (c *Client) Create(path string) (*RemoteFile, error) {
+func (c *Client) Create(path string) (*RemoteFile, error) { return c.open(OpCreate, path) }
+
+// open issues a lookup or a create: both answer with the file's id and
+// attributes.
+func (c *Client) open(op Op, path string) (*RemoteFile, error) {
 	var e encoder
 	e.str(path)
-	body, err := c.call(OpCreate, e.b)
+	body, err := c.call(op, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -207,6 +196,10 @@ func (c *Client) handleCallback(op Op, payload []byte) ([]byte, error) {
 		}
 		var dirty []vm.Data
 		if f != nil {
+			// The window goes before any cache is asked: a grant that finds
+			// it intact after that would be a grant the home node has just
+			// taken back.
+			f.clipWindow(offset, size)
 			for _, conn := range f.table.ConnectionsFor(fileID) {
 				switch op {
 				case OpCbFlushBack:
@@ -227,30 +220,13 @@ func (c *Client) handleCallback(op Op, payload []byte) ([]byte, error) {
 		return e.b, nil
 
 	case OpCbInvalAttrs:
-		flush := d.u8() == 1
 		if d.err != nil {
 			return nil, d.err
 		}
-		var e encoder
-		if f == nil {
-			e.u8(0)
-			encodeAttrs(&e, fsys.Attributes{})
-			return e.b, nil
+		if f != nil {
+			f.attrs.Invalidate()
 		}
-		if flush {
-			attrs, dirty := f.attrs.Flush()
-			if dirty {
-				e.u8(1)
-			} else {
-				e.u8(0)
-			}
-			encodeAttrs(&e, attrs)
-			return e.b, nil
-		}
-		f.attrs.Invalidate()
-		e.u8(0)
-		encodeAttrs(&e, fsys.Attributes{})
-		return e.b, nil
+		return nil, nil
 
 	default:
 		return nil, &ErrRemote{Msg: "unexpected callback " + op.String()}
@@ -273,6 +249,68 @@ type RemoteFile struct {
 	attrs     fsys.AttrCache
 	attrCache bool
 	amu       sync.Mutex
+
+	// The write-ahead grant window, the mirror image of read-ahead: the home
+	// node records this client as writer of [wnext, wend) although no local
+	// cache holds a page there, so a data-less write grant inside it needs
+	// no round trip. wnext is also where a grant that continues the
+	// sequential streak starts, wahead what the last grant asked the home
+	// node for (0 before the first), and wepoch counts everything that
+	// takes write grants away — what page.epoch is to a page in the VMM.
+	wmu                 sync.Mutex
+	wnext, wend, wahead vm.Offset
+	wepoch              uint64
+}
+
+// grantGrowth is how fast the window grows along a sequential streak: each
+// grant asks for this many times the last, up to the largest the server
+// accepts (maxPageOutPayload).
+const grantGrowth = 4
+
+// planGrant decides how a well-formed data-less write grant over [offset,
+// offset+size) is answered: from the window (ask 0), or by asking the home
+// node for [offset, offset+ask) — exactly size for a first or random grant,
+// grantGrowth times the last ask for one that continues the streak. The
+// window is empty until installWindow sees the reply.
+func (f *RemoteFile) planGrant(offset, size vm.Offset) (ask vm.Offset, epoch uint64) {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	streak := offset == f.wnext && f.wahead > 0
+	hit := offset >= f.wnext && offset+size <= f.wend && !f.client.peer.isClosed()
+	f.wnext = offset + size
+	if hit {
+		return 0, 0
+	}
+	ask = size
+	if streak {
+		ask = max(size, min(grantGrowth*f.wahead, maxPageOutPayload))
+	}
+	f.wend, f.wahead = f.wnext, ask
+	return ask, f.wepoch
+}
+
+// installWindow records the part of a granted range beyond what was needed,
+// unless a callback or page-out took grants away, or another grant moved the
+// streak, since planGrant sampled epoch: the reply and a callback the home
+// node sent after it are handled on different goroutines, in either order.
+func (f *RemoteFile) installWindow(next, end vm.Offset, epoch uint64) {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	if f.wepoch == epoch && f.wnext == next {
+		f.wend = end
+	}
+}
+
+// clipWindow ends the window at offset if [offset, offset+size) reaches into
+// it — the home node no longer records this client as writer there — and
+// keeps any grant in flight from installing one.
+func (f *RemoteFile) clipWindow(offset, size vm.Offset) {
+	f.wmu.Lock()
+	defer f.wmu.Unlock()
+	f.wepoch++
+	if offset < f.wend && size > f.wnext-offset {
+		f.wend = max(offset, f.wnext)
+	}
 }
 
 var (
@@ -462,8 +500,10 @@ func (f *RemoteFile) Sync() error {
 	return err
 }
 
-// Close releases the server-side session for this file.
+// Close releases the server-side session for this file, and with it every
+// write grant the window stands for.
 func (f *RemoteFile) Close() error {
+	defer f.clipWindow(0, math.MaxInt64)
 	var e encoder
 	e.u64(f.id)
 	_, err := f.client.call(OpClose, e.b)
@@ -489,26 +529,36 @@ func (p *remotePager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, 
 // PageInHint implements vm.HintedPager: the min/max range travels in the
 // protocol request, so a single round trip can return a cluster of blocks
 // (the paper's Section 8 read-ahead extension, applied across machines
-// where it matters most).
+// where it matters most). A data-less write grant goes through the file's
+// write-ahead window; a malformed one goes to the server to be refused.
 func (p *remotePager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.Rights) ([]byte, error) {
+	f, ask := p.file, minSize
+	grant := access.NoData() && minSize > 0 && vm.PageAligned(offset, minSize)
+	var epoch uint64
+	if grant {
+		if ask, epoch = f.planGrant(offset, minSize); ask == 0 {
+			return nil, nil
+		}
+		maxSize = ask
+	}
 	var e encoder
-	e.u64(p.file.id)
+	e.u64(f.id)
 	e.i64(offset)
-	e.i64(minSize)
+	e.i64(ask)
 	e.i64(maxSize)
 	e.u8(uint8(access))
-	body, err := p.file.client.call(OpPageIn, e.b)
+	body, err := f.client.call(OpPageIn, e.b)
 	if err != nil {
 		return nil, err
 	}
+	if grant {
+		f.installWindow(offset+minSize, offset+ask, epoch)
+	}
+	// The data aliases the frame body, which nothing else holds; the VMM
+	// copies it into page buffers on install.
 	d := decoder{b: body}
 	data := d.bytes()
-	if d.err != nil {
-		return nil, d.err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	return data, d.err
 }
 
 // pageOut ships a write-back extent to the home node. The payload is
@@ -516,6 +566,10 @@ func (p *remotePager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.R
 // dirty run into one RPC; extents above the wire bound are split into
 // consecutive calls the handler will accept.
 func (p *remotePager) pageOut(offset, size vm.Offset, data []byte, retain uint8) error {
+	if retain != RetainWrite {
+		// The home node drops or downgrades the holding on receipt.
+		defer p.file.clipWindow(offset, size)
+	}
 	data = data[:size]
 	for len(data) > 0 {
 		n := len(data)

@@ -41,12 +41,27 @@ func TestTransferBytes(t *testing.T) {
 	app.u64(1)
 	app.bytes(make([]byte, 50))
 
+	// A reclaiming callback names the range whose modified pages it may
+	// bring back; a destroy names "everything", which a frame bounds.
+	var deny, destroy encoder
+	deny.u64(1)
+	deny.i64(4096)
+	deny.i64(336 * 4096)
+	destroy.u64(1)
+	destroy.i64(0)
+	destroy.i64(1 << 62)
+
 	cases := []struct {
 		name    string
 		op      Op
 		payload []byte
 		want    int64
 	}{
+		{"cb_deny_writes range", OpCbDenyWrites, deny.b, 336 * 4096},
+		{"cb_flush_back range", OpCbFlushBack, deny.b, 336 * 4096},
+		{"cb_flush_back of everything", OpCbFlushBack, destroy.b, maxFrame},
+		{"cb_delete_range brings nothing back", OpCbDeleteRange, deny.b, 0},
+		{"short callback payload", OpCbDenyWrites, make([]byte, 20), 0},
 		{"read", OpRead, read.b, 65536},
 		{"page_in maxSize", OpPageIn, pageIn.b, 262144},
 		{"write", OpWrite, write.b, int64(len(write.b))},

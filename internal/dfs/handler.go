@@ -23,20 +23,18 @@ type srvClient struct {
 	retained map[uint64]int
 }
 
-// sessionFor returns (creating if needed) the session for fileID.
-func (c *srvClient) sessionFor(fileID uint64) (*session, error) {
-	lower, err := c.srv.lowerByID(fileID)
-	if err != nil {
-		return nil, err
-	}
+// pagerFor returns the session for fileID (creating it if needed) and the
+// pager its bind to the lower file produced.
+func (c *srvClient) pagerFor(fileID uint64, lower fsys.File) (*session, vm.PagerObject, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if se, ok := c.sessions[fileID]; ok {
-		return se, nil
+	se, ok := c.sessions[fileID]
+	if !ok {
+		se = &session{client: c, fileID: fileID, lower: lower}
+		c.sessions[fileID] = se
 	}
-	se := &session{client: c, fileID: fileID, lower: lower}
-	c.sessions[fileID] = se
-	return se, nil
+	c.mu.Unlock()
+	pager, err := se.ensurePager()
+	return se, pager, err
 }
 
 // teardown releases every session after the connection drops.
@@ -82,40 +80,37 @@ func decodeAttrs(d *decoder) fsys.Attributes {
 func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 	c.srv.RemoteOps.Inc()
 	d := decoder{b: payload}
+	switch op {
+	case OpLookup, OpCreate, OpRemove, OpRename, OpMkdir, OpList:
+		return c.handlePath(op, &d)
+	case OpDetach:
+		// Graceful goodbye: release every session before the client drops
+		// the connection. teardown is idempotent, so the connection-close
+		// path running it again later is harmless.
+		c.teardown()
+		return nil, nil
+	}
+	return c.handleFile(op, &d)
+}
+
+// handlePath serves the operations that name their target by path.
+func (c *srvClient) handlePath(op Op, d *decoder) ([]byte, error) {
+	path := d.str()
+	if d.err != nil {
+		return nil, d.err
+	}
+	under, err := c.srv.Under()
+	if err != nil {
+		return nil, err
+	}
 	cred := c.srv.cred
 	switch op {
-	case OpLookup:
-		path := d.str()
-		if d.err != nil {
-			return nil, d.err
+	case OpLookup, OpCreate:
+		open := under.Open
+		if op == OpCreate {
+			open = under.Create
 		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
-		lower, err := under.Open(path, cred)
-		if err != nil {
-			return nil, err
-		}
-		attrs, err := lower.Stat()
-		if err != nil {
-			return nil, err
-		}
-		var e encoder
-		e.u64(c.srv.fileID(lower))
-		encodeAttrs(&e, attrs)
-		return e.b, nil
-
-	case OpCreate:
-		path := d.str()
-		if d.err != nil {
-			return nil, d.err
-		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
-		lower, err := under.Create(path, cred)
+		lower, err := open(path, cred)
 		if err != nil {
 			return nil, err
 		}
@@ -129,106 +124,20 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		return e.b, nil
 
 	case OpRemove:
-		path := d.str()
-		if d.err != nil {
-			return nil, d.err
-		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
 		return nil, under.Remove(path, cred)
 
 	case OpRename:
-		oldpath := d.str()
 		newpath := d.str()
 		if d.err != nil {
 			return nil, d.err
 		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
-		return nil, under.Rename(oldpath, newpath, cred)
-
-	case OpAppend:
-		fileID := d.u64()
-		data := d.bytes()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
-		off, n, err := fsys.Append(lower, data)
-		if err != nil {
-			return nil, err
-		}
-		var e encoder
-		e.i64(off)
-		e.u32(uint32(n))
-		return e.b, nil
-
-	case OpRetain:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
-		fsys.Retain(lower)
-		c.mu.Lock()
-		c.retained[fileID]++
-		c.mu.Unlock()
-		return nil, nil
-
-	case OpRelease:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		tracked := c.retained[fileID] > 0
-		if tracked {
-			c.retained[fileID]--
-			if c.retained[fileID] == 0 {
-				delete(c.retained, fileID)
-			}
-		}
-		c.mu.Unlock()
-		if !tracked {
-			return nil, nil // never retained (or already torn down): no claim to drop
-		}
-		return nil, fsys.Release(lower)
+		return nil, under.Rename(path, newpath, cred)
 
 	case OpMkdir:
-		path := d.str()
-		if d.err != nil {
-			return nil, d.err
-		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
 		_, err = under.CreateContext(path, cred)
 		return nil, err
 
-	case OpList:
-		path := d.str()
-		if d.err != nil {
-			return nil, d.err
-		}
-		under, err := c.srv.Under()
-		if err != nil {
-			return nil, err
-		}
+	default: // OpList
 		ctx, err := naming.ContextAt(under, path, cred)
 		if err != nil {
 			return nil, err
@@ -249,17 +158,71 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 			}
 		}
 		return e.b, nil
+	}
+}
+
+// handleFile serves the operations that name their target by file id.
+func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
+	fileID := d.u64()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if op == OpClose {
+		c.mu.Lock()
+		se := c.sessions[fileID]
+		delete(c.sessions, fileID)
+		c.mu.Unlock()
+		if se != nil {
+			se.release()
+		}
+		return nil, nil
+	}
+	lower, err := c.srv.lowerByID(fileID)
+	if err != nil {
+		return nil, err
+	}
+	var e encoder
+	switch op {
+	case OpAppend:
+		data := d.bytes()
+		if d.err != nil {
+			return nil, d.err
+		}
+		off, n, err := fsys.Append(lower, data)
+		if err != nil {
+			return nil, err
+		}
+		e.i64(off)
+		e.u32(uint32(n))
+		return e.b, nil
+
+	case OpRetain:
+		fsys.Retain(lower)
+		c.mu.Lock()
+		c.retained[fileID]++
+		c.mu.Unlock()
+		return nil, nil
+
+	case OpRelease:
+		c.mu.Lock()
+		tracked := c.retained[fileID] > 0
+		if tracked {
+			c.retained[fileID]--
+			if c.retained[fileID] == 0 {
+				delete(c.retained, fileID)
+			}
+		}
+		c.mu.Unlock()
+		if !tracked {
+			return nil, nil // never retained (or already torn down): no claim to drop
+		}
+		return nil, fsys.Release(lower)
 
 	case OpRead:
-		fileID := d.u64()
 		off := d.i64()
 		n := d.u32()
 		if d.err != nil {
 			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
 		}
 		buf := make([]byte, n)
 		read, err := lower.ReadAt(buf, off)
@@ -267,7 +230,6 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if err != nil && !eof {
 			return nil, err
 		}
-		var e encoder
 		if eof {
 			e.u8(1)
 		} else {
@@ -277,26 +239,19 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		return e.b, nil
 
 	case OpWrite:
-		fileID := d.u64()
 		off := d.i64()
 		data := d.bytes()
 		if d.err != nil {
 			return nil, d.err
 		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
 		n, err := lower.WriteAt(data, off)
 		if err != nil {
 			return nil, err
 		}
-		var e encoder
 		e.u32(uint32(n))
 		return e.b, nil
 
 	case OpPageIn:
-		fileID := d.u64()
 		off := d.i64()
 		size := d.i64()
 		maxSize := d.i64()
@@ -304,11 +259,7 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		se, err := c.sessionFor(fileID)
-		if err != nil {
-			return nil, err
-		}
-		pager, err := se.ensurePager()
+		_, pager, err := c.pagerFor(fileID, lower)
 		if err != nil {
 			return nil, err
 		}
@@ -334,12 +285,10 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		var e encoder
 		e.bytes(data)
 		return e.b, nil
 
 	case OpPageOut:
-		fileID := d.u64()
 		off := d.i64()
 		retain := d.u8()
 		data := d.bytes()
@@ -354,53 +303,33 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: page-out payload of %d bytes", ErrProtocol, len(data))
 		}
 		c.srv.PageOutOps.Inc()
-		se, err := c.sessionFor(fileID)
-		if err != nil {
-			return nil, err
-		}
-		pager, err := se.ensurePager()
+		_, pager, err := c.pagerFor(fileID, lower)
 		if err != nil {
 			return nil, err
 		}
 		size := vm.Offset(len(data))
 		switch retain {
 		case RetainNone:
-			err = pager.PageOut(off, size, data)
+			return nil, pager.PageOut(off, size, data)
 		case RetainRead:
-			err = pager.WriteOut(off, size, data)
-		default:
-			err = pager.Sync(off, size, data)
+			return nil, pager.WriteOut(off, size, data)
 		}
-		return nil, err
+		return nil, pager.Sync(off, size, data)
 
 	case OpGetAttr:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
 		attrs, err := lower.Stat()
 		if err != nil {
 			return nil, err
 		}
-		var e encoder
 		encodeAttrs(&e, attrs)
 		return e.b, nil
 
 	case OpSetAttr:
-		fileID := d.u64()
-		attrs := decodeAttrs(&d)
+		attrs := decodeAttrs(d)
 		if d.err != nil {
 			return nil, d.err
 		}
-		se, err := c.sessionFor(fileID)
-		if err != nil {
-			return nil, err
-		}
-		pager, err := se.ensurePager()
+		se, _, err := c.pagerFor(fileID, lower)
 		if err != nil {
 			return nil, err
 		}
@@ -410,69 +339,25 @@ func (c *srvClient) handle(op Op, payload []byte) ([]byte, error) {
 		if fp != nil {
 			return nil, fp.SetAttributes(attrs)
 		}
-		_ = pager
-		return nil, se.lower.SetLength(attrs.Length)
+		return nil, lower.SetLength(attrs.Length)
 
 	case OpGetLen:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
 		l, err := lower.GetLength()
 		if err != nil {
 			return nil, err
 		}
-		var e encoder
 		e.i64(l)
 		return e.b, nil
 
 	case OpSetLen:
-		fileID := d.u64()
 		l := d.i64()
 		if d.err != nil {
 			return nil, d.err
 		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
 		return nil, lower.SetLength(l)
 
 	case OpSyncFile:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		lower, err := c.srv.lowerByID(fileID)
-		if err != nil {
-			return nil, err
-		}
 		return nil, lower.Sync()
-
-	case OpClose:
-		fileID := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		c.mu.Lock()
-		se := c.sessions[fileID]
-		delete(c.sessions, fileID)
-		c.mu.Unlock()
-		if se != nil {
-			se.release()
-		}
-		return nil, nil
-
-	case OpDetach:
-		// Graceful goodbye: release every session before the client drops
-		// the connection. teardown is idempotent, so the connection-close
-		// path running it again later is harmless.
-		c.teardown()
-		return nil, nil
 
 	default:
 		return nil, &ErrRemote{Msg: "unknown operation " + op.String()}

@@ -285,11 +285,17 @@ func (p *peer) callWithRetry(op Op, payload []byte) ([]byte, error) {
 // request payload alone. Outbound bulk ops carry the data in the request;
 // inbound bulk ops declare the requested size in fixed header fields (see
 // the client-side encoders: OpRead is id/off/len, OpPageIn is
-// id/offset/minSize/maxSize/access). Ops that move no bulk data return 0.
+// id/offset/minSize/maxSize/access). A reclaiming callback (id/offset/size)
+// may bring back as much as it names, up to a frame: one call-out covers a
+// holder's whole run. Ops that move no bulk data return 0.
 func transferBytes(op Op, payload []byte) int64 {
 	switch op {
 	case OpWrite, OpAppend, OpPageOut:
 		return int64(len(payload))
+	case OpCbDenyWrites, OpCbFlushBack:
+		if len(payload) >= 24 {
+			return int64(min(binary.BigEndian.Uint64(payload[16:24]), maxFrame))
+		}
 	case OpPageIn:
 		if len(payload) >= 32 {
 			return int64(binary.BigEndian.Uint64(payload[24:32]))

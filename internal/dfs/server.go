@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -352,7 +351,9 @@ func (c *forwardingCache) rangeCallback(op Op, offset, size vm.Offset) []vm.Data
 	var out []vm.Data
 	for i, n := uint32(0), d.u32(); i < n && d.err == nil; i++ {
 		off := d.i64()
-		out = append(out, vm.Data{Offset: off, Bytes: bytes.Clone(d.bytes())})
+		// The extent aliases the frame body, which nothing else holds; the
+		// coherency layer copies it block by block (absorb).
+		out = append(out, vm.Data{Offset: off, Bytes: d.bytes()})
 	}
 	if d.err != nil {
 		// A reply that does not decode says nothing about what the client
@@ -399,26 +400,12 @@ func (c *forwardingCache) DestroyCache() {
 	c.rangeCallback(OpCbDeleteRange, 0, 1<<62)
 }
 
-// FlushAttributes implements fsys.FsCacheObject.
+// FlushAttributes implements fsys.FsCacheObject and answers at the home
+// node: nothing is write-behind on this wire. A remote client's attribute
+// cache is only ever filled from a reply and invalidated (set_attr and
+// set_len are write-through), so it has no modified attributes to return.
 func (c *forwardingCache) FlushAttributes() (fsys.Attributes, bool) {
-	c.se.client.srv.Callbacks.Inc()
-	var e encoder
-	e.u64(c.se.fileID)
-	e.u8(1) // flush
-	body, err := c.se.client.peer.call(OpCbInvalAttrs, e.b)
-	if err != nil {
-		if errors.Is(err, fsys.ErrUnavailable) {
-			c.markUnreachable()
-		}
-		return fsys.Attributes{}, false
-	}
-	d := decoder{b: body}
-	dirty := d.u8() == 1
-	attrs := decodeAttrs(&d)
-	if d.err != nil {
-		return fsys.Attributes{}, false
-	}
-	return attrs, dirty
+	return fsys.Attributes{}, false
 }
 
 // PopulateAttributes implements fsys.FsCacheObject.
@@ -433,7 +420,6 @@ func (c *forwardingCache) invalAttrs() {
 	c.se.client.srv.Callbacks.Inc()
 	var e encoder
 	e.u64(c.se.fileID)
-	e.u8(0) // invalidate
 	if _, err := c.se.client.peer.call(OpCbInvalAttrs, e.b); err != nil && errors.Is(err, fsys.ErrUnavailable) {
 		c.markUnreachable()
 	}

@@ -107,9 +107,38 @@ func NewProcess(fs fsys.StackableFS, cred naming.Credentials) *Process {
 // ".." components. The result is relative to the file system root; ""
 // denotes the root itself.
 func (p *Process) cleanPath(path string) string {
+	if clean, ok := cleanFast(p.cwd, path); ok {
+		return clean
+	}
+	return cleanSlow(p.cwd, path)
+}
+
+// cleanFast answers, without allocating, for a path that is already clean:
+// absolute or relative to an empty working directory, every component
+// non-empty and neither "." nor "..". Most paths a program passes are.
+func cleanFast(cwd, path string) (string, bool) {
+	if strings.HasPrefix(path, "/") {
+		path = path[1:]
+	} else if cwd != "" {
+		return "", false
+	}
+	start := 0
+	for i := 0; i <= len(path); i++ {
+		if i == len(path) || path[i] == '/' {
+			if c := path[start:i]; c == "" || c == "." || c == ".." {
+				return "", false
+			}
+			start = i + 1
+		}
+	}
+	return path, true
+}
+
+// cleanSlow is cleanPath for every path, by splitting and rejoining.
+func cleanSlow(cwd, path string) string {
 	var parts []string
 	if !strings.HasPrefix(path, "/") {
-		parts = strings.Split(p.cwd, "/")
+		parts = strings.Split(cwd, "/")
 	}
 	for _, c := range strings.Split(path, "/") {
 		switch c {

@@ -488,6 +488,40 @@ func TestCleanPathEdges(t *testing.T) {
 	}
 }
 
+// TestCleanPathFastAgreesWithSlow: the allocation-free path for an already
+// clean name either declines or answers exactly what splitting and rejoining
+// would, and a clean name costs no allocation.
+func TestCleanPathFastAgreesWithSlow(t *testing.T) {
+	took := 0
+	for _, cwd := range []string{"", "a", "a/b"} {
+		for _, in := range []string{
+			"/", "/a/b", "a/./b", "a/../b", "../..", "/a//b///c", "c", "./c", "../c", "../../../c", "/c", "..",
+			"", "//", "a/", "/a/", "./x", ".", "/.", "/..", "a/b/..", "x", "dir/f", "/dir/f", "small-0001-2", ".hidden", "a/...", "a/.b/c..",
+		} {
+			want := cleanSlow(cwd, in)
+			got, ok := cleanFast(cwd, in)
+			if ok && got != want {
+				t.Errorf("cleanFast(cwd=%q, %q) = %q, the slow path says %q", cwd, in, got, want)
+			}
+			if ok {
+				took++
+			}
+		}
+	}
+	if took < 8 {
+		t.Errorf("the fast path took only %d of the cases", took)
+	}
+	p := newProc(t)
+	for _, in := range []string{"small-0001-2", "dir/f", "/dir/sub/f"} {
+		if _, ok := cleanFast("", in); !ok {
+			t.Errorf("cleanFast declined the clean name %q", in)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = p.cleanPath(in) }); n != 0 {
+			t.Errorf("cleanPath(%q) allocates %v times", in, n)
+		}
+	}
+}
+
 func TestMmap(t *testing.T) {
 	node := spring.NewNode("n")
 	defer node.Stop()

@@ -26,7 +26,6 @@
 package cfs
 
 import (
-	"fmt"
 	"sync"
 
 	"springfs/internal/dfs"
@@ -71,16 +70,17 @@ func (c *CFS) Interpose(remote *dfs.RemoteFile) fsys.File {
 	}
 	f := &cfsFile{fs: c, lower: remote}
 	f.io = fsys.NewMappedIO(c.vmm, f)
+	f.conn = fsys.LowerConn{Layer: c.name, ID: remote.ID(), Domain: c.domain,
+		Lower: remote, Access: vm.RightsRead, Cache: cfsCacheObject{}}
 	c.files[remote] = f
 	c.mu.Unlock()
 
 	c.Interpositions.Inc()
 	remote.EnableAttrCaching()
 	// Become a cache manager for the remote file by invoking the bind
-	// operation on it.
-	if _, err := remote.Bind(f, vm.RightsRead, 0, 0); err == nil {
-		f.bound.Store(true)
-	}
+	// operation on it. A file that cannot be bound is still served, through
+	// the file interface, without coherency callbacks.
+	_, _ = f.conn.Pager()
 	return f
 }
 
@@ -120,30 +120,11 @@ type cfsFile struct {
 	fs    *CFS
 	lower *dfs.RemoteFile
 	io    *fsys.MappedIO
-	bound boolFlag
-}
-
-// boolFlag is a tiny mutex-free boolean (set once).
-type boolFlag struct {
-	mu  sync.Mutex
-	set bool
-}
-
-func (b *boolFlag) Store(v bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.set = v
-}
-
-func (b *boolFlag) Load() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.set
+	conn  fsys.LowerConn // the cache-manager half
 }
 
 var (
 	_ fsys.File             = (*cfsFile)(nil)
-	_ vm.CacheManager       = (*cfsFile)(nil)
 	_ naming.ProxyWrappable = (*cfsFile)(nil)
 )
 
@@ -155,72 +136,22 @@ func (f *cfsFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)
 }
 
-// ---- cache-manager half ----
+// cfsCacheObject is the fs_cache CFS exchanges when it binds: CFS holds no
+// file data itself (the VMM does), and the remote file owns the local
+// attribute cache, so the attribute operations have nothing to do either;
+// being an fs_cache keeps CFS in the attribute-coherency protocol.
+type cfsCacheObject struct{ vm.NopCache }
 
-// ManagerName implements vm.CacheManager.
-func (f *cfsFile) ManagerName() string {
-	return fmt.Sprintf("%s/file%d", f.fs.name, f.lower.ID())
-}
+var _ fsys.FsCacheObject = cfsCacheObject{}
 
-// ManagerDomain implements vm.CacheManager.
-func (f *cfsFile) ManagerDomain() *spring.Domain { return f.fs.domain }
-
-// NewConnection implements vm.CacheManager: CFS exchanges an fs_cache
-// object whose attribute operations are backed by the locally cached
-// attributes; it holds no file data itself (the VMM does).
-func (f *cfsFile) NewConnection(pager vm.PagerObject) (vm.CacheObject, vm.CacheRights) {
-	return &cfsCacheObject{f: f}, cfsRights{id: f.lower.ID(), name: f.ManagerName()}
-}
-
-type cfsRights struct {
-	id   uint64
-	name string
-}
-
-func (r cfsRights) RightsID() uint64    { return r.id }
-func (r cfsRights) ManagerName() string { return r.name }
-
-// cfsCacheObject is CFS's fs_cache: data operations are no-ops (CFS caches
-// no data), attribute operations hit the local attribute cache.
-type cfsCacheObject struct {
-	f *cfsFile
-}
-
-var _ fsys.FsCacheObject = (*cfsCacheObject)(nil)
-
-// FlushBack implements vm.CacheObject.
-func (c *cfsCacheObject) FlushBack(offset, size vm.Offset) []vm.Data { return nil }
-
-// DenyWrites implements vm.CacheObject.
-func (c *cfsCacheObject) DenyWrites(offset, size vm.Offset) []vm.Data { return nil }
-
-// WriteBack implements vm.CacheObject.
-func (c *cfsCacheObject) WriteBack(offset, size vm.Offset) []vm.Data { return nil }
-
-// DeleteRange implements vm.CacheObject.
-func (c *cfsCacheObject) DeleteRange(offset, size vm.Offset) {}
-
-// ZeroFill implements vm.CacheObject.
-func (c *cfsCacheObject) ZeroFill(offset, size vm.Offset) {}
-
-// Populate implements vm.CacheObject.
-func (c *cfsCacheObject) Populate(offset, size vm.Offset, access vm.Rights, data []byte) {}
-
-// DestroyCache implements vm.CacheObject.
-func (c *cfsCacheObject) DestroyCache() {}
-
-// FlushAttributes implements fsys.FsCacheObject. The remote file owns the
-// local attribute cache; CFS's cache object view of it keeps the protocol
-// uniform.
-func (c *cfsCacheObject) FlushAttributes() (fsys.Attributes, bool) {
-	return fsys.Attributes{}, false
-}
+// FlushAttributes implements fsys.FsCacheObject.
+func (cfsCacheObject) FlushAttributes() (fsys.Attributes, bool) { return fsys.Attributes{}, false }
 
 // PopulateAttributes implements fsys.FsCacheObject.
-func (c *cfsCacheObject) PopulateAttributes(attrs fsys.Attributes) {}
+func (cfsCacheObject) PopulateAttributes(attrs fsys.Attributes) {}
 
 // InvalidateAttributes implements fsys.FsCacheObject.
-func (c *cfsCacheObject) InvalidateAttributes() {}
+func (cfsCacheObject) InvalidateAttributes() {}
 
 // ---- file half ----
 

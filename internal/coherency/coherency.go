@@ -164,6 +164,8 @@ func (c *CohFS) newFile(lower fsys.File) fsys.File {
 		backing: c.nextBacking.Add(1),
 		blocks:  make(map[int64]*blockState),
 	}
+	f.conn = fsys.LowerConn{Layer: c.FSName(), ID: f.backing, Domain: c.domain,
+		Lower: lower, Access: vm.RightsWrite, Cache: &lowerCacheObject{f: f}}
 	f.bcond = sync.NewCond(&f.bmu)
 	f.io = fsys.NewMappedIO(c.vmm, f)
 	return f

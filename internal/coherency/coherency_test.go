@@ -300,10 +300,10 @@ func TestFigure4DualRole(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := f.(*cohFile)
-	// Cache-manager half: the coherency file is a vm.CacheManager and
-	// holds a pager object for the lower file.
-	var _ vm.CacheManager = cf
-	pager, err := cf.ensureLowerPager()
+	// Cache-manager half: the coherency file's connection to the lower
+	// file is a vm.CacheManager and holds a pager object for it.
+	var _ vm.CacheManager = &cf.conn
+	pager, err := cf.conn.Pager()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,9 @@ type cohFile struct {
 	io      *fsys.MappedIO
 	attrs   fsys.AttrCache
 
-	// pmu guards the lazily-established connection to the lower layer.
-	pmu          sync.Mutex
-	lowerPager   vm.PagerObject
-	lowerFsPager fsys.FsPagerObject // non-nil if the lower pager narrowed
+	// conn is the cache-manager half: the connection to the lower file,
+	// bound on first use, with lowerCacheObject as the fs_cache handed down.
+	conn fsys.LowerConn
 
 	// bmu + bcond guard the block table and the per-block busy flags.
 	bmu    sync.Mutex
@@ -90,7 +89,6 @@ type cohFile struct {
 
 var (
 	_ fsys.File             = (*cohFile)(nil)
-	_ vm.CacheManager       = (*cohFile)(nil)
 	_ naming.ProxyWrappable = (*cohFile)(nil)
 )
 
@@ -102,68 +100,11 @@ func (f *cohFile) WrapForChannel(ch *spring.Channel) naming.Object {
 // Lower returns the underlying file (tests).
 func (f *cohFile) Lower() fsys.File { return f.lower }
 
-// ---- cache-manager half (toward the lower layer) ----
-
-// ManagerName implements vm.CacheManager.
-func (f *cohFile) ManagerName() string {
-	return fmt.Sprintf("%s/file%d", f.fs.FSName(), f.backing)
-}
-
-// ManagerDomain implements vm.CacheManager.
-func (f *cohFile) ManagerDomain() *spring.Domain { return f.fs.domain }
-
-// NewConnection implements vm.CacheManager: the lower layer hands us its
-// pager object during bind; we hand back our fs_cache object, through
-// which the lower layer will perform coherency actions against this file.
-func (f *cohFile) NewConnection(pager vm.PagerObject) (vm.CacheObject, vm.CacheRights) {
-	f.pmu.Lock()
-	f.lowerPager = pager
-	if fp, ok := spring.Narrow[fsys.FsPagerObject](pager); ok {
-		f.lowerFsPager = fp
-	}
-	f.pmu.Unlock()
-	return &lowerCacheObject{f: f}, lowerRights{id: f.backing, name: f.ManagerName()}
-}
-
-// lowerRights is the cache-rights token this layer issues on its lower
-// bind. The layer itself is the only user, so it carries just identity.
-type lowerRights struct {
-	id   uint64
-	name string
-}
-
-func (r lowerRights) RightsID() uint64    { return r.id }
-func (r lowerRights) ManagerName() string { return r.name }
-
-// ensureLowerPager binds to the lower file (once) and returns the pager
-// object for it: the layer establishes itself as a cache manager for the
-// underlying file by issuing a bind operation on it (Section 4.2.1).
-func (f *cohFile) ensureLowerPager() (vm.PagerObject, error) {
-	f.pmu.Lock()
-	p := f.lowerPager
-	f.pmu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	if _, err := f.lower.Bind(f, vm.RightsWrite, 0, 0); err != nil {
-		return nil, fmt.Errorf("coherency: bind to lower file: %w", err)
-	}
-	f.pmu.Lock()
-	defer f.pmu.Unlock()
-	if f.lowerPager == nil {
-		return nil, fmt.Errorf("coherency: lower bind established no pager-cache connection")
-	}
-	return f.lowerPager, nil
-}
-
 // lowerAttrs fetches attributes from the lower layer, preferring the
 // fs_pager attribute operations when the lower pager narrowed to fs_pager
 // and falling back to the file interface otherwise.
 func (f *cohFile) lowerAttrs() (fsys.Attributes, error) {
-	f.pmu.Lock()
-	fp := f.lowerFsPager
-	f.pmu.Unlock()
-	if fp != nil {
+	if fp := f.conn.FsPager(); fp != nil {
 		return fp.GetAttributes()
 	}
 	return f.lower.Stat()
@@ -171,16 +112,10 @@ func (f *cohFile) lowerAttrs() (fsys.Attributes, error) {
 
 // pushLowerAttrs writes modified attributes to the lower layer.
 func (f *cohFile) pushLowerAttrs(attrs fsys.Attributes) error {
-	f.pmu.Lock()
-	fp := f.lowerFsPager
-	f.pmu.Unlock()
-	if fp != nil {
+	if fp := f.conn.FsPager(); fp != nil {
 		return fp.SetAttributes(attrs)
 	}
-	if err := f.lower.SetLength(attrs.Length); err != nil {
-		return err
-	}
-	return nil
+	return f.lower.SetLength(attrs.Length)
 }
 
 // ---- block protocol ----
@@ -405,7 +340,7 @@ func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights)
 		}
 
 		// Fetch from the lower layer without holding the block.
-		pager, err := f.ensureLowerPager()
+		pager, err := f.conn.Pager()
 		if err != nil {
 			return nil, err
 		}
@@ -444,7 +379,7 @@ func (f *cohFile) pageInBlock(conn *fsys.Connection, pn int64, access vm.Rights)
 // file, so that the lower layer's own coherency actions (a truncate's
 // purge) reach the blocks granted here.
 func (f *cohFile) grantWrite(conn *fsys.Connection, offset, size vm.Offset) error {
-	if _, err := f.ensureLowerPager(); err != nil {
+	if _, err := f.conn.Pager(); err != nil {
 		return err
 	}
 	lost := f.revoke(blockRange(offset, size), flushBack, conn, func(_ int64, b *blockState, lost bool) {
@@ -535,7 +470,7 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 	if len(runs) == 0 {
 		return nil
 	}
-	pager, bindErr := f.ensureLowerPager()
+	pager, bindErr := f.conn.Pager()
 	errs := []error{bindErr}
 	for _, r := range runs {
 		err := bindErr // without a lower pager every run fails, and settles, alike
@@ -855,7 +790,7 @@ func (f *cohFile) prefetch(offset, minSize, maxSize vm.Offset, access vm.Rights)
 	if !missing {
 		return maxSize
 	}
-	pager, err := f.ensureLowerPager()
+	pager, err := f.conn.Pager()
 	if err != nil {
 		return minSize
 	}

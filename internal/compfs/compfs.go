@@ -106,7 +106,12 @@ var (
 func New(domain *spring.Domain, name string, mode Mode) *CompFS {
 	c := &CompFS{domain: domain, mode: mode, table: fsys.NewConnectionTable(domain)}
 	c.Init(name, c, func(lower fsys.File) fsys.File {
-		return &compFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+		f := &compFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+		if mode == ModeCoherent {
+			f.conn = &fsys.LowerConn{Layer: name, ID: f.backing, Domain: domain,
+				Lower: lower, Access: vm.RightsRead, Cache: &compCacheObject{f: f}}
+		}
+		return f
 	})
 	return c
 }

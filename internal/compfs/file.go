@@ -2,7 +2,6 @@ package compfs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -36,13 +35,12 @@ type compFile struct {
 	mu       sync.Mutex
 	tbl      *blockTable // nil until loaded
 	tblDirty bool
-	bound    bool // coherent mode: cache-manager connection established
 
-	// lowerPager is the pager object for the underlying file, obtained
-	// during the cache-manager bind (coherent mode). Reads go through it
-	// so the lower layer tracks COMPFS as a holder and its revocations
-	// reach compCacheObject.
-	lowerPager atomic.Value // vm.PagerObject
+	// conn is the cache-manager connection to the underlying file (the
+	// C3–P3 connection of Figure 6); nil in ModeNonCoherent. Reads go
+	// through its pager so the lower layer tracks COMPFS as a holder and
+	// its revocations reach compCacheObject.
+	conn *fsys.LowerConn
 
 	// tblStale is set (lock-free) by lower-layer revocations: the cached
 	// block table must be reloaded before the next use. It is lock-free
@@ -54,7 +52,6 @@ type compFile struct {
 
 var (
 	_ fsys.File             = (*compFile)(nil)
-	_ vm.CacheManager       = (*compFile)(nil)
 	_ naming.ProxyWrappable = (*compFile)(nil)
 )
 
@@ -66,61 +63,14 @@ func (f *compFile) WrapForChannel(ch *spring.Channel) naming.Object {
 // Lower returns the underlying file (tests).
 func (f *compFile) Lower() fsys.File { return f.lower }
 
-// ---- cache-manager half (coherent mode, the C3–P3 connection) ----
-
-// ManagerName implements vm.CacheManager.
-func (f *compFile) ManagerName() string {
-	return fmt.Sprintf("%s/file%d", f.fs.FSName(), f.backing)
-}
-
-// ManagerDomain implements vm.CacheManager.
-func (f *compFile) ManagerDomain() *spring.Domain { return f.fs.domain }
-
-// NewConnection implements vm.CacheManager: hand the lower layer the cache
-// object through which its coherency actions reach COMPFS, keeping its
-// pager object for our reads.
-func (f *compFile) NewConnection(pager vm.PagerObject) (vm.CacheObject, vm.CacheRights) {
-	f.lowerPager.Store(pager)
-	return &compCacheObject{f: f}, compRights{id: f.backing, name: f.ManagerName()}
-}
-
-type compRights struct {
-	id   uint64
-	name string
-}
-
-func (r compRights) RightsID() uint64    { return r.id }
-func (r compRights) ManagerName() string { return r.name }
-
-// ensureBound establishes the cache-manager connection to the lower file
-// in coherent mode, so the lower layer engages COMPFS in its coherency
-// actions. In addition, COMPFS registers interest by paging the header in
-// through the connection (holders are revoked; non-holders are not).
-func (f *compFile) ensureBound() {
-	if f.fs.mode != ModeCoherent {
-		return
-	}
-	f.mu.Lock()
-	bound := f.bound
-	f.mu.Unlock()
-	if bound {
-		return
-	}
-	if _, err := f.lower.Bind(f, vm.RightsRead, 0, 0); err != nil {
-		return
-	}
-	f.mu.Lock()
-	f.bound = true
-	f.mu.Unlock()
-}
-
 // compCacheObject receives the lower layer's coherency actions. COMPFS
 // holds no dirty compressed data (writes are write-through), so flush
 // operations return nothing; every action invalidates the cached block
 // table and the caches of file_COMP's own clients, which is what makes
 // mappings of file_SFS and file_COMP coherent (Figure 6).
 type compCacheObject struct {
-	f *compFile
+	vm.NopCache // DenyWrites, WriteBack: the lower file is held read-only
+	f           *compFile
 }
 
 var _ vm.CacheObject = (*compCacheObject)(nil)
@@ -146,15 +96,6 @@ func (c *compCacheObject) FlushBack(offset, size vm.Offset) []vm.Data {
 	return nil
 }
 
-// DenyWrites implements vm.CacheObject.
-func (c *compCacheObject) DenyWrites(offset, size vm.Offset) []vm.Data {
-	// COMPFS holds the lower file read-only already; nothing to return.
-	return nil
-}
-
-// WriteBack implements vm.CacheObject.
-func (c *compCacheObject) WriteBack(offset, size vm.Offset) []vm.Data { return nil }
-
 // DeleteRange implements vm.CacheObject.
 func (c *compCacheObject) DeleteRange(offset, size vm.Offset) { c.invalidate() }
 
@@ -172,18 +113,21 @@ func (c *compCacheObject) DestroyCache() { c.invalidate() }
 // ---- metadata ----
 
 // readLower reads len(p) bytes at off from the underlying file. In
-// coherent mode the read goes through the pager connection, which
-// registers COMPFS as a holder of the covered blocks so that later direct
-// writes to the underlying file revoke (and thereby notify) COMPFS. In
-// non-coherent mode — Figure 5 — the plain file interface is used and no
-// notification ever arrives.
+// coherent mode the read goes through the pager connection (bound by the
+// first read), which registers COMPFS as a holder of the covered blocks so
+// that later direct writes to the underlying file revoke (and thereby
+// notify) COMPFS. In non-coherent mode — Figure 5 — or when the bind fails,
+// the plain file interface is used and no notification ever arrives.
 // It returns how many bytes the lower layer actually provided: a short
 // count means the extent runs past the lower file's end (truncation or a
 // sparse tail), and callers must not treat the missing bytes as data.
 func (f *compFile) readLower(p []byte, off int64) (int, error) {
 	t := opPageIn.Start()
-	pager, _ := f.lowerPager.Load().(vm.PagerObject)
-	if f.fs.mode != ModeCoherent || pager == nil {
+	var pager vm.PagerObject
+	if f.conn != nil {
+		pager, _ = f.conn.Pager()
+	}
+	if pager == nil {
 		n, err := f.lower.ReadAt(p, off)
 		if err == io.EOF {
 			err = nil
@@ -382,7 +326,6 @@ func (f *compFile) writeBlockLocked(bn int64, data []byte) error {
 func (f *compFile) ReadAt(p []byte, off int64) (int, error) {
 	t := opRead.Start()
 	defer func() { opRead.End(t, int64(len(p))) }()
-	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {
@@ -396,7 +339,6 @@ func (f *compFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *compFile) WriteAt(p []byte, off int64) (int, error) {
 	t := opWrite.Start()
 	defer func() { opWrite.End(t, int64(len(p))) }()
-	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {
@@ -426,7 +368,6 @@ func (f *compFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length
 
 // GetLength implements vm.MemoryObject.
 func (f *compFile) GetLength() (vm.Offset, error) {
-	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {
@@ -440,7 +381,6 @@ func (f *compFile) GetLength() (vm.Offset, error) {
 // cached pages past the new length are revoked — so a later regrow cannot
 // resurrect the truncated bytes.
 func (f *compFile) SetLength(length vm.Offset) error {
-	f.ensureBound()
 	cur, err := f.GetLength()
 	if err != nil {
 		return err
@@ -597,7 +537,6 @@ func (f *compFile) Compact() (int64, error) {
 // file_COMP (the P2 object of Figure 5): page-ins uncompress, page-outs
 // compress, and the pager's Sync persists the block table.
 func (f *compFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {
@@ -611,7 +550,6 @@ func (f *compFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, err
 }
 
 func (f *compFile) pageOut(offset, size vm.Offset, data []byte) error {
-	f.ensureBound()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.loadTableLocked(); err != nil {

@@ -48,6 +48,7 @@ func Checks() []Check {
 	return []Check{
 		{"basic-io", checkBasicIO},
 		{"fd-offset", checkFDOffset},
+		{"neg-offset", checkNegOffset},
 		{"open-flags", checkOpenFlags},
 		{"sparse", checkSparse},
 		{"trunc-reextend", checkTruncReextend},
@@ -270,6 +271,36 @@ func checkFDOffset(s *Stack) error {
 		return fmt.Errorf("content after pwrite: %q, %v", got, err)
 	}
 	return p.Unlink("fd-offset.txt")
+}
+
+// checkNegOffset: pread and pwrite at a negative offset fail with EINVAL
+// and leave the file's bytes and length alone.
+func checkNegOffset(s *Stack) error {
+	p, err := s.NewProcess()
+	if err != nil {
+		return err
+	}
+	want := pattern("neg", 5000)
+	if err := writePath(p, "neg-offset.bin", want); err != nil {
+		return err
+	}
+	fd, err := p.Open("neg-offset.bin", unixapi.O_RDWR)
+	if err != nil {
+		return err
+	}
+	defer p.Close(fd)
+	for _, off := range []int64{-1, -4096, -1 << 62} {
+		if n, err := p.Pread(fd, make([]byte, 16), off); n != 0 || !errors.Is(err, unixapi.EINVAL) {
+			return fmt.Errorf("pread at %d: %d, %v; want 0, EINVAL", off, n, err)
+		}
+		if n, err := p.Pwrite(fd, []byte("must not land"), off); n != 0 || !errors.Is(err, unixapi.EINVAL) {
+			return fmt.Errorf("pwrite at %d: %d, %v; want 0, EINVAL", off, n, err)
+		}
+	}
+	if got, err := readPath(p, "neg-offset.bin"); err != nil || !bytes.Equal(got, want) {
+		return fmt.Errorf("content after refused calls: %d bytes, %v; want the %d written", len(got), err, len(want))
+	}
+	return p.Unlink("neg-offset.bin")
 }
 
 // checkOpenFlags: O_EXCL refuses existing files, O_TRUNC discards content,

@@ -16,38 +16,67 @@ import (
 // normally runs them.
 var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror", "sfs-passthrough"}
 
-// BuildStack assembles one named stack shape on fresh simulated hardware.
-func BuildStack(name string) (*Stack, error) {
-	switch name {
-	case "disk":
-		return newDiskStack()
-	case "sfs-compfs":
-		return newCompStack()
-	case "sfs-cryptfs":
-		return newCryptStack()
-	case "mirror":
-		return newMirrorStack()
-	case "dfs-remote":
-		return newDFSStack()
-	case "sfs-snapfs":
-		return newSnapStack()
-	case "sfs-snapfs-clone":
-		return newSnapCloneStack()
-	case "sfs-stripe":
-		return newStripeStack()
-	case "stripe-mirror":
-		return newStripeMirrorStack()
-	case "sfs-passthrough":
-		return newPassthroughStack()
-	}
-	return nil, fmt.Errorf("conformance: unknown stack shape %q", name)
+// shapes maps each shape to what builds it on a fresh node.
+var shapes = map[string]func(node *springfs.Node) (*Stack, error){
+	"disk": newDiskStack,
+	// COMPFS (coherent mode) on SFS.
+	"sfs-compfs": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
+		return node.NewCompFS("compfs", true), nil
+	}, "sfs"),
+	"sfs-cryptfs": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
+		return node.NewCryptFS("cryptfs", "conformance-passphrase")
+	}, "sfs"),
+	// The mirroring layer over two SFS instances (fs4 of Figure 3).
+	"mirror": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
+		return node.NewMirrorFS("mirror"), nil
+	}, "sfs1", "sfs2"),
+	"dfs-remote": newDFSStack,
+	// The COW snapshot layer (main line) on SFS.
+	"sfs-snapfs": layerOnSFSs(16384, func(node *springfs.Node) (springfs.StackableFS, error) {
+		return node.NewSnapFS("snapfs"), nil
+	}, "sfs"),
+	"sfs-snapfs-clone": newSnapCloneStack,
+	// The striping layer over one metadata SFS and three data SFS
+	// instances. The stripe is kept small (4 pages) so the suite's ordinary
+	// file sizes straddle stripe and server boundaries.
+	"sfs-stripe": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
+		return node.NewStripeFS("stripe", 4*springfs.PageSize)
+	}, "meta", "data0", "data1", "data2"),
+	"stripe-mirror": newStripeMirrorStack,
+	// The identity layer: the layer kit (fsys.Passthrough) with no
+	// transform of its own.
+	"sfs-passthrough": layerOnSFSs(8192, func(*springfs.Node) (springfs.StackableFS, error) {
+		return fsys.NewIdentityFS("passthrough"), nil
+	}, "sfs"),
 }
 
-// sharedProcs adapts a single shared file system to the Stack interface:
-// every process is a sibling on the one node.
-func sharedProcs(fs springfs.StackableFS) func() (*unixapi.Process, error) {
-	return func() (*unixapi.Process, error) {
-		return unixapi.NewProcess(fs, naming.Root), nil
+// BuildStack assembles one named stack shape on fresh simulated hardware.
+// It owns the node's lifetime until the stack is built: whatever error stops
+// the build stops the node too.
+func BuildStack(name string) (*Stack, error) {
+	build, ok := shapes[name]
+	if !ok {
+		return nil, fmt.Errorf("conformance: unknown stack shape %q", name)
+	}
+	node := springfs.NewNode("conf-" + name)
+	s, err := build(node)
+	if err != nil {
+		node.Stop()
+		return nil, err
+	}
+	s.Name = name
+	return s, nil
+}
+
+// localStack is the Stack of a shape built on one node: every process is a
+// sibling on it, over the one shared file system top.
+func localStack(node *springfs.Node, top springfs.StackableFS, sfss ...*springfs.SFS) *Stack {
+	return &Stack{
+		NewProcess: func() (*unixapi.Process, error) {
+			return unixapi.NewProcess(top, naming.Root), nil
+		},
+		DropCaches: coldCaches(node, sfss...),
+		Close:      node.Stop,
 	}
 }
 
@@ -68,297 +97,114 @@ func coldCaches(node *springfs.Node, sfss ...*springfs.SFS) func() error {
 	}
 }
 
+// newSFSs makes one SFS of the given size per name.
+func newSFSs(node *springfs.Node, blocks int64, names ...string) ([]*springfs.SFS, error) {
+	sfss := make([]*springfs.SFS, len(names))
+	for i, name := range names {
+		sfs, err := node.NewSFS(name, springfs.DiskOptions{Blocks: blocks})
+		if err != nil {
+			return nil, err
+		}
+		sfss[i] = sfs
+	}
+	return sfss, nil
+}
+
+// layerOnSFSs builds the layer mkLayer makes, stacked on one SFS of the
+// given size per name, in that order.
+func layerOnSFSs(blocks int64, mkLayer func(*springfs.Node) (springfs.StackableFS, error), names ...string) func(*springfs.Node) (*Stack, error) {
+	return func(node *springfs.Node) (*Stack, error) {
+		sfss, err := newSFSs(node, blocks, names...)
+		if err != nil {
+			return nil, err
+		}
+		layer, err := mkLayer(node)
+		if err != nil {
+			return nil, err
+		}
+		for _, sfs := range sfss {
+			if err := layer.StackOn(sfs.FS()); err != nil {
+				return nil, err
+			}
+		}
+		return localStack(node, layer, sfss...), nil
+	}
+}
+
 // newDiskStack is the base shape: the raw (non-coherent) disk layer alone.
-func newDiskStack() (*Stack, error) {
-	node := springfs.NewNode("conf-disk")
+func newDiskStack(node *springfs.Node) (*Stack, error) {
 	dev := blockdev.NewMem(8192, blockdev.ProfileNone)
 	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
-		node.Stop()
 		return nil, err
 	}
 	disk, err := disklayer.Mount(dev, node.NewDomain("disk"), node.VMM(), "conf-disk")
 	if err != nil {
-		node.Stop()
 		return nil, err
 	}
-	return &Stack{
-		Name:       "disk",
-		NewProcess: sharedProcs(disk),
-		DropCaches: coldCaches(node),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newCompStack: COMPFS (coherent mode) on SFS.
-func newCompStack() (*Stack, error) {
-	node := springfs.NewNode("conf-comp")
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	comp := node.NewCompFS("compfs", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "sfs-compfs",
-		NewProcess: sharedProcs(comp),
-		DropCaches: coldCaches(node, sfs),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newCryptStack: CryptFS on SFS.
-func newCryptStack() (*Stack, error) {
-	node := springfs.NewNode("conf-crypt")
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	crypt, err := node.NewCryptFS("cryptfs", "conformance-passphrase")
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	if err := crypt.StackOn(sfs.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "sfs-cryptfs",
-		NewProcess: sharedProcs(crypt),
-		DropCaches: coldCaches(node, sfs),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newPassthroughStack: the identity layer on SFS — the layer kit
-// (fsys.Passthrough) with no transform of its own.
-func newPassthroughStack() (*Stack, error) {
-	node := springfs.NewNode("conf-passthrough")
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	ident := fsys.NewIdentityFS("passthrough")
-	if err := ident.StackOn(sfs.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "sfs-passthrough",
-		NewProcess: sharedProcs(ident),
-		DropCaches: coldCaches(node, sfs),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newMirrorStack: the mirroring layer over two SFS instances (fs4 of
-// Figure 3).
-func newMirrorStack() (*Stack, error) {
-	node := springfs.NewNode("conf-mirror")
-	sfs1, err := node.NewSFS("sfs1", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	sfs2, err := node.NewSFS("sfs2", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	mirror := node.NewMirrorFS("mirror")
-	if err := mirror.StackOn(sfs1.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	if err := mirror.StackOn(sfs2.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "mirror",
-		NewProcess: sharedProcs(mirror),
-		DropCaches: coldCaches(node, sfs1, sfs2),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newSnapStack: the COW snapshot layer (main line) on SFS.
-func newSnapStack() (*Stack, error) {
-	node := springfs.NewNode("conf-snap")
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 16384})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	snap := node.NewSnapFS("snapfs")
-	if err := snap.StackOn(sfs.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "sfs-snapfs",
-		NewProcess: sharedProcs(snap),
-		DropCaches: coldCaches(node, sfs),
-		Close:      node.Stop,
-	}, nil
+	return localStack(node, disk), nil
 }
 
 // newSnapCloneStack: processes run on a writable clone of a snapshot, so
 // every check exercises the COW divergence path (reads fall through to the
 // sealed parent epoch; first writes remap).
-func newSnapCloneStack() (*Stack, error) {
-	node := springfs.NewNode("conf-snap-clone")
+func newSnapCloneStack(node *springfs.Node) (*Stack, error) {
 	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 16384})
 	if err != nil {
-		node.Stop()
 		return nil, err
 	}
 	snap := node.NewSnapFS("snapfs")
 	if err := snap.StackOn(sfs.FS()); err != nil {
-		node.Stop()
 		return nil, err
 	}
 	if err := snap.Snapshot("base"); err != nil {
-		node.Stop()
 		return nil, err
 	}
 	clone, err := snap.Clone("base", "work")
 	if err != nil {
-		node.Stop()
 		return nil, err
 	}
-	return &Stack{
-		Name:       "sfs-snapfs-clone",
-		NewProcess: sharedProcs(clone),
-		DropCaches: coldCaches(node, sfs),
-		Close:      node.Stop,
-	}, nil
-}
-
-// newStripeStack: the striping layer over one metadata SFS and three data
-// SFS instances. The stripe is kept small (4 pages) so the suite's
-// ordinary file sizes straddle stripe and server boundaries.
-func newStripeStack() (*Stack, error) {
-	node := springfs.NewNode("conf-stripe")
-	meta, err := node.NewSFS("meta", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	stripe, err := node.NewStripeFS("stripe", 4*springfs.PageSize)
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	if err := stripe.StackOn(meta.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	sfss := []*springfs.SFS{meta}
-	for i := 0; i < 3; i++ {
-		data, err := node.NewSFS(fmt.Sprintf("data%d", i), springfs.DiskOptions{Blocks: 8192})
-		if err != nil {
-			node.Stop()
-			return nil, err
-		}
-		if err := stripe.StackOn(data.FS()); err != nil {
-			node.Stop()
-			return nil, err
-		}
-		sfss = append(sfss, data)
-	}
-	return &Stack{
-		Name:       "sfs-stripe",
-		NewProcess: sharedProcs(stripe),
-		DropCaches: coldCaches(node, sfss...),
-		Close:      node.Stop,
-	}, nil
+	return localStack(node, clone, sfs), nil
 }
 
 // newStripeMirrorStack: striping where data server 0 is itself a mirroring
 // layer over two SFS instances — per-stripe failover below the striping
 // layer.
-func newStripeMirrorStack() (*Stack, error) {
-	node := springfs.NewNode("conf-stripe-mirror")
-	meta, err := node.NewSFS("meta", springfs.DiskOptions{Blocks: 8192})
+func newStripeMirrorStack(node *springfs.Node) (*Stack, error) {
+	sfss, err := newSFSs(node, 8192, "meta", "m1", "m2", "data1")
 	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	m1, err := node.NewSFS("m1", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
-	m2, err := node.NewSFS("m2", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
 		return nil, err
 	}
 	mirror := node.NewMirrorFS("mirror")
-	if err := mirror.StackOn(m1.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	if err := mirror.StackOn(m2.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	data1, err := node.NewSFS("data1", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		node.Stop()
-		return nil, err
-	}
 	stripe, err := node.NewStripeFS("stripe", 4*springfs.PageSize)
 	if err != nil {
-		node.Stop()
 		return nil, err
 	}
-	if err := stripe.StackOn(meta.FS()); err != nil {
-		node.Stop()
-		return nil, err
+	meta, m1, m2, data1 := sfss[0].FS(), sfss[1].FS(), sfss[2].FS(), sfss[3].FS()
+	for _, on := range []struct{ layer, under springfs.StackableFS }{
+		{mirror, m1}, {mirror, m2}, {stripe, meta}, {stripe, mirror}, {stripe, data1},
+	} {
+		if err := on.layer.StackOn(on.under); err != nil {
+			return nil, err
+		}
 	}
-	if err := stripe.StackOn(mirror); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	if err := stripe.StackOn(data1.FS()); err != nil {
-		node.Stop()
-		return nil, err
-	}
-	return &Stack{
-		Name:       "stripe-mirror",
-		NewProcess: sharedProcs(stripe),
-		DropCaches: coldCaches(node, meta, m1, m2, data1),
-		Close:      node.Stop,
-	}, nil
+	return localStack(node, stripe, sfss...), nil
 }
 
 // newDFSStack: SFS on a home node exported by a DFS server; every process
 // runs on its own remote machine, dialing a fresh connection, so the suite
 // exercises cross-machine semantics (unlink on one machine vs an open
 // descriptor on another, appends racing across the network).
-func newDFSStack() (*Stack, error) {
-	home := springfs.NewNode("conf-home")
+func newDFSStack(home *springfs.Node) (*Stack, error) {
 	sfs, err := home.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
 	if err != nil {
-		home.Stop()
 		return nil, err
 	}
 	network := springfs.NewNetwork(springfs.LANInstant)
 	l, err := network.Listen("home:dfs")
 	if err != nil {
-		home.Stop()
 		return nil, err
 	}
 	if _, err := home.ServeDFS("dfs", sfs.FS(), l); err != nil {
-		home.Stop()
 		return nil, err
 	}
 
@@ -379,7 +225,6 @@ func newDFSStack() (*Stack, error) {
 		return unixapi.NewProcess(dfs.NewClientFS(client, "dfs-remote"), naming.Root), nil
 	}
 	return &Stack{
-		Name:       "dfs-remote",
 		NewProcess: newProcess,
 		DropCaches: func() error {
 			for _, nd := range nodes {

@@ -383,8 +383,21 @@ func (f *RemoteFile) SetLength(l vm.Offset) error {
 	return err
 }
 
-// ReadAt implements fsys.File; the read goes to the remote DFS.
+// ReadAt implements fsys.File; the read goes to the remote DFS, in calls
+// of at most what the server answers in one frame (maxPageOutPayload).
 func (f *RemoteFile) ReadAt(p []byte, off int64) (int, error) {
+	done := 0
+	for {
+		chunk := p[done:min(len(p), done+maxPageOutPayload)]
+		n, err := f.readOnce(chunk, off+int64(done))
+		done += n
+		if err != nil || n < len(chunk) || done == len(p) {
+			return done, err
+		}
+	}
+}
+
+func (f *RemoteFile) readOnce(p []byte, off int64) (int, error) {
 	var e encoder
 	e.u64(f.id)
 	e.i64(off)
@@ -545,7 +558,7 @@ func (p *remotePager) PageInHint(offset, minSize, maxSize vm.Offset, access vm.R
 	e.u64(f.id)
 	e.i64(offset)
 	e.i64(ask)
-	e.i64(maxSize)
+	e.i64(min(maxSize, maxPageOutPayload)) // a hint; the server refuses a larger one
 	e.u8(uint8(access))
 	body, err := f.client.call(OpPageIn, e.b)
 	if err != nil {

@@ -16,8 +16,12 @@ type srvClient struct {
 	srv  *Server
 	peer *peer
 
-	mu       sync.Mutex
-	sessions map[uint64]*session
+	mu sync.Mutex
+	// sessions holds one cache-manager connection per file the client pages:
+	// the identity under which the server bound to the lower file on the
+	// client's behalf, whose forwardingCache carries the lower layer's
+	// coherency actions over the wire to that client.
+	sessions map[uint64]*fsys.LowerConn
 	// retained counts OpRetain handles per file, so a client that dies
 	// without releasing them does not pin unlinked files forever.
 	retained map[uint64]int
@@ -25,31 +29,29 @@ type srvClient struct {
 
 // pagerFor returns the session for fileID (creating it if needed) and the
 // pager its bind to the lower file produced.
-func (c *srvClient) pagerFor(fileID uint64, lower fsys.File) (*session, vm.PagerObject, error) {
+func (c *srvClient) pagerFor(fileID uint64, lower fsys.File) (*fsys.LowerConn, vm.PagerObject, error) {
 	c.mu.Lock()
 	se, ok := c.sessions[fileID]
 	if !ok {
-		se = &session{client: c, fileID: fileID, lower: lower}
+		se = &fsys.LowerConn{Layer: c.srv.FSName() + "/remote", ID: fileID, Domain: c.srv.domain,
+			Lower: lower, Access: vm.RightsWrite, Cache: &forwardingCache{client: c, fileID: fileID}}
 		c.sessions[fileID] = se
 	}
 	c.mu.Unlock()
-	pager, err := se.ensurePager()
+	pager, err := se.Pager()
 	return se, pager, err
 }
 
 // teardown releases every session after the connection drops.
 func (c *srvClient) teardown() {
 	c.mu.Lock()
-	sessions := make([]*session, 0, len(c.sessions))
-	for _, se := range c.sessions {
-		sessions = append(sessions, se)
-	}
-	c.sessions = make(map[uint64]*session)
+	sessions := c.sessions
+	c.sessions = make(map[uint64]*fsys.LowerConn)
 	retained := c.retained
 	c.retained = make(map[uint64]int)
 	c.mu.Unlock()
 	for _, se := range sessions {
-		se.release()
+		se.Done()
 	}
 	// Drop the departed client's open-handle claims so its unlinked files
 	// can be reclaimed by the survivors' last close.
@@ -173,7 +175,7 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		delete(c.sessions, fileID)
 		c.mu.Unlock()
 		if se != nil {
-			se.release()
+			se.Done()
 		}
 		return nil, nil
 	}
@@ -224,6 +226,9 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		if off < 0 || n > maxPageOutPayload {
+			return nil, fmt.Errorf("%w: read of %d bytes at %d", ErrProtocol, n, off)
+		}
 		buf := make([]byte, n)
 		read, err := lower.ReadAt(buf, off)
 		eof := err == io.EOF
@@ -244,6 +249,9 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		if off < 0 || off+int64(len(data)) < 0 {
+			return nil, fmt.Errorf("%w: write of %d bytes at %d", ErrProtocol, len(data), off)
+		}
 		n, err := lower.WriteAt(data, off)
 		if err != nil {
 			return nil, err
@@ -259,20 +267,23 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		// The pager below walks the range block by block and allocates what
+		// it returns, so guard it like a page-out payload: whole pages at a
+		// non-negative offset, no more than one write-back frame carries, in
+		// a range whose end does not wrap.
+		if !vm.PageAligned(off, size) || size == 0 || size > maxPageOutPayload ||
+			maxSize%vm.PageSize != 0 || maxSize > maxPageOutPayload || off+maxPageOutPayload < 0 {
+			return nil, fmt.Errorf("%w: page-in over [%d,+%d..%d)", ErrProtocol, off, size, maxSize)
+		}
 		_, pager, err := c.pagerFor(fileID, lower)
 		if err != nil {
 			return nil, err
 		}
 		var data []byte
 		if access.NoData() {
-			// A write grant without the data (vm.RightsNoData): the pager
-			// below walks the range block by block, so guard it like a
-			// page-out payload — whole pages, no more than one write-back
-			// frame could return. The reply carries no data even if the
-			// pager below did not know the bit: the client ignores it.
-			if !vm.PageAligned(off, size) || size == 0 || size > maxPageOutPayload {
-				return nil, fmt.Errorf("%w: write grant over [%d,+%d)", ErrProtocol, off, size)
-			}
+			// A write grant without the data (vm.RightsNoData). The reply
+			// carries none even if the pager below did not know the bit: the
+			// client ignores it.
 			_, err = pager.PageIn(off, size, access)
 		} else if hp, ok := pager.(vm.HintedPager); ok && maxSize > size {
 			// The client conveyed a min/max range (the Section 8
@@ -333,10 +344,7 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		se.mu.Lock()
-		fp := se.fsPager
-		se.mu.Unlock()
-		if fp != nil {
+		if fp := se.FsPager(); fp != nil {
 			return nil, fp.SetAttributes(attrs)
 		}
 		return nil, lower.SetLength(attrs.Length)

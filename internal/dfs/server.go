@@ -29,8 +29,10 @@ import (
 // connection per remote client.
 //
 // Same-machine clients see the pass-through name space of fsys.Passthrough
-// with every file wrapped in a dfsFile, whose binds are forwarded to the
-// underlying file (Figure 7).
+// with every file wrapped in an fsys.ForwardFile: local binds are forwarded
+// to the underlying file, so local clients share the very same cached pages
+// as direct clients of file_SFS, and DFS is not involved in local
+// page-in/page-out requests (Figure 7).
 type Server struct {
 	fsys.Passthrough
 	domain *spring.Domain
@@ -72,7 +74,7 @@ func NewServer(domain *spring.Domain, name string, cred naming.Credentials) *Ser
 		cred:    cred,
 	}
 	s.cbTimeout.Store(int64(DefaultCallbackTimeout))
-	s.Init(name, s, func(lower fsys.File) fsys.File { return &dfsFile{lower: lower} })
+	s.Init(name, s, func(lower fsys.File) fsys.File { return &fsys.ForwardFile{File: lower} })
 	return s
 }
 
@@ -112,7 +114,7 @@ func (s *Server) Serve(l net.Listener) {
 // addClient starts serving one protocol connection (exported for tests
 // that build connections directly).
 func (s *Server) addClient(conn net.Conn) *srvClient {
-	c := &srvClient{srv: s, sessions: make(map[uint64]*session), retained: make(map[uint64]int)}
+	c := &srvClient{srv: s, sessions: make(map[uint64]*fsys.LowerConn), retained: make(map[uint64]int)}
 	c.peer = newPeer(conn, c.handle, func(error) { c.teardown() })
 	c.peer.setTimeout(time.Duration(s.cbTimeout.Load()))
 	s.mu.Lock()
@@ -165,146 +167,14 @@ func (s *Server) lowerByID(id uint64) (fsys.File, error) {
 	return f, nil
 }
 
-// ---- local (same-machine) path: Figure 7's bind forwarding ----
-
-// dfsFile is the local view of an exported file. Local binds are forwarded
-// to the underlying file, so local clients share the very same cached
-// pages as direct clients of file_SFS, and DFS is not involved in local
-// page-in/page-out requests (Figure 7).
-type dfsFile struct {
-	lower fsys.File
-}
-
-var (
-	_ fsys.File             = (*dfsFile)(nil)
-	_ naming.ProxyWrappable = (*dfsFile)(nil)
-)
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *dfsFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
-}
-
-// Lower returns the underlying file (tests).
-func (f *dfsFile) Lower() fsys.File { return f.lower }
-
-// Bind implements vm.MemoryObject by forwarding to the underlying file:
-// when the VMM binds to a locally managed DFS file, DFS reroutes the VMM
-// to SFS, so the VMM ends up dealing with SFS directly.
-func (f *dfsFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	return f.lower.Bind(caller, access, offset, length)
-}
-
-// GetLength implements vm.MemoryObject.
-func (f *dfsFile) GetLength() (vm.Offset, error) { return f.lower.GetLength() }
-
-// SetLength implements vm.MemoryObject.
-func (f *dfsFile) SetLength(l vm.Offset) error { return f.lower.SetLength(l) }
-
-// ReadAt implements fsys.File.
-func (f *dfsFile) ReadAt(p []byte, off int64) (int, error) { return f.lower.ReadAt(p, off) }
-
-// WriteAt implements fsys.File.
-func (f *dfsFile) WriteAt(p []byte, off int64) (int, error) { return f.lower.WriteAt(p, off) }
-
-// Stat implements fsys.File.
-func (f *dfsFile) Stat() (fsys.Attributes, error) { return f.lower.Stat() }
-
-// Sync implements fsys.File.
-func (f *dfsFile) Sync() error { return f.lower.Sync() }
-
-// Append implements fsys.Appender, forwarding to the lower file so local
-// and remote appenders converge on the same canonical end-of-file order.
-func (f *dfsFile) Append(p []byte) (int64, int, error) { return fsys.Append(f.lower, p) }
-
-// Retain implements fsys.HandleFile.
-func (f *dfsFile) Retain() { fsys.Retain(f.lower) }
-
-// Release implements fsys.HandleFile.
-func (f *dfsFile) Release() error { return fsys.Release(f.lower) }
-
 // ---- remote path ----
 
-// session is the server-side state for one (client, file): the cache
-// manager identity under which the server bound to the lower file on the
-// client's behalf, plus the pager object the bind produced.
-type session struct {
+// forwardingCache is the fs_cache object the lower layer invokes to
+// perform coherency actions against data one remote client caches of one
+// file. Each operation becomes a protocol callback.
+type forwardingCache struct {
 	client *srvClient
 	fileID uint64
-	lower  fsys.File
-
-	mu      sync.Mutex
-	pager   vm.PagerObject
-	fsPager fsys.FsPagerObject
-}
-
-var _ vm.CacheManager = (*session)(nil)
-
-// ManagerName implements vm.CacheManager.
-func (se *session) ManagerName() string {
-	return fmt.Sprintf("%s/remote/%d", se.client.srv.FSName(), se.fileID)
-}
-
-// ManagerDomain implements vm.CacheManager.
-func (se *session) ManagerDomain() *spring.Domain { return se.client.srv.domain }
-
-// NewConnection implements vm.CacheManager: the cache object handed to the
-// lower layer forwards coherency actions over the wire to the remote
-// client.
-func (se *session) NewConnection(pager vm.PagerObject) (vm.CacheObject, vm.CacheRights) {
-	se.mu.Lock()
-	se.pager = pager
-	if fp, ok := spring.Narrow[fsys.FsPagerObject](pager); ok {
-		se.fsPager = fp
-	}
-	se.mu.Unlock()
-	return &forwardingCache{se: se}, sessionRights{id: se.fileID, name: se.ManagerName()}
-}
-
-type sessionRights struct {
-	id   uint64
-	name string
-}
-
-func (r sessionRights) RightsID() uint64    { return r.id }
-func (r sessionRights) ManagerName() string { return r.name }
-
-// ensurePager binds to the lower file once.
-func (se *session) ensurePager() (vm.PagerObject, error) {
-	se.mu.Lock()
-	p := se.pager
-	se.mu.Unlock()
-	if p != nil {
-		return p, nil
-	}
-	if _, err := se.lower.Bind(se, vm.RightsWrite, 0, 0); err != nil {
-		return nil, err
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if se.pager == nil {
-		return nil, fmt.Errorf("dfs: lower bind produced no pager")
-	}
-	return se.pager, nil
-}
-
-// release drops the session's holdings at the lower layer.
-func (se *session) release() {
-	se.mu.Lock()
-	p := se.pager
-	se.pager = nil
-	se.fsPager = nil
-	se.mu.Unlock()
-	if p != nil {
-		p.DoneWithPagerObject()
-	}
-}
-
-// forwardingCache is the fs_cache object the lower layer invokes to
-// perform coherency actions against data cached at the remote client. Each
-// operation becomes a protocol callback.
-type forwardingCache struct {
-	se *session
 
 	// unreachable latches once a callback fails at the transport level:
 	// the client cannot be revoked any more, so the coherency layer must
@@ -319,7 +189,7 @@ var (
 
 // Unreachable implements vm.UnreachableCache.
 func (c *forwardingCache) Unreachable() bool {
-	return c.unreachable.Load() || c.se.client.peer.isClosed()
+	return c.unreachable.Load() || c.client.peer.isClosed()
 }
 
 // markUnreachable latches the flag and tears the client connection down in
@@ -328,19 +198,19 @@ func (c *forwardingCache) Unreachable() bool {
 // sessions reacquires the same flag.
 func (c *forwardingCache) markUnreachable() {
 	if !c.unreachable.Swap(true) {
-		go c.se.client.peer.Close()
+		go c.client.peer.Close()
 	}
 }
 
 // rangeCallback issues a callback carrying (fileID, offset, size) and
 // decodes returned dirty extents.
 func (c *forwardingCache) rangeCallback(op Op, offset, size vm.Offset) []vm.Data {
-	c.se.client.srv.Callbacks.Inc()
+	c.client.srv.Callbacks.Inc()
 	var e encoder
-	e.u64(c.se.fileID)
+	e.u64(c.fileID)
 	e.i64(offset)
 	e.i64(size)
-	body, err := c.se.client.peer.call(op, e.b)
+	body, err := c.client.peer.call(op, e.b)
 	if err != nil {
 		if errors.Is(err, fsys.ErrUnavailable) {
 			c.markUnreachable()
@@ -417,10 +287,10 @@ func (c *forwardingCache) PopulateAttributes(attrs fsys.Attributes) {
 func (c *forwardingCache) InvalidateAttributes() { c.invalAttrs() }
 
 func (c *forwardingCache) invalAttrs() {
-	c.se.client.srv.Callbacks.Inc()
+	c.client.srv.Callbacks.Inc()
 	var e encoder
-	e.u64(c.se.fileID)
-	if _, err := c.se.client.peer.call(OpCbInvalAttrs, e.b); err != nil && errors.Is(err, fsys.ErrUnavailable) {
+	e.u64(c.fileID)
+	if _, err := c.client.peer.call(OpCbInvalAttrs, e.b); err != nil && errors.Is(err, fsys.ErrUnavailable) {
 		c.markUnreachable()
 	}
 }

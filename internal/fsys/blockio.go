@@ -21,6 +21,9 @@ type BlockFunc func(bn int64, buf []byte) error
 // aligned blocks are read straight into p; only an unaligned head or tail
 // goes through a scratch block.
 func ReadBlocksAt(p []byte, off, length int64, readBlock BlockFunc) (int, error) {
+	if off < 0 {
+		return 0, ErrNegativeOffset
+	}
 	if off >= length {
 		return 0, io.EOF
 	}
@@ -58,6 +61,9 @@ func ReadBlocksAt(p []byte, off, length int64, readBlock BlockFunc) (int, error)
 // modified and written back. It returns how many bytes landed; the caller
 // owns the file length (see DESIGN.md §5, "Writing a layer").
 func WriteBlocksAt(p []byte, off int64, readBlock, writeBlock BlockFunc) (int, error) {
+	if off < 0 {
+		return 0, ErrNegativeOffset
+	}
 	var scratch []byte
 	done := 0
 	for done < len(p) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"springfs/internal/vm"
@@ -234,6 +235,23 @@ func TestBlockHelperErrorsStopTheLoop(t *testing.T) {
 	}
 	if err := EachBlock(B, 3*B, make([]byte, 3*B), failAt(2)); err != boom {
 		t.Fatalf("EachBlock = %v, want boom", err)
+	}
+}
+
+// TestBlockHelpersRefuseNegativeOffsets: an offset below zero is an error
+// before any block is touched, not an index.
+func TestBlockHelpersRefuseNegativeOffsets(t *testing.T) {
+	touched := func(bn int64, buf []byte) error {
+		t.Errorf("block %d touched", bn)
+		return nil
+	}
+	for _, off := range []int64{-1, -BlockSize, math.MinInt64} {
+		if n, err := ReadBlocksAt(make([]byte, 16), off, 5000, touched); n != 0 || !errors.Is(err, ErrNegativeOffset) {
+			t.Errorf("ReadBlocksAt at %d = %d, %v", off, n, err)
+		}
+		if n, err := WriteBlocksAt(make([]byte, 16), off, touched, touched); n != 0 || !errors.Is(err, ErrNegativeOffset) {
+			t.Errorf("WriteBlocksAt at %d = %d, %v", off, n, err)
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ var (
 	// fan-out, coherency removes the unreachable holder — instead of
 	// treating it as data corruption.
 	ErrUnavailable = errors.New("fsys: resource unavailable")
+	// ErrNegativeOffset is returned by a read or write at an offset below
+	// zero.
+	ErrNegativeOffset = errors.New("fsys: negative offset")
 )
 
 // File is the Spring file interface. It inherits from the memory object

@@ -111,16 +111,11 @@ func (m *fakeManager) NewConnection(pager vm.PagerObject) (vm.CacheObject, vm.Ca
 }
 
 // fakeFsCache is an fs_cache so narrow checks can be exercised.
-type fakeFsCache struct{ AttrCache }
-
-func (c *fakeFsCache) FlushBack(offset, size vm.Offset) []vm.Data  { return nil }
-func (c *fakeFsCache) DenyWrites(offset, size vm.Offset) []vm.Data { return nil }
-func (c *fakeFsCache) WriteBack(offset, size vm.Offset) []vm.Data  { return nil }
-func (c *fakeFsCache) DeleteRange(offset, size vm.Offset)          {}
-func (c *fakeFsCache) ZeroFill(offset, size vm.Offset)             {}
-func (c *fakeFsCache) Populate(offset, size vm.Offset, access vm.Rights, data []byte) {
+type fakeFsCache struct {
+	vm.NopCache
+	AttrCache
 }
-func (c *fakeFsCache) DestroyCache() {}
+
 func (c *fakeFsCache) FlushAttributes() (Attributes, bool) {
 	return c.Flush()
 }

@@ -65,7 +65,7 @@ func (m *MappedIO) mapSelf() (*vm.Mapping, error) {
 // the file's current length.
 func (m *MappedIO) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, ErrNegativeOffset
 	}
 	length, err := m.mobj.GetLength()
 	if err != nil {
@@ -98,7 +98,7 @@ func (m *MappedIO) ReadAt(p []byte, off int64) (int, error) {
 // the write ends past the current end of file.
 func (m *MappedIO) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, ErrNegativeOffset
 	}
 	mapping, err := m.mapSelf()
 	if err != nil {

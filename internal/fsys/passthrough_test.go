@@ -91,7 +91,7 @@ func TestPassthroughOneWrapperPerLowerFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := created.(*identityFile); !ok {
+		if _, ok := created.(*ForwardFile); !ok {
 			t.Fatalf("cross=%v: Create returned %T, want the layer's wrapper", cross, created)
 		}
 		via := map[string]naming.Object{}
@@ -217,7 +217,7 @@ func TestPassthroughBindStoresLowerFile(t *testing.T) {
 	if err := ident.Bind("g", f, naming.Root); err != nil {
 		t.Fatal(err)
 	}
-	if raw, _ := mem.Resolve("g", naming.Root); raw != naming.Object(f.(*identityFile).Lower()) {
+	if raw, _ := mem.Resolve("g", naming.Root); raw != naming.Object(f.(*ForwardFile).Lower()) {
 		t.Errorf("lower layer holds %T under the second name, want the lower file", raw)
 	}
 	if got, _ := ident.Resolve("g", naming.Root); got != naming.Object(f) {

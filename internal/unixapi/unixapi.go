@@ -335,6 +335,9 @@ func (p *Process) Pread(fd int, buf []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative offset", EINVAL)
+	}
 	n, err := d.file.ReadAt(buf, off)
 	if err == io.EOF && n > 0 {
 		err = nil
@@ -348,6 +351,9 @@ func (p *Process) Pwrite(fd int, buf []byte, off int64) (int, error) {
 	d, err := p.lookup(fd)
 	if err != nil {
 		return 0, err
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative offset", EINVAL)
 	}
 	n, err := d.file.WriteAt(buf, off)
 	return n, mapErr(err)

@@ -162,6 +162,22 @@ type CacheObject interface {
 	DestroyCache()
 }
 
+// NopCache is the cache object of a manager that holds no pages: every
+// coherency action finds nothing to return and nothing to drop. A layer
+// that caches something else about the file (attributes, a block table)
+// embeds it and overrides the actions that concern it.
+type NopCache struct{}
+
+var _ CacheObject = NopCache{}
+
+func (NopCache) FlushBack(offset, size Offset) []Data                     { return nil }
+func (NopCache) DenyWrites(offset, size Offset) []Data                    { return nil }
+func (NopCache) WriteBack(offset, size Offset) []Data                     { return nil }
+func (NopCache) DeleteRange(offset, size Offset)                          {}
+func (NopCache) ZeroFill(offset, size Offset)                             {}
+func (NopCache) DestroyCache()                                            {}
+func (NopCache) Populate(offset, size Offset, access Rights, data []byte) {}
+
 // UnreachableCache is an optional extension of CacheObject for caches that
 // live across a network boundary. A pager may narrow a cache object to it
 // before trusting a revocation result: an unreachable cache returns empty
@@ -234,6 +250,16 @@ type CacheRights interface {
 	// ManagerName names the cache manager that issued the rights.
 	ManagerName() string
 }
+
+// RightsToken is the CacheRights every cache manager in the tree issues: the
+// connection's identifier at the manager, and the manager's name.
+type RightsToken struct {
+	ID      uint64
+	Manager string
+}
+
+func (r RightsToken) RightsID() uint64    { return r.ID }
+func (r RightsToken) ManagerName() string { return r.Manager }
 
 // CacheManager is implemented by anyone who caches memory-object data: the
 // per-node VMM, and file system layers that keep themselves coherent with

@@ -166,7 +166,7 @@ func (v *VMM) NewConnection(pager PagerObject) (CacheObject, CacheRights) {
 	v.mu.Lock()
 	v.caches[fc.id] = fc
 	v.mu.Unlock()
-	return (*vmmCacheObject)(fc), &rightsToken{id: fc.id, manager: v.name}
+	return (*vmmCacheObject)(fc), RightsToken{ID: fc.id, Manager: v.name}
 }
 
 // Map maps a memory object with the given access. The VMM invokes the bind
@@ -304,15 +304,6 @@ func (v *VMM) rotateFailedVictim(el *list.Element, k lruKey) bool {
 	rotationsStat.Inc()
 	return true
 }
-
-// rightsToken is the VMM's CacheRights implementation.
-type rightsToken struct {
-	id      uint64
-	manager string
-}
-
-func (r *rightsToken) RightsID() uint64    { return r.id }
-func (r *rightsToken) ManagerName() string { return r.manager }
 
 // pageState tracks the fault protocol of one cached page.
 type pageState int

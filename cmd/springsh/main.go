@@ -56,7 +56,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
   stack <creator> <name> <under...>     create a layer and stack it (Section 4.4)
                                         creators: coherency_creator compfs_creator
                                         cryptfs_creator mirrorfs_creator dfs_creator
-                                        snapfs_creator stripefs_creator
+                                        snapfs_creator stripefs_creator identity_creator
   creators                              list registered creators
   ls [path]                             list a context
   write <path> <text...>                create/overwrite a file

@@ -2,10 +2,10 @@
 // the "proper extensible file system configuration tools" the paper lists
 // as work in progress in Section 8.
 //
-// A configuration describes disks, layers (each created through the
-// registered stackable_fs_creator for its type and stacked on named
-// underlying file systems), and which layers to export into the name
-// space:
+// A configuration is a springfs.Spec — disks, and layers each created
+// through the registered stackable_fs_creator for its type and stacked on
+// named underlying file systems — plus which of them to export into the
+// name space:
 //
 //	{
 //	  "disks":  [{"name": "sfs0a", "blocks": 4096},
@@ -37,21 +37,6 @@ import (
 	"springfs/internal/blockdev"
 	"springfs/internal/disklayer"
 )
-
-// Config is the declarative stack description.
-type Config struct {
-	Disks []struct {
-		Name   string `json:"name"`
-		Blocks int64  `json:"blocks"`
-	} `json:"disks"`
-	Layers []struct {
-		Name    string            `json:"name"`
-		Creator string            `json:"creator"`
-		On      []string          `json:"on"`
-		Config  map[string]string `json:"config"`
-	} `json:"layers"`
-	Export []string `json:"export"`
-}
 
 const example = `{
   "disks":  [{"name": "sfs0a", "blocks": 4096},
@@ -87,13 +72,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	spec, export, err := parse(raw)
+	if err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *configPath, err))
 	}
-	if err := build(cfg); err != nil {
+	if err := build(spec, export); err != nil {
 		fatal(err)
 	}
+}
+
+// parse decodes a configuration: a springfs.Spec plus the names to export.
+func parse(raw []byte) (springfs.Spec, []string, error) {
+	var cfg struct {
+		springfs.Spec
+		Export []string `json:"export"`
+	}
+	err := json.Unmarshal(raw, &cfg)
+	return cfg.Spec, cfg.Export, err
 }
 
 func fatal(err error) {
@@ -144,49 +139,18 @@ func runFsck(args []string, out io.Writer) int {
 	return 0
 }
 
-func build(cfg Config) error {
+func build(spec springfs.Spec, export []string) error {
 	node := springfs.NewNode("stackctl")
 	defer node.Stop()
 
-	// byName tracks every assembled file system for "on" references.
-	byName := map[string]springfs.StackableFS{}
-
-	for _, d := range cfg.Disks {
-		blocks := d.Blocks
-		if blocks == 0 {
-			blocks = 4096
-		}
-		sfs, err := node.NewSFS(d.Name, springfs.DiskOptions{Blocks: blocks})
-		if err != nil {
-			return fmt.Errorf("disk %s: %w", d.Name, err)
-		}
-		byName[d.Name] = sfs.FS()
-		fmt.Printf("disk %-10s -> SFS (coherency layer on disk layer), %d blocks\n", d.Name, blocks)
+	stack, err := node.Build(spec)
+	if err != nil {
+		return err
 	}
-
-	for _, l := range cfg.Layers {
-		var under []springfs.StackableFS
-		for _, u := range l.On {
-			fs, ok := byName[u]
-			if !ok {
-				return fmt.Errorf("layer %s: unknown underlying file system %q", l.Name, u)
-			}
-			under = append(under, fs)
-		}
-		config := map[string]string{"name": l.Name}
-		for k, v := range l.Config {
-			config[k] = v
-		}
-		layer, err := node.ConfigureStack(l.Creator, config, under, "")
-		if err != nil {
-			return fmt.Errorf("layer %s (%s): %w", l.Name, l.Creator, err)
-		}
-		byName[l.Name] = layer
-		fmt.Printf("layer %-9s -> %s on %v\n", l.Name, l.Creator, l.On)
-	}
-
-	for _, e := range cfg.Export {
-		fs, ok := byName[e]
+	fmt.Printf("built %d disks (SFS: coherency layer on disk layer) and %d layers, top %s\n",
+		len(spec.Disks), len(spec.Layers), stack.Top.FSName())
+	for _, e := range export {
+		fs, ok := stack.FS[e]
 		if !ok {
 			return fmt.Errorf("export: unknown layer %q", e)
 		}
@@ -197,8 +161,8 @@ func build(cfg Config) error {
 	}
 
 	// Self-test: write and read a file through every exported layer.
-	for _, e := range cfg.Export {
-		fs := byName[e]
+	for _, e := range export {
+		fs := stack.FS[e]
 		msg := []byte("stackctl self-test through " + e)
 		if err := springfs.WriteFile(fs, "stackctl-selftest", msg); err != nil {
 			return fmt.Errorf("self-test write via %s: %w", e, err)

@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"springfs"
 	"springfs/internal/blockdev"
 	"springfs/internal/disklayer"
 	"springfs/internal/naming"
@@ -15,55 +15,44 @@ import (
 )
 
 func TestExampleConfigParses(t *testing.T) {
-	var cfg Config
-	if err := json.Unmarshal([]byte(example), &cfg); err != nil {
+	spec, export, err := parse([]byte(example))
+	if err != nil {
 		t.Fatalf("the embedded example does not parse: %v", err)
 	}
-	if len(cfg.Disks) != 2 || len(cfg.Layers) != 3 || len(cfg.Export) != 1 {
-		t.Errorf("example shape: %+v", cfg)
+	if len(spec.Disks) != 2 || len(spec.Layers) != 3 || len(export) != 1 {
+		t.Errorf("example shape: %+v, export %v", spec, export)
 	}
 }
 
 func TestBuildExampleStack(t *testing.T) {
-	var cfg Config
-	if err := json.Unmarshal([]byte(example), &cfg); err != nil {
+	spec, export, err := parse([]byte(example))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := build(cfg); err != nil {
+	if err := build(spec, export); err != nil {
 		t.Fatalf("building the example stack: %v", err)
 	}
 }
 
 func TestBuildErrors(t *testing.T) {
+	disk := []springfs.DiskSpec{{Name: "d"}}
 	tests := []struct {
-		name string
-		cfg  Config
+		name   string
+		spec   springfs.Spec
+		export []string
 	}{
-		{"unknown underlying fs", Config{
-			Layers: []struct {
-				Name    string            `json:"name"`
-				Creator string            `json:"creator"`
-				On      []string          `json:"on"`
-				Config  map[string]string `json:"config"`
-			}{{Name: "l", Creator: "compfs_creator", On: []string{"nope"}}},
-		}},
-		{"unknown creator", Config{
-			Disks: []struct {
-				Name   string `json:"name"`
-				Blocks int64  `json:"blocks"`
-			}{{Name: "d"}},
-			Layers: []struct {
-				Name    string            `json:"name"`
-				Creator string            `json:"creator"`
-				On      []string          `json:"on"`
-				Config  map[string]string `json:"config"`
-			}{{Name: "l", Creator: "bogus_creator", On: []string{"d"}}},
-		}},
-		{"unknown export", Config{Export: []string{"ghost"}}},
+		{"unknown underlying fs", springfs.Spec{
+			Layers: []springfs.LayerSpec{{Name: "l", Creator: "compfs_creator", On: []string{"nope"}}},
+		}, nil},
+		{"unknown creator", springfs.Spec{
+			Disks:  disk,
+			Layers: []springfs.LayerSpec{{Name: "l", Creator: "bogus_creator", On: []string{"d"}}},
+		}, nil},
+		{"unknown export", springfs.Spec{Disks: disk}, []string{"ghost"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := build(tt.cfg); err == nil {
+			if err := build(tt.spec, tt.export); err == nil {
 				t.Error("build succeeded, want error")
 			}
 		})

@@ -22,10 +22,7 @@ func TestDeviceFailurePropagatesThroughStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := node.NewCompFS("comp", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
-		t.Fatal(err)
-	}
+	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "comp"}, sfs.FS())
 	f, err := comp.Create("f", Root)
 	if err != nil {
 		t.Fatal(err)

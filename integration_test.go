@@ -2,6 +2,7 @@ package springfs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -29,10 +30,7 @@ func TestFigure9WalkThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := home.NewCompFS("compfs", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
-		t.Fatal(err)
-	}
+	comp := layerOn(t, home, "compfs_creator", map[string]string{"name": "compfs"}, sfs.FS())
 	l, err := network.Listen("home:dfs")
 	if err != nil {
 		t.Fatal(err)
@@ -191,15 +189,8 @@ func TestDeepStackPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crypt, err := node.NewCryptFS("crypt", "deep-secret")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := node.NewCompFS("comp", true)
-	top, err := Stack(sfs.FS(), crypt, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crypt := layerOn(t, node, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs.FS())
+	top := layerOn(t, node, "compfs_creator", map[string]string{"name": "comp"}, crypt)
 	payload := []byte(strings.Repeat("deep stack data ", 2000))
 	if err := WriteFile(top, "payload", payload); err != nil {
 		t.Fatal(err)
@@ -218,15 +209,8 @@ func TestDeepStackPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crypt2, err := node2.NewCryptFS("crypt", "deep-secret")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp2 := node2.NewCompFS("comp", true)
-	top2, err := Stack(sfs2.FS(), crypt2, comp2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	crypt2 := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs2.FS())
+	top2 := layerOn(t, node2, "compfs_creator", map[string]string{"name": "comp"}, crypt2)
 	got, err := ReadFile(top2, "payload")
 	if err != nil {
 		t.Fatal(err)
@@ -244,17 +228,8 @@ func TestDeepStackPersistence(t *testing.T) {
 		t.Error("plaintext on the base layer")
 	}
 	// With the wrong key, the stack cannot make sense of the data.
-	wrongKey, err := node2.NewCryptFS("crypt-bad", "not-the-secret")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrongKey.StackOn(sfs2.FS()); err != nil {
-		t.Fatal(err)
-	}
-	compBad := node2.NewCompFS("comp-bad", true)
-	if err := compBad.StackOn(wrongKey); err != nil {
-		t.Fatal(err)
-	}
+	wrongKey := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt-bad", "passphrase": "not-the-secret"}, sfs2.FS())
+	compBad := layerOn(t, node2, "compfs_creator", map[string]string{"name": "comp-bad"}, wrongKey)
 	if data, err := ReadFile(compBad, "payload"); err == nil && bytes.Equal(data, payload) {
 		t.Error("wrong key read the correct payload")
 	}
@@ -272,10 +247,7 @@ func TestNamespaceArrangement(t *testing.T) {
 	}
 	// A compression layer stacked but deliberately NOT exported: clients
 	// can reach the base but not the layer.
-	hidden := node.NewCompFS("hidden-comp", true)
-	if err := hidden.StackOn(sfs.FS()); err != nil {
-		t.Fatal(err)
-	}
+	hidden := layerOn(t, node, "compfs_creator", map[string]string{"name": "hidden-comp"}, sfs.FS())
 	if _, err := node.Root().Resolve("hidden-comp", Root); err == nil {
 		t.Error("unexported layer is visible in the name space")
 	}
@@ -371,10 +343,7 @@ func TestPerUserNamespaces(t *testing.T) {
 
 	// Customisation: alice binds her own compression layer at /mine;
 	// bob's view is unaffected.
-	comp := node.NewCompFS("alice-comp", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
-		t.Fatal(err)
-	}
+	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "alice-comp"}, sfs.FS())
 	if err := alice.Bind("mine", comp, Root); err != nil {
 		t.Fatal(err)
 	}
@@ -432,23 +401,8 @@ func TestArbitraryStackCompositions(t *testing.T) {
 			}
 			var top StackableFS = sfs.FS()
 			for _, l := range perm {
-				var layer StackableFS
-				switch l {
-				case "comp":
-					layer = node.NewCompFS("comp-"+name, true)
-				case "crypt":
-					c, err := node.NewCryptFS("crypt-"+name, "key-"+name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					layer = c
-				case "coh":
-					layer = node.NewCoherencyLayer("coh-" + name)
-				}
-				if err := layer.StackOn(top); err != nil {
-					t.Fatal(err)
-				}
-				top = layer
+				creator := map[string]string{"comp": "compfs_creator", "crypt": "cryptfs_creator", "coh": "coherency_creator"}[l]
+				top = layerOn(t, node, creator, map[string]string{"name": l + "-" + name, "passphrase": "key-" + name}, top)
 			}
 			if err := WriteFile(top, "data", payload); err != nil {
 				t.Fatal(err)
@@ -470,6 +424,112 @@ func TestArbitraryStackCompositions(t *testing.T) {
 			}
 			if bytes.Contains(raw, []byte("compose all")) {
 				t.Error("plaintext at the base layer")
+			}
+		})
+	}
+}
+
+// layerOn stacks a fresh layer made by the named creator on under, in order.
+func layerOn(t *testing.T, n *Node, creator string, config map[string]string, under ...StackableFS) StackableFS {
+	t.Helper()
+	layer, err := n.ConfigureStack(creator, config, under, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layer
+}
+
+// TestCoherencyOverCryptfsKeepsWrites: a generic coherency layer over
+// cryptfs (the stack cryptfs's package comment recommends) writes its
+// blocks through before its write-behind length. The bytes must survive a
+// sync and a cold read, not come back as the zero fill of a file whose
+// blocks a page-out trimmed away.
+func TestCoherencyOverCryptfsKeepsWrites(t *testing.T) {
+	node := NewNode("coh-crypt")
+	defer node.Stop()
+	b, err := node.Build(Spec{
+		Disks: []DiskSpec{{Name: "sfs"}},
+		Layers: []LayerSpec{
+			{Name: "crypt", Creator: "cryptfs_creator", On: []string{"sfs"}, Config: map[string]string{"passphrase": "k"}},
+			{Name: "coh", Creator: "coherency_creator", On: []string{"crypt"}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("coherent ciphertext "), 37864/20+1)[:37864]
+	for _, sync := range []string{"Sync", "SyncFS"} {
+		t.Run(sync, func(t *testing.T) {
+			f, err := b.Top.Create("f-"+sync, Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			if sync == "Sync" {
+				err = f.Sync()
+			} else {
+				err = b.Top.SyncFS()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadFile(b.Top, "f-"+sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("read %d bytes, first %q; want %d bytes of %q", len(got), got[:min(len(got), 20)], len(want), want[:20])
+			}
+		})
+	}
+}
+
+// TestCoherencyShrinkClearsItsOwnCache: a coherency layer that is not
+// directly on a disk layer holds blocks the layer below never saw, so the
+// storage owner's purge cannot reach them; truncated bytes must still read
+// as zeros after the file is extended again, synced first or not.
+func TestCoherencyShrinkClearsItsOwnCache(t *testing.T) {
+	node := NewNode("coh-shrink")
+	defer node.Stop()
+	b, err := node.Build(Spec{
+		Disks:  []DiskSpec{{Name: "sfs"}},
+		Layers: []LayerSpec{{Name: "coh", Creator: "coherency_creator", On: []string{"sfs"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, synced := range []bool{false, true} {
+		name := fmt.Sprintf("synced=%v", synced)
+		t.Run(name, func(t *testing.T) {
+			f, err := b.Top.Create(name, Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(bytes.Repeat([]byte{'H'}, 8192), 0); err != nil {
+				t.Fatal(err)
+			}
+			if synced {
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.SetLength(100); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.SetLength(8192); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 8192)
+			if _, err := f.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if i := bytes.IndexFunc(got[100:], func(r rune) bool { return r != 0 }); i >= 0 {
+				t.Fatalf("byte %d reads %#x after truncating to 100, want 0", 100+i, got[100+i])
 			}
 		})
 	}

@@ -208,15 +208,6 @@ func (c *CohFS) SyncFS() error {
 	return c.Passthrough.SyncFS()
 }
 
-// InvalidateAttrCaches drops every file's cached attributes so the next
-// stat refetches from the lower layer. The benchmark harness uses it to
-// measure the "not cached by the coherency layer" rows of Table 2.
-func (c *CohFS) InvalidateAttrCaches() {
-	for _, f := range c.Files() {
-		f.(*cohFile).attrs.Invalidate()
-	}
-}
-
 // DropDataCaches flushes all dirty state to the lower layer and discards
 // every cached block and attribute, leaving the layer fully cold
 // (benchmark/test hook).

@@ -471,9 +471,12 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 		return nil
 	}
 	pager, bindErr := f.conn.Pager()
+	if bindErr == nil {
+		bindErr = f.pushDirtyLength()
+	}
 	errs := []error{bindErr}
 	for _, r := range runs {
-		err := bindErr // without a lower pager every run fails, and settles, alike
+		err := bindErr // without a lower pager (or its length) every run fails, and settles, alike
 		if err == nil {
 			t := opWriteThrough.Start()
 			err = pager.Sync(r.snaps[0].pn*BlockSize, vm.Offset(len(r.data)), r.data)
@@ -493,6 +496,18 @@ func (f *cohFile) writeThroughRuns(pns []int64) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// pushDirtyLength sets the lower file's length to the write-behind one,
+// if it is modified, before blocks go down: a page-out never changes a
+// file's length (cryptfs's restores the length it found), so blocks
+// written past the lower end first would be trimmed away, and the length
+// pushed after them would extend the file with zero fill.
+func (f *cohFile) pushDirtyLength() error {
+	if attrs, valid := f.attrs.Get(); valid && f.attrs.Dirty() {
+		return f.pushLowerAttrs(attrs)
+	}
+	return nil
 }
 
 // flushAll downgrades writers, writes every dirty block through to the
@@ -620,14 +635,31 @@ func (f *cohFile) SetLength(length vm.Offset) error {
 	return nil
 }
 
-// pushShrink writes a truncation through to the lower layer. The length is
-// normally write-behind, so the lower layer may never have seen the file's
-// current extent — push that first, or the lower layer would read the
-// shrink as an extension and clear nothing. The shrink that follows makes
-// the storage-owning layer zero the straddling block and purge the vacated
-// range, revocations that propagate back up through this layer's lower
-// cache object to this layer's block cache and every client above it.
+// pushShrink writes a truncation through to the lower layer. This layer's
+// cache and its holders may hold blocks the lower layer never saw, which
+// the storage owner's purge cannot reach, so the layer first clears them
+// itself: the straddling block is flushed back from its holders and its
+// tail cleared, and every block past the new end is discarded here and
+// above. The length is normally write-behind, so the lower layer may never
+// have seen the file's current extent — push that next, or the lower layer
+// would read the shrink as an extension and clear nothing. The shrink that
+// follows makes the storage-owning layer zero the straddling block and
+// purge the vacated range below.
 func (f *cohFile) pushShrink(attrs fsys.Attributes, old vm.Offset) error {
+	end := attrs.Length
+	if tail := end % BlockSize; tail != 0 {
+		f.revoke([]int64{end / BlockSize}, flushBack, nil, func(_ int64, b *blockState, _ bool) {
+			b.epoch++
+			if b.valid {
+				clear(b.data[tail:])
+				b.version++
+			}
+		})
+	}
+	f.revoke(f.blockNumbers((end+BlockSize-1)/BlockSize, math.MaxInt64), deleteRange, nil, func(_ int64, b *blockState, _ bool) {
+		b.epoch++
+		b.discard()
+	})
 	grown := attrs
 	grown.Length = old
 	if err := f.pushLowerAttrs(grown); err != nil {

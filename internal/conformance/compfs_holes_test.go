@@ -25,8 +25,8 @@ func TestCompfsShortLowerReadIsNotData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := node.NewCompFS("compfs", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
+	comp, err := node.ConfigureStack("compfs_creator", map[string]string{"name": "compfs"}, []springfs.StackableFS{sfs.FS()}, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,8 +97,8 @@ func TestCompfsPartialLowerExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := node.NewCompFS("compfs", true)
-	if err := comp.StackOn(sfs.FS()); err != nil {
+	comp, err := node.ConfigureStack("compfs_creator", map[string]string{"name": "compfs"}, []springfs.StackableFS{sfs.FS()}, "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := comp.Create("victim", naming.Root)

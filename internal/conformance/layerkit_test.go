@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"springfs"
-	"springfs/internal/dfs"
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
 )
@@ -26,23 +25,20 @@ func passthroughLayers(t *testing.T) map[string]springfs.StackableFS {
 		}
 		return s.FS()
 	}
-	on := func(layer, under springfs.StackableFS) springfs.StackableFS {
-		if err := layer.StackOn(under); err != nil {
+	on := func(creator string, config map[string]string, under springfs.StackableFS) springfs.StackableFS {
+		layer, err := node.ConfigureStack(creator, config, []springfs.StackableFS{under}, "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		return layer
 	}
-	crypt, err := node.NewCryptFS("cryptfs", "layerkit-passphrase")
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]springfs.StackableFS{
-		"cryptfs":        on(crypt, sfs("under-crypt", false)),
-		"compfs":         on(node.NewCompFS("compfs", true), sfs("under-comp", false)),
+		"cryptfs":        on("cryptfs_creator", map[string]string{"name": "cryptfs", "passphrase": "layerkit-passphrase"}, sfs("under-crypt", false)),
+		"compfs":         on("compfs_creator", map[string]string{"name": "compfs"}, sfs("under-comp", false)),
 		"coherency-1dom": sfs("coh1", false),
 		"coherency-2dom": sfs("coh2", true),
-		"dfs-local":      on(dfs.NewServer(node.NewDomain("dfs"), "dfs", naming.Root), sfs("under-dfs", false)),
-		"passthrough":    on(fsys.NewIdentityFS("ident"), sfs("under-ident", false)),
+		"dfs-local":      on("dfs_creator", map[string]string{"name": "dfs"}, sfs("under-dfs", false)),
+		"passthrough":    on("identity_creator", map[string]string{"name": "ident"}, sfs("under-ident", false)),
 	}
 }
 

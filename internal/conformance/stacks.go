@@ -2,60 +2,93 @@ package conformance
 
 import (
 	"fmt"
+	"strings"
 
 	"springfs"
 	"springfs/internal/blockdev"
 	"springfs/internal/dfs"
 	"springfs/internal/disklayer"
-	"springfs/internal/fsys"
 	"springfs/internal/naming"
+	"springfs/internal/snapfs"
 	"springfs/internal/unixapi"
 )
 
 // StackNames lists the shapes BuildStack knows, in the order the suite
 // normally runs them.
-var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror", "sfs-passthrough"}
+var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror", "sfs-passthrough",
+	"sfs-cryptfs-coherent", "crypt-comp-mirror", "sfs-stripe-compfs", "sfs-mirror-snapfs"}
 
-// shapes maps each shape to what builds it on a fresh node.
-var shapes = map[string]func(node *springfs.Node) (*Stack, error){
-	"disk": newDiskStack,
+// The stripe is kept small (4 pages) so the suite's ordinary file sizes
+// straddle stripe and server boundaries.
+var (
+	smallStripe = map[string]string{"stripe_size": fmt.Sprint(4 * springfs.PageSize)}
+	passphrase  = map[string]string{"passphrase": "conformance-passphrase"}
+	oneSFS      = []string{"sfs"}
+	stripeSFSs  = []string{"meta", "data0", "data1", "data2"}
+)
+
+// specs are the shapes that are nothing but a stack description.
+var specs = map[string]springfs.Spec{
 	// COMPFS (coherent mode) on SFS.
-	"sfs-compfs": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
-		return node.NewCompFS("compfs", true), nil
-	}, "sfs"),
-	"sfs-cryptfs": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
-		return node.NewCryptFS("cryptfs", "conformance-passphrase")
-	}, "sfs"),
+	"sfs-compfs":  spec(8192, oneSFS, layer("compfs_creator", nil, "sfs")),
+	"sfs-cryptfs": spec(8192, oneSFS, layer("cryptfs_creator", passphrase, "sfs")),
 	// The mirroring layer over two SFS instances (fs4 of Figure 3).
-	"mirror": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
-		return node.NewMirrorFS("mirror"), nil
-	}, "sfs1", "sfs2"),
-	"dfs-remote": newDFSStack,
+	"mirror": spec(8192, []string{"sfs1", "sfs2"}, layer("mirrorfs_creator", nil, "sfs1", "sfs2")),
 	// The COW snapshot layer (main line) on SFS.
-	"sfs-snapfs": layerOnSFSs(16384, func(node *springfs.Node) (springfs.StackableFS, error) {
-		return node.NewSnapFS("snapfs"), nil
-	}, "sfs"),
-	"sfs-snapfs-clone": newSnapCloneStack,
-	// The striping layer over one metadata SFS and three data SFS
-	// instances. The stripe is kept small (4 pages) so the suite's ordinary
-	// file sizes straddle stripe and server boundaries.
-	"sfs-stripe": layerOnSFSs(8192, func(node *springfs.Node) (springfs.StackableFS, error) {
-		return node.NewStripeFS("stripe", 4*springfs.PageSize)
-	}, "meta", "data0", "data1", "data2"),
-	"stripe-mirror": newStripeMirrorStack,
+	"sfs-snapfs": spec(16384, oneSFS, layer("snapfs_creator", nil, "sfs")),
+	// The striping layer over one metadata SFS and three data SFS instances.
+	"sfs-stripe": spec(8192, stripeSFSs, layer("stripefs_creator", smallStripe, stripeSFSs...)),
+	// Striping where data server 0 is itself a mirroring layer over two SFS
+	// instances: per-stripe failover below the striping layer.
+	"stripe-mirror": spec(8192, []string{"meta", "m1", "m2", "data1"},
+		layer("mirrorfs_creator", nil, "m1", "m2"), layer("stripefs_creator", smallStripe, "meta", "mirrorfs", "data1")),
 	// The identity layer: the layer kit (fsys.Passthrough) with no
 	// transform of its own.
-	"sfs-passthrough": layerOnSFSs(8192, func(*springfs.Node) (springfs.StackableFS, error) {
-		return fsys.NewIdentityFS("passthrough"), nil
-	}, "sfs"),
+	"sfs-passthrough": spec(8192, oneSFS, layer("identity_creator", nil, "sfs")),
+	// The generic coherency layer on a non-coherent transforming layer
+	// (Section 6.3): the stack cryptfs's package comment recommends.
+	"sfs-cryptfs-coherent": spec(8192, oneSFS, layer("cryptfs_creator", passphrase, "sfs"), layer("coherency_creator", nil, "cryptfs")),
+	// stackctl's example stack.
+	"crypt-comp-mirror": spec(8192, []string{"sfs0a", "sfs0b"}, layer("cryptfs_creator", passphrase, "sfs0a"),
+		layer("compfs_creator", nil, "cryptfs"), layer("mirrorfs_creator", nil, "compfs", "sfs0b")),
+	"sfs-stripe-compfs": spec(8192, stripeSFSs, layer("stripefs_creator", smallStripe, stripeSFSs...), layer("compfs_creator", nil, "stripefs")),
+	"sfs-mirror-snapfs": spec(16384, []string{"sfs1", "sfs2"}, layer("mirrorfs_creator", nil, "sfs1", "sfs2"), layer("snapfs_creator", nil, "mirrorfs")),
+}
+
+// spec describes the layers, in order, over one SFS of the given size per
+// disk name.
+func spec(blocks int64, disks []string, layers ...springfs.LayerSpec) springfs.Spec {
+	s := springfs.Spec{Layers: layers}
+	for _, name := range disks {
+		s.Disks = append(s.Disks, springfs.DiskSpec{Name: name, Blocks: blocks})
+	}
+	return s
+}
+
+// layer describes the layer creator makes, named after its type.
+func layer(creator string, config map[string]string, on ...string) springfs.LayerSpec {
+	return springfs.LayerSpec{Name: strings.TrimSuffix(creator, "_creator"), Creator: creator, On: on, Config: config}
 }
 
 // BuildStack assembles one named stack shape on fresh simulated hardware.
 // It owns the node's lifetime until the stack is built: whatever error stops
 // the build stops the node too.
 func BuildStack(name string) (*Stack, error) {
-	build, ok := shapes[name]
-	if !ok {
+	build := map[string]func(*springfs.Node) (*Stack, error){
+		"disk":             newDiskStack,
+		"dfs-remote":       newDFSStack,
+		"sfs-snapfs-clone": newSnapCloneStack,
+	}[name]
+	if shape, ok := specs[name]; ok {
+		build = func(node *springfs.Node) (*Stack, error) {
+			b, err := node.Build(shape)
+			if err != nil {
+				return nil, err
+			}
+			return localStack(node, b.Top, b.DropCaches), nil
+		}
+	}
+	if build == nil {
 		return nil, fmt.Errorf("conformance: unknown stack shape %q", name)
 	}
 	node := springfs.NewNode("conf-" + name)
@@ -70,64 +103,13 @@ func BuildStack(name string) (*Stack, error) {
 
 // localStack is the Stack of a shape built on one node: every process is a
 // sibling on it, over the one shared file system top.
-func localStack(node *springfs.Node, top springfs.StackableFS, sfss ...*springfs.SFS) *Stack {
+func localStack(node *springfs.Node, top springfs.StackableFS, dropCaches func() error) *Stack {
 	return &Stack{
 		NewProcess: func() (*unixapi.Process, error) {
 			return unixapi.NewProcess(top, naming.Root), nil
 		},
-		DropCaches: coldCaches(node, sfss...),
+		DropCaches: dropCaches,
 		Close:      node.Stop,
-	}
-}
-
-// coldCaches is Stack.DropCaches for a shape built on one node: the node's
-// VMM writes back and drops every page, then each SFS's coherency layer
-// writes through and drops its block cache.
-func coldCaches(node *springfs.Node, sfss ...*springfs.SFS) func() error {
-	return func() error {
-		if err := node.VMM().DropCaches(); err != nil {
-			return err
-		}
-		for _, sfs := range sfss {
-			if err := sfs.Coherency.DropDataCaches(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// newSFSs makes one SFS of the given size per name.
-func newSFSs(node *springfs.Node, blocks int64, names ...string) ([]*springfs.SFS, error) {
-	sfss := make([]*springfs.SFS, len(names))
-	for i, name := range names {
-		sfs, err := node.NewSFS(name, springfs.DiskOptions{Blocks: blocks})
-		if err != nil {
-			return nil, err
-		}
-		sfss[i] = sfs
-	}
-	return sfss, nil
-}
-
-// layerOnSFSs builds the layer mkLayer makes, stacked on one SFS of the
-// given size per name, in that order.
-func layerOnSFSs(blocks int64, mkLayer func(*springfs.Node) (springfs.StackableFS, error), names ...string) func(*springfs.Node) (*Stack, error) {
-	return func(node *springfs.Node) (*Stack, error) {
-		sfss, err := newSFSs(node, blocks, names...)
-		if err != nil {
-			return nil, err
-		}
-		layer, err := mkLayer(node)
-		if err != nil {
-			return nil, err
-		}
-		for _, sfs := range sfss {
-			if err := layer.StackOn(sfs.FS()); err != nil {
-				return nil, err
-			}
-		}
-		return localStack(node, layer, sfss...), nil
 	}
 }
 
@@ -141,21 +123,18 @@ func newDiskStack(node *springfs.Node) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return localStack(node, disk), nil
+	return localStack(node, disk, node.VMM().DropCaches), nil
 }
 
 // newSnapCloneStack: processes run on a writable clone of a snapshot, so
 // every check exercises the COW divergence path (reads fall through to the
 // sealed parent epoch; first writes remap).
 func newSnapCloneStack(node *springfs.Node) (*Stack, error) {
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 16384})
+	b, err := node.Build(specs["sfs-snapfs"])
 	if err != nil {
 		return nil, err
 	}
-	snap := node.NewSnapFS("snapfs")
-	if err := snap.StackOn(sfs.FS()); err != nil {
-		return nil, err
-	}
+	snap := b.Top.(*snapfs.SnapFS)
 	if err := snap.Snapshot("base"); err != nil {
 		return nil, err
 	}
@@ -163,31 +142,7 @@ func newSnapCloneStack(node *springfs.Node) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return localStack(node, clone, sfs), nil
-}
-
-// newStripeMirrorStack: striping where data server 0 is itself a mirroring
-// layer over two SFS instances — per-stripe failover below the striping
-// layer.
-func newStripeMirrorStack(node *springfs.Node) (*Stack, error) {
-	sfss, err := newSFSs(node, 8192, "meta", "m1", "m2", "data1")
-	if err != nil {
-		return nil, err
-	}
-	mirror := node.NewMirrorFS("mirror")
-	stripe, err := node.NewStripeFS("stripe", 4*springfs.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	meta, m1, m2, data1 := sfss[0].FS(), sfss[1].FS(), sfss[2].FS(), sfss[3].FS()
-	for _, on := range []struct{ layer, under springfs.StackableFS }{
-		{mirror, m1}, {mirror, m2}, {stripe, meta}, {stripe, mirror}, {stripe, data1},
-	} {
-		if err := on.layer.StackOn(on.under); err != nil {
-			return nil, err
-		}
-	}
-	return localStack(node, stripe, sfss...), nil
+	return localStack(node, clone, b.DropCaches), nil
 }
 
 // newDFSStack: SFS on a home node exported by a DFS server; every process
@@ -195,7 +150,7 @@ func newStripeMirrorStack(node *springfs.Node) (*Stack, error) {
 // exercises cross-machine semantics (unlink on one machine vs an open
 // descriptor on another, appends racing across the network).
 func newDFSStack(home *springfs.Node) (*Stack, error) {
-	sfs, err := home.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
+	b, err := home.Build(spec(8192, oneSFS))
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +159,7 @@ func newDFSStack(home *springfs.Node) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := home.ServeDFS("dfs", sfs.FS(), l); err != nil {
+	if _, err := home.ServeDFS("dfs", b.Top, l); err != nil {
 		return nil, err
 	}
 
@@ -232,7 +187,7 @@ func newDFSStack(home *springfs.Node) (*Stack, error) {
 					return err
 				}
 			}
-			return coldCaches(home, sfs)()
+			return b.DropCaches()
 		},
 		Close: func() {
 			for _, c := range clients {

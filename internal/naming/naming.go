@@ -77,11 +77,10 @@ var Root = Credentials{Principal: "root"}
 // Anonymous is the unauthenticated principal.
 var Anonymous = Credentials{}
 
-// ACL is an access control list: principal -> rights. The empty ACL grants
-// RightsAll to everybody (open context), matching the paper's default of
-// administrative decisions being opt-in.
+// ACL is an access control list: principal -> rights, fixed when it is
+// built. The empty ACL grants RightsAll to everybody (open context),
+// matching the paper's default of administrative decisions being opt-in.
 type ACL struct {
-	mu      sync.RWMutex
 	entries map[string]Rights
 }
 
@@ -103,22 +102,10 @@ func (a *ACL) Check(cred Credentials, want Rights) bool {
 	if cred.Principal == Root.Principal {
 		return true
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	if a.entries == nil {
 		return true
 	}
 	return a.entries[cred.Principal]&want == want
-}
-
-// Grant sets the rights of principal.
-func (a *ACL) Grant(principal string, r Rights) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.entries == nil {
-		a.entries = make(map[string]Rights)
-	}
-	a.entries[principal] = r
 }
 
 // Binding is one name-to-object association.

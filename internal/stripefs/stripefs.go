@@ -82,8 +82,6 @@ type Options struct {
 	// StripeSize is the stripe width in bytes (default DefaultStripeSize).
 	// It must be a positive multiple of vm.PageSize.
 	StripeSize int64
-	// Workers bounds the fan-out worker pool (default DefaultWorkers).
-	Workers int
 }
 
 // StripeFS is an instance of the striping layer.
@@ -91,7 +89,6 @@ type StripeFS struct {
 	fsys.PathBase
 	table      *fsys.ConnectionTable
 	stripeSize int64
-	workers    int
 
 	mu          sync.Mutex
 	meta        fsys.StackableFS
@@ -118,17 +115,13 @@ func New(domain *spring.Domain, name string, opts Options) (*StripeFS, error) {
 		return nil, fmt.Errorf("stripefs: stripe size %d is not a positive multiple of the page size (%d)",
 			size, vm.PageSize)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	s := &StripeFS{table: fsys.NewConnectionTable(domain), stripeSize: size, workers: workers}
+	s := &StripeFS{table: fsys.NewConnectionTable(domain), stripeSize: size}
 	s.Init(name, s)
 	return s, nil
 }
 
 // NewCreator returns a stackable_fs_creator for striping layers. The config
-// map understands "name", "stripe_size" (bytes), and "workers".
+// map understands "name" and "stripe_size" (bytes).
 func NewCreator(domain *spring.Domain) fsys.Creator {
 	var n atomic.Uint64
 	return fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
@@ -143,13 +136,6 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 				return nil, fmt.Errorf("stripefs: bad stripe_size %q: %w", v, err)
 			}
 			opts.StripeSize = size
-		}
-		if v := config["workers"]; v != "" {
-			w, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, fmt.Errorf("stripefs: bad workers %q: %w", v, err)
-			}
-			opts.Workers = w
 		}
 		return New(domain, name, opts)
 	})
@@ -248,7 +234,7 @@ type Status struct {
 func (s *StripeFS) StripeStatus() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Status{StripeSize: s.stripeSize, Workers: s.workers}
+	st := Status{StripeSize: s.stripeSize, Workers: DefaultWorkers}
 	if s.meta != nil {
 		st.Meta = s.meta.FSName()
 	}
@@ -704,7 +690,7 @@ func (s *StripeFS) runFanOut(ks []int, visit func(k int) error) error {
 	var wg sync.WaitGroup
 	var emu sync.Mutex
 	var errs []error
-	for w := 0; w < min(s.workers, len(ks)); w++ {
+	for w := 0; w < min(DefaultWorkers, len(ks)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -12,8 +12,10 @@ import (
 
 	"springfs"
 	"springfs/internal/fsys"
+	"springfs/internal/mirrorfs"
 	"springfs/internal/naming"
 	"springfs/internal/stats"
+	"springfs/internal/stripefs"
 )
 
 // rig is a striping layer over one metadata SFS and k data SFS instances,
@@ -34,9 +36,9 @@ func newRig(t *testing.T, k int, stripeSize int64) *rig {
 	if err != nil {
 		t.Fatalf("meta SFS: %v", err)
 	}
-	st, err := node.NewStripeFS("stripe", stripeSize)
+	st, err := stripefs.New(node.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: stripeSize})
 	if err != nil {
-		t.Fatalf("NewStripeFS: %v", err)
+		t.Fatalf("stripefs.New: %v", err)
 	}
 	if err := st.StackOn(meta.FS()); err != nil {
 		t.Fatalf("StackOn meta: %v", err)
@@ -349,9 +351,9 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 	}
 
 	// A fresh instance over the same volumes sweeps on first use.
-	st2, err := r.node.NewStripeFS("stripe2", S)
+	st2, err := stripefs.New(r.node.NewDomain("stripe2"), "stripe2", stripefs.Options{StripeSize: S})
 	if err != nil {
-		t.Fatalf("NewStripeFS: %v", err)
+		t.Fatalf("stripefs.New: %v", err)
 	}
 	if err := st2.StackOn(r.meta.FS()); err != nil {
 		t.Fatalf("StackOn meta: %v", err)
@@ -487,9 +489,9 @@ func newDFSRig(t *testing.T, k int, stripeSize int64) *dfsRig {
 	if err != nil {
 		t.Fatalf("meta SFS: %v", err)
 	}
-	st, err := client.NewStripeFS("stripe", stripeSize)
+	st, err := stripefs.New(client.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: stripeSize})
 	if err != nil {
-		t.Fatalf("NewStripeFS: %v", err)
+		t.Fatalf("stripefs.New: %v", err)
 	}
 	if err := st.StackOn(meta.FS()); err != nil {
 		t.Fatalf("StackOn meta: %v", err)
@@ -606,7 +608,7 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("m2: %v", err)
 	}
-	mirror := node.NewMirrorFS("mirror")
+	mirror := mirrorfs.New(node.NewDomain("mirror"), "mirror")
 	if err := mirror.StackOn(m1.FS()); err != nil {
 		t.Fatalf("mirror StackOn: %v", err)
 	}
@@ -617,9 +619,9 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("data1: %v", err)
 	}
-	st, err := node.NewStripeFS("stripe", S)
+	st, err := stripefs.New(node.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: S})
 	if err != nil {
-		t.Fatalf("NewStripeFS: %v", err)
+		t.Fatalf("stripefs.New: %v", err)
 	}
 	for _, under := range []springfs.StackableFS{meta.FS(), mirror, data1.FS()} {
 		if err := st.StackOn(under); err != nil {

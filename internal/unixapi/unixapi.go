@@ -549,18 +549,6 @@ func (p *Process) ReadDir(path string) ([]Dirent, error) {
 	return out, nil
 }
 
-// OpenFDs returns the open descriptor numbers (diagnostics).
-func (p *Process) OpenFDs() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		out = append(out, fd)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ---- memory mapping (the files-are-memory-objects story) ----
 
 // NewProcessVM creates a process whose address space is managed by vmm, so

@@ -115,10 +115,3 @@ func (as *AddressSpace) WriteVA(p []byte, va int64) (int, error) {
 	}
 	return r.M.WriteAt(p, va-r.Base)
 }
-
-// Regions returns a snapshot of the mapped regions, sorted by base address.
-func (as *AddressSpace) Regions() []*Region {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return append([]*Region(nil), as.regions...)
-}

@@ -189,15 +189,6 @@ func (v *VMM) Map(mobj MemoryObject, access Rights) (*Mapping, error) {
 	return &Mapping{fc: fc, access: access, mobj: mobj}, nil
 }
 
-// CacheFor returns the file cache behind a cache-rights token issued by
-// this VMM. Tests use it to inspect cache state.
-func (v *VMM) CacheFor(rights CacheRights) (*FileCache, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	fc, ok := v.caches[rights.RightsID()]
-	return fc, ok
-}
-
 // noteInstalled adds (fc, pn) -> p to the eviction clock, or — when the
 // slot is already tracked because ZeroFill/Populate replaced the page
 // object in place — updates the tracked identity and moves the slot to the

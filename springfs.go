@@ -24,7 +24,8 @@
 //	f, _ := sfs.FS().Create("hello.txt", springfs.Root)
 //	f.WriteAt([]byte("hello, spring"), 0)
 //
-// See the examples/ directory for complete programs.
+// The Example functions of this package are complete, checked programs;
+// Node.Build assembles a whole stack from a Spec.
 package springfs
 
 import (
@@ -101,19 +102,10 @@ const (
 // Root is the all-powerful principal.
 var Root = naming.Root
 
-// DiskFast keeps the ratios of the paper's 424 MB 4400 RPM disk at 1000x
-// speed. Its delays are under 1 ms, below the sandbox timer floor (see
-// benchmark/README.md): a timing taken on it measures the timer, so the
-// benchmark uses 0 or at least 2 ms.
-var DiskFast = blockdev.ProfileFast
-
 // Network profiles.
 var (
 	// LAN approximates an early-90s departmental Ethernet.
 	LAN = netsim.ProfileLAN
-	// LANFast preserves LAN's shape at 100x speed; like DiskFast it is
-	// below the sandbox timer floor and not for timing.
-	LANFast = netsim.ProfileFast
 	// LANInstant disables the network latency model.
 	LANInstant = netsim.ProfileNone
 )
@@ -121,13 +113,9 @@ var (
 // Node is a simulated Spring machine: a nucleus, a virtual memory manager,
 // and a root name space, ready to host file system layers (Figure 1).
 type Node struct {
-	name string
 	node *spring.Node
 	vmm  *vm.VMM
 	root *naming.BasicContext
-
-	vmmDomain *spring.Domain
-	nDisks    int
 
 	mu   sync.Mutex
 	sfss map[string]*SFS // assembled SFS instances by name
@@ -137,24 +125,25 @@ type Node struct {
 // /fs_creators context holding creators for the standard layer types.
 func NewNode(name string) *Node {
 	sn := spring.NewNode(name)
-	vmmDomain := spring.NewDomain(sn, "vmm")
-	n := &Node{
-		name:      name,
-		node:      sn,
-		vmm:       vm.New(vmmDomain, name+"-vmm"),
-		root:      naming.NewContext(),
-		vmmDomain: vmmDomain,
-	}
+	n := &Node{node: sn, vmm: vm.New(spring.NewDomain(sn, "vmm"), name+"-vmm"), root: naming.NewContext()}
 	// Register the standard creators in the well-known context, so stacks
-	// can be configured with the Section 4.4 recipe.
-	layerDomain := n.NewDomain("layer-creators")
-	must(fsys.RegisterCreator(n.root, "coherency_creator", coherency.NewCreator(layerDomain, n.vmm), Root))
-	must(fsys.RegisterCreator(n.root, "compfs_creator", compfs.NewCreator(layerDomain), Root))
-	must(fsys.RegisterCreator(n.root, "cryptfs_creator", cryptfs.NewCreator(layerDomain), Root))
-	must(fsys.RegisterCreator(n.root, "mirrorfs_creator", mirrorfs.NewCreator(layerDomain), Root))
-	must(fsys.RegisterCreator(n.root, "snapfs_creator", snapfs.NewCreator(layerDomain), Root))
-	must(fsys.RegisterCreator(n.root, "stripefs_creator", stripefs.NewCreator(layerDomain), Root))
-	must(fsys.RegisterCreator(n.root, "dfs_creator", dfs.NewCreator(layerDomain, Root), Root))
+	// can be configured with the Section 4.4 recipe. A creator is a server
+	// whose instances live in its own domain, so layers of different types
+	// stacked on each other cross a domain boundary.
+	register := func(name string, creator func(*spring.Domain) fsys.Creator) {
+		must(fsys.RegisterCreator(n.root, name, creator(n.NewDomain(name)), Root))
+	}
+	register("coherency_creator", func(d *spring.Domain) fsys.Creator { return coherency.NewCreator(d, n.vmm) })
+	register("compfs_creator", compfs.NewCreator)
+	register("cryptfs_creator", cryptfs.NewCreator)
+	register("mirrorfs_creator", mirrorfs.NewCreator)
+	register("snapfs_creator", snapfs.NewCreator)
+	register("stripefs_creator", stripefs.NewCreator)
+	register("dfs_creator", func(d *spring.Domain) fsys.Creator { return dfs.NewCreator(d, Root) })
+	// The identity layer forwards every file operation: no domain of its own.
+	must(fsys.RegisterCreator(n.root, "identity_creator", fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
+		return fsys.NewIdentityFS(config["name"]), nil
+	}), Root))
 	return n
 }
 
@@ -163,9 +152,6 @@ func must(err error) {
 		panic(err)
 	}
 }
-
-// Name returns the node name.
-func (n *Node) Name() string { return n.name }
 
 // Snapshot exports the current observability state: every counter value
 // plus count/mean/p50/p95/p99 for every non-empty latency histogram, keyed
@@ -286,7 +272,6 @@ func (n *Node) NewPersistentSFS(name, path string, blocks int64, separateDomains
 }
 
 func (n *Node) mountSFSOn(name string, mem *blockdev.MemDevice, dev blockdev.Device, separateDomains bool) (*SFS, error) {
-	n.nDisks++
 	diskDomain := n.NewDomain(fmt.Sprintf("%s-disk", name))
 	cohDomain := diskDomain
 	if separateDomains {
@@ -339,45 +324,6 @@ func (n *Node) ensureFSContext() error {
 	return nil
 }
 
-// NewCoherencyLayer creates a generic coherency layer instance (stack it
-// on any non-coherent layer to get a coherent stack, Section 6.3).
-func (n *Node) NewCoherencyLayer(name string) *coherency.CohFS {
-	return coherency.New(n.NewDomain(name), n.vmm, name)
-}
-
-// NewCompFS creates a compression layer instance.
-func (n *Node) NewCompFS(name string, coherent bool) *compfs.CompFS {
-	mode := compfs.ModeCoherent
-	if !coherent {
-		mode = compfs.ModeNonCoherent
-	}
-	return compfs.New(n.NewDomain(name), name, mode)
-}
-
-// NewCryptFS creates an encrypting layer instance.
-func (n *Node) NewCryptFS(name, passphrase string) (*cryptfs.CryptFS, error) {
-	return cryptfs.New(n.NewDomain(name), name, passphrase)
-}
-
-// NewMirrorFS creates a mirroring layer instance (stack it on exactly two
-// underlying file systems).
-func (n *Node) NewMirrorFS(name string) *mirrorfs.MirrorFS {
-	return mirrorfs.New(n.NewDomain(name), name)
-}
-
-// NewSnapFS creates a copy-on-write snapshot/clone layer instance (stack
-// it on any file system; see docs/SNAPSHOTS.md).
-func (n *Node) NewSnapFS(name string) *snapfs.SnapFS {
-	return snapfs.New(n.NewDomain(name), name)
-}
-
-// NewStripeFS creates a parallel striping layer instance (stack it on one
-// metadata file system and then N data file systems, in that order; see
-// docs/STRIPING.md). A zero stripeSize selects the default stripe width.
-func (n *Node) NewStripeFS(name string, stripeSize int64) (*stripefs.StripeFS, error) {
-	return stripefs.New(n.NewDomain(name), name, stripefs.Options{StripeSize: stripeSize})
-}
-
 // ServeDFS creates a DFS server stacked on under and starts serving
 // protocol connections on l.
 func (n *Node) ServeDFS(name string, under StackableFS, l net.Listener) (*dfs.Server, error) {
@@ -414,24 +360,6 @@ func Watch(orig File, hooks WatchdogHooks) File {
 // NewNetwork creates a simulated network with the given profile.
 func NewNetwork(profile NetProfile) *netsim.Network {
 	return netsim.New(profile)
-}
-
-// Stack composes layers bottom-up: Stack(base, mid, top) stacks mid on
-// base and top on mid, returning the top. Layers in different domains are
-// connected through invocation channels automatically when both sides
-// expose their domains; callers needing explicit cross-domain stacking use
-// fsys.WrapStackable via the Wrap helper.
-func Stack(layers ...StackableFS) (StackableFS, error) {
-	if len(layers) == 0 {
-		return nil, fmt.Errorf("springfs: Stack needs at least one layer")
-	}
-	for i := 1; i < len(layers); i++ {
-		if err := layers[i].StackOn(layers[i-1]); err != nil {
-			return nil, fmt.Errorf("springfs: stacking %s on %s: %w",
-				layers[i].FSName(), layers[i-1].FSName(), err)
-		}
-	}
-	return layers[len(layers)-1], nil
 }
 
 // WrapStackable returns a cross-domain proxy for fs reachable over ch (the

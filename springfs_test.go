@@ -63,24 +63,25 @@ func TestConfigureStackRecipe(t *testing.T) {
 	}
 }
 
-func TestStackHelper(t *testing.T) {
+// TestBuild assembles a three-layer stack from a Spec: every layer is
+// reachable by name, the last one is the top, and data round-trips
+// through it without reaching the disk in the clear.
+func TestBuild(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
+	b, err := node.Build(Spec{
+		Disks: []DiskSpec{{Name: "sfs0a"}},
+		Layers: []LayerSpec{
+			{Name: "crypt", Creator: "cryptfs_creator", On: []string{"sfs0a"}, Config: map[string]string{"passphrase": "hunter2"}},
+			{Name: "comp", Creator: "compfs_creator", On: []string{"crypt"}},
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	crypt, err := node.NewCryptFS("crypt", "hunter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := node.NewCompFS("comp", true)
-	top, err := Stack(sfs.FS(), crypt, comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.FSName() != "comp" {
-		t.Errorf("top = %s", top.FSName())
+	top := b.Top
+	if top != b.FS["comp"] || b.FS["crypt"].FSName() != "crypt" || b.FS["sfs0a"] != node.SFS("sfs0a").FS() {
+		t.Errorf("built %v, top %s", b.FS, top.FSName())
 	}
 	msg := bytes.Repeat([]byte("layered! "), 500)
 	if err := WriteFile(top, "deep", msg); err != nil {
@@ -95,12 +96,34 @@ func TestStackHelper(t *testing.T) {
 	}
 	// The bottom sees neither plaintext nor COMPFS structure in the
 	// clear.
-	raw, err := ReadFile(sfs.FS(), "deep")
+	raw, err := ReadFile(b.FS["sfs0a"], "deep")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(raw, []byte("layered!")) {
 		t.Error("plaintext visible at the base layer")
+	}
+}
+
+// TestBuildNamesItsTop: Top picks any disk or layer; a name that is not
+// one, or one used twice, is refused.
+func TestBuildNamesItsTop(t *testing.T) {
+	node := NewNode("test")
+	defer node.Stop()
+	b, err := node.Build(Spec{Disks: []DiskSpec{{Name: "d"}}, Layers: []LayerSpec{{Name: "id", Creator: "identity_creator", On: []string{"d"}}}, Top: "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Top != b.FS["d"] {
+		t.Errorf("top is %s, want the disk", b.Top.FSName())
+	}
+	for _, bad := range []Spec{
+		{Disks: []DiskSpec{{Name: "e"}}, Top: "nope"},
+		{Disks: []DiskSpec{{Name: "f"}}, Layers: []LayerSpec{{Name: "f", Creator: "identity_creator", On: []string{"f"}}}},
+	} {
+		if _, err := node.Build(bad); err == nil {
+			t.Errorf("Build(%+v) succeeded, want an error", bad)
+		}
 	}
 }
 
@@ -203,28 +226,21 @@ func TestSeparateDomainsSFS(t *testing.T) {
 func TestMirrorThroughFacade(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	sfs1, err := node.NewSFS("sfs1", DiskOptions{})
+	b, err := node.Build(Spec{
+		Disks:  []DiskSpec{{Name: "sfs1"}, {Name: "sfs2"}},
+		Layers: []LayerSpec{{Name: "mirror", Creator: "mirrorfs_creator", On: []string{"sfs1", "sfs2"}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfs2, err := node.NewSFS("sfs2", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := node.NewMirrorFS("mirror")
-	if err := m.StackOn(sfs1.FS()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StackOn(sfs2.FS()); err != nil {
-		t.Fatal(err)
-	}
+	m := b.Top
 	if err := WriteFile(m, "r", []byte("both")); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []*SFS{sfs1, sfs2} {
-		got, err := ReadFile(s.FS(), "r")
+	for _, name := range []string{"sfs1", "sfs2"} {
+		got, err := ReadFile(b.FS[name], "r")
 		if err != nil || string(got) != "both" {
-			t.Errorf("replica %s = %q, %v", s.Coherency.FSName(), got, err)
+			t.Errorf("replica %s = %q, %v", name, got, err)
 		}
 	}
 }

@@ -614,11 +614,10 @@ func (f *cohFile) lengthNoPoll() (vm.Offset, error) {
 
 // SetLength implements vm.MemoryObject. An extension is cached and written
 // back on flush (attribute write-behind), but a shrink is written through:
-// the dropped bytes logically become zeros now, and only the layer that
-// owns the storage can clear them — it zeroes the straddling block and
-// purges the vacated range, and that purge propagates back up through this
-// layer's lower cache object, discarding the stale blocks cached here and
-// in every client above.
+// the dropped bytes logically become zeros now. pushShrink clears this
+// layer's straddling block and the blocks past the new end, here and in
+// every client above, before it pushes the shrink down to the layer that
+// owns the storage.
 func (f *cohFile) SetLength(length vm.Offset) error {
 	attrs, err := f.cachedAttrs()
 	if err != nil {

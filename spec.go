@@ -14,9 +14,6 @@ import (
 type Spec struct {
 	Disks  []DiskSpec  `json:"disks"`
 	Layers []LayerSpec `json:"layers"`
-	// Top names the file system Build returns as the top; empty means the
-	// last layer (or the last disk of a spec with no layers).
-	Top string `json:"top,omitempty"`
 }
 
 // DiskSpec is one SFS on a fresh simulated disk of Blocks 4 KiB blocks
@@ -38,7 +35,7 @@ type LayerSpec struct {
 
 // Built is a stack Build assembled.
 type Built struct {
-	// Top is the file system the spec's Top names.
+	// Top is the last layer, or the last disk of a spec with no layers.
 	Top StackableFS
 	// FS holds every disk (its SFS's exported coherency layer) and every
 	// layer, by its spec name.
@@ -67,7 +64,6 @@ func (b *Built) DropCaches() error {
 // NewSFS binds them; layers are not bound anywhere.
 func (n *Node) Build(spec Spec) (*Built, error) {
 	b := &Built{FS: make(map[string]StackableFS), vmm: n.vmm}
-	top := spec.Top
 	for _, d := range spec.Disks {
 		sfs, err := n.NewSFS(d.Name, DiskOptions{Blocks: d.Blocks})
 		if err != nil {
@@ -75,9 +71,7 @@ func (n *Node) Build(spec Spec) (*Built, error) {
 		}
 		b.FS[d.Name] = sfs.FS()
 		b.cohs = append(b.cohs, sfs.Coherency)
-		if spec.Top == "" {
-			top = d.Name
-		}
+		b.Top = b.FS[d.Name]
 	}
 	for _, l := range spec.Layers {
 		if _, dup := b.FS[l.Name]; dup {
@@ -103,12 +97,10 @@ func (n *Node) Build(spec Spec) (*Built, error) {
 		if c, ok := layer.(*coherency.CohFS); ok {
 			b.cohs = append(b.cohs, c)
 		}
-		if spec.Top == "" {
-			top = l.Name
-		}
+		b.Top = layer
 	}
-	if b.Top = b.FS[top]; b.Top == nil {
-		return nil, fmt.Errorf("top: unknown file system %q", top)
+	if b.Top == nil {
+		return nil, fmt.Errorf("empty spec")
 	}
 	return b, nil
 }

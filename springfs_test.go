@@ -105,21 +105,28 @@ func TestBuild(t *testing.T) {
 	}
 }
 
-// TestBuildNamesItsTop: Top picks any disk or layer; a name that is not
-// one, or one used twice, is refused.
-func TestBuildNamesItsTop(t *testing.T) {
+// TestBuildTop: the top is the last layer, or the last disk of a spec with
+// no layers; an empty spec, a name used twice and an unknown On are refused.
+func TestBuildTop(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	b, err := node.Build(Spec{Disks: []DiskSpec{{Name: "d"}}, Layers: []LayerSpec{{Name: "id", Creator: "identity_creator", On: []string{"d"}}}, Top: "d"})
+	b, err := node.Build(Spec{Disks: []DiskSpec{{Name: "d"}}, Layers: []LayerSpec{{Name: "id", Creator: "identity_creator", On: []string{"d"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Top != b.FS["d"] {
-		t.Errorf("top is %s, want the disk", b.Top.FSName())
+	if b.Top != b.FS["id"] {
+		t.Errorf("top is %s, want the last layer", b.Top.FSName())
+	}
+	if b, err = node.Build(Spec{Disks: []DiskSpec{{Name: "e1"}, {Name: "e2"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if b.Top != b.FS["e2"] {
+		t.Errorf("top is %s, want the last disk", b.Top.FSName())
 	}
 	for _, bad := range []Spec{
-		{Disks: []DiskSpec{{Name: "e"}}, Top: "nope"},
+		{},
 		{Disks: []DiskSpec{{Name: "f"}}, Layers: []LayerSpec{{Name: "f", Creator: "identity_creator", On: []string{"f"}}}},
+		{Disks: []DiskSpec{{Name: "g"}}, Layers: []LayerSpec{{Name: "id", Creator: "identity_creator", On: []string{"nope"}}}},
 	} {
 		if _, err := node.Build(bad); err == nil {
 			t.Errorf("Build(%+v) succeeded, want an error", bad)

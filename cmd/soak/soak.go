@@ -30,7 +30,6 @@ import (
 
 	"springfs"
 	"springfs/internal/blockdev"
-	"springfs/internal/coherency"
 	"springfs/internal/disklayer"
 	"springfs/internal/naming"
 	"springfs/internal/netsim"
@@ -335,7 +334,6 @@ func (s *soakState) execTrace(p *unixapi.Process, ops []soakOp) {
 // remote clients.
 type soakStack struct {
 	home    *springfs.Node
-	sfs     *coherency.CohFS
 	srv     interface{ Close() }
 	cnodes  []*springfs.Node
 	closers []interface{ Close() error }
@@ -355,25 +353,20 @@ func (st *soakStack) teardown() {
 	st.home.Stop()
 }
 
-// mountHome mounts the (recovered) image and stacks the coherency layer.
-func (s *soakState) mountHome(tag string) (*springfs.Node, *coherency.CohFS, error) {
+// mountHome mounts the (recovered) image as an SFS on a fresh home node.
+func (s *soakState) mountHome(tag string) (*springfs.Node, springfs.StackableFS, error) {
 	node := springfs.NewNode("soak-home-" + tag)
-	disk, err := disklayer.Mount(s.crash, node.NewDomain("disk"), node.VMM(), "soakdisk")
+	b, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs", Device: s.crash}}})
 	if err != nil {
 		node.Stop()
 		return nil, nil, fmt.Errorf("mount: %w", err)
 	}
-	sfs := coherency.New(node.NewDomain("sfs"), node.VMM(), "sfs")
-	if err := sfs.StackOn(disk); err != nil {
-		node.Stop()
-		return nil, nil, err
-	}
-	return node, sfs, nil
+	return node, b.Top, nil
 }
 
 // verifyDurable checks every checkpointed-and-untouched file against its
 // recorded hash, reading through the freshly mounted stack.
-func (s *soakState) verifyDurable(sfs *coherency.CohFS) error {
+func (s *soakState) verifyDurable(sfs springfs.StackableFS) error {
 	s.mu.Lock()
 	durable := make(map[string][sha256.Size]byte, len(s.durable))
 	for p, h := range s.durable {
@@ -397,7 +390,7 @@ func (s *soakState) verifyDurable(sfs *coherency.CohFS) error {
 
 // checkpoint quiesces nothing (the caller already has), syncs everything
 // to stable storage, and re-baselines the durable snapshot.
-func (s *soakState) checkpoint(sfs *coherency.CohFS) error {
+func (s *soakState) checkpoint(sfs springfs.StackableFS) error {
 	if err := sfs.SyncFS(); err != nil {
 		return fmt.Errorf("checkpoint sync: %w", err)
 	}
@@ -424,8 +417,8 @@ func (s *soakState) checkpoint(sfs *coherency.CohFS) error {
 
 // serve exports the mounted stack over a fresh faulty network and dials
 // one client machine per simulated user.
-func (s *soakState) serve(home *springfs.Node, sfs *coherency.CohFS, round int) (*soakStack, error) {
-	st := &soakStack{home: home, sfs: sfs}
+func (s *soakState) serve(home *springfs.Node, sfs springfs.StackableFS, round int) (*soakStack, error) {
+	st := &soakStack{home: home}
 	network := springfs.NewNetwork(springfs.LANInstant)
 	network.SetFaults(netsim.Faults{
 		DropProb:   soakDrop,

@@ -26,8 +26,8 @@ import (
 )
 
 func main() {
-	node := springfs.NewNode("springsh")
-	defer node.Stop()
+	sh := &shell{springfs.NewNode("springsh"), map[string]*springfs.SFS{}}
+	defer sh.Stop()
 	fmt.Println("springsh — extensible file systems in Spring (type 'help')")
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -35,7 +35,7 @@ func main() {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line != "" {
-			if quit := execute(node, line); quit {
+			if quit := sh.execute(line); quit {
 				return
 			}
 		}
@@ -43,7 +43,14 @@ func main() {
 	}
 }
 
-func execute(node *springfs.Node, line string) (quit bool) {
+// shell is one springsh session: the node, and the SFS instances newsfs
+// assembled, by name, so fsck can reach the disk layer below each.
+type shell struct {
+	*springfs.Node
+	sfs map[string]*springfs.SFS
+}
+
+func (sh *shell) execute(line string) (quit bool) {
 	args := strings.Fields(line)
 	cmd := args[0]
 	fail := func(err error) {
@@ -85,10 +92,12 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: newsfs <name>")
 			return
 		}
-		if _, err := node.NewSFS(args[1], springfs.DiskOptions{}); err != nil {
+		b, err := sh.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: args[1]}}})
+		if err != nil {
 			fail(err)
 			return
 		}
+		sh.sfs[args[1]] = b.Disks[args[1]]
 		fmt.Printf("sfs %q assembled (coherency layer on disk layer), bound at fs/%s\n", args[1], args[1])
 	case "stack":
 		if len(args) < 4 {
@@ -103,7 +112,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 				config[k] = v
 				continue
 			}
-			obj, err := node.Root().Resolve(a, springfs.Root)
+			obj, err := sh.Root().Resolve(a, springfs.Root)
 			if err != nil {
 				fail(err)
 				return
@@ -118,13 +127,13 @@ func execute(node *springfs.Node, line string) (quit bool) {
 		if creator == "cryptfs_creator" && config["passphrase"] == "" {
 			config["passphrase"] = "springsh-default"
 		}
-		if _, err := node.ConfigureStack(creator, config, under, name); err != nil {
+		if _, err := sh.ConfigureStack(creator, config, under, name); err != nil {
 			fail(err)
 			return
 		}
 		fmt.Printf("layer %q stacked and bound at /%s\n", name, name)
 	case "creators":
-		obj, err := node.Root().Resolve("fs_creators", springfs.Root)
+		obj, err := sh.Root().Resolve("fs_creators", springfs.Root)
 		if err != nil {
 			fail(err)
 			return
@@ -142,9 +151,9 @@ func execute(node *springfs.Node, line string) (quit bool) {
 		if len(args) > 1 {
 			path = args[1]
 		}
-		var ctx springfs.Context = node.Root()
+		var ctx springfs.Context = sh.Root()
 		if path != "" {
-			obj, err := node.Root().Resolve(path, springfs.Root)
+			obj, err := sh.Root().Resolve(path, springfs.Root)
 			if err != nil {
 				fail(err)
 				return
@@ -181,7 +190,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			return
 		}
 		dir, name := splitPath(args[1])
-		fs, err := resolveFS(node, dir)
+		fs, err := resolveFS(sh.Node, dir)
 		if err != nil {
 			fail(err)
 			return
@@ -197,7 +206,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			return
 		}
 		dir, name := splitPath(args[1])
-		fs, err := resolveFS(node, dir)
+		fs, err := resolveFS(sh.Node, dir)
 		if err != nil {
 			fail(err)
 			return
@@ -213,7 +222,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: stat <path>")
 			return
 		}
-		obj, err := node.Root().Resolve(args[1], springfs.Root)
+		obj, err := sh.Root().Resolve(args[1], springfs.Root)
 		if err != nil {
 			fail(err)
 			return
@@ -236,7 +245,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			return
 		}
 		dir, name := splitPath(args[1])
-		fs, err := resolveFS(node, dir)
+		fs, err := resolveFS(sh.Node, dir)
 		if err != nil {
 			fail(err)
 			return
@@ -252,7 +261,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			return
 		}
 		dir, name := splitPath(args[1])
-		fs, err := resolveFS(node, dir)
+		fs, err := resolveFS(sh.Node, dir)
 		if err != nil {
 			fail(err)
 			return
@@ -275,9 +284,9 @@ func execute(node *springfs.Node, line string) (quit bool) {
 		parentPath, ctxName := splitParent(dir)
 		var parent *naming.BasicContext
 		if parentPath == "" {
-			parent = node.Root()
+			parent = sh.Root()
 		} else {
-			obj, err := node.Root().Resolve(parentPath, springfs.Root)
+			obj, err := sh.Root().Resolve(parentPath, springfs.Root)
 			if err != nil {
 				fail(err)
 				return
@@ -324,7 +333,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			return
 		}
 		spans := stats.Trace.Capture(func() {
-			quit = execute(node, strings.Join(args[1:], " "))
+			quit = sh.execute(strings.Join(args[1:], " "))
 		})
 		if n := stats.Trace.Dropped(); n > 0 {
 			fmt.Printf("(%d spans dropped by ring wraparound)\n", n)
@@ -342,7 +351,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: fsck <sfs-name> [-repair]")
 			return
 		}
-		sfs := node.SFS(rest[0])
+		sfs := sh.sfs[rest[0]]
 		if sfs == nil {
 			fmt.Printf("error: no sfs named %q (see newsfs)\n", rest[0])
 			return
@@ -358,7 +367,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: snapshot <fs-path> [name]")
 			return
 		}
-		snap, err := resolveSnapFS(node, args[1])
+		snap, err := resolveSnapFS(sh.Node, args[1])
 		if err != nil {
 			fail(err)
 			return
@@ -395,7 +404,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: clone <fs-path> <snapshot> <name>")
 			return
 		}
-		snap, err := resolveSnapFS(node, args[1])
+		snap, err := resolveSnapFS(sh.Node, args[1])
 		if err != nil {
 			fail(err)
 			return
@@ -405,7 +414,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fail(err)
 			return
 		}
-		if err := node.Root().Bind(args[3], view, springfs.Root); err != nil {
+		if err := sh.Root().Bind(args[3], view, springfs.Root); err != nil {
 			fail(err)
 			return
 		}
@@ -415,7 +424,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: snapdiff <fs-path> <a> <b>")
 			return
 		}
-		snap, err := resolveSnapFS(node, args[1])
+		snap, err := resolveSnapFS(sh.Node, args[1])
 		if err != nil {
 			fail(err)
 			return
@@ -437,7 +446,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: stripe <fs-path>")
 			return
 		}
-		obj, err := node.Root().Resolve(args[1], springfs.Root)
+		obj, err := sh.Root().Resolve(args[1], springfs.Root)
 		if err != nil {
 			fail(err)
 			return
@@ -462,7 +471,7 @@ func execute(node *springfs.Node, line string) (quit bool) {
 			fmt.Println("usage: sync <fs-path>")
 			return
 		}
-		fs, err := resolveFS(node, args[1])
+		fs, err := resolveFS(sh.Node, args[1])
 		if err != nil {
 			fail(err)
 			return

@@ -9,16 +9,16 @@ import (
 )
 
 // drive runs a scripted session against a fresh node.
-func drive(t *testing.T, lines ...string) *springfs.Node {
+func drive(t *testing.T, lines ...string) *shell {
 	t.Helper()
-	node := springfs.NewNode("test")
-	t.Cleanup(node.Stop)
+	sh := &shell{springfs.NewNode("test"), map[string]*springfs.SFS{}}
+	t.Cleanup(sh.Stop)
 	for _, line := range lines {
-		if quit := execute(node, line); quit {
+		if quit := sh.execute(line); quit {
 			t.Fatalf("command %q quit the shell", line)
 		}
 	}
-	return node
+	return sh
 }
 
 func TestScriptedSession(t *testing.T) {
@@ -47,12 +47,12 @@ func TestScriptedSession(t *testing.T) {
 }
 
 func TestQuit(t *testing.T) {
-	node := springfs.NewNode("test")
-	defer node.Stop()
-	if !execute(node, "quit") {
+	sh := &shell{springfs.NewNode("test"), map[string]*springfs.SFS{}}
+	defer sh.Stop()
+	if !sh.execute("quit") {
 		t.Error("quit did not quit")
 	}
-	if !execute(node, "exit") {
+	if !sh.execute("exit") {
 		t.Error("exit did not quit")
 	}
 }
@@ -96,9 +96,9 @@ func TestCryptStackGetsDefaultPassphrase(t *testing.T) {
 	}
 }
 
-func mustFS(t *testing.T, node *springfs.Node, path string) springfs.StackableFS {
+func mustFS(t *testing.T, sh *shell, path string) springfs.StackableFS {
 	t.Helper()
-	fs, err := resolveFS(node, path)
+	fs, err := resolveFS(sh.Node, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestFsckCommand(t *testing.T) {
 	)
 	// The command path above only prints; assert the underlying call is
 	// actually clean on a live, healthy file system.
-	report, err := node.SFS("sfs0a").Disk.Fsck(false)
+	report, err := node.sfs["sfs0a"].Disk.Fsck(false)
 	if err != nil {
 		t.Fatal(err)
 	}

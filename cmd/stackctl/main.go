@@ -19,6 +19,9 @@
 //	  "export": ["mirror"]
 //	}
 //
+// A disk with a "path" lives in that host file, formatted only when the
+// file is new or empty; `stackctl fsck` audits such an image.
+//
 // Usage:
 //
 //	stackctl -example             # print the example configuration

@@ -8,19 +8,19 @@ import (
 	"springfs"
 )
 
-// The quickstart: a node, an SFS, a file.
+// The quickstart: a node, a stack of one SFS, a file.
 func Example() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
 
-	sfs, err := node.NewSFS("sfs0a", springfs.DiskOptions{})
+	stack, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs0a"}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := springfs.WriteFile(sfs.FS(), "hello.txt", []byte("hello, spring")); err != nil {
+	if err := springfs.WriteFile(stack.Top, "hello.txt", []byte("hello, spring")); err != nil {
 		log.Fatal(err)
 	}
-	data, err := springfs.ReadFile(sfs.FS(), "hello.txt")
+	data, err := springfs.ReadFile(stack.Top, "hello.txt")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,17 +34,17 @@ func Example() {
 func ExampleNode_ConfigureStack() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", springfs.DiskOptions{})
+	stack, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs0a"}}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	layer, err := node.ConfigureStack("compfs_creator",
 		map[string]string{"name": "compfs"},
-		[]springfs.StackableFS{sfs.FS()}, "compfs")
+		[]springfs.StackableFS{stack.Top}, "compfs")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(layer.FSName(), "stacked on", sfs.FS().FSName())
+	fmt.Println(layer.FSName(), "stacked on", stack.Top.FSName())
 	// Files created through the layer are reachable by name.
 	if err := springfs.WriteFile(layer, "doc", []byte("transparent")); err != nil {
 		log.Fatal(err)
@@ -93,7 +93,7 @@ func ExampleNode_Build() {
 	if err := stack.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	disk1 := node.SFS("sfs1").Device
+	disk1 := stack.Disks["sfs1"].Device
 	disk1.FailReads(true)
 	got, err := springfs.ReadFile(stack.Top, "precious.db")
 	if err != nil {
@@ -170,11 +170,11 @@ func Example_compression() {
 func ExampleWatch() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", springfs.DiskOptions{})
+	stack, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs0a"}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := sfs.FS().Create("audited", springfs.Root)
+	f, err := stack.Top.Create("audited", springfs.Root)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func ExampleWatch() {
 func ExampleNewProcess() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", springfs.DiskOptions{})
+	stack, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs0a"}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := springfs.NewProcess(sfs.FS())
+	p := springfs.NewProcess(stack.Top)
 	if err := p.Mkdir("/etc"); err != nil {
 		log.Fatal(err)
 	}

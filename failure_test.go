@@ -18,11 +18,8 @@ import (
 func TestDeviceFailurePropagatesThroughStack(t *testing.T) {
 	node := NewNode("fail")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "comp"}, sfs.FS())
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "comp"}, sfs.Coherency)
 	f, err := comp.Create("f", Root)
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +55,8 @@ func TestDeviceFailurePropagatesThroughStack(t *testing.T) {
 func TestWriteFailureDoesNotCorrupt(t *testing.T) {
 	node := NewNode("fail-w")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sfs.FS().Create("stable", Root)
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	f, err := sfs.Coherency.Create("stable", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +74,7 @@ func TestWriteFailureDoesNotCorrupt(t *testing.T) {
 		// sync below.
 		t.Logf("write failed eagerly: %v", err)
 	}
-	if err := sfs.FS().SyncFS(); !errors.Is(err, blockdev.ErrIO) {
+	if err := sfs.Coherency.SyncFS(); !errors.Is(err, blockdev.ErrIO) {
 		t.Errorf("SyncFS with dead device = %v, want ErrIO", err)
 	}
 	sfs.Device.FailWrites(false)
@@ -92,7 +86,7 @@ func TestWriteFailureDoesNotCorrupt(t *testing.T) {
 	if string(buf) != "committed" {
 		t.Errorf("committed data = %q", buf)
 	}
-	if err := sfs.FS().SyncFS(); err != nil {
+	if err := sfs.Coherency.SyncFS(); err != nil {
 		t.Errorf("sync after recovery: %v", err)
 	}
 	if err := sfs.Disk.CheckConsistency(); err != nil {
@@ -106,15 +100,12 @@ func TestWriteFailureDoesNotCorrupt(t *testing.T) {
 func TestIntermittentFailureUnderLoad(t *testing.T) {
 	node := NewNode("fail-i")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
 	sfs.Device.FailAfter(200)
 	var firstErr error
 	for i := 0; i < 64 && firstErr == nil; i++ {
 		name := "f" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		f, err := sfs.FS().Create(name, Root)
+		f, err := sfs.Coherency.Create(name, Root)
 		if err != nil {
 			firstErr = err
 			break
@@ -136,14 +127,14 @@ func TestIntermittentFailureUnderLoad(t *testing.T) {
 	}
 	// Heal and keep going.
 	sfs.Device.FailAfter(-1)
-	f, err := sfs.FS().Create("after-heal", Root)
+	f, err := sfs.Coherency.Create("after-heal", Root)
 	if err != nil {
 		t.Fatalf("create after heal: %v", err)
 	}
 	if _, err := f.WriteAt([]byte("recovered"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sfs.FS().SyncFS(); err != nil {
+	if err := sfs.Coherency.SyncFS(); err != nil {
 		t.Fatalf("sync after heal: %v", err)
 	}
 	if err := sfs.Disk.CheckConsistency(); err != nil {
@@ -158,16 +149,13 @@ func TestIntermittentFailureUnderLoad(t *testing.T) {
 func TestDFSPartitionTimesOutAndRecovers(t *testing.T) {
 	home := NewNode("dfs-home")
 	defer home.Stop()
-	sfs, err := home.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
 	network := NewNetwork(LANInstant)
 	l, err := network.Listen("home:dfs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := home.ServeDFS("dfs", sfs.FS(), l); err != nil {
+	if _, err := home.ServeDFS("dfs", sfs.Coherency, l); err != nil {
 		t.Fatal(err)
 	}
 	clientNode := NewNode("dfs-client")

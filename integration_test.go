@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"springfs/internal/coherency"
 	"springfs/internal/naming"
 	"springfs/internal/vm"
 )
@@ -26,11 +25,8 @@ func TestFigure9WalkThrough(t *testing.T) {
 	defer remote.Stop()
 
 	// Build the stack: dfs -> compfs -> sfs (coherency -> disk).
-	sfs, err := home.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := layerOn(t, home, "compfs_creator", map[string]string{"name": "compfs"}, sfs.FS())
+	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
+	comp := layerOn(t, home, "compfs_creator", map[string]string{"name": "compfs"}, sfs.Coherency)
 	l, err := network.Listen("home:dfs")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +99,7 @@ func TestFigure9WalkThrough(t *testing.T) {
 		t.Error("the read bypassed the coherency layer's lower connection")
 	}
 	// ...COMPFS uncompressed (the data differs from the on-disk bytes)...
-	lower, err := sfs.FS().Open("file", Root)
+	lower, err := sfs.Coherency.Open("file", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +142,18 @@ func TestFigure10SFS(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			node := NewNode("fig10")
 			defer node.Stop()
-			sfs, err := node.NewSFS("sfs0a", DiskOptions{SeparateDomains: separate})
-			if err != nil {
-				t.Fatal(err)
-			}
+			sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a", SeparateDomains: separate})
 			// The exported layer is the coherency layer.
-			if _, ok := interface{}(sfs.FS()).(*coherency.CohFS); !ok {
-				t.Errorf("exported layer is %T", sfs.FS())
+			if obj, err := node.Root().Resolve("fs/sfs0a", Root); err != nil || obj != naming.Object(sfs.Coherency) {
+				t.Errorf("fs/sfs0a resolves to %T, %v", obj, err)
 			}
-			if err := WriteFile(sfs.FS(), "f", []byte("via coherency layer")); err != nil {
+			if err := WriteFile(sfs.Coherency, "f", []byte("via coherency layer")); err != nil {
 				t.Fatal(err)
 			}
-			if err := sfs.FS().SyncFS(); err != nil {
+			if err := sfs.Coherency.SyncFS(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadFile(sfs.FS(), "f")
+			got, err := ReadFile(sfs.Coherency, "f")
 			if err != nil || string(got) != "via coherency layer" {
 				t.Fatalf("round trip = %q, %v", got, err)
 			}
@@ -185,11 +178,8 @@ func TestFigure10SFS(t *testing.T) {
 func TestDeepStackPersistence(t *testing.T) {
 	node := NewNode("deep")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypt := layerOn(t, node, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs.FS())
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	crypt := layerOn(t, node, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs.Coherency)
 	top := layerOn(t, node, "compfs_creator", map[string]string{"name": "comp"}, crypt)
 	payload := []byte(strings.Repeat("deep stack data ", 2000))
 	if err := WriteFile(top, "payload", payload); err != nil {
@@ -205,11 +195,8 @@ func TestDeepStackPersistence(t *testing.T) {
 	// "Reboot": a fresh node over the same device, same stack, same key.
 	node2 := NewNode("deep2")
 	defer node2.Stop()
-	sfs2, err := node2.MountSFS("sfs0a", sfs.Device, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypt2 := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs2.FS())
+	sfs2 := buildSFS(t, node2, DiskSpec{Name: "sfs0a", Device: sfs.Device})
+	crypt2 := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt", "passphrase": "deep-secret"}, sfs2.Coherency)
 	top2 := layerOn(t, node2, "compfs_creator", map[string]string{"name": "comp"}, crypt2)
 	got, err := ReadFile(top2, "payload")
 	if err != nil {
@@ -220,7 +207,7 @@ func TestDeepStackPersistence(t *testing.T) {
 	}
 	// The base layer holds neither plaintext nor a valid COMPFS image in
 	// the clear (it is encrypted).
-	raw, err := ReadFile(sfs2.FS(), "payload")
+	raw, err := ReadFile(sfs2.Coherency, "payload")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +215,7 @@ func TestDeepStackPersistence(t *testing.T) {
 		t.Error("plaintext on the base layer")
 	}
 	// With the wrong key, the stack cannot make sense of the data.
-	wrongKey := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt-bad", "passphrase": "not-the-secret"}, sfs2.FS())
+	wrongKey := layerOn(t, node2, "cryptfs_creator", map[string]string{"name": "crypt-bad", "passphrase": "not-the-secret"}, sfs2.Coherency)
 	compBad := layerOn(t, node2, "compfs_creator", map[string]string{"name": "comp-bad"}, wrongKey)
 	if data, err := ReadFile(compBad, "payload"); err == nil && bytes.Equal(data, payload) {
 		t.Error("wrong key read the correct payload")
@@ -241,13 +228,10 @@ func TestDeepStackPersistence(t *testing.T) {
 func TestNamespaceArrangement(t *testing.T) {
 	node := NewNode("ns")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
 	// A compression layer stacked but deliberately NOT exported: clients
 	// can reach the base but not the layer.
-	hidden := layerOn(t, node, "compfs_creator", map[string]string{"name": "hidden-comp"}, sfs.FS())
+	hidden := layerOn(t, node, "compfs_creator", map[string]string{"name": "hidden-comp"}, sfs.Coherency)
 	if _, err := node.Root().Resolve("hidden-comp", Root); err == nil {
 		t.Error("unexported layer is visible in the name space")
 	}
@@ -287,11 +271,8 @@ func TestEvictionThroughStack(t *testing.T) {
 	node := NewNode("evict")
 	defer node.Stop()
 	node.VMM().SetMaxPages(8)
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sfs.FS().Create("big", Root)
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	f, err := sfs.Coherency.Create("big", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +307,7 @@ func TestEvictionThroughStack(t *testing.T) {
 func TestPerUserNamespaces(t *testing.T) {
 	node := NewNode("users")
 	defer node.Stop()
-	sfs, err := node.NewSFS("shared-sfs", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, node, DiskSpec{Name: "shared-sfs"})
 
 	alice := node.NewUserNamespace()
 	bob := node.NewUserNamespace()
@@ -343,7 +321,7 @@ func TestPerUserNamespaces(t *testing.T) {
 
 	// Customisation: alice binds her own compression layer at /mine;
 	// bob's view is unaffected.
-	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "alice-comp"}, sfs.FS())
+	comp := layerOn(t, node, "compfs_creator", map[string]string{"name": "alice-comp"}, sfs.Coherency)
 	if err := alice.Bind("mine", comp, Root); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +347,7 @@ func TestPerUserNamespaces(t *testing.T) {
 
 	// ACL-guarded export: only carol may resolve through the guarded
 	// context.
-	guarded, err := node.ExportTo("secret-fs", sfs.FS(), "carol")
+	guarded, err := node.ExportTo("secret-fs", sfs.Coherency, "carol")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +373,8 @@ func TestArbitraryStackCompositions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			node := NewNode("compose")
 			defer node.Stop()
-			sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var top StackableFS = sfs.FS()
+			sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+			var top StackableFS = sfs.Coherency
 			for _, l := range perm {
 				creator := map[string]string{"comp": "compfs_creator", "crypt": "cryptfs_creator", "coh": "coherency_creator"}[l]
 				top = layerOn(t, node, creator, map[string]string{"name": l + "-" + name, "passphrase": "key-" + name}, top)
@@ -418,7 +393,7 @@ func TestArbitraryStackCompositions(t *testing.T) {
 				t.Error("round trip failed")
 			}
 			// Transforming stacks must not leak plaintext to the base.
-			raw, err := ReadFile(sfs.FS(), "data")
+			raw, err := ReadFile(sfs.Coherency, "data")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -472,25 +472,6 @@ func (f *compFile) Retain() { fsys.Retain(f.lower) }
 // Release implements fsys.HandleFile.
 func (f *compFile) Release() error { return fsys.Release(f.lower) }
 
-// CompressionRatio reports compressed/uncompressed size for the file's
-// current contents (1.0 = no saving; tests and examples).
-func (f *compFile) CompressionRatio() (float64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return 0, err
-	}
-	var comp int64
-	for _, e := range f.tbl.blocks {
-		comp += int64(e.clen)
-	}
-	uncomp := int64(len(f.tbl.blocks)) * BlockSize
-	if uncomp == 0 {
-		return 1, nil
-	}
-	return float64(comp) / float64(uncomp), nil
-}
-
 // Compact rewrites the compressed image dropping garbage extents left by
 // the append-only log, returning bytes reclaimed.
 func (f *compFile) Compact() (int64, error) {

@@ -21,14 +21,11 @@ import (
 func TestCompfsShortLowerReadIsNotData(t *testing.T) {
 	node := springfs.NewNode("conf-comp-hole")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
+	b, err := node.Build(specs["sfs-compfs"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := node.ConfigureStack("compfs_creator", map[string]string{"name": "compfs"}, []springfs.StackableFS{sfs.FS()}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp, sfs := b.Top, b.FS["sfs"]
 
 	f, err := comp.Create("victim", naming.Root)
 	if err != nil {
@@ -54,7 +51,7 @@ func TestCompfsShortLowerReadIsNotData(t *testing.T) {
 	// COMPFS memory. Then truncate the lower image back to where the new
 	// extents began — the in-memory table now points entirely past the
 	// lower file's end, the "short read at EOF" shape.
-	lower, err := sfs.FS().Open("victim", naming.Root)
+	lower, err := sfs.Open("victim", naming.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +90,11 @@ func TestCompfsShortLowerReadIsNotData(t *testing.T) {
 func TestCompfsPartialLowerExtent(t *testing.T) {
 	node := springfs.NewNode("conf-comp-part")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 8192})
+	b, err := node.Build(specs["sfs-compfs"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := node.ConfigureStack("compfs_creator", map[string]string{"name": "compfs"}, []springfs.StackableFS{sfs.FS()}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp, sfs := b.Top, b.FS["sfs"]
 	f, err := comp.Create("victim", naming.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +107,7 @@ func TestCompfsPartialLowerExtent(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	lower, err := sfs.FS().Open("victim", naming.Root)
+	lower, err := sfs.Open("victim", naming.Root)
 	if err != nil {
 		t.Fatal(err)
 	}

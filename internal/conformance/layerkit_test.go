@@ -19,11 +19,11 @@ func passthroughLayers(t *testing.T) map[string]springfs.StackableFS {
 	node := springfs.NewNode("layerkit")
 	t.Cleanup(node.Stop)
 	sfs := func(name string, split bool) springfs.StackableFS {
-		s, err := node.NewSFS(name, springfs.DiskOptions{Blocks: 2048, SeparateDomains: split})
+		b, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: name, Blocks: 2048, SeparateDomains: split}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.FS()
+		return b.Top
 	}
 	on := func(creator string, config map[string]string, under springfs.StackableFS) springfs.StackableFS {
 		layer, err := node.ConfigureStack(creator, config, []springfs.StackableFS{under}, "")
@@ -105,11 +105,12 @@ func TestSubContextsStayInsideTheLayer(t *testing.T) {
 func TestDirectoryResolvesLeaveNoState(t *testing.T) {
 	node := springfs.NewNode("dirs")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs", springfs.DiskOptions{Blocks: 2048, SeparateDomains: true})
+	b, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs", Blocks: 2048, SeparateDomains: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := sfs.FS()
+	sfs := b.Disks["sfs"]
+	fs := sfs.Coherency
 	if _, err := fs.CreateContext("d", naming.Root); err != nil {
 		t.Fatal(err)
 	}

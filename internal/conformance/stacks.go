@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"springfs"
-	"springfs/internal/blockdev"
 	"springfs/internal/dfs"
-	"springfs/internal/disklayer"
 	"springfs/internal/naming"
 	"springfs/internal/snapfs"
 	"springfs/internal/unixapi"
@@ -114,16 +112,13 @@ func localStack(node *springfs.Node, top springfs.StackableFS, dropCaches func()
 }
 
 // newDiskStack is the base shape: the raw (non-coherent) disk layer alone.
+// The SFS's coherency layer sits idle above it.
 func newDiskStack(node *springfs.Node) (*Stack, error) {
-	dev := blockdev.NewMem(8192, blockdev.ProfileNone)
-	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
-		return nil, err
-	}
-	disk, err := disklayer.Mount(dev, node.NewDomain("disk"), node.VMM(), "conf-disk")
+	b, err := node.Build(spec(8192, []string{"disk"}))
 	if err != nil {
 		return nil, err
 	}
-	return localStack(node, disk, node.VMM().DropCaches), nil
+	return localStack(node, b.Disks["disk"].Disk, b.DropCaches), nil
 }
 
 // newSnapCloneStack: processes run on a writable clone of a snapshot, so

@@ -170,9 +170,6 @@ func (fs *DiskFS) sweepOrphans() error {
 // now returns the current time in unix nanoseconds for inode stamps.
 func (fs *DiskFS) now() int64 { return fs.clock().UnixNano() }
 
-// SetClock overrides the time source (tests).
-func (fs *DiskFS) SetClock(clock func() time.Time) { fs.clock = clock }
-
 // Domain returns the serving domain.
 func (fs *DiskFS) Domain() *spring.Domain { return fs.domain }
 

@@ -50,13 +50,6 @@ func (ic *InterposedContext) InterceptAll(fn func(name string, original Object, 
 	ic.catchAll = fn
 }
 
-// RemoveIntercept drops the interceptor for name.
-func (ic *InterposedContext) RemoveIntercept(name string) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	delete(ic.intercept, name)
-}
-
 // Original returns the wrapped context.
 func (ic *InterposedContext) Original() Context { return ic.original }
 

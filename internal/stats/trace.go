@@ -217,38 +217,6 @@ func RenderTrace(spans []Span) string {
 	return b.String()
 }
 
-// SpanStat aggregates the spans sharing one name.
-type SpanStat struct {
-	Name     string
-	Boundary Boundary
-	Count    int64
-	Total    time.Duration
-	Bytes    int64
-}
-
-// AggregateSpans sums spans by name, ordered by descending total time.
-func AggregateSpans(spans []Span) []SpanStat {
-	byName := make(map[string]*SpanStat)
-	var order []string
-	for _, s := range spans {
-		st, ok := byName[s.Name]
-		if !ok {
-			st = &SpanStat{Name: s.Name, Boundary: s.Boundary}
-			byName[s.Name] = st
-			order = append(order, s.Name)
-		}
-		st.Count++
-		st.Total += s.Duration
-		st.Bytes += s.Bytes
-	}
-	out := make([]SpanStat, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	return out
-}
-
 // fmtSpanDur renders a duration compactly for trace output.
 func fmtSpanDur(d time.Duration) string {
 	switch {

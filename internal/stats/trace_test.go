@@ -113,25 +113,6 @@ func TestRenderTraceNesting(t *testing.T) {
 	}
 }
 
-func TestAggregateSpans(t *testing.T) {
-	base := time.Now()
-	spans := []Span{
-		{Name: "a", Start: base, Duration: time.Millisecond, Bytes: 10},
-		{Name: "b", Start: base, Duration: 5 * time.Millisecond},
-		{Name: "a", Start: base, Duration: 2 * time.Millisecond, Bytes: 30},
-	}
-	agg := AggregateSpans(spans)
-	if len(agg) != 2 {
-		t.Fatalf("aggregated to %d entries, want 2", len(agg))
-	}
-	if agg[0].Name != "b" { // sorted by total desc
-		t.Errorf("agg[0] = %s, want b", agg[0].Name)
-	}
-	if agg[1].Count != 2 || agg[1].Total != 3*time.Millisecond || agg[1].Bytes != 40 {
-		t.Errorf("a aggregate = %+v, want count 2, 3ms, 40 bytes", agg[1])
-	}
-}
-
 func TestOpHotGating(t *testing.T) {
 	hot := NewHotOp("test.hot_gating", BoundaryDirect)
 	cold := NewOp("test.cold_gating", BoundaryDirect)

@@ -24,35 +24,46 @@ import (
 type rig struct {
 	node *springfs.Node
 	st   *springfs.StripeFS
-	meta *springfs.SFS
-	data []*springfs.SFS
+	meta springfs.StackableFS
+	data []springfs.StackableFS
+}
+
+// sfss builds one 8192-block SFS per name on node and returns every
+// exported file system by name.
+func sfss(t *testing.T, node *springfs.Node, names ...string) map[string]springfs.StackableFS {
+	t.Helper()
+	var spec springfs.Spec
+	for _, name := range names {
+		spec.Disks = append(spec.Disks, springfs.DiskSpec{Name: name, Blocks: 8192})
+	}
+	b, err := node.Build(spec)
+	if err != nil {
+		t.Fatalf("SFS: %v", err)
+	}
+	return b.FS
 }
 
 func newRig(t *testing.T, k int, stripeSize int64) *rig {
 	t.Helper()
 	node := springfs.NewNode("stripe-test")
 	t.Cleanup(node.Stop)
-	meta, err := node.NewSFS("meta", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("meta SFS: %v", err)
+	names := []string{"meta"}
+	for i := 0; i < k; i++ {
+		names = append(names, fmt.Sprintf("data%d", i))
 	}
+	fs := sfss(t, node, names...)
 	st, err := stripefs.New(node.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: stripeSize})
 	if err != nil {
 		t.Fatalf("stripefs.New: %v", err)
 	}
-	if err := st.StackOn(meta.FS()); err != nil {
-		t.Fatalf("StackOn meta: %v", err)
-	}
-	r := &rig{node: node, st: st, meta: meta}
-	for i := 0; i < k; i++ {
-		data, err := node.NewSFS(fmt.Sprintf("data%d", i), springfs.DiskOptions{Blocks: 8192})
-		if err != nil {
-			t.Fatalf("data SFS %d: %v", i, err)
+	r := &rig{node: node, st: st, meta: fs["meta"]}
+	for _, name := range names {
+		if err := st.StackOn(fs[name]); err != nil {
+			t.Fatalf("StackOn %s: %v", name, err)
 		}
-		if err := st.StackOn(data.FS()); err != nil {
-			t.Fatalf("StackOn data%d: %v", i, err)
+		if name != "meta" {
+			r.data = append(r.data, fs[name])
 		}
-		r.data = append(r.data, data)
 	}
 	return r
 }
@@ -60,7 +71,7 @@ func newRig(t *testing.T, k int, stripeSize int64) *rig {
 // objCount counts stripe objects on data server k.
 func (r *rig) objCount(t *testing.T, k int) int {
 	t.Helper()
-	bindings, err := r.data[k].FS().List(springfs.Root)
+	bindings, err := r.data[k].List(springfs.Root)
 	if err != nil {
 		t.Fatalf("listing data server %d: %v", k, err)
 	}
@@ -339,14 +350,14 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	// Fake a crashed create: a temporary layout and an unreferenced object.
-	tmp, err := r.meta.FS().Create(".stripe-tmp-00000000deadbeef", springfs.Root)
+	tmp, err := r.meta.Create(".stripe-tmp-00000000deadbeef", springfs.Root)
 	if err != nil {
 		t.Fatalf("debris tmp: %v", err)
 	}
 	if _, err := tmp.WriteAt([]byte("partial"), 0); err != nil {
 		t.Fatalf("debris tmp write: %v", err)
 	}
-	if _, err := r.data[0].FS().Create(".sobj-00000000deadbeef", springfs.Root); err != nil {
+	if _, err := r.data[0].Create(".sobj-00000000deadbeef", springfs.Root); err != nil {
 		t.Fatalf("debris object: %v", err)
 	}
 
@@ -355,11 +366,11 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stripefs.New: %v", err)
 	}
-	if err := st2.StackOn(r.meta.FS()); err != nil {
+	if err := st2.StackOn(r.meta); err != nil {
 		t.Fatalf("StackOn meta: %v", err)
 	}
 	for _, d := range r.data {
-		if err := st2.StackOn(d.FS()); err != nil {
+		if err := st2.StackOn(d); err != nil {
 			t.Fatalf("StackOn data: %v", err)
 		}
 	}
@@ -370,10 +381,10 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 	if !bytes.Equal(content, bytes.Repeat([]byte{7}, 2*S)) {
 		t.Fatalf("live.bin corrupted after sweep")
 	}
-	if _, err := r.meta.FS().Resolve(".stripe-tmp-00000000deadbeef", springfs.Root); err == nil {
+	if _, err := r.meta.Resolve(".stripe-tmp-00000000deadbeef", springfs.Root); err == nil {
 		t.Fatalf("stale temporary layout survived the sweep")
 	}
-	if _, err := r.data[0].FS().Resolve(".sobj-00000000deadbeef", springfs.Root); err == nil {
+	if _, err := r.data[0].Resolve(".sobj-00000000deadbeef", springfs.Root); err == nil {
 		t.Fatalf("orphaned stripe object survived the sweep")
 	}
 	if n := r.objCount(t, 0) + r.objCount(t, 1); n != 2 {
@@ -390,7 +401,7 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	r := newRig(t, 2, S)
 	swept := stats.Default.Counter("stripe.swept")
 	r.st.MarkUnhealthy(1)
-	if _, err := r.data[1].FS().Create(debris, springfs.Root); err != nil {
+	if _, err := r.data[1].Create(debris, springfs.Root); err != nil {
 		t.Fatalf("debris object: %v", err)
 	}
 	f, err := r.st.Create("live.bin", springfs.Root)
@@ -400,7 +411,7 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	if _, err := f.WriteAt(bytes.Repeat([]byte{7}, S), 0); err != nil {
 		t.Fatalf("write to the healthy server's stripe: %v", err)
 	}
-	if _, err := r.data[1].FS().Resolve(debris, springfs.Root); err != nil {
+	if _, err := r.data[1].Resolve(debris, springfs.Root); err != nil {
 		t.Fatalf("the first sweep reached a server that is out of the fan-out: %v", err)
 	}
 
@@ -412,7 +423,7 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	if _, err := r.st.Resolve("live.bin", springfs.Root); err != nil {
 		t.Fatalf("Resolve after revive: %v", err)
 	}
-	if _, err := r.data[1].FS().Resolve(debris, springfs.Root); err == nil {
+	if _, err := r.data[1].Resolve(debris, springfs.Root); err == nil {
 		t.Errorf("debris on the revived server survived the next operation's sweep")
 	}
 	if got := swept.Value() - before; got != 1 {
@@ -485,32 +496,27 @@ func newDFSRig(t *testing.T, k int, stripeSize int64) *dfsRig {
 	t.Helper()
 	client := springfs.NewNode("stripe-client")
 	t.Cleanup(client.Stop)
-	meta, err := client.NewSFS("meta", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("meta SFS: %v", err)
-	}
+	meta := sfss(t, client, "meta")["meta"]
 	st, err := stripefs.New(client.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: stripeSize})
 	if err != nil {
 		t.Fatalf("stripefs.New: %v", err)
 	}
-	if err := st.StackOn(meta.FS()); err != nil {
+	if err := st.StackOn(meta); err != nil {
 		t.Fatalf("StackOn meta: %v", err)
 	}
 	r := &dfsRig{client: client, st: st}
 	for i := 0; i < k; i++ {
 		server := springfs.NewNode(fmt.Sprintf("stripe-srv%d", i))
 		t.Cleanup(server.Stop)
-		sfs, err := server.NewSFS(fmt.Sprintf("store%d", i), springfs.DiskOptions{Blocks: 8192})
-		if err != nil {
-			t.Fatalf("server %d SFS: %v", i, err)
-		}
+		store := fmt.Sprintf("store%d", i)
+		sfs := sfss(t, server, store)[store]
 		network := springfs.NewNetwork(springfs.LANInstant)
 		addr := fmt.Sprintf("srv%d:dfs", i)
 		l, err := network.Listen(addr)
 		if err != nil {
 			t.Fatalf("server %d listen: %v", i, err)
 		}
-		if _, err := server.ServeDFS(fmt.Sprintf("dfs%d", i), sfs.FS(), l); err != nil {
+		if _, err := server.ServeDFS(fmt.Sprintf("dfs%d", i), sfs, l); err != nil {
 			t.Fatalf("server %d serve: %v", i, err)
 		}
 		conn, err := network.Dial(addr)
@@ -596,34 +602,19 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 	const S = springfs.PageSize
 	node := springfs.NewNode("stripe-mirror-test")
 	defer node.Stop()
-	meta, err := node.NewSFS("meta", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("meta SFS: %v", err)
-	}
-	m1, err := node.NewSFS("m1", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("m1: %v", err)
-	}
-	m2, err := node.NewSFS("m2", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("m2: %v", err)
-	}
+	fs := sfss(t, node, "meta", "m1", "m2", "data1")
 	mirror := mirrorfs.New(node.NewDomain("mirror"), "mirror")
-	if err := mirror.StackOn(m1.FS()); err != nil {
+	if err := mirror.StackOn(fs["m1"]); err != nil {
 		t.Fatalf("mirror StackOn: %v", err)
 	}
-	if err := mirror.StackOn(m2.FS()); err != nil {
+	if err := mirror.StackOn(fs["m2"]); err != nil {
 		t.Fatalf("mirror StackOn: %v", err)
-	}
-	data1, err := node.NewSFS("data1", springfs.DiskOptions{Blocks: 8192})
-	if err != nil {
-		t.Fatalf("data1: %v", err)
 	}
 	st, err := stripefs.New(node.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: S})
 	if err != nil {
 		t.Fatalf("stripefs.New: %v", err)
 	}
-	for _, under := range []springfs.StackableFS{meta.FS(), mirror, data1.FS()} {
+	for _, under := range []springfs.StackableFS{fs["meta"], mirror, fs["data1"]} {
 		if err := st.StackOn(under); err != nil {
 			t.Fatalf("StackOn: %v", err)
 		}

@@ -17,8 +17,9 @@ import (
 	"springfs/internal/vm"
 )
 
-// newProc builds a process over SFS (coherency on disk).
-func newProc(t *testing.T) *Process {
+// newSFS builds SFS (coherency on disk) on a fresh node and returns it
+// with the node's VMM.
+func newSFS(t *testing.T) (*coherency.CohFS, *vm.VMM) {
 	t.Helper()
 	node := spring.NewNode("n")
 	t.Cleanup(node.Stop)
@@ -36,6 +37,13 @@ func newProc(t *testing.T) *Process {
 	if err := sfs.StackOn(disk); err != nil {
 		t.Fatal(err)
 	}
+	return sfs, vmm
+}
+
+// newProc builds a process over SFS.
+func newProc(t *testing.T) *Process {
+	t.Helper()
+	sfs, _ := newSFS(t)
 	return NewProcess(sfs, naming.Root)
 }
 
@@ -523,22 +531,7 @@ func TestCleanPathFastAgreesWithSlow(t *testing.T) {
 }
 
 func TestMmap(t *testing.T) {
-	node := spring.NewNode("n")
-	defer node.Stop()
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	dev := blockdev.NewMem(1024, blockdev.ProfileNone)
-	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	domain := spring.NewDomain(node, "disk")
-	disk, err := disklayer.Mount(dev, domain, vmm, "disk0a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfs := coherency.New(domain, vmm, "sfs")
-	if err := sfs.StackOn(disk); err != nil {
-		t.Fatal(err)
-	}
+	sfs, vmm := newSFS(t)
 	p := NewProcessVM(sfs, naming.Root, vmm)
 
 	fd, err := p.Open("/mapped", O_RDWR|O_CREAT)
@@ -600,5 +593,38 @@ func TestMmap(t *testing.T) {
 	}
 	if _, err := plain.Mmap(pfd, 0); !errors.Is(err, EINVAL) {
 		t.Errorf("mmap without VM = %v, want EINVAL", err)
+	}
+}
+
+// TestMmapPastTruncationReadsZeros pins a known deviation (docs/POSIX.md,
+// "Memory mapping"): after ftruncate shrinks a mapped file, loads through
+// the live mapping past the new end return zeros with no error, where
+// POSIX raises SIGBUS for the pages wholly beyond it.
+func TestMmapPastTruncationReadsZeros(t *testing.T) {
+	sfs, vmm := newSFS(t)
+	p := NewProcessVM(sfs, naming.Root, vmm)
+	fd, err := p.Open("/shrunk", O_RDWR|O_CREAT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write(fd, bytes.Repeat([]byte{'x'}, 3*vm.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Mmap(fd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Ftruncate(fd, 100); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 3*vm.PageSize)
+	if _, err := m.Read(got, 0); err != nil {
+		t.Fatalf("load past the new end = %v, want zeros and no error", err)
+	}
+	if !bytes.Equal(got[:100], bytes.Repeat([]byte{'x'}, 100)) {
+		t.Errorf("the kept 100 bytes read %q", got[:8])
+	}
+	if i := bytes.IndexFunc(got[100:], func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Errorf("byte %d past the new end reads %#x, want 0", 100+i, got[100+i])
 	}
 }

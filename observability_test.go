@@ -29,12 +29,9 @@ func TestFigure9RemoteReadTrace(t *testing.T) {
 	client := NewNode("client")
 	defer client.Stop()
 
-	sfs, err := server.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, server, DiskSpec{Name: "sfs0a"})
 	comp, err := server.ConfigureStack("compfs_creator",
-		map[string]string{"name": "comp"}, []StackableFS{sfs.FS()}, "comp")
+		map[string]string{"name": "comp"}, []StackableFS{sfs.Coherency}, "comp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func TestFigure9RemoteReadTrace(t *testing.T) {
 
 	// Drop the server-side block cache so the traced read walks the whole
 	// stack down to the modelled device, as in the paper's cold case.
-	if err := sfs.FS().(interface{ DropDataCaches() error }).DropDataCaches(); err != nil {
+	if err := sfs.Coherency.DropDataCaches(); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
@@ -103,15 +100,12 @@ func TestFigure9RemoteReadTrace(t *testing.T) {
 func TestCachedReadRecordsNoLowerLayerSpans(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
 	content := []byte(strings.Repeat("cached ", 512))
-	if err := WriteFile(sfs.FS(), "hot.txt", content); err != nil {
+	if err := WriteFile(sfs.Coherency, "hot.txt", content); err != nil {
 		t.Fatal(err)
 	}
-	f, err := sfs.FS().Open("hot.txt", Root)
+	f, err := sfs.Coherency.Open("hot.txt", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +136,7 @@ func TestCachedReadRecordsNoLowerLayerSpans(t *testing.T) {
 
 	// Contrast: after dropping the data caches the same read must page the
 	// block back in, and the trace shows the full path to the device.
-	dropper, ok := sfs.FS().(interface{ DropDataCaches() error })
-	if !ok {
-		t.Fatalf("%T does not expose DropDataCaches", sfs.FS())
-	}
-	if err := dropper.DropDataCaches(); err != nil {
+	if err := sfs.Coherency.DropDataCaches(); err != nil {
 		t.Fatal(err)
 	}
 	spans = stats.Trace.Capture(func() {

@@ -20,8 +20,8 @@
 //
 //	node := springfs.NewNode("demo")
 //	defer node.Stop()
-//	sfs, _ := node.NewSFS("sfs0a", springfs.DiskOptions{})
-//	f, _ := sfs.FS().Create("hello.txt", springfs.Root)
+//	stack, _ := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs0a"}}})
+//	f, _ := stack.Top.Create("hello.txt", springfs.Root)
 //	f.WriteAt([]byte("hello, spring"), 0)
 //
 // The Example functions of this package are complete, checked programs;
@@ -29,17 +29,13 @@
 package springfs
 
 import (
-	"fmt"
 	"net"
-	"sync"
 
-	"springfs/internal/blockdev"
 	"springfs/internal/cfs"
 	"springfs/internal/coherency"
 	"springfs/internal/compfs"
 	"springfs/internal/cryptfs"
 	"springfs/internal/dfs"
-	"springfs/internal/disklayer"
 	"springfs/internal/fsys"
 	"springfs/internal/interpose"
 	"springfs/internal/mirrorfs"
@@ -116,16 +112,16 @@ type Node struct {
 	node *spring.Node
 	vmm  *vm.VMM
 	root *naming.BasicContext
-
-	mu   sync.Mutex
-	sfss map[string]*SFS // assembled SFS instances by name
 }
 
-// NewNode boots a node: nucleus, VMM, and an empty root name space with a
-// /fs_creators context holding creators for the standard layer types.
+// NewNode boots a node: nucleus, VMM, and a root name space with an empty
+// /fs context, where Build binds each disk, and a /fs_creators context
+// holding creators for the standard layer types.
 func NewNode(name string) *Node {
 	sn := spring.NewNode(name)
 	n := &Node{node: sn, vmm: vm.New(spring.NewDomain(sn, "vmm"), name+"-vmm"), root: naming.NewContext()}
+	_, err := n.root.CreateContext("fs", Root)
+	must(err)
 	// Register the standard creators in the well-known context, so stacks
 	// can be configured with the Section 4.4 recipe. A creator is a server
 	// whose instances live in its own domain, so layers of different types
@@ -161,10 +157,6 @@ func must(err error) {
 // the snapshot covers all nodes.
 func (n *Node) Snapshot() stats.Snapshot { return stats.Default.Export() }
 
-// ResetStats zeroes every counter and histogram in the observability
-// registry, starting a fresh measurement interval.
-func (n *Node) ResetStats() { stats.Default.ResetAll() }
-
 // Stop shuts the node's domains down.
 func (n *Node) Stop() { n.node.Stop() }
 
@@ -179,149 +171,12 @@ func (n *Node) NewDomain(name string) *spring.Domain {
 	return spring.NewDomain(n.node, name)
 }
 
-// Connect builds an invocation channel between two domains.
-func Connect(client, server *spring.Domain) *spring.Channel {
-	return spring.Connect(client, server)
-}
-
-// LookupCreator resolves a registered stackable_fs_creator by name (e.g.
-// "compfs_creator").
-func (n *Node) LookupCreator(name string) (fsys.Creator, error) {
-	return fsys.LookupCreator(n.root, name, Root)
-}
-
 // ConfigureStack runs the Section 4.4 recipe against the node's creator
 // registry: create an instance of creatorName, stack it on under (in
 // order), and bind it at exportName in the node's root (empty name skips
 // the bind).
 func (n *Node) ConfigureStack(creatorName string, config map[string]string, under []StackableFS, exportName string) (StackableFS, error) {
 	return fsys.ConfigureStack(n.root, creatorName, config, under, n.root, exportName, Root)
-}
-
-// DiskOptions configure NewSFS.
-type DiskOptions struct {
-	// Blocks is the device size in 4 KiB blocks (default 4096 = 16 MiB).
-	Blocks int64
-	// Latency is the device timing model (default: none).
-	Latency blockdev.LatencyProfile
-	// SeparateDomains puts the coherency layer in its own domain, with
-	// the disk layer in another — the paper's production configuration
-	// where the disk layer is wired down and the coherency layer is
-	// pageable (Section 6.2).
-	SeparateDomains bool
-}
-
-// SFS bundles the two layers of a Spring storage file system (Figure 10):
-// a coherency layer stacked on a disk layer, with all files exported via
-// the coherency layer.
-type SFS struct {
-	// Device is the simulated RAM disk; nil for file-backed volumes.
-	Device *blockdev.MemDevice
-	// RawDevice is the device regardless of backing.
-	RawDevice blockdev.Device
-	// Disk is the base (non-coherent) disk layer.
-	Disk *disklayer.DiskFS
-	// Coherency is the exported coherent layer.
-	Coherency *coherency.CohFS
-	// DiskDomain and CohDomain serve the two layers.
-	DiskDomain, CohDomain *spring.Domain
-}
-
-// FS returns the exported file system (the coherency layer).
-func (s *SFS) FS() StackableFS { return s.Coherency }
-
-// NewSFS formats a fresh device and assembles SFS on it, binding it at
-// /fs/<name> in the node's root.
-func (n *Node) NewSFS(name string, opts DiskOptions) (*SFS, error) {
-	if opts.Blocks == 0 {
-		opts.Blocks = 4096
-	}
-	dev := blockdev.NewMem(opts.Blocks, opts.Latency)
-	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
-		return nil, err
-	}
-	return n.mountSFS(name, dev, opts.SeparateDomains)
-}
-
-// MountSFS assembles SFS over an existing formatted device.
-func (n *Node) MountSFS(name string, dev *blockdev.MemDevice, separateDomains bool) (*SFS, error) {
-	return n.mountSFS(name, dev, separateDomains)
-}
-
-func (n *Node) mountSFS(name string, dev *blockdev.MemDevice, separateDomains bool) (*SFS, error) {
-	return n.mountSFSOn(name, dev, dev, separateDomains)
-}
-
-// NewPersistentSFS assembles SFS over a file-backed device at path
-// (formatting it on first use), so the volume survives process restarts.
-func (n *Node) NewPersistentSFS(name, path string, blocks int64, separateDomains bool) (*SFS, error) {
-	if blocks == 0 {
-		blocks = 4096
-	}
-	dev, err := blockdev.OpenFile(path, blocks, blockdev.ProfileNone)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := disklayer.Mount(dev, n.NewDomain("probe"), n.vmm, "probe"); err != nil {
-		// Not formatted yet (or incompatible): format fresh.
-		if ferr := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); ferr != nil {
-			return nil, ferr
-		}
-	}
-	return n.mountSFSOn(name, nil, dev, separateDomains)
-}
-
-func (n *Node) mountSFSOn(name string, mem *blockdev.MemDevice, dev blockdev.Device, separateDomains bool) (*SFS, error) {
-	diskDomain := n.NewDomain(fmt.Sprintf("%s-disk", name))
-	cohDomain := diskDomain
-	if separateDomains {
-		cohDomain = n.NewDomain(fmt.Sprintf("%s-coherency", name))
-	}
-	disk, err := disklayer.Mount(dev, diskDomain, n.vmm, name+"-disk")
-	if err != nil {
-		return nil, err
-	}
-	coh := coherency.New(cohDomain, n.vmm, name)
-	var under StackableFS = disk
-	if separateDomains {
-		under = fsys.WrapStackable(spring.Connect(cohDomain, diskDomain), disk)
-	}
-	if err := coh.StackOn(under); err != nil {
-		return nil, err
-	}
-	if err := n.ensureFSContext(); err != nil {
-		return nil, err
-	}
-	if err := n.root.Bind("fs/"+name, coh, Root); err != nil {
-		return nil, err
-	}
-	sfs := &SFS{Device: mem, RawDevice: dev, Disk: disk, Coherency: coh, DiskDomain: diskDomain, CohDomain: cohDomain}
-	n.mu.Lock()
-	if n.sfss == nil {
-		n.sfss = make(map[string]*SFS)
-	}
-	n.sfss[name] = sfs
-	n.mu.Unlock()
-	return sfs, nil
-}
-
-// SFS returns the assembled SFS instance with the given name (as passed to
-// NewSFS/MountSFS/NewPersistentSFS), or nil if none exists. Tools use it
-// to reach below the exported coherency layer — e.g. springsh's fsck needs
-// the disk layer and its device.
-func (n *Node) SFS(name string) *SFS {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sfss[name]
-}
-
-func (n *Node) ensureFSContext() error {
-	if _, err := n.root.Resolve("fs", Root); err != nil {
-		if _, cerr := n.root.CreateContext("fs", Root); cerr != nil {
-			return cerr
-		}
-	}
-	return nil
 }
 
 // ServeDFS creates a DFS server stacked on under and starts serving
@@ -360,12 +215,6 @@ func Watch(orig File, hooks WatchdogHooks) File {
 // NewNetwork creates a simulated network with the given profile.
 func NewNetwork(profile NetProfile) *netsim.Network {
 	return netsim.New(profile)
-}
-
-// WrapStackable returns a cross-domain proxy for fs reachable over ch (the
-// stub layer of the paper; collapses to fs for same-domain channels).
-func WrapStackable(ch *spring.Channel, fs StackableFS) StackableFS {
-	return fsys.WrapStackable(ch, fs)
 }
 
 // ReadFile reads the whole content of the file at name under fs.

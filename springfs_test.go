@@ -2,20 +2,28 @@ package springfs
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 )
+
+// buildSFS builds a spec of the one disk d on node and returns its SFS.
+func buildSFS(t *testing.T, node *Node, d DiskSpec) *SFS {
+	t.Helper()
+	b, err := node.Build(Spec{Disks: []DiskSpec{d}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Disks[d.Name]
+}
 
 func TestNodeQuickstart(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	if err := WriteFile(sfs.Coherency, "hello.txt", []byte("hello, spring")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(sfs.FS(), "hello.txt", []byte("hello, spring")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(sfs.FS(), "hello.txt")
+	got, err := ReadFile(sfs.Coherency, "hello.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +46,9 @@ func TestConfigureStackRecipe(t *testing.T) {
 	// bind it in the name space.
 	node := NewNode("test")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
 	layer, err := node.ConfigureStack("compfs_creator",
-		map[string]string{"name": "compfs"}, []StackableFS{sfs.FS()}, "compfs")
+		map[string]string{"name": "compfs"}, []StackableFS{sfs.Coherency}, "compfs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +70,15 @@ func TestConfigureStackRecipe(t *testing.T) {
 
 // TestBuild assembles a three-layer stack from a Spec: every layer is
 // reachable by name, the last one is the top, and data round-trips
-// through it without reaching the disk in the clear.
+// through it without reaching the disk in the clear. The disk's coherency
+// layer is served from a domain of its own, so the disk layer's domain
+// counts the crossings; a second node mounting the same device reads the
+// first node's files.
 func TestBuild(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
 	b, err := node.Build(Spec{
-		Disks: []DiskSpec{{Name: "sfs0a"}},
+		Disks: []DiskSpec{{Name: "sfs0a", SeparateDomains: true}},
 		Layers: []LayerSpec{
 			{Name: "crypt", Creator: "cryptfs_creator", On: []string{"sfs0a"}, Config: map[string]string{"passphrase": "hunter2"}},
 			{Name: "comp", Creator: "compfs_creator", On: []string{"crypt"}},
@@ -80,7 +88,8 @@ func TestBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := b.Top
-	if top != b.FS["comp"] || b.FS["crypt"].FSName() != "crypt" || b.FS["sfs0a"] != node.SFS("sfs0a").FS() {
+	sfs := b.Disks["sfs0a"]
+	if top != b.FS["comp"] || b.FS["crypt"].FSName() != "crypt" || b.FS["sfs0a"] != sfs.Coherency {
 		t.Errorf("built %v, top %s", b.FS, top.FSName())
 	}
 	msg := bytes.Repeat([]byte("layered! "), 500)
@@ -94,6 +103,9 @@ func TestBuild(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Error("three-layer round trip failed")
 	}
+	if err := top.SyncFS(); err != nil {
+		t.Fatal(err)
+	}
 	// The bottom sees neither plaintext nor COMPFS structure in the
 	// clear.
 	raw, err := ReadFile(b.FS["sfs0a"], "deep")
@@ -103,10 +115,27 @@ func TestBuild(t *testing.T) {
 	if bytes.Contains(raw, []byte("layered!")) {
 		t.Error("plaintext visible at the base layer")
 	}
+	if sfs.CohDomain == sfs.DiskDomain {
+		t.Error("separate domains share one")
+	}
+	if sfs.DiskDomain.Invocations.Value() == 0 {
+		t.Error("no invocations reached the disk layer's domain")
+	}
+
+	if err := sfs.Disk.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	node2 := NewNode("test2")
+	defer node2.Stop()
+	again := buildSFS(t, node2, DiskSpec{Name: "sfs0a", Device: sfs.Device})
+	if got, err := ReadFile(again.Coherency, "deep"); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("remounted device reads %d bytes, %v; want the %d the first node stored", len(got), err, len(raw))
+	}
 }
 
 // TestBuildTop: the top is the last layer, or the last disk of a spec with
-// no layers; an empty spec, a name used twice and an unknown On are refused.
+// no layers; an empty spec, a name used twice, an unknown On and a device
+// given blocks or a path are refused.
 func TestBuildTop(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
@@ -127,6 +156,8 @@ func TestBuildTop(t *testing.T) {
 		{},
 		{Disks: []DiskSpec{{Name: "f"}}, Layers: []LayerSpec{{Name: "f", Creator: "identity_creator", On: []string{"f"}}}},
 		{Disks: []DiskSpec{{Name: "g"}}, Layers: []LayerSpec{{Name: "id", Creator: "identity_creator", On: []string{"nope"}}}},
+		{Disks: []DiskSpec{{Name: "h", Device: b.Disks["e1"].Device, Blocks: 4096}}},
+		{Disks: []DiskSpec{{Name: "i", Device: b.Disks["e1"].Device, Path: filepath.Join(t.TempDir(), "img")}}},
 	} {
 		if _, err := node.Build(bad); err == nil {
 			t.Errorf("Build(%+v) succeeded, want an error", bad)
@@ -137,11 +168,8 @@ func TestBuildTop(t *testing.T) {
 func TestWatchHelper(t *testing.T) {
 	node := NewNode("test")
 	defer node.Stop()
-	sfs, err := node.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sfs.FS().Create("w", Root)
+	sfs := buildSFS(t, node, DiskSpec{Name: "sfs0a"})
+	f, err := sfs.Coherency.Create("w", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +190,12 @@ func TestDFSThroughFacade(t *testing.T) {
 	remote := NewNode("remote")
 	defer remote.Stop()
 
-	sfs, err := home.NewSFS("sfs0a", DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
 	l, err := network.Listen("home:dfs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := home.ServeDFS("dfs", sfs.FS(), l)
+	srv, err := home.ServeDFS("dfs", sfs.Coherency, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,38 +220,12 @@ func TestDFSThroughFacade(t *testing.T) {
 	if err := cached.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(sfs.FS(), "shared")
+	got, err := ReadFile(sfs.Coherency, "shared")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "via facade" {
 		t.Errorf("home sees %q", got)
-	}
-}
-
-func TestSeparateDomainsSFS(t *testing.T) {
-	node := NewNode("test")
-	defer node.Stop()
-	sfs, err := node.NewSFS("split", DiskOptions{SeparateDomains: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sfs.DiskDomain == sfs.CohDomain {
-		t.Fatal("layers share a domain")
-	}
-	if err := WriteFile(sfs.FS(), "x", []byte("cross-domain stack works")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(sfs.FS(), "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "cross-domain stack works" {
-		t.Errorf("got %q", got)
-	}
-	// The open path crossed domains at least once.
-	if sfs.DiskDomain.Invocations.Value() == 0 {
-		t.Error("no invocations reached the disk layer's domain")
 	}
 }
 

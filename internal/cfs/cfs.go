@@ -128,9 +128,6 @@ var (
 	_ naming.ProxyWrappable = (*cfsFile)(nil)
 )
 
-// Remote returns the interposed remote file (tests).
-func (f *cfsFile) Remote() *dfs.RemoteFile { return f.lower }
-
 // WrapForChannel implements naming.ProxyWrappable.
 func (f *cfsFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"springfs/internal/fsys"
@@ -96,20 +97,25 @@ func (c *Client) fileFor(id uint64) *RemoteFile {
 	return f
 }
 
-// Open resolves a remote path to a file.
+// Open resolves a remote path to a file. A directory is
+// fsys.ErrIsDirectory: the lookup reply says so, where it would otherwise
+// fail like a missing name.
 func (c *Client) Open(path string) (*RemoteFile, error) { return c.open(OpLookup, path) }
 
 // Create creates a remote file.
 func (c *Client) Create(path string) (*RemoteFile, error) { return c.open(OpCreate, path) }
 
 // open issues a lookup or a create: both answer with the file's id and
-// attributes.
+// attributes, and a lookup of a directory with an empty reply.
 func (c *Client) open(op Op, path string) (*RemoteFile, error) {
 	var e encoder
 	e.str(path)
 	body, err := c.call(op, e.b)
 	if err != nil {
 		return nil, err
+	}
+	if op == OpLookup && len(body) == 0 {
+		return nil, fmt.Errorf("dfs: %s: %w", path, fsys.ErrIsDirectory)
 	}
 	d := decoder{b: body}
 	id := d.u64()
@@ -247,8 +253,15 @@ type RemoteFile struct {
 	// caching is enabled (by CFS); the server's callbacks keep it
 	// coherent either way.
 	attrs     fsys.AttrCache
-	attrCache bool
-	amu       sync.Mutex
+	attrCache atomic.Bool
+
+	// handles counts this machine's open handles on the file; the home node
+	// holds one claim for all of them (claimed). hmu is held across the
+	// retain or release that moves the claim, so no Retain returns before
+	// the claim it relies on exists at the home node.
+	hmu     sync.Mutex
+	handles int
+	claimed bool
 
 	// The write-ahead grant window, the mirror image of read-ahead: the home
 	// node records this client as writer of [wnext, wend) although no local
@@ -333,9 +346,7 @@ func (f *RemoteFile) WrapForChannel(ch *spring.Channel) naming.Object {
 // when it interposes on the file (Section 6.2: CFS caches file attributes
 // using the fs_pager and fs_cache objects).
 func (f *RemoteFile) EnableAttrCaching() {
-	f.amu.Lock()
-	defer f.amu.Unlock()
-	f.attrCache = true
+	f.attrCache.Store(true)
 }
 
 // Bind implements vm.MemoryObject: the local VMM (or any local cache
@@ -352,19 +363,14 @@ func (f *RemoteFile) Bind(caller vm.CacheManager, access vm.Rights, offset, leng
 // the length comes from the cached attributes (fetching and caching them
 // on miss); otherwise it is a remote call.
 func (f *RemoteFile) GetLength() (vm.Offset, error) {
-	f.amu.Lock()
-	cached := f.attrCache
-	f.amu.Unlock()
-	if cached {
+	if f.attrCache.Load() {
 		attrs, err := f.Stat()
 		if err != nil {
 			return 0, err
 		}
 		return attrs.Length, nil
 	}
-	var e encoder
-	e.u64(f.id)
-	body, err := f.client.call(OpGetLen, e.b)
+	body, err := f.callID(OpGetLen)
 	if err != nil {
 		return 0, err
 	}
@@ -465,35 +471,43 @@ func (f *RemoteFile) Append(p []byte) (int64, int, error) {
 	return off, n, d.err
 }
 
-// Retain implements fsys.HandleFile: the handle is recorded at the home
-// node so an unlink anywhere defers reclamation until this client closes.
+// Retain implements fsys.HandleFile: the home node records one claim for
+// this machine's handles, so an unlink anywhere defers reclamation until
+// the last of them closes. Only the first handle costs a round trip; if
+// that retain fails the file stays unclaimed and the next Retain asks again.
 func (f *RemoteFile) Retain() {
-	var e encoder
-	e.u64(f.id)
-	_, _ = f.client.call(OpRetain, e.b) // best effort
+	f.hmu.Lock()
+	defer f.hmu.Unlock()
+	f.handles++
+	if !f.claimed {
+		_, err := f.callID(OpRetain)
+		f.claimed = err == nil
+	}
 }
 
-// Release implements fsys.HandleFile.
+// Release implements fsys.HandleFile: the last handle on this machine
+// drops the claim at the home node.
 func (f *RemoteFile) Release() error {
-	var e encoder
-	e.u64(f.id)
-	_, err := f.client.call(OpRelease, e.b)
+	f.hmu.Lock()
+	defer f.hmu.Unlock()
+	f.handles = max(f.handles-1, 0)
+	if f.handles > 0 || !f.claimed {
+		return nil
+	}
+	f.claimed = false
+	_, err := f.callID(OpRelease)
 	return err
 }
 
 // Stat implements fsys.File.
 func (f *RemoteFile) Stat() (fsys.Attributes, error) {
-	f.amu.Lock()
-	cached := f.attrCache
-	f.amu.Unlock()
+	cached := f.attrCache.Load()
 	if cached {
 		if attrs, ok := f.attrs.Get(); ok {
 			return attrs, nil
 		}
 	}
-	var e encoder
-	e.u64(f.id)
-	body, err := f.client.call(OpGetAttr, e.b)
+	body, err := f.callID(OpGetAttr)
 	if err != nil {
 		return fsys.Attributes{}, err
 	}
@@ -510,9 +524,7 @@ func (f *RemoteFile) Stat() (fsys.Attributes, error) {
 
 // Sync implements fsys.File.
 func (f *RemoteFile) Sync() error {
-	var e encoder
-	e.u64(f.id)
-	_, err := f.client.call(OpSyncFile, e.b)
+	_, err := f.callID(OpSyncFile)
 	return err
 }
 
@@ -520,10 +532,15 @@ func (f *RemoteFile) Sync() error {
 // write grant the window stands for.
 func (f *RemoteFile) Close() error {
 	defer f.clipWindow(0, math.MaxInt64)
+	_, err := f.callID(OpClose)
+	return err
+}
+
+// callID issues op with the file's id as its whole payload.
+func (f *RemoteFile) callID(op Op) ([]byte, error) {
 	var e encoder
 	e.u64(f.id)
-	_, err := f.client.call(OpClose, e.b)
-	return err
+	return f.client.call(op, e.b)
 }
 
 // remotePager forwards pager operations over the protocol. It narrows to

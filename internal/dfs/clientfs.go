@@ -35,8 +35,7 @@ func (c *ClientFS) Create(name string, cred naming.Credentials) (fsys.File, erro
 	return c.client.Create(name)
 }
 
-// Open implements fsys.FS in one round trip, where resolving the name
-// first would cost a second one to tell a missing file from a directory.
+// Open implements fsys.FS in one round trip: the lookup.
 func (c *ClientFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
 	return c.client.Open(name)
 }
@@ -73,17 +72,17 @@ func (c *ClientFS) SyncFS() error {
 // remote server's stack; there is nothing local to stack on.
 func (c *ClientFS) StackOn(under fsys.StackableFS) error { return fsys.ErrAlreadyStacked }
 
-// Resolve implements naming.Context: files come back as RemoteFiles, and a
-// path that fails to open but lists successfully is a directory.
+// Resolve implements naming.Context in one round trip, the lookup, whose
+// reply tells a file (a RemoteFile) from a directory.
 func (c *ClientFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	f, oerr := c.client.Open(name)
-	if oerr == nil {
-		return f, nil
-	}
-	if _, lerr := c.client.List(name); lerr == nil {
+	f, err := c.client.Open(name)
+	if errors.Is(err, fsys.ErrIsDirectory) {
 		return c.Dir(name), nil
 	}
-	return nil, oerr
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Bind implements naming.Context.

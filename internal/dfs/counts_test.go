@@ -2,6 +2,8 @@ package dfs_test
 
 import (
 	"bytes"
+	"maps"
+	"strings"
 	"testing"
 
 	"springfs/internal/blockdev"
@@ -13,6 +15,7 @@ import (
 	"springfs/internal/naming"
 	"springfs/internal/netsim"
 	"springfs/internal/spring"
+	"springfs/internal/stats"
 	"springfs/internal/unixapi"
 	"springfs/internal/vm"
 )
@@ -119,6 +122,33 @@ func (r *countRig) homeFile(t *testing.T, path string, size int, fill byte) {
 	}
 }
 
+// calls runs fn and returns the round trips it cost per protocol op — the
+// client's requests and the home node's callbacks — from the dfs.<op>
+// histograms every round trip records.
+func (r *countRig) calls(t *testing.T, fn func() error) map[string]int64 {
+	t.Helper()
+	count := func() map[string]int64 {
+		m := make(map[string]int64)
+		for name, h := range stats.Default.Histograms() {
+			if op, ok := strings.CutPrefix(name, "dfs."); ok {
+				m[op] = h.Count()
+			}
+		}
+		return m
+	}
+	before := count()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for op, n := range count() {
+		if n > before[op] {
+			out[op] = n - before[op]
+		}
+	}
+	return out
+}
+
 // trips runs fn and returns the RPCs the client issued and the callbacks the
 // server issued meanwhile.
 func (r *countRig) trips(t *testing.T, fn func() error) (rpcs, callbacks int64) {
@@ -181,7 +211,7 @@ func TestWindowSequentialRewriteCounts(t *testing.T) {
 
 // TestAttrFlushAnswersAtHome: a client cannot hold modified attributes, so
 // the home node's attribute poll costs it no callback — a stat by path is the
-// lookup alone, an open+close is lookup, retain and release.
+// lookup alone, and so is an open+close beside the standing descriptor.
 func TestAttrFlushAnswersAtHome(t *testing.T) {
 	r := newCountRig(t)
 	r.homeFile(t, "small", 16<<10, 0x22)
@@ -212,14 +242,66 @@ func TestAttrFlushAnswersAtHome(t *testing.T) {
 		}
 		return r.proc.Close(fd)
 	})
-	if rpcs != 3 || callbacks != 0 {
-		t.Errorf("open+close cost %d RPCs and %d callbacks, want 3 and 0", rpcs, callbacks)
+	if rpcs != 1 || callbacks != 0 {
+		t.Errorf("open+close cost %d RPCs and %d callbacks, want 1 and 0", rpcs, callbacks)
+	}
+}
+
+// TestOpenRoundTrips: the machine holds one claim on a file for all its
+// descriptors, so an open+close is the lookup alone while another descriptor
+// on the machine stands, and lookup, retain and release when none does. A
+// lookup of a directory says so in its one round trip.
+func TestOpenRoundTrips(t *testing.T) {
+	r := newCountRig(t)
+	r.homeFile(t, "f", 4096, 0x44)
+	if err := r.proc.Mkdir("d"); err != nil {
+		t.Fatal(err)
+	}
+	openClose := func() error {
+		fd, err := r.proc.Open("f", unixapi.O_RDONLY)
+		if err != nil {
+			return err
+		}
+		return r.proc.Close(fd)
+	}
+	if got, want := r.calls(t, openClose), map[string]int64{"lookup": 1, "retain": 1, "release": 1}; !maps.Equal(got, want) {
+		t.Errorf("a lone open+close cost %v, want %v", got, want)
+	}
+	if _, err := r.proc.Open("f", unixapi.O_RDONLY); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.calls(t, openClose), map[string]int64{"lookup": 1}; !maps.Equal(got, want) {
+		t.Errorf("an open+close beside a standing descriptor cost %v, want %v", got, want)
+	}
+	got := r.calls(t, func() error {
+		st, err := r.proc.Stat("d")
+		if err == nil && !st.IsDir {
+			t.Error("stat of a directory says it is not one")
+		}
+		return err
+	})
+	if want := map[string]int64{"lookup": 1}; !maps.Equal(got, want) {
+		t.Errorf("stat of a directory cost %v, want %v", got, want)
+	}
+}
+
+// TestCreatRoundTrips: creat of a new name is the lookup that misses, the
+// create and the retain — no probe for a directory, no truncation of the
+// file it just made and so no refetch of the attributes the create returned.
+func TestCreatRoundTrips(t *testing.T) {
+	r := newCountRig(t)
+	got := r.calls(t, func() error {
+		_, err := r.proc.Creat("new")
+		return err
+	})
+	if want := map[string]int64{"lookup": 1, "create": 1, "retain": 1}; !maps.Equal(got, want) {
+		t.Errorf("creat of a new file cost %v, want %v", got, want)
 	}
 }
 
 // TestLifecycleRoundTrips: creat → pwrite 2 KiB → fsync → close → stat →
-// rename → unlink, the benchmark's file lifecycle, in at most 17 round trips
-// (it was 14 RPCs and 6 callbacks).
+// rename → unlink, the benchmark's file lifecycle, in at most 13 round trips
+// (it was 14 RPCs and 6 callbacks, then 14 and 3).
 func TestLifecycleRoundTrips(t *testing.T) {
 	r := newCountRig(t)
 	if err := r.proc.Mkdir("dir"); err != nil {
@@ -255,7 +337,7 @@ func TestLifecycleRoundTrips(t *testing.T) {
 	r.trips(t, lifecycle("dir/f1"))
 	rpcs, callbacks := r.trips(t, lifecycle("dir/f2"))
 	t.Logf("lifecycle: %d RPCs + %d callbacks", rpcs, callbacks)
-	if rpcs+callbacks > 17 {
-		t.Errorf("one file lifecycle cost %d RPCs + %d callbacks = %d round trips, want at most 17", rpcs, callbacks, rpcs+callbacks)
+	if rpcs+callbacks > 13 {
+		t.Errorf("one file lifecycle cost %d RPCs + %d callbacks = %d round trips, want at most 13", rpcs, callbacks, rpcs+callbacks)
 	}
 }

@@ -24,6 +24,7 @@ type rig struct {
 
 	homeNode *spring.Node
 	homeVMM  *vm.VMM
+	disk     *disklayer.DiskFS
 	sfs      *coherency.CohFS
 	srv      *Server
 }
@@ -68,7 +69,7 @@ func newRigWithProfile(t *testing.T, profile netsim.Profile) *rig {
 	}
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
-	return &rig{t: t, network: network, homeNode: homeNode, homeVMM: homeVMM, sfs: sfs, srv: srv}
+	return &rig{t: t, network: network, homeNode: homeNode, homeVMM: homeVMM, disk: disk, sfs: sfs, srv: srv}
 }
 
 func (r *rig) newRemote(name string) *remoteNode {

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -22,8 +23,8 @@ type srvClient struct {
 	// client's behalf, whose forwardingCache carries the lower layer's
 	// coherency actions over the wire to that client.
 	sessions map[uint64]*fsys.LowerConn
-	// retained counts OpRetain handles per file, so a client that dies
-	// without releasing them does not pin unlinked files forever.
+	// retained counts each file's OpRetain claims (at most one), so a
+	// client that dies without releasing them cannot pin unlinked files.
 	retained map[uint64]int
 }
 
@@ -113,6 +114,9 @@ func (c *srvClient) handlePath(op Op, d *decoder) ([]byte, error) {
 			open = under.Create
 		}
 		lower, err := open(path, cred)
+		if op == OpLookup && errors.Is(err, fsys.ErrIsDirectory) {
+			return nil, nil // an empty reply names a directory
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -153,11 +157,7 @@ func (c *srvClient) handlePath(op Op, d *decoder) ([]byte, error) {
 		for _, b := range bindings {
 			e.str(b.Name)
 			_, isDir := b.Object.(naming.Context)
-			if isDir {
-				e.u8(1)
-			} else {
-				e.u8(0)
-			}
+			e.flag(isDir)
 		}
 		return e.b, nil
 	}
@@ -235,11 +235,7 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		if err != nil && !eof {
 			return nil, err
 		}
-		if eof {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
+		e.flag(eof)
 		e.bytes(buf[:read])
 		return e.b, nil
 
@@ -335,19 +331,38 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		encodeAttrs(&e, attrs)
 		return e.b, nil
 
-	case OpSetAttr:
-		attrs := decodeAttrs(d)
+	case OpSetAttr, OpSetLen:
+		var attrs fsys.Attributes
+		if op == OpSetAttr {
+			attrs = decodeAttrs(d)
+		} else {
+			attrs.Length = d.i64()
+		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		se, _, err := c.pagerFor(fileID, lower)
-		if err != nil {
-			return nil, err
+		// Through the client's session, when it has one, so the layer below
+		// calls back every other cache of the attributes but not the
+		// caller's, whose own change this is. Without a session the client
+		// caches nothing here to call back.
+		c.mu.Lock()
+		se := c.sessions[fileID]
+		c.mu.Unlock()
+		var fp fsys.FsPagerObject
+		if se != nil {
+			fp = se.FsPager()
 		}
-		if fp := se.FsPager(); fp != nil {
-			return nil, fp.SetAttributes(attrs)
+		if fp == nil {
+			return nil, lower.SetLength(attrs.Length)
 		}
-		return nil, lower.SetLength(attrs.Length)
+		if op == OpSetLen {
+			length := attrs.Length
+			if attrs, err = fp.GetAttributes(); err != nil {
+				return nil, err
+			}
+			attrs.Length, attrs.ModifyTime = length, time.Now()
+		}
+		return nil, fp.SetAttributes(attrs)
 
 	case OpGetLen:
 		l, err := lower.GetLength()
@@ -356,13 +371,6 @@ func (c *srvClient) handleFile(op Op, d *decoder) ([]byte, error) {
 		}
 		e.i64(l)
 		return e.b, nil
-
-	case OpSetLen:
-		l := d.i64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		return nil, lower.SetLength(l)
 
 	case OpSyncFile:
 		return nil, lower.Sync()

@@ -62,9 +62,9 @@ const (
 	// authoritative length lives, so O_APPEND is atomic across every
 	// client of the file.
 	OpAppend
-	// OpRetain/OpRelease mirror fsys.Retain/Release over the wire so an
-	// unlink on any node defers storage reclamation until the last handle
-	// anywhere is closed.
+	// OpRetain/OpRelease carry a client machine's one claim on a file (its
+	// first handle and its last) so an unlink on any node defers storage
+	// reclamation until the last handle anywhere is closed.
 	OpRetain
 	OpRelease
 
@@ -161,6 +161,13 @@ func (e *encoder) bytes(v []byte) {
 	e.b = append(e.b, v...)
 }
 func (e *encoder) str(v string) { e.bytes([]byte(v)) }
+func (e *encoder) flag(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+}
 
 // decoder consumes payloads.
 type decoder struct {

@@ -44,9 +44,6 @@ var (
 	_ naming.ProxyWrappable = (*diskFile)(nil)
 )
 
-// Ino returns the file's inode number (tests and diagnostics).
-func (f *diskFile) Ino() uint64 { return f.ino }
-
 // WrapForChannel implements naming.ProxyWrappable.
 func (f *diskFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)

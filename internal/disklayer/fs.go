@@ -816,6 +816,3 @@ func (d *diskDir) CreateContext(name string, cred naming.Credentials) (naming.Co
 	}
 	return out, nil
 }
-
-// Ino returns the directory's inode number (tests).
-func (d *diskDir) Ino() uint64 { return d.ino }

@@ -63,9 +63,6 @@ func New(orig fsys.File, hooks Hooks) *File {
 	return &File{orig: orig, hooks: hooks}
 }
 
-// Original returns the wrapped file.
-func (f *File) Original() fsys.File { return f.orig }
-
 // WrapForChannel implements naming.ProxyWrappable.
 func (f *File) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)

@@ -50,9 +50,6 @@ func (ic *InterposedContext) InterceptAll(fn func(name string, original Object, 
 	ic.catchAll = fn
 }
 
-// Original returns the wrapped context.
-func (ic *InterposedContext) Original() Context { return ic.original }
-
 // Resolve implements Context, applying interceptors on the last component.
 func (ic *InterposedContext) Resolve(name string, cred Credentials) (Object, error) {
 	parts, err := SplitName(name)

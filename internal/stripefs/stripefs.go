@@ -448,24 +448,15 @@ func (s *StripeFS) fileFor(name string, l layout, metaFile fsys.File) *stripeFil
 
 // Create implements fsys.FS: a fresh layout is committed on the metadata
 // FS; stripe objects are created lazily on first write to each server.
-// Creating a name that already holds a striped file returns the existing
-// file (the POSIX O_CREAT-without-O_EXCL shape the upper layers expect).
+// Like the disk layer's, a Create fails on a name that is already bound.
 func (s *StripeFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
 	meta, servers, err := s.stacked()
 	if err != nil {
 		return nil, err
 	}
 	s.sweep(cred)
-	if obj, rerr := meta.Resolve(name, cred); rerr == nil {
-		mf, err := fsys.AsFile(obj)
-		if err != nil {
-			return nil, err
-		}
-		l, err := readLayout(mf)
-		if err != nil {
-			return nil, fmt.Errorf("stripefs: %s: %w", name, err)
-		}
-		return s.fileFor(name, l, mf), nil
+	if _, rerr := meta.Resolve(name, cred); rerr == nil {
+		return nil, fmt.Errorf("stripefs: %s: %w", name, naming.ErrExists)
 	}
 	l := layout{objID: newObjID(), stripeSize: s.stripeSize, count: len(servers)}
 	if err := s.commitLayout(meta, name, l, cred); err != nil {

@@ -239,6 +239,29 @@ func TestStripeSparseHolesSpanServers(t *testing.T) {
 	verify(t, f, model, "sparse")
 }
 
+// TestStripeCreateOverExistingFails: like every layer's Create, a Create of
+// a bound name fails and leaves the file as it was, so a file a Create
+// returns is always empty (unixapi skips O_TRUNC on one).
+func TestStripeCreateOverExistingFails(t *testing.T) {
+	const S = springfs.PageSize
+	r := newRig(t, 2, S)
+	f, err := r.st.Create("once.bin", springfs.Root)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	data := bytes.Repeat([]byte{5}, 3*S)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if _, err := r.st.Create("once.bin", springfs.Root); !errors.Is(err, naming.ErrExists) {
+		t.Fatalf("second Create: %v, want naming.ErrExists", err)
+	}
+	got, err := springfs.ReadFile(r.st, "once.bin")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("after the second Create the file reads %d bytes, %v; want the first Create's %d", len(got), err, len(data))
+	}
+}
+
 // TestStripeUnlinkWhileOpen: a retained striped file survives Remove — its
 // stripe objects drop their names but keep their storage behind the
 // retained handles, including objects first created after the unlink.

@@ -194,6 +194,7 @@ func (p *Process) Open(path string, flags int) (int, error) {
 		return -1, EISDIR
 	}
 	var file fsys.File
+	created := false
 	obj, rerr := p.fs.Resolve(clean, p.cred)
 	switch {
 	case rerr == nil:
@@ -210,11 +211,13 @@ func (p *Process) Open(path string, flags int) (int, error) {
 		if err != nil {
 			return -1, mapErr(err)
 		}
-		file = f
+		file, created = f, true
 	default:
 		return -1, mapErr(rerr)
 	}
-	if flags&O_TRUNC != 0 && flags&accessModeMask != O_RDONLY {
+	// A file this Open created is empty: every layer's Create fails on an
+	// existing name or truncates what it finds there.
+	if flags&O_TRUNC != 0 && flags&accessModeMask != O_RDONLY && !created {
 		if err := file.SetLength(0); err != nil {
 			return -1, mapErr(err)
 		}

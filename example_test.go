@@ -116,7 +116,7 @@ func ExampleNode_Build() {
 
 // Compression (Section 4.2.1, Figures 5 and 6): COMPFS stacked on SFS
 // stores a compressed image in the underlying file, which stays
-// accessible directly, and compacts the garbage that rewrites leave.
+// accessible directly, and reuses the space that rewrites free.
 func Example_compression() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
@@ -141,19 +141,27 @@ func Example_compression() {
 	fmt.Printf("file_COMP holds %d bytes; file_SFS stores them in under a tenth: %v\n", len(corpus), len(lower) < len(corpus)/10)
 	fmt.Println("file_SFS holds the plaintext:", strings.Contains(string(lower), "quick brown fox"))
 
-	// A rewrite appends fresh compressed blocks; Compact reclaims the old.
+	// A rewrite goes to fresh extents and frees the ones it replaces; once
+	// the sync that commits it is done, the next rewrite reuses that space.
 	f, err := stack.Top.Open("corpus.txt", springfs.Root)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte(strings.ToUpper(corpus[:8192])), 0); err != nil {
-		log.Fatal(err)
+	var stored []int
+	for _, text := range []string{strings.ToUpper(corpus[:8192]), corpus[:8192], strings.ToUpper(corpus[:8192])} {
+		if _, err := f.WriteAt([]byte(text), 0); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			log.Fatal(err)
+		}
+		lower, err := springfs.ReadFile(stack.FS["sfs0a"], "corpus.txt")
+		if err != nil {
+			log.Fatal(err)
+		}
+		stored = append(stored, len(lower))
 	}
-	reclaimed, err := f.(interface{ Compact() (int64, error) }).Compact()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("compaction reclaimed garbage:", reclaimed > 0)
+	fmt.Println("three synced rewrites, file_SFS never grew:", stored[2] <= stored[0])
 	head := make([]byte, 19)
 	if _, err := f.ReadAt(head, 0); err != nil {
 		log.Fatal(err)
@@ -162,7 +170,7 @@ func Example_compression() {
 	// Output:
 	// file_COMP holds 180000 bytes; file_SFS stores them in under a tenth: true
 	// file_SFS holds the plaintext: false
-	// compaction reclaimed garbage: true
+	// three synced rewrites, file_SFS never grew: true
 	// after the rewrite: "THE QUICK BROWN FOX"
 }
 

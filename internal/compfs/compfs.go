@@ -10,12 +10,10 @@
 //
 // # On-"disk" layout of the underlying file
 //
-//	[0, 4096):  header — magic, version, uncompressed length,
-//	            table offset/length, next free offset
-//	[4096, …):  log of compressed block extents; rewritten blocks are
-//	            appended and the old extent becomes garbage (reclaimed by
-//	            Compact)
-//	table:      at tableOff — count + (ublock, offset, clen) entries
+// The underlying file is an fsys.Image whose table holds the uncompressed
+// length and one (ublock, offset, clen) extent per stored block. A
+// rewritten block goes to a fresh extent and its old one is freed, so an
+// fsync reuses the space earlier rewrites and shrinks gave back.
 //
 // Each 4 KiB uncompressed block compresses independently (DEFLATE); blocks
 // that do not shrink are stored raw. Writes are write-through: a block
@@ -56,11 +54,12 @@ import (
 // BlockSize is the uncompressed block granularity (one VM page).
 const BlockSize = vm.PageSize
 
-// HeaderSize is the fixed header region of the underlying file.
-const HeaderSize = 4096
-
 // Magic identifies a COMPFS underlying file.
 const Magic = 0x434f4d5046530a01 // "COMPFS\n\x01"
+
+// imageVersion is the image format: version 1 kept the length and a
+// next-free offset in the header.
+const imageVersion = 2
 
 // Mode selects the coherency design point.
 type Mode int
@@ -107,6 +106,8 @@ func New(domain *spring.Domain, name string, mode Mode) *CompFS {
 	c := &CompFS{domain: domain, mode: mode, table: fsys.NewConnectionTable(domain)}
 	c.Init(name, c, func(lower fsys.File) fsys.File {
 		f := &compFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+		f.image = fsys.Image{Lower: lower, ReadAt: f.readLower, Magic: Magic,
+			Version: imageVersion, Align: 1, Bad: ErrBadFormat}
 		if mode == ModeCoherent {
 			f.conn = &fsys.LowerConn{Layer: name, ID: f.backing, Domain: domain,
 				Lower: lower, Access: vm.RightsRead, Cache: &compCacheObject{f: f}}
@@ -139,19 +140,6 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 
 // Mode returns the coherency mode.
 func (c *CompFS) Mode() Mode { return c.mode }
-
-// Create implements fsys.FS: creating file_COMP creates a fresh underlying
-// file holding an empty COMPFS image.
-func (c *CompFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	f, err := c.Passthrough.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.(*compFile).initImage(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
 
 // SyncFS implements fsys.FS: persist every cached block table, then sync
 // the layer below.
@@ -217,54 +205,54 @@ func decompressBlock(data []byte) ([]byte, error) {
 
 // ---- block table ----
 
-// extent locates one compressed block in the underlying file.
-type extent struct {
-	off  int64
-	clen int32
-}
-
-// blockTable maps uncompressed block numbers to extents.
+// blockTable maps uncompressed block numbers to the extents holding them
+// compressed.
 type blockTable struct {
-	blocks    map[int64]extent
+	blocks    map[int64]fsys.Extent
 	uncompLen int64
-	nextFree  int64
 }
 
 func newBlockTable() *blockTable {
-	return &blockTable{blocks: make(map[int64]extent), nextFree: HeaderSize}
+	return &blockTable{blocks: make(map[int64]fsys.Extent)}
 }
 
-// encode serialises the table (without the header).
+// encode serialises the table: the uncompressed length, a count, then one
+// (ublock, offset, clen) record per block.
 func (t *blockTable) encode() []byte {
 	be := binary.BigEndian
-	out := make([]byte, 4, 4+len(t.blocks)*20)
-	be.PutUint32(out, uint32(len(t.blocks)))
-	var rec [20]byte
+	out := be.AppendUint32(be.AppendUint64(make([]byte, 0, 12+20*len(t.blocks)), uint64(t.uncompLen)), uint32(len(t.blocks)))
 	for bn, e := range t.blocks {
-		be.PutUint64(rec[0:], uint64(bn))
-		be.PutUint64(rec[8:], uint64(e.off))
-		be.PutUint32(rec[16:], uint32(e.clen))
-		out = append(out, rec[:]...)
+		out = be.AppendUint32(be.AppendUint64(be.AppendUint64(out, uint64(bn)), uint64(e.Off)), uint32(e.Len))
 	}
 	return out
 }
 
-func decodeBlockTable(data []byte) (map[int64]extent, error) {
+// decodeBlockTable parses a committed table (empty: an empty image) and
+// returns the extents it references. A clen outside [1, BlockSize] is no
+// COMPFS extent.
+func decodeBlockTable(data []byte) (*blockTable, []fsys.Extent, error) {
 	be := binary.BigEndian
-	if len(data) < 4 {
-		return nil, ErrBadFormat
+	t := newBlockTable()
+	if len(data) == 0 {
+		return t, nil, nil
 	}
-	n := int(be.Uint32(data))
-	if len(data) < 4+20*n {
-		return nil, ErrBadFormat
+	if len(data) < 12 {
+		return nil, nil, ErrBadFormat
 	}
-	blocks := make(map[int64]extent, n)
+	t.uncompLen = int64(be.Uint64(data))
+	n := int(be.Uint32(data[8:]))
+	if t.uncompLen < 0 || len(data) < 12+20*n {
+		return nil, nil, ErrBadFormat
+	}
+	live := make([]fsys.Extent, 0, n)
 	for i := 0; i < n; i++ {
-		rec := data[4+20*i:]
-		blocks[int64(be.Uint64(rec[0:]))] = extent{
-			off:  int64(be.Uint64(rec[8:])),
-			clen: int32(be.Uint32(rec[16:])),
+		rec := data[12+20*i:]
+		off, clen := int64(be.Uint64(rec[8:])), be.Uint32(rec[16:])
+		if clen < 1 || clen > BlockSize {
+			return nil, nil, ErrBadFormat
 		}
+		t.blocks[int64(be.Uint64(rec[0:]))] = fsys.Extent{Off: off, Len: int64(clen)}
+		live = append(live, fsys.Extent{Off: off, Len: int64(clen)})
 	}
-	return blocks, nil
+	return t, live, nil
 }

@@ -2,6 +2,8 @@ package compfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -349,47 +351,6 @@ func TestMappedAccessThroughPager(t *testing.T) {
 	}
 }
 
-func TestCompactReclaimsGarbage(t *testing.T) {
-	r := newRig(t, ModeCoherent)
-	f, err := r.comp.Create("compact", naming.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the same block many times: the log accretes garbage.
-	msg := compressible(BlockSize)
-	for i := 0; i < 20; i++ {
-		msg[0] = byte(i)
-		if _, err := f.WriteAt(msg, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	cf := f.(*compFile)
-	before, _ := cf.Lower().GetLength()
-	reclaimed, err := cf.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed <= 0 {
-		t.Errorf("Compact reclaimed %d bytes", reclaimed)
-	}
-	after, _ := cf.Lower().GetLength()
-	if after >= before {
-		t.Errorf("lower length %d -> %d after compact", before, after)
-	}
-	// Content intact.
-	got := make([]byte, BlockSize)
-	if _, err := f.ReadAt(got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	msg[0] = 19
-	if !bytes.Equal(got, msg) {
-		t.Error("content changed by Compact")
-	}
-}
-
 func TestEOFSemantics(t *testing.T) {
 	r := newRig(t, ModeCoherent)
 	f, err := r.comp.Create("eof", naming.Root)
@@ -486,26 +447,27 @@ func TestPropertyRoundTripMatchesModel(t *testing.T) {
 
 func TestBlockTableEncodeDecode(t *testing.T) {
 	tbl := newBlockTable()
-	tbl.blocks[0] = extent{off: 4096, clen: 100}
-	tbl.blocks[7] = extent{off: 4196, clen: 4096}
-	tbl.blocks[123] = extent{off: 9000, clen: 1}
-	decoded, err := decodeBlockTable(tbl.encode())
+	tbl.uncompLen = 124*BlockSize + 5
+	tbl.blocks[0] = fsys.Extent{Off: 4096, Len: 100}
+	tbl.blocks[7] = fsys.Extent{Off: 4196, Len: 4096}
+	tbl.blocks[123] = fsys.Extent{Off: 9000, Len: 1}
+	decoded, live, err := decodeBlockTable(tbl.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decoded) != 3 {
-		t.Fatalf("decoded %d entries", len(decoded))
+	if len(decoded.blocks) != 3 || len(live) != 3 || decoded.uncompLen != tbl.uncompLen {
+		t.Fatalf("decoded %d entries, %d extents, length %d", len(decoded.blocks), len(live), decoded.uncompLen)
 	}
 	for bn, e := range tbl.blocks {
-		if decoded[bn] != e {
-			t.Errorf("block %d: %+v != %+v", bn, decoded[bn], e)
+		if decoded.blocks[bn] != e {
+			t.Errorf("block %d: %+v != %+v", bn, decoded.blocks[bn], e)
 		}
 	}
 	// Corruption.
-	if _, err := decodeBlockTable([]byte{1, 2}); err == nil {
+	if _, _, err := decodeBlockTable([]byte{1, 2}); err == nil {
 		t.Error("short table decoded")
 	}
-	if _, err := decodeBlockTable([]byte{0, 0, 0, 5}); err == nil {
+	if _, _, err := decodeBlockTable([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5}); err == nil {
 		t.Error("truncated table decoded")
 	}
 }
@@ -526,4 +488,63 @@ func TestCreatorModes(t *testing.T) {
 	}
 	var c fsys.Creator = creator
 	_ = c
+}
+
+// TestOversizedClenIsBadImage: a table entry whose stored length is no
+// compressed-block length (here 0xFFFFFFFF, which decoded as -1 and
+// panicked in the read path) makes the image bad; it is not read.
+func TestOversizedClenIsBadImage(t *testing.T) {
+	r := newRig(t, ModeCoherent)
+	f, err := r.comp.Create("doc", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, BlockSize) // incompressible: stored raw, clen 4096
+	x := uint32(99)
+	for i := range raw {
+		x = x*1664525 + 1013904223
+		raw[i] = byte(x >> 24)
+	}
+	if _, err := f.WriteAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Find block 0's table entry — (ublock 0, offset, clen 4096) — and
+	// set its clen to 0xFFFFFFFF.
+	lower := f.(*compFile).Lower()
+	length, err := lower.GetLength()
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := make([]byte, length)
+	if _, err := lower.ReadAt(image, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	at := -1
+	for i := len(image) - 20; i >= 0 && at < 0; i-- {
+		rec := image[i : i+20]
+		off := int64(binary.BigEndian.Uint64(rec[8:]))
+		if bytes.Equal(rec[:8], make([]byte, 8)) && binary.BigEndian.Uint32(rec[16:]) == BlockSize && off >= BlockSize && off < length {
+			at = i + 16
+		}
+	}
+	if at < 0 {
+		t.Fatal("block 0's table entry not found in the image")
+	}
+	if _, err := lower.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	comp2 := New(spring.NewDomain(r.node, "compfs2"), "compfs2", ModeCoherent)
+	if err := comp2.StackOn(r.sfs); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := comp2.Open("doc", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f2.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("read through a table entry of clen 0xFFFFFFFF = %v, want ErrBadFormat", err)
+	}
 }

@@ -1,7 +1,7 @@
 package compfs
 
 import (
-	"encoding/binary"
+	"bytes"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -26,13 +26,14 @@ var (
 // compFile is one COMPFS file: a transforming wrapper around a lower file
 // holding the compressed image. Data writes are write-through (compressed
 // immediately into the lower file); the block table is cached in memory
-// and written back on Sync.
+// and committed on Sync.
 type compFile struct {
 	fs      *CompFS
 	lower   fsys.File
 	backing uint64
 
 	mu       sync.Mutex
+	image    fsys.Image
 	tbl      *blockTable // nil until loaded
 	tblDirty bool
 
@@ -48,6 +49,9 @@ type compFile struct {
 	// per-block protocol state, possibly during one of this file's own
 	// lower-layer calls — taking f.mu here would deadlock.
 	tblStale atomic.Bool
+	// writing is set while the file writes its own image: what that
+	// revokes changes nothing COMPFS or its clients hold.
+	writing atomic.Bool
 }
 
 var (
@@ -78,6 +82,9 @@ var _ vm.CacheObject = (*compCacheObject)(nil)
 func (c *compCacheObject) invalidate() {
 	f := c.f
 	f.fs.Invalidations.Inc()
+	if f.writing.Load() {
+		return
+	}
 	// Mark the cached block table stale; the next operation reloads it
 	// from the (changed) underlying file. Lock-free — see tblStale.
 	f.tblStale.Store(true)
@@ -169,11 +176,11 @@ func (f *compFile) readLower(p []byte, off int64) (int, error) {
 	return copy(p, avail), nil
 }
 
-// loadTableLocked reads the header and block table from the lower file.
-// Caller holds f.mu. A staleness mark from a lower-layer revocation drops
-// the cached table first, unless COMPFS itself has unflushed table
-// updates (it then owns the latest mapping; mixing direct rewrites of the
-// compressed image with concurrent COMPFS writes is undefined).
+// loadTableLocked reads the block table from the lower file. Caller holds
+// f.mu. A staleness mark from a lower-layer revocation drops the cached
+// table first, unless COMPFS itself has uncommitted table updates (it then
+// owns the latest mapping; mixing direct rewrites of the compressed image
+// with concurrent COMPFS writes is undefined).
 func (f *compFile) loadTableLocked() error {
 	if f.tblStale.Swap(false) && !f.tblDirty {
 		f.tbl = nil
@@ -181,78 +188,12 @@ func (f *compFile) loadTableLocked() error {
 	if f.tbl != nil {
 		return nil
 	}
-	length, err := f.lower.GetLength()
+	tbl, err := fsys.LoadImage(&f.image, decodeBlockTable)
 	if err != nil {
 		return err
 	}
-	if length == 0 {
-		f.tbl = newBlockTable()
-		return nil
-	}
-	hdr := make([]byte, 64)
-	if n, err := f.readLower(hdr, 0); err != nil {
-		return err
-	} else if n < len(hdr) {
-		return ErrBadFormat
-	}
-	be := binary.BigEndian
-	if be.Uint64(hdr[0:]) != Magic {
-		return ErrBadFormat
-	}
-	tbl := newBlockTable()
-	tbl.uncompLen = int64(be.Uint64(hdr[12:]))
-	tableOff := int64(be.Uint64(hdr[20:]))
-	tableLen := int64(be.Uint64(hdr[28:]))
-	tbl.nextFree = int64(be.Uint64(hdr[36:]))
-	if tableLen > 0 {
-		raw := make([]byte, tableLen)
-		if n, err := f.readLower(raw, tableOff); err != nil {
-			return err
-		} else if int64(n) < tableLen {
-			return ErrBadFormat
-		}
-		blocks, err := decodeBlockTable(raw)
-		if err != nil {
-			return err
-		}
-		tbl.blocks = blocks
-	}
 	f.tbl = tbl
 	return nil
-}
-
-// writeMetaLocked appends the current table to the log and rewrites the
-// header to point at it. Caller holds f.mu with f.tbl loaded.
-func (f *compFile) writeMetaLocked() error {
-	tbl := f.tbl
-	raw := tbl.encode()
-	tableOff := tbl.nextFree
-	if _, err := f.lower.WriteAt(raw, tableOff); err != nil {
-		return err
-	}
-	tbl.nextFree = tableOff + int64(len(raw))
-	hdr := make([]byte, 64)
-	be := binary.BigEndian
-	be.PutUint64(hdr[0:], Magic)
-	be.PutUint32(hdr[8:], 1)
-	be.PutUint64(hdr[12:], uint64(tbl.uncompLen))
-	be.PutUint64(hdr[20:], uint64(tableOff))
-	be.PutUint64(hdr[28:], uint64(len(raw)))
-	be.PutUint64(hdr[36:], uint64(tbl.nextFree))
-	if _, err := f.lower.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	f.tblDirty = false
-	return nil
-}
-
-// initImage writes the empty COMPFS image into a freshly created lower
-// file.
-func (f *compFile) initImage() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.tbl = newBlockTable()
-	return f.writeMetaLocked()
 }
 
 // readBlockLocked fills dst with the uncompressed content of block bn.
@@ -263,8 +204,8 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 		clear(dst) // hole
 		return nil
 	}
-	raw := make([]byte, e.clen)
-	n, err := f.readLower(raw, e.off)
+	raw := make([]byte, e.Len)
+	n, err := f.readLower(raw, e.Off)
 	if err != nil {
 		return err
 	}
@@ -277,9 +218,9 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 	// stream fails loudly in decompressBlock instead of inflating the
 	// stale tail of the buffer as if it were data.
 	switch {
-	case allZero(raw[:n]):
+	case len(bytes.TrimLeft(raw[:n], "\x00")) == 0: // all zeros
 		clear(dst)
-	case n < len(raw) && int64(e.clen) == BlockSize:
+	case n < len(raw) && e.Len == BlockSize:
 		copy(dst, raw) // raw-stored: missing tail reads as zeros
 	default:
 		blk, err := decompressBlock(raw[:n])
@@ -291,29 +232,24 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 	return nil
 }
 
-// allZero reports whether b contains no nonzero byte.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// writeBlockLocked compresses and appends block bn (write-through).
-// Caller holds f.mu with the table loaded.
+// writeBlockLocked compresses block bn into a fresh extent (write-through)
+// and frees the one it replaces. Caller holds f.mu with the table loaded.
 func (f *compFile) writeBlockLocked(bn int64, data []byte) error {
 	comp, err := compressBlock(data)
 	if err != nil {
 		return err
 	}
-	off := f.tbl.nextFree
-	if _, err := f.lower.WriteAt(comp, off); err != nil {
+	off := f.image.Alloc(int64(len(comp)))
+	f.writing.Store(true)
+	_, err = f.lower.WriteAt(comp, off)
+	f.writing.Store(false)
+	if err != nil {
 		return err
 	}
-	f.tbl.nextFree = off + int64(len(comp))
-	f.tbl.blocks[bn] = extent{off: off, clen: int32(len(comp))}
+	if old, ok := f.tbl.blocks[bn]; ok {
+		f.image.Free(old.Off, old.Len)
+	}
+	f.tbl.blocks[bn] = fsys.Extent{Off: off, Len: int64(len(comp))}
 	f.tblDirty = true
 	f.fs.UncompressedBytes.Add(BlockSize)
 	f.fs.CompressedBytes.Add(int64(len(comp)))
@@ -403,8 +339,9 @@ func (f *compFile) SetLength(length vm.Offset) error {
 		return err
 	}
 	if length < f.tbl.uncompLen {
-		for bn := range f.tbl.blocks {
+		for bn, e := range f.tbl.blocks {
 			if bn*BlockSize >= length {
+				f.image.Free(e.Off, e.Len)
 				delete(f.tbl.blocks, bn)
 			}
 		}
@@ -435,35 +372,38 @@ func (f *compFile) SetLength(length vm.Offset) error {
 	return nil
 }
 
-// Stat implements fsys.File: length is the uncompressed length; times come
-// from the underlying file.
-func (f *compFile) Stat() (fsys.Attributes, error) {
-	lowerAttrs, err := f.lower.Stat()
-	if err != nil {
-		return fsys.Attributes{}, err
-	}
-	length, err := f.GetLength()
-	if err != nil {
-		return fsys.Attributes{}, err
-	}
-	return fsys.Attributes{
-		Length:     length,
-		AccessTime: lowerAttrs.AccessTime,
-		ModifyTime: lowerAttrs.ModifyTime,
-	}, nil
-}
+// Stat implements fsys.File: the uncompressed length, and the times of the
+// underlying file.
+func (f *compFile) Stat() (fsys.Attributes, error) { return f.image.Stat(f.GetLength()) }
 
-// Sync implements fsys.File: persist the block table and sync below.
+// Sync implements fsys.File: commit the block table if it changed (the
+// commit's barriers sync the lower file), else sync below.
 func (f *compFile) Sync() error {
 	f.mu.Lock()
-	if f.tbl != nil && f.tblDirty {
-		if err := f.writeMetaLocked(); err != nil {
-			f.mu.Unlock()
+	if f.tbl == nil || !f.tblDirty {
+		f.mu.Unlock()
+		return f.lower.Sync()
+	}
+	defer f.mu.Unlock()
+	f.writing.Store(true)
+	defer f.writing.Store(false)
+	for pass := 0; ; pass++ {
+		if err := f.image.Commit(f.tbl.encode()); err != nil {
+			return err
+		}
+		f.tblDirty = false
+		if pass > 0 || !f.image.Sparse() {
+			return nil
+		}
+		// Compressed extents come in every size, so the holes of a sparse
+		// image may take none of the next writes: move the blocks down
+		// into them, and commit again to free what they left.
+		moved, err := fsys.Compact(&f.image, f.tbl.blocks)
+		f.tblDirty = moved
+		if err != nil || !moved {
 			return err
 		}
 	}
-	f.mu.Unlock()
-	return f.lower.Sync()
 }
 
 // Retain implements fsys.HandleFile, forwarding toward the storage owner.
@@ -471,48 +411,6 @@ func (f *compFile) Retain() { fsys.Retain(f.lower) }
 
 // Release implements fsys.HandleFile.
 func (f *compFile) Release() error { return fsys.Release(f.lower) }
-
-// Compact rewrites the compressed image dropping garbage extents left by
-// the append-only log, returning bytes reclaimed.
-func (f *compFile) Compact() (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return 0, err
-	}
-	oldEnd := f.tbl.nextFree
-	// Read every live block, then rewrite the log densely.
-	type live struct {
-		bn   int64
-		data []byte
-	}
-	var blocks []live
-	for bn := range f.tbl.blocks {
-		data := make([]byte, BlockSize)
-		if err := f.readBlockLocked(bn, data); err != nil {
-			return 0, err
-		}
-		blocks = append(blocks, live{bn, data})
-	}
-	f.tbl.blocks = make(map[int64]extent, len(blocks))
-	f.tbl.nextFree = HeaderSize
-	for _, lb := range blocks {
-		if err := f.writeBlockLocked(lb.bn, lb.data); err != nil {
-			return 0, err
-		}
-	}
-	if err := f.writeMetaLocked(); err != nil {
-		return 0, err
-	}
-	if err := f.lower.SetLength(f.tbl.nextFree); err != nil {
-		return 0, err
-	}
-	reclaimed := oldEnd - f.tbl.nextFree
-	if reclaimed < 0 {
-		reclaimed = 0
-	}
-	return reclaimed, nil
-}
 
 // pageIn and pageOut are the data movers of the pager COMPFS exports for
 // file_COMP (the P2 object of Figure 5): page-ins uncompress, page-outs

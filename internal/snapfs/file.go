@@ -3,7 +3,7 @@ package snapfs
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
+	"slices"
 	"sync"
 
 	"springfs/internal/fsys"
@@ -13,18 +13,17 @@ import (
 	"springfs/internal/vm"
 )
 
-// BlockSize is the COW granularity (one VM page, so shared blocks align
-// with the page cache below).
+// BlockSize is the COW granularity and the image's extent alignment: one
+// VM page, so an upper page maps 1:1 onto a lower page and the layers
+// below cache one copy of a block shared by any number of epochs.
 const BlockSize = vm.PageSize
-
-// HeaderSize is the fixed header region of an image file. Data blocks are
-// appended at BlockSize-aligned offsets after it, so an upper page maps
-// 1:1 onto a lower page and the layers below cache exactly one copy of a
-// block shared by any number of epochs.
-const HeaderSize = vm.PageSize
 
 // Magic identifies a SNAPFS image file.
 const Magic = 0x534e415046530a01 // "SNAPFS\n\x01"
+
+// imageVersion is the image format: version 1 kept a next-free offset in
+// the header.
+const imageVersion = 2
 
 // tombOff marks a block explicitly deleted in an epoch (a truncation must
 // mask the ancestor's version without touching it).
@@ -40,82 +39,71 @@ var (
 // which version of which block, and the file length as seen by each epoch
 // that ever changed it.
 type imageTable struct {
-	blocks   map[uint64]map[int64]int64 // epoch → block → image offset (tombOff = hole)
-	lengths  map[uint64]int64           // epoch → length, for epochs that set it
-	nextFree int64
+	blocks  map[uint64]map[int64]int64 // epoch → block → image offset (tombOff = hole)
+	lengths map[uint64]int64           // epoch → length, for epochs that set it
 }
 
-func newImageTable() *imageTable {
-	return &imageTable{
-		blocks:   make(map[uint64]map[int64]int64),
-		lengths:  make(map[uint64]int64),
-		nextFree: HeaderSize,
+// epoch returns epoch ep's block map, making it if ep has none yet.
+func (t *imageTable) epoch(ep uint64) map[int64]int64 {
+	if t.blocks[ep] == nil {
+		t.blocks[ep] = make(map[int64]int64)
 	}
+	return t.blocks[ep]
 }
 
-// encode serialises the table (appended to the image log after the data).
+// encode serialises the table: a count and one (epoch, block, offset)
+// record per block version, then a count and one (epoch, length) record
+// per length.
 func (t *imageTable) encode() []byte {
 	be := binary.BigEndian
 	nblocks := 0
 	for _, m := range t.blocks {
 		nblocks += len(m)
 	}
-	out := make([]byte, 4, 8+24*nblocks+16*len(t.lengths))
-	be.PutUint32(out, uint32(nblocks))
-	var rec [24]byte
+	out := be.AppendUint32(make([]byte, 0, 8+24*nblocks+16*len(t.lengths)), uint32(nblocks))
 	for ep, m := range t.blocks {
 		for bn, off := range m {
-			be.PutUint64(rec[0:], ep)
-			be.PutUint64(rec[8:], uint64(bn))
-			be.PutUint64(rec[16:], uint64(off))
-			out = append(out, rec[:]...)
+			out = be.AppendUint64(be.AppendUint64(be.AppendUint64(out, ep), uint64(bn)), uint64(off))
 		}
 	}
-	var cnt [4]byte
-	be.PutUint32(cnt[:], uint32(len(t.lengths)))
-	out = append(out, cnt[:]...)
+	out = be.AppendUint32(out, uint32(len(t.lengths)))
 	for ep, l := range t.lengths {
-		be.PutUint64(rec[0:], ep)
-		be.PutUint64(rec[8:], uint64(l))
-		out = append(out, rec[:16]...)
+		out = be.AppendUint64(be.AppendUint64(out, ep), uint64(l))
 	}
 	return out
 }
 
-func decodeImageTable(data []byte) (*imageTable, error) {
+// decodeImageTable parses a committed table (empty: an empty image) and
+// returns the block extents it references; the image's load checks their
+// alignment.
+func decodeImageTable(data []byte) (*imageTable, []fsys.Extent, error) {
 	be := binary.BigEndian
-	t := newImageTable()
-	if len(data) < 4 {
-		return nil, ErrBadImage
+	t := &imageTable{blocks: make(map[uint64]map[int64]int64), lengths: make(map[uint64]int64)}
+	if len(data) == 0 {
+		return t, nil, nil
+	}
+	if len(data) < 8 || len(data) < 8+24*int(be.Uint32(data)) {
+		return nil, nil, ErrBadImage
 	}
 	n := int(be.Uint32(data))
-	data = data[4:]
-	if len(data) < 24*n+4 {
-		return nil, ErrBadImage
-	}
-	for i := 0; i < n; i++ {
-		rec := data[24*i:]
-		ep := be.Uint64(rec[0:])
-		bn := int64(be.Uint64(rec[8:]))
+	var live []fsys.Extent
+	for i := range n {
+		rec := data[4+24*i:]
 		off := int64(be.Uint64(rec[16:]))
-		m := t.blocks[ep]
-		if m == nil {
-			m = make(map[int64]int64)
-			t.blocks[ep] = m
+		t.epoch(be.Uint64(rec))[int64(be.Uint64(rec[8:]))] = off
+		if off != tombOff {
+			live = append(live, fsys.Extent{Off: off, Len: BlockSize})
 		}
-		m[bn] = off
 	}
-	data = data[24*n:]
-	n = int(be.Uint32(data))
-	data = data[4:]
-	if len(data) < 16*n {
-		return nil, ErrBadImage
+	data = data[4+24*n:]
+	if n = int(be.Uint32(data)); len(data) < 4+16*n {
+		return nil, nil, ErrBadImage
 	}
-	for i := 0; i < n; i++ {
-		rec := data[16*i:]
-		t.lengths[be.Uint64(rec[0:])] = int64(be.Uint64(rec[8:]))
+	for i := range n {
+		rec := data[4+16*i:]
+		t.lengths[be.Uint64(rec)] = int64(be.Uint64(rec[8:]))
 	}
-	return t, nil
+	return t, live, nil
 }
 
 // ErrBadImage means an underlying file is not a SNAPFS image.
@@ -129,6 +117,7 @@ type snapImage struct {
 	lower  fsys.File
 
 	mu      sync.Mutex
+	image   fsys.Image
 	tbl     *imageTable // nil until loaded
 	dirty   bool
 	refs    int  // retained upper handles, all views combined
@@ -136,97 +125,23 @@ type snapImage struct {
 	handles map[epochRef]*snapFile
 }
 
-// loadLocked reads the header and remap table from the image file.
+// newSnapImage is fileID's image, held in lower, not loaded yet.
+func newSnapImage(s *SnapFS, fileID uint64, lower fsys.File) *snapImage {
+	return &snapImage{fs: s, fileID: fileID, lower: lower, handles: make(map[epochRef]*snapFile),
+		image: fsys.Image{Lower: lower, Magic: Magic, Version: imageVersion, Align: BlockSize, Bad: ErrBadImage}}
+}
+
+// loadLocked reads the remap table from the image file.
 func (img *snapImage) loadLocked() error {
 	if img.tbl != nil {
 		return nil
 	}
-	length, err := img.lower.GetLength()
+	tbl, err := fsys.LoadImage(&img.image, decodeImageTable)
 	if err != nil {
 		return err
 	}
-	if length == 0 {
-		img.tbl = newImageTable()
-		return nil
-	}
-	hdr := make([]byte, 64)
-	if err := img.readLower(hdr, 0); err != nil {
-		return err
-	}
-	be := binary.BigEndian
-	if be.Uint64(hdr[0:]) != Magic {
-		return ErrBadImage
-	}
-	tableOff := int64(be.Uint64(hdr[12:]))
-	tableLen := int64(be.Uint64(hdr[20:]))
-	nextFree := int64(be.Uint64(hdr[28:]))
-	if tableLen == 0 {
-		img.tbl = newImageTable()
-		img.tbl.nextFree = nextFree
-		return nil
-	}
-	raw := make([]byte, tableLen)
-	if err := img.readLower(raw, tableOff); err != nil {
-		return err
-	}
-	tbl, err := decodeImageTable(raw)
-	if err != nil {
-		return err
-	}
-	tbl.nextFree = nextFree
 	img.tbl = tbl
 	return nil
-}
-
-// writeMetaLocked appends the remap table to the image log and rewrites
-// the header to point at it.
-func (img *snapImage) writeMetaLocked() error {
-	if img.tbl == nil {
-		img.tbl = newImageTable()
-	}
-	raw := img.tbl.encode()
-	tableOff := img.tbl.nextFree
-	if _, err := img.lower.WriteAt(raw, tableOff); err != nil {
-		return err
-	}
-	// Ordering barrier: the table records (and any data blocks they point
-	// at) must be durable before the header flips to reference them. The
-	// header itself is a single-page update, so after a crash recovery
-	// sees either the old or the new consistent (header, table) pair.
-	if err := img.lower.Sync(); err != nil {
-		return err
-	}
-	img.tbl.nextFree = tableOff + int64(len(raw))
-	hdr := make([]byte, 64)
-	be := binary.BigEndian
-	be.PutUint64(hdr[0:], Magic)
-	be.PutUint32(hdr[8:], 1)
-	be.PutUint64(hdr[12:], uint64(tableOff))
-	be.PutUint64(hdr[20:], uint64(len(raw)))
-	be.PutUint64(hdr[28:], uint64(img.tbl.nextFree))
-	if _, err := img.lower.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	img.dirty = false
-	return nil
-}
-
-// readLower reads len(p) bytes at off, zero-filling past the image's end
-// (a short read at EOF is implicit zeros, never an error).
-func (img *snapImage) readLower(p []byte, off int64) error {
-	n, err := img.lower.ReadAt(p, off)
-	if err == io.EOF {
-		err = nil
-	}
-	clear(p[n:])
-	return err
-}
-
-// allocLocked reserves a fresh BlockSize-aligned extent in the image log.
-func (img *snapImage) allocLocked() int64 {
-	off := (img.tbl.nextFree + BlockSize - 1) / BlockSize * BlockSize
-	img.tbl.nextFree = off + BlockSize
-	return off
 }
 
 // resolveLocked finds the offset of block bn as seen by chain (nearest
@@ -260,7 +175,7 @@ func (img *snapImage) lengthLocked(chain []uint64) int64 {
 func (img *snapImage) blockReader(chain []uint64) fsys.BlockFunc {
 	return func(bn int64, dst []byte) error {
 		if off, ok := img.resolveLocked(chain, bn); ok {
-			return img.readLower(dst, off)
+			return img.image.Read(dst, off)
 		}
 		clear(dst)
 		return nil
@@ -276,16 +191,12 @@ func (img *snapImage) blockWriter(ep uint64) fsys.BlockFunc {
 // writeBlockLocked installs data as epoch's version of block bn. If the
 // epoch already owns a live version it is overwritten in place (nobody
 // else can see it); otherwise the block diverges: a fresh extent is
-// appended and tagged, leaving every ancestor's version untouched.
+// allocated and tagged, leaving every ancestor's version untouched.
 func (img *snapImage) writeBlockLocked(ep uint64, bn int64, data []byte) error {
-	m := img.tbl.blocks[ep]
-	if m == nil {
-		m = make(map[int64]int64)
-		img.tbl.blocks[ep] = m
-	}
+	m := img.tbl.epoch(ep)
 	off, owned := m[bn]
 	if !owned || off == tombOff {
-		off = img.allocLocked()
+		off = img.image.Alloc(BlockSize)
 		snapCowBlocks.Inc()
 	}
 	if _, err := img.lower.WriteAt(data, off); err != nil {
@@ -332,9 +243,9 @@ func (img *snapImage) writeAtLocked(chain []uint64, p []byte, off int64) (int, e
 }
 
 // setLength truncates or extends epoch chain[0]'s view. A shrink must not
-// touch ancestor data: blocks the epoch owns are dropped, blocks an
-// ancestor would still show are masked with tombstones, and the partial
-// boundary block (if any) diverges zero-tailed.
+// touch ancestor data: blocks the epoch owns are dropped and their extents
+// freed, blocks an ancestor would still show are masked with tombstones,
+// and the partial boundary block (if any) diverges zero-tailed.
 func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 	img.mu.Lock()
 	defer img.mu.Unlock()
@@ -355,6 +266,9 @@ func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 		}
 		m := img.tbl.blocks[ep]
 		for bn := range dead {
+			if off, owned := m[bn]; owned && off != tombOff {
+				img.image.Free(off, BlockSize)
+			}
 			visibleBelow := false
 			for _, ce := range chain[1:] {
 				if o, ok := img.tbl.blocks[ce][bn]; ok {
@@ -363,12 +277,8 @@ func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 				}
 			}
 			if visibleBelow {
-				if m == nil {
-					m = make(map[int64]int64)
-					img.tbl.blocks[ep] = m
-				}
-				m[bn] = tombOff
-			} else if m != nil {
+				img.tbl.epoch(ep)[bn] = tombOff
+			} else {
 				delete(m, bn)
 			}
 		}
@@ -397,17 +307,18 @@ func (img *snapImage) append(chain []uint64, p []byte) (int64, int, error) {
 	return off, n, err
 }
 
-// Sync flushes the remap table (if dirty) and the image below.
+// Sync commits the remap table if it changed (the commit's barriers sync
+// the image), else syncs the image below.
 func (img *snapImage) Sync() error {
 	img.mu.Lock()
-	if img.tbl != nil && img.dirty {
-		if err := img.writeMetaLocked(); err != nil {
-			img.mu.Unlock()
-			return err
-		}
+	if img.tbl == nil || !img.dirty {
+		img.mu.Unlock()
+		return img.lower.Sync()
 	}
-	img.mu.Unlock()
-	return img.lower.Sync()
+	defer img.mu.Unlock()
+	err := img.image.Commit(img.tbl.encode())
+	img.dirty = err != nil
+	return err
 }
 
 // sameUnder compares the file's effective state under two chains by
@@ -424,12 +335,7 @@ func (img *snapImage) sameUnder(chainA, chainB []uint64) (bool, error) {
 		return false, nil
 	}
 	bns := make(map[int64]bool)
-	for _, ep := range chainA {
-		for bn := range img.tbl.blocks[ep] {
-			bns[bn] = true
-		}
-	}
-	for _, ep := range chainB {
+	for _, ep := range slices.Concat(chainA, chainB) {
 		for bn := range img.tbl.blocks[ep] {
 			bns[bn] = true
 		}
@@ -502,6 +408,18 @@ func (f *snapFile) chain() ([]uint64, error) {
 	return f.img.fs.chainFor(f.ref)
 }
 
+// writeChain resolves the chain for a mutation under the read-held epoch
+// gate, so a write never lands in an epoch a concurrent Snapshot sealed.
+// The caller defers the returned release whether or not it fails.
+func (f *snapFile) writeChain() ([]uint64, func(), error) {
+	if !f.writable {
+		return nil, func() {}, fsys.ErrReadOnly
+	}
+	f.img.fs.epochMu.RLock()
+	chain, err := f.chain()
+	return chain, f.img.fs.epochMu.RUnlock, err
+}
+
 // ReadAt implements fsys.File.
 func (f *snapFile) ReadAt(p []byte, off int64) (int, error) {
 	t := opRead.Start()
@@ -513,19 +431,15 @@ func (f *snapFile) ReadAt(p []byte, off int64) (int, error) {
 	return f.img.readAt(chain, p, off)
 }
 
-// WriteAt implements fsys.File. The epoch gate (read-held) pins the
-// resolved epoch against a concurrent Snapshot, so a write never lands in
-// an epoch after it sealed.
+// WriteAt implements fsys.File.
 func (f *snapFile) WriteAt(p []byte, off int64) (int, error) {
 	if !f.writable {
 		return 0, fsys.ErrReadOnly
 	}
 	t := opWrite.Start()
 	defer func() { opWrite.End(t, int64(len(p))) }()
-	fs := f.img.fs
-	fs.epochMu.RLock()
-	defer fs.epochMu.RUnlock()
-	chain, err := f.chain()
+	chain, release, err := f.writeChain()
+	defer release()
 	if err != nil {
 		return 0, err
 	}
@@ -534,13 +448,8 @@ func (f *snapFile) WriteAt(p []byte, off int64) (int, error) {
 
 // Append implements fsys.Appender.
 func (f *snapFile) Append(p []byte) (int64, int, error) {
-	if !f.writable {
-		return 0, 0, fsys.ErrReadOnly
-	}
-	fs := f.img.fs
-	fs.epochMu.RLock()
-	defer fs.epochMu.RUnlock()
-	chain, err := f.chain()
+	chain, release, err := f.writeChain()
+	defer release()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -563,36 +472,17 @@ func (f *snapFile) GetLength() (vm.Offset, error) {
 
 // SetLength implements vm.MemoryObject.
 func (f *snapFile) SetLength(length vm.Offset) error {
-	if !f.writable {
-		return fsys.ErrReadOnly
-	}
-	fs := f.img.fs
-	fs.epochMu.RLock()
-	defer fs.epochMu.RUnlock()
-	chain, err := f.chain()
+	chain, release, err := f.writeChain()
+	defer release()
 	if err != nil {
 		return err
 	}
 	return f.img.setLength(chain[0], chain, length)
 }
 
-// Stat implements fsys.File: the length is the view's; times come from
-// the shared image below.
-func (f *snapFile) Stat() (fsys.Attributes, error) {
-	lowerAttrs, err := f.img.lower.Stat()
-	if err != nil {
-		return fsys.Attributes{}, err
-	}
-	length, err := f.GetLength()
-	if err != nil {
-		return fsys.Attributes{}, err
-	}
-	return fsys.Attributes{
-		Length:     length,
-		AccessTime: lowerAttrs.AccessTime,
-		ModifyTime: lowerAttrs.ModifyTime,
-	}, nil
-}
+// Stat implements fsys.File: the view's length, and the times of the
+// shared image below.
+func (f *snapFile) Stat() (fsys.Attributes, error) { return f.img.image.Stat(f.GetLength()) }
 
 // Sync implements fsys.File.
 func (f *snapFile) Sync() error { return f.img.Sync() }
@@ -635,13 +525,8 @@ func (f *snapFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, err
 }
 
 func (f *snapFile) pageOut(offset, size vm.Offset, data []byte) error {
-	if !f.writable {
-		return fsys.ErrReadOnly
-	}
-	fs := f.img.fs
-	fs.epochMu.RLock()
-	defer fs.epochMu.RUnlock()
-	chain, err := f.chain()
+	chain, release, err := f.writeChain()
+	defer release()
 	if err != nil {
 		return err
 	}

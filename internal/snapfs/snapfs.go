@@ -18,7 +18,7 @@
 // Every block a file ever stores is tagged with the epoch that wrote it.
 // A read at epoch E resolves each block by walking E's parent chain and
 // taking the nearest tagged version; a write at E that would modify a
-// block owned by an ancestor copies it on write (appends a new block
+// block owned by an ancestor copies it on write (allocates a new block
 // tagged E) so the ancestor's — the snapshot's — version is never touched.
 // Unmodified blocks are therefore *shared*: every epoch reads the same
 // bytes of the same underlying file, so the layers below cache exactly one
@@ -523,7 +523,7 @@ func (s *SnapFS) imageForLocked(fileID uint64) (*snapImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := &snapImage{fs: s, fileID: fileID, lower: lower, handles: make(map[epochRef]*snapFile)}
+	img := newSnapImage(s, fileID, lower)
 	s.files[fileID] = img
 	return img, nil
 }
@@ -677,10 +677,6 @@ func (v *SnapView) Create(name string, cred naming.Credentials) (fsys.File, erro
 	if err != nil {
 		return nil, err
 	}
-	img := &snapImage{fs: s, fileID: fileID, lower: lower, handles: make(map[epochRef]*snapFile)}
-	if err := img.writeMetaLocked(); err != nil {
-		return nil, err
-	}
 	if err := s.editNamesLocked(chain, func(names map[string]nameEntry) {
 		names[path] = nameEntry{fileID: fileID}
 	}); err != nil {
@@ -688,7 +684,7 @@ func (v *SnapView) Create(name string, cred naming.Credentials) (fsys.File, erro
 		_ = s.under.Remove(imageName(fileID), naming.Root)
 		return nil, err
 	}
-	s.files[fileID] = img
+	s.files[fileID] = newSnapImage(s, fileID, lower)
 	return s.handleForLocked(fileID, ref, true)
 }
 

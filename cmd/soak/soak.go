@@ -10,7 +10,7 @@
 //	soak -dur 60s -seed 7       # replay the run a failure named
 //
 // One soak round is: mount + verify the previous round's durable
-// snapshot, serve DFS, dial the clients, replay one trace per client
+// snapshot, serve DFS, build the client machines, replay one trace per client
 // (burst 1), checkpoint (quiesce + SyncFS + content snapshot), replay a
 // second burst with the power-cut trap armed, cut, tear everything down,
 // fsck. Files mutated after the checkpoint are exempt from verification
@@ -30,9 +30,9 @@ import (
 
 	"springfs"
 	"springfs/internal/blockdev"
+	"springfs/internal/dfs"
 	"springfs/internal/disklayer"
 	"springfs/internal/naming"
-	"springfs/internal/netsim"
 	"springfs/internal/unixapi"
 )
 
@@ -331,37 +331,39 @@ func (s *soakState) execTrace(p *unixapi.Process, ops []soakOp) {
 }
 
 // soakStack is one served incarnation of the home file system plus its
-// remote clients.
+// remote clients: every node has built its Spec, and stopping a node closes
+// its DFS server or client.
 type soakStack struct {
-	home    *springfs.Node
-	srv     interface{ Close() }
-	cnodes  []*springfs.Node
-	closers []interface{ Close() error }
-	procs   []*unixapi.Process
+	nodes []*springfs.Node // the home node first
+	sfs   springfs.StackableFS
+	procs []*unixapi.Process
 }
 
 func (st *soakStack) teardown() {
-	if st.srv != nil {
-		st.srv.Close()
-	}
-	for _, c := range st.closers {
-		_ = c.Close()
-	}
-	for _, n := range st.cnodes {
+	for _, n := range st.nodes {
 		n.Stop()
 	}
-	st.home.Stop()
 }
 
-// mountHome mounts the (recovered) image as an SFS on a fresh home node.
-func (s *soakState) mountHome(tag string) (*springfs.Node, springfs.StackableFS, error) {
+// soakAddress is where the home node serves its SFS.
+const soakAddress = "home:dfs"
+
+// mountHome mounts the (recovered) image as an SFS on a fresh home node;
+// on a network, the node also exports it over DFS.
+func (s *soakState) mountHome(tag string, network *springfs.Network) (*springfs.Node, *springfs.Built, error) {
 	node := springfs.NewNode("soak-home-" + tag)
-	b, err := node.Build(springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs", Device: s.crash}}})
+	spec := springfs.Spec{Disks: []springfs.DiskSpec{{Name: "sfs", Device: s.crash}}}
+	if network != nil {
+		node.Join(network)
+		spec.Layers = []springfs.LayerSpec{{Name: "dfs", Creator: "dfs_creator", On: []string{"sfs"},
+			Config: map[string]string{"address": soakAddress}}}
+	}
+	b, err := node.Build(spec)
 	if err != nil {
 		node.Stop()
 		return nil, nil, fmt.Errorf("mount: %w", err)
 	}
-	return node, b.Top, nil
+	return node, b, nil
 }
 
 // verifyDurable checks every checkpointed-and-untouched file against its
@@ -415,43 +417,43 @@ func (s *soakState) checkpoint(sfs springfs.StackableFS) error {
 	return nil
 }
 
-// serve exports the mounted stack over a fresh faulty network and dials
-// one client machine per simulated user.
-func (s *soakState) serve(home *springfs.Node, sfs springfs.StackableFS, round int) (*soakStack, error) {
-	st := &soakStack{home: home}
+// serve mounts and exports the home stack on a fresh faulty network,
+// verifies the previous round's durable files through it, and builds one
+// client machine per simulated user.
+func (s *soakState) serve(round int) (*soakStack, error) {
 	network := springfs.NewNetwork(springfs.LANInstant)
-	network.SetFaults(netsim.Faults{
+	network.SetFaults(springfs.NetFaults{
 		DropProb:   soakDrop,
 		DelayProb:  soakDelay,
 		ExtraDelay: 500 * time.Microsecond,
 		Seed:       s.cfg.seed + int64(round),
 	})
-	l, err := network.Listen("home:dfs")
+	home, hb, err := s.mountHome(fmt.Sprintf("r%d", round), network)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := home.ServeDFS("dfs", sfs, l)
-	if err != nil {
+	st := &soakStack{nodes: []*springfs.Node{home}, sfs: hb.FS["sfs"]}
+	if err := s.verifyDurable(st.sfs); err != nil {
+		st.teardown()
 		return nil, err
 	}
 	// The simulated LAN is instant, so the protocol's WAN-scale default
 	// deadlines would turn every injected drop into a multi-second stall;
 	// tighten them to soak-scale.
-	srv.SetCallbackTimeout(20 * time.Millisecond)
-	st.srv = srv
+	hb.FS["dfs"].(*dfs.Server).SetCallbackTimeout(20 * time.Millisecond)
+	client := springfs.Spec{Layers: []springfs.LayerSpec{{Name: "remote", Creator: "dfs_client_creator",
+		Config: map[string]string{"address": soakAddress}}}}
 	for i := 0; i < soakClients; i++ {
 		machine := springfs.NewNode(fmt.Sprintf("soak-c%d-r%d", i, round))
-		conn, err := network.Dial("home:dfs")
+		machine.Join(network)
+		st.nodes = append(st.nodes, machine)
+		b, err := machine.Build(client)
 		if err != nil {
-			machine.Stop()
 			st.teardown()
-			return nil, err
+			return nil, fmt.Errorf("serve: %w", err)
 		}
-		client := machine.DialDFS(conn, fmt.Sprintf("dfsc%d", i))
-		client.SetCallTimeout(50 * time.Millisecond)
-		st.cnodes = append(st.cnodes, machine)
-		st.closers = append(st.closers, client)
-		st.procs = append(st.procs, unixapi.NewProcess(springfs.NewDFSClientFS(client, "remote"), naming.Root))
+		b.Top.(*dfs.ClientFS).Client().SetCallTimeout(50 * time.Millisecond)
+		st.procs = append(st.procs, unixapi.NewProcess(b.Top, naming.Root))
 	}
 	return st, nil
 }
@@ -502,23 +504,14 @@ func runSoak(cfg soakConfig) error {
 
 	round := 0
 	for ; time.Since(start) < cfg.dur || s.cuts < cfg.crashes; round++ {
-		home, sfs, err := s.mountHome(fmt.Sprintf("r%d", round))
+		st, err := s.serve(round)
 		if err != nil {
 			return fail(round, err)
-		}
-		if err := s.verifyDurable(sfs); err != nil {
-			home.Stop()
-			return fail(round, err)
-		}
-		st, err := s.serve(home, sfs, round)
-		if err != nil {
-			home.Stop()
-			return fail(round, fmt.Errorf("serve: %w", err))
 		}
 
 		// Burst 1, then checkpoint while the clients are quiescent.
 		s.burst(st, round, 0)
-		if err := s.checkpoint(sfs); err != nil {
+		if err := s.checkpoint(st.sfs); err != nil {
 			st.teardown()
 			return fail(round, err)
 		}
@@ -560,12 +553,12 @@ func runSoak(cfg soakConfig) error {
 	}
 
 	// Final verification pass over the last crash.
-	home, sfs, err := s.mountHome("final")
+	home, b, err := s.mountHome("final", nil)
 	if err != nil {
 		return fail(round, err)
 	}
 	defer home.Stop()
-	if err := s.verifyDurable(sfs); err != nil {
+	if err := s.verifyDurable(b.Top); err != nil {
 		return fail(round, err)
 	}
 

@@ -62,8 +62,9 @@ func (sh *shell) execute(line string) (quit bool) {
   newsfs <name>                         create a disk + SFS, bound at fs/<name>
   stack <creator> <name> <under...>     create a layer and stack it (Section 4.4)
                                         creators: coherency_creator compfs_creator
-                                        cryptfs_creator mirrorfs_creator dfs_creator
-                                        snapfs_creator stripefs_creator identity_creator
+                                        cryptfs_creator mirrorfs_creator snapfs_creator
+                                        stripefs_creator identity_creator dfs_creator
+                                        dfs_client_creator cfs_creator
   creators                              list registered creators
   ls [path]                             list a context
   write <path> <text...>                create/overwrite a file

@@ -114,6 +114,51 @@ func ExampleNode_Build() {
 	// write during the outage: <nil>
 }
 
+// A remote stack is two Specs on one network (Figure 9): the home node
+// exports its SFS through the DFS layer, and a client machine builds a DFS
+// client of that address with its CFS on top. Stopping a node closes its
+// server or client.
+func ExampleNode_Join() {
+	network := springfs.NewNetwork(springfs.LANInstant)
+	home := springfs.NewNode("home")
+	defer home.Stop()
+	home.Join(network)
+	exported, err := home.Build(springfs.Spec{
+		Disks: []springfs.DiskSpec{{Name: "sfs0a"}},
+		Layers: []springfs.LayerSpec{{Name: "dfs", Creator: "dfs_creator", On: []string{"sfs0a"},
+			Config: map[string]string{"address": "home:dfs"}}},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	client := springfs.NewNode("client")
+	defer client.Stop()
+	client.Join(network)
+	remote, err := client.Build(springfs.Spec{Layers: []springfs.LayerSpec{
+		{Name: "remote", Creator: "dfs_client_creator", Config: map[string]string{"address": "home:dfs"}},
+		{Name: "cfs", Creator: "cfs_creator", On: []string{"remote"}},
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// A file written on the client machine, through its CFS...
+	if err := springfs.WriteFile(remote.Top, "note", []byte("written remotely")); err != nil {
+		log.Fatal(err)
+	}
+	if err := remote.Top.SyncFS(); err != nil {
+		log.Fatal(err)
+	}
+	// ...is read on the home node, straight from its SFS.
+	data, err := springfs.ReadFile(exported.FS["sfs0a"], "note")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s: %s\n", remote.Top.FSName(), data)
+	// Output: cfs: written remotely
+}
+
 // Compression (Section 4.2.1, Figures 5 and 6): COMPFS stacked on SFS
 // stores a compressed image in the underlying file, which stays
 // accessible directly, and reuses the space that rewrites free.

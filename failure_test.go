@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"springfs/internal/blockdev"
+	"springfs/internal/dfs"
 	"springfs/internal/vm"
 )
 
@@ -147,25 +148,10 @@ func TestIntermittentFailureUnderLoad(t *testing.T) {
 // remote read fails with a deadline error within twice the configured call
 // timeout, then succeeds again once the network heals.
 func TestDFSPartitionTimesOutAndRecovers(t *testing.T) {
-	home := NewNode("dfs-home")
-	defer home.Stop()
-	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
 	network := NewNetwork(LANInstant)
-	l, err := network.Listen("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := home.ServeDFS("dfs", sfs.Coherency, l); err != nil {
-		t.Fatal(err)
-	}
-	clientNode := NewNode("dfs-client")
-	defer clientNode.Stop()
-	conn, err := network.Dial("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := clientNode.DialDFS(conn, "c1")
-	defer c.Close()
+	joinAndBuild(t, network, "dfs-home", exportSpec("home:dfs"))
+	_, cb := joinAndBuild(t, network, "dfs-client", clientSpec("home:dfs", false))
+	c := cb.Top.(*dfs.ClientFS).Client()
 
 	f, err := c.Create("wan")
 	if err != nil {

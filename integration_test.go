@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"springfs/internal/dfs"
 	"springfs/internal/naming"
 	"springfs/internal/vm"
 )
@@ -19,23 +20,9 @@ import (
 // verifies each step by its observable side effects.
 func TestFigure9WalkThrough(t *testing.T) {
 	network := NewNetwork(LANInstant)
-	home := NewNode("home")
-	defer home.Stop()
-	remote := NewNode("remote")
-	defer remote.Stop()
-
 	// Build the stack: dfs -> compfs -> sfs (coherency -> disk).
-	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
-	comp := layerOn(t, home, "compfs_creator", map[string]string{"name": "compfs"}, sfs.Coherency)
-	l, err := network.Listen("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := home.ServeDFS("dfs", comp, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, hb := joinAndBuild(t, network, "home", exportSpec("home:dfs", LayerSpec{Name: "compfs", Creator: "compfs_creator", On: []string{"sfs0a"}}))
+	sfs, comp, srv := hb.Disks["sfs0a"], hb.FS["compfs"], hb.FS["dfs"].(*dfs.Server)
 
 	corpus := []byte(strings.Repeat("walk-through payload ", 1000))
 	if err := WriteFile(comp, "file", corpus); err != nil {
@@ -46,24 +33,17 @@ func TestFigure9WalkThrough(t *testing.T) {
 	}
 	// Make the home caches cold so the remote read demonstrably reaches
 	// the disk.
-	if err := home.VMM().DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sfs.Coherency.DropDataCaches(); err != nil {
+	if err := hb.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 
-	conn, err := network.Dial("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := remote.DialDFS(conn, "remote-client")
-	defer client.Close()
+	// The remote machine runs CFS over its DFS client.
+	remote, rb := joinAndBuild(t, network, "remote", clientSpec("home:dfs", true))
 
 	// Step 1: "a name lookup arrives through the private DFS protocol;
 	// DFS resolves the file in its underlying file system; COMPFS in turn
 	// resolves the file in SFS."
-	rf, err := client.Open("file")
+	f, err := rb.Top.Open("file", Root)
 	if err != nil {
 		t.Fatalf("remote lookup: %v", err)
 	}
@@ -75,8 +55,6 @@ func TestFigure9WalkThrough(t *testing.T) {
 	reads0, _ := sfs.Device.IOCount()
 	lowerPageIns0 := sfs.Coherency.LowerPageIns.Value()
 
-	cfs := remote.NewCFS("cfs")
-	f := cfs.Interpose(rf)
 	m, err := remote.VMM().Map(f, RightsRead)
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,8 @@
 package cfs
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"springfs/internal/dfs"
@@ -36,11 +38,15 @@ import (
 	"springfs/internal/vm"
 )
 
-// CFS is the per-node caching file system.
+// CFS is the per-node caching file system. Stacked on a remote file
+// system (a DFS client), it is the machine's view of that file system:
+// every remote file a resolution through it returns is interposed on, and
+// the other operations go to the remote file system unchanged.
 type CFS struct {
-	name   string
-	domain *spring.Domain
-	vmm    *vm.VMM
+	remoteFS // nil until StackOn
+	name     string
+	domain   *spring.Domain
+	vmm      *vm.VMM
 
 	mu    sync.Mutex
 	files map[*dfs.RemoteFile]*cfsFile
@@ -48,6 +54,11 @@ type CFS struct {
 	// Interpositions counts files CFS has interposed on.
 	Interpositions stats.Counter
 }
+
+// remoteFS is the remote file system CFS stacks on.
+type remoteFS = fsys.PathLayer
+
+var _ fsys.PathLayer = (*CFS)(nil)
 
 // New creates a CFS instance on the node owning vmm, served by domain.
 func New(domain *spring.Domain, vmm *vm.VMM, name string) *CFS {
@@ -57,6 +68,76 @@ func New(domain *spring.Domain, vmm *vm.VMM, name string) *CFS {
 		vmm:    vmm,
 		files:  make(map[*dfs.RemoteFile]*cfsFile),
 	}
+}
+
+// NewCreator returns the stackable_fs_creator of CFS on the node owning vmm.
+func NewCreator(domain *spring.Domain, vmm *vm.VMM) fsys.Creator {
+	return fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
+		return New(domain, vmm, config["name"]), nil
+	})
+}
+
+// FSName implements fsys.FS.
+func (c *CFS) FSName() string { return c.name }
+
+// StackOn implements fsys.StackableFS: CFS stacks on one DFS client.
+func (c *CFS) StackOn(under fsys.StackableFS) error {
+	remote, ok := under.(*dfs.ClientFS)
+	switch {
+	case !ok:
+		return fmt.Errorf("cfs: %s is not a remote file system", under.FSName())
+	case c.remoteFS != nil:
+		return fsys.ErrAlreadyStacked
+	}
+	c.remoteFS = remote
+	return nil
+}
+
+// Create implements fsys.FS.
+func (c *CFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
+	f, err := c.remoteFS.Create(name, cred)
+	if err != nil {
+		return nil, err
+	}
+	return c.InterposeObject(f).(fsys.File), nil
+}
+
+// Open implements fsys.FS.
+func (c *CFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
+	f, err := c.remoteFS.Open(name, cred)
+	if err != nil {
+		return nil, err
+	}
+	return c.InterposeObject(f).(fsys.File), nil
+}
+
+// Resolve implements naming.Context. A directory resolves to the directory
+// seen through CFS, so what is resolved in it is interposed on too.
+func (c *CFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
+	obj, err := c.remoteFS.Resolve(name, cred)
+	if err != nil {
+		return nil, err
+	}
+	if d, ok := obj.(*fsys.PathDir); ok {
+		return &fsys.PathDir{Root: c, Path: d.Path}, nil
+	}
+	return c.InterposeObject(obj), nil
+}
+
+// SyncFS implements fsys.FS: the files CFS caches write their dirty pages
+// home, and every remote file is synced there.
+func (c *CFS) SyncFS() error {
+	c.mu.Lock()
+	files := make([]*cfsFile, 0, len(c.files))
+	for _, f := range c.files {
+		files = append(files, f)
+	}
+	c.mu.Unlock()
+	var errs []error
+	for _, f := range files {
+		errs = append(errs, f.io.Sync())
+	}
+	return errors.Join(append(errs, c.remoteFS.SyncFS())...)
 }
 
 // Interpose wraps a remote file in a CFS file. The returned object is of
@@ -93,23 +174,6 @@ func (c *CFS) InterposeObject(obj naming.Object) naming.Object {
 		return c.Interpose(rf)
 	}
 	return obj
-}
-
-// InterposeOnContext rebinds ctxName inside parent to an interposed
-// context that substitutes CFS files for every remote file resolved
-// through it (the name-resolution-time interposition of Section 5).
-func (c *CFS) InterposeOnContext(parent *naming.BasicContext, ctxName string, cred naming.Credentials) (*naming.InterposedContext, error) {
-	ic, err := naming.InterposeOn(parent, ctxName, cred)
-	if err != nil {
-		return nil, err
-	}
-	ic.InterceptAll(func(name string, original naming.Object, rerr error) (naming.Object, error) {
-		if rerr != nil {
-			return original, rerr
-		}
-		return c.InterposeObject(original), nil
-	})
-	return ic, nil
 }
 
 // cfsFile is an interposed remote file: reads and writes go through a

@@ -207,45 +207,56 @@ func TestInterposeIdempotent(t *testing.T) {
 }
 
 func TestNamingLevelInterposition(t *testing.T) {
-	// Section 5: to interpose on files, the interposer rebinds the
-	// context they are resolved through and intercepts resolutions.
+	// Section 5: CFS interposes on remote files when a name resolution
+	// passes them to the machine. Stacked on the DFS client, CFS is the
+	// machine's view of the remote file system: every file resolved
+	// through it is a CFS file, and a directory is a context whose files
+	// are interposed on too.
 	r := newRig(t)
+	if err := New(r.cfs.domain, r.remoteVMM, "local").StackOn(r.sfs); err == nil {
+		t.Error("CFS stacked on a local file system")
+	}
+	if err := r.cfs.StackOn(dfs.NewClientFS(r.client, "remote")); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.client.Create("watched"); err != nil {
 		t.Fatal(err)
 	}
-
-	// The remote node's namespace binds a context whose resolutions go to
-	// the DFS client.
-	parent := naming.NewContext()
-	remoteCtx := naming.NewContext()
-	// Bind the remote file under the context by name, resolving lazily
-	// through a resolver function is overkill here — bind the object.
-	rf, err := r.client.Open("watched")
+	if err := r.client.Mkdir("dir"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.client.Create("dir/deep"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"watched", "dir/deep"} {
+		obj, err := r.cfs.Resolve(name, naming.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := obj.(*cfsFile); !ok {
+			t.Errorf("%s resolved to %T, want *cfsFile (interposed)", name, obj)
+		}
+	}
+	dir, err := r.cfs.Resolve("dir", naming.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := remoteCtx.Bind("watched", rf, naming.Root); err != nil {
-		t.Fatal(err)
+	ctx, ok := dir.(naming.Context)
+	if !ok {
+		t.Fatalf("directory resolved to %T, want a context", dir)
 	}
-	if err := parent.Bind("remote", remoteCtx, naming.Root); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := r.cfs.InterposeOnContext(parent, "remote", naming.Root); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := parent.Resolve("remote/watched", naming.Root)
+	obj, err := ctx.Resolve("deep", naming.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := obj.(*cfsFile); !ok {
-		t.Errorf("resolved %T, want *cfsFile (interposed)", obj)
+		t.Errorf("dir/deep through the directory resolved to %T, want *cfsFile", obj)
 	}
-	// Non-file objects pass through the interceptor untouched.
-	if err := remoteCtx.Bind("plain", 42, naming.Root); err != nil {
-		t.Fatal(err)
+	if n := r.cfs.Interpositions.Value(); n != 2 {
+		t.Errorf("interpositions = %d, want one per remote file", n)
 	}
-	if obj, _ := parent.Resolve("remote/plain", naming.Root); obj != 42 {
+	// Objects that are not remote files pass through untouched.
+	if obj := r.cfs.InterposeObject(42); obj != 42 {
 		t.Errorf("plain object = %v", obj)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"springfs"
-	"springfs/internal/dfs"
 	"springfs/internal/naming"
 	"springfs/internal/snapfs"
 	"springfs/internal/unixapi"
@@ -13,8 +12,8 @@ import (
 
 // StackNames lists the shapes BuildStack knows, in the order the suite
 // normally runs them.
-var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe", "stripe-mirror", "sfs-passthrough",
-	"sfs-cryptfs-coherent", "crypt-comp-mirror", "sfs-stripe-compfs", "sfs-mirror-snapfs"}
+var StackNames = []string{"disk", "sfs-compfs", "sfs-cryptfs", "mirror", "dfs-remote", "dfs-cfs", "dfs-mixed", "sfs-snapfs", "sfs-snapfs-clone", "sfs-stripe",
+	"stripe-mirror", "sfs-passthrough", "sfs-cryptfs-coherent", "crypt-comp-mirror", "sfs-stripe-compfs", "sfs-mirror-snapfs"}
 
 // The stripe is kept small (4 pages) so the suite's ordinary file sizes
 // straddle stripe and server boundaries.
@@ -53,6 +52,26 @@ var specs = map[string]springfs.Spec{
 	"sfs-mirror-snapfs": spec(16384, []string{"sfs1", "sfs2"}, layer("mirrorfs_creator", nil, "sfs1", "sfs2"), layer("snapfs_creator", nil, "mirrorfs")),
 }
 
+// The remote shapes: a home node exports an SFS over DFS at homeAddress,
+// and a process runs on a machine of its own that builds a client spec on
+// the same network, so the suite exercises cross-machine semantics (unlink
+// on one machine against an open descriptor on another, appends racing
+// across the network).
+const homeAddress = "home:dfs"
+
+var (
+	exported   = spec(8192, oneSFS, layer("dfs_creator", map[string]string{"address": homeAddress}, "sfs"))
+	dfsClient  = springfs.Spec{Layers: []springfs.LayerSpec{layer("dfs_client_creator", map[string]string{"address": homeAddress})}}
+	cfsMachine = springfs.Spec{Layers: append(dfsClient.Layers, layer("cfs_creator", nil, "dfs_client"))}
+)
+
+// remotes are what a remote shape's client machines build: plain DFS
+// clients, where every file operation goes home, or CFS on each client
+// (the Figure 9 path). In dfs-mixed, processes alternate between the home
+// node, over its SFS, and remote machines, starting at home: local binds
+// must stay coherent with remote caching (Figure 7).
+var remotes = map[string]springfs.Spec{"dfs-remote": dfsClient, "dfs-cfs": cfsMachine, "dfs-mixed": cfsMachine}
+
 // spec describes the layers, in order, over one SFS of the given size per
 // disk name.
 func spec(blocks int64, disks []string, layers ...springfs.LayerSpec) springfs.Spec {
@@ -74,7 +93,6 @@ func layer(creator string, config map[string]string, on ...string) springfs.Laye
 func BuildStack(name string) (*Stack, error) {
 	build := map[string]func(*springfs.Node) (*Stack, error){
 		"disk":             newDiskStack,
-		"dfs-remote":       newDFSStack,
 		"sfs-snapfs-clone": newSnapCloneStack,
 	}[name]
 	if shape, ok := specs[name]; ok {
@@ -85,6 +103,9 @@ func BuildStack(name string) (*Stack, error) {
 			}
 			return localStack(node, b.Top, b.DropCaches), nil
 		}
+	}
+	if client, ok := remotes[name]; ok {
+		build = func(home *springfs.Node) (*Stack, error) { return newRemoteStack(home, client, name == "dfs-mixed") }
 	}
 	if build == nil {
 		return nil, fmt.Errorf("conformance: unknown stack shape %q", name)
@@ -140,58 +161,48 @@ func newSnapCloneStack(node *springfs.Node) (*Stack, error) {
 	return localStack(node, clone, b.DropCaches), nil
 }
 
-// newDFSStack: SFS on a home node exported by a DFS server; every process
-// runs on its own remote machine, dialing a fresh connection, so the suite
-// exercises cross-machine semantics (unlink on one machine vs an open
-// descriptor on another, appends racing across the network).
-func newDFSStack(home *springfs.Node) (*Stack, error) {
-	b, err := home.Build(spec(8192, oneSFS))
-	if err != nil {
-		return nil, err
-	}
+// newRemoteStack builds a remote shape: the exported SFS on home, and a
+// machine building client for each remote process.
+func newRemoteStack(home *springfs.Node, client springfs.Spec, mixed bool) (*Stack, error) {
 	network := springfs.NewNetwork(springfs.LANInstant)
-	l, err := network.Listen("home:dfs")
+	home.Join(network)
+	hb, err := home.Build(exported)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := home.ServeDFS("dfs", b.Top, l); err != nil {
-		return nil, err
-	}
-
-	var nodes []*springfs.Node
-	var clients []*dfs.Client
-	n := 0
+	builts := []*springfs.Built{hb}
+	machines := []*springfs.Node{home}
+	procs := 0
 	newProcess := func() (*unixapi.Process, error) {
-		n++
-		machine := springfs.NewNode(fmt.Sprintf("conf-remote%d", n))
-		conn, err := network.Dial("home:dfs")
+		procs++
+		if mixed && procs%2 == 1 {
+			return unixapi.NewProcess(hb.FS["sfs"], naming.Root), nil
+		}
+		machine := springfs.NewNode(fmt.Sprintf("conf-remote%d", procs))
+		machine.Join(network)
+		b, err := machine.Build(client)
 		if err != nil {
 			machine.Stop()
 			return nil, err
 		}
-		client := machine.DialDFS(conn, fmt.Sprintf("dfsc%d", n))
-		nodes = append(nodes, machine)
-		clients = append(clients, client)
-		return unixapi.NewProcess(dfs.NewClientFS(client, "dfs-remote"), naming.Root), nil
+		machines = append(machines, machine)
+		builts = append(builts, b)
+		return unixapi.NewProcess(b.Top, naming.Root), nil
 	}
 	return &Stack{
 		NewProcess: newProcess,
 		DropCaches: func() error {
-			for _, nd := range nodes {
-				if err := nd.VMM().DropCaches(); err != nil {
+			for i := len(builts) - 1; i >= 0; i-- {
+				if err := builts[i].DropCaches(); err != nil {
 					return err
 				}
 			}
-			return b.DropCaches()
+			return nil
 		},
 		Close: func() {
-			for _, c := range clients {
-				_ = c.Close()
+			for i := len(machines) - 1; i >= 0; i-- {
+				machines[i].Stop()
 			}
-			for _, nd := range nodes {
-				nd.Stop()
-			}
-			home.Stop()
 		},
 	}, nil
 }

@@ -334,9 +334,6 @@ var (
 // ID returns the protocol file id (tests).
 func (f *RemoteFile) ID() uint64 { return f.id }
 
-// Client returns the owning client.
-func (f *RemoteFile) Client() *Client { return f.client }
-
 // WrapForChannel implements naming.ProxyWrappable.
 func (f *RemoteFile) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.NewFileProxy(ch, f)

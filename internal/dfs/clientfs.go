@@ -2,9 +2,11 @@ package dfs
 
 import (
 	"errors"
+	"net"
 
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
+	"springfs/internal/spring"
 )
 
 // ClientFS adapts a Client to the stackable_fs interface, so the exported
@@ -25,6 +27,30 @@ func NewClientFS(client *Client, name string) *ClientFS {
 	c.Init(name, c)
 	return c
 }
+
+// NewClientCreator returns the stackable_fs_creator of the DFS client: a
+// leaf layer, stacked on nothing local, whose files are those of the
+// server at the config's "address", reached over the connection dial opens.
+// Its remote files' pager objects are served from domain.
+func NewClientCreator(domain *spring.Domain, dial func(address string) (net.Conn, error)) fsys.Creator {
+	return fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
+		address := config["address"]
+		if address == "" {
+			return nil, errors.New("dfs: a client needs the server's address")
+		}
+		conn, err := dial(address)
+		if err != nil {
+			return nil, err
+		}
+		return NewClientFS(NewClient(conn, domain, config["name"]), config["name"]), nil
+	})
+}
+
+// Client returns the protocol client the layer speaks through.
+func (c *ClientFS) Client() *Client { return c.client }
+
+// Close detaches the client from its server and drops the connection.
+func (c *ClientFS) Close() { _ = c.client.Close() } // a failed detach drops it too
 
 // ErrRemoteBind is returned for naming operations DFS cannot express on the
 // wire (binding arbitrary local objects into a remote name space).

@@ -6,15 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"springfs/internal/blockdev"
-	"springfs/internal/cfs"
-	"springfs/internal/coherency"
+	"springfs"
 	"springfs/internal/dfs"
-	"springfs/internal/disklayer"
-	"springfs/internal/fsys"
 	"springfs/internal/naming"
-	"springfs/internal/netsim"
-	"springfs/internal/spring"
 	"springfs/internal/stats"
 	"springfs/internal/unixapi"
 	"springfs/internal/vm"
@@ -23,37 +17,6 @@ import (
 // Round-trip counts of the Figure 9 path — unixapi → CFS → DFS client →
 // netsim → DFS server → SFS — on a network with no delay: counts, never
 // time. What a call costs on a 2 ms link is these numbers times the link.
-
-// cfsView is a client machine's name space with CFS running: every remote
-// file a resolution returns is interposed on.
-type cfsView struct {
-	*dfs.ClientFS
-	cfs *cfs.CFS
-}
-
-func (c *cfsView) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	f, err := c.ClientFS.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.cfs.InterposeObject(f).(fsys.File), nil
-}
-
-func (c *cfsView) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	f, err := c.ClientFS.Open(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.cfs.InterposeObject(f).(fsys.File), nil
-}
-
-func (c *cfsView) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	obj, err := c.ClientFS.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return c.cfs.InterposeObject(obj), nil
-}
 
 // countRig is a home node exporting an SFS and one client machine with CFS.
 type countRig struct {
@@ -64,47 +27,31 @@ type countRig struct {
 
 func newCountRig(t *testing.T) *countRig {
 	t.Helper()
-	homeNode := spring.NewNode("home")
-	t.Cleanup(homeNode.Stop)
-	homeVMM := vm.New(spring.NewDomain(homeNode, "vmm"), "home-vmm")
-	dev := blockdev.NewMem(4096, blockdev.ProfileNone)
-	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
-		t.Fatal(err)
+	network := springfs.NewNetwork(springfs.LANInstant)
+	build := func(name string, spec springfs.Spec) *springfs.Built {
+		node := springfs.NewNode(name)
+		t.Cleanup(node.Stop)
+		node.Join(network)
+		b, err := node.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	diskDomain := spring.NewDomain(homeNode, "disk")
-	disk, err := disklayer.Mount(dev, diskDomain, homeVMM, "disk0a")
-	if err != nil {
-		t.Fatal(err)
+	address := map[string]string{"address": "home:dfs"}
+	home := build("home", springfs.Spec{
+		Disks:  []springfs.DiskSpec{{Name: "sfs"}},
+		Layers: []springfs.LayerSpec{{Name: "dfs", Creator: "dfs_creator", On: []string{"sfs"}, Config: address}},
+	})
+	machine := build("client", springfs.Spec{Layers: []springfs.LayerSpec{
+		{Name: "dfsc", Creator: "dfs_client_creator", Config: address},
+		{Name: "cfs", Creator: "cfs_creator", On: []string{"dfsc"}},
+	}})
+	return &countRig{
+		srv:    home.FS["dfs"].(*dfs.Server),
+		client: machine.FS["dfsc"].(*dfs.ClientFS).Client(),
+		proc:   unixapi.NewProcess(machine.Top, naming.Root),
 	}
-	sfs := coherency.New(diskDomain, homeVMM, "sfs")
-	if err := sfs.StackOn(disk); err != nil {
-		t.Fatal(err)
-	}
-	srv := dfs.NewServer(spring.NewDomain(homeNode, "dfs"), "dfs", naming.Root)
-	if err := srv.StackOn(sfs); err != nil {
-		t.Fatal(err)
-	}
-	network := netsim.New(netsim.ProfileNone)
-	l, err := network.Listen("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
-
-	machine := spring.NewNode("client")
-	t.Cleanup(machine.Stop)
-	conn, err := network.Dial("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := dfs.NewClient(conn, spring.NewDomain(machine, "dfsc"), "dfsc")
-	t.Cleanup(func() { client.Close() })
-	view := &cfsView{
-		ClientFS: dfs.NewClientFS(client, "dfs-cfs"),
-		cfs:      cfs.New(spring.NewDomain(machine, "cfs"), vm.New(spring.NewDomain(machine, "vmm"), "client-vmm"), "cfs"),
-	}
-	return &countRig{srv: srv, client: client, proc: unixapi.NewProcess(view, naming.Root)}
 }
 
 // homeFile creates path on the home node with size bytes of fill, synced.

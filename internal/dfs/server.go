@@ -44,6 +44,8 @@ type Server struct {
 	listeners []net.Listener
 	clients   map[*srvClient]bool
 	cred      naming.Credentials
+	address   string                                       // where StackOn serves; "" for none
+	listen    func(address string) ([]net.Listener, error) // opens the listeners at address
 
 	// cbTimeout bounds server-to-client coherency callbacks, in
 	// nanoseconds (atomic: read per new connection).
@@ -85,16 +87,36 @@ func NewServer(domain *spring.Domain, name string, cred naming.Credentials) *Ser
 // wedging the block. Zero disables the bound.
 func (s *Server) SetCallbackTimeout(d time.Duration) { s.cbTimeout.Store(int64(d)) }
 
-// NewCreator returns a stackable_fs_creator for DFS servers.
-func NewCreator(domain *spring.Domain, cred naming.Credentials) fsys.Creator {
+// NewCreator returns a stackable_fs_creator for DFS servers. A config
+// "address" makes the server accept remote clients there, on the listeners
+// listen opens, as soon as it is stacked on the file system it exports.
+func NewCreator(domain *spring.Domain, cred naming.Credentials, listen func(address string) ([]net.Listener, error)) fsys.Creator {
 	var n atomic.Uint64
 	return fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
 		name := config["name"]
 		if name == "" {
 			name = fmt.Sprintf("dfs%d", n.Add(1))
 		}
-		return NewServer(domain, name, cred), nil
+		s := NewServer(domain, name, cred)
+		s.address, s.listen = config["address"], listen
+		return s, nil
 	})
+}
+
+// StackOn implements fsys.StackableFS. A server with an address starts
+// serving there once it has a file system to export.
+func (s *Server) StackOn(under fsys.StackableFS) error {
+	if err := s.Passthrough.StackOn(under); err != nil || s.address == "" {
+		return err
+	}
+	ls, err := s.listen(s.address)
+	s.mu.Lock()
+	s.listeners = append(s.listeners, ls...)
+	s.mu.Unlock()
+	for _, l := range ls {
+		go s.accept(l)
+	}
+	return err
 }
 
 // Serve accepts protocol connections on l until it is closed.
@@ -102,6 +124,11 @@ func (s *Server) Serve(l net.Listener) {
 	s.mu.Lock()
 	s.listeners = append(s.listeners, l)
 	s.mu.Unlock()
+	s.accept(l)
+}
+
+// accept serves every connection l accepts until l is closed.
+func (s *Server) accept(l net.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {

@@ -16,7 +16,6 @@ type InterposedContext struct {
 
 	mu        sync.RWMutex
 	intercept map[string]func(original Object) (Object, error)
-	catchAll  func(name string, original Object, err error) (Object, error)
 }
 
 var _ Context = (*InterposedContext)(nil)
@@ -41,15 +40,6 @@ func (ic *InterposedContext) Intercept(name string, fn func(original Object) (Ob
 	ic.intercept[name] = fn
 }
 
-// InterceptAll registers a hook consulted for every resolution that has no
-// per-name interceptor. It receives the original resolution result and
-// error.
-func (ic *InterposedContext) InterceptAll(fn func(name string, original Object, err error) (Object, error)) {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	ic.catchAll = fn
-}
-
 // Resolve implements Context, applying interceptors on the last component.
 func (ic *InterposedContext) Resolve(name string, cred Credentials) (Object, error) {
 	parts, err := SplitName(name)
@@ -61,14 +51,10 @@ func (ic *InterposedContext) Resolve(name string, cred Credentials) (Object, err
 	}
 	ic.mu.RLock()
 	fn := ic.intercept[parts[0]]
-	catchAll := ic.catchAll
 	ic.mu.RUnlock()
 	obj, rerr := ic.original.Resolve(parts[0], cred)
 	if fn != nil {
 		return fn(obj)
-	}
-	if catchAll != nil {
-		return catchAll(parts[0], obj, rerr)
 	}
 	return obj, rerr
 }

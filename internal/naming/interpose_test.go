@@ -51,28 +51,6 @@ func TestInterposedContextIntercept(t *testing.T) {
 	}
 }
 
-func TestInterceptAll(t *testing.T) {
-	orig := NewContext()
-	if err := orig.Bind("a", 1, Root); err != nil {
-		t.Fatal(err)
-	}
-	ic := NewInterposedContext(orig)
-	var seen []string
-	ic.InterceptAll(func(name string, original Object, err error) (Object, error) {
-		seen = append(seen, name)
-		return original, err
-	})
-	if _, err := ic.Resolve("a", Root); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ic.Resolve("missing", Root); !errors.Is(err, ErrNotFound) {
-		t.Errorf("error = %v, want ErrNotFound passed through", err)
-	}
-	if len(seen) != 2 || seen[0] != "a" || seen[1] != "missing" {
-		t.Errorf("catch-all saw %v", seen)
-	}
-}
-
 func TestInterposeOnRebindsInPlace(t *testing.T) {
 	parent := NewContext()
 	dir := NewContext()
@@ -120,92 +98,6 @@ func TestInterposeOnNonContext(t *testing.T) {
 	}
 	if _, err := InterposeOn(parent, "leaf", Root); !errors.Is(err, ErrNotContext) {
 		t.Errorf("error = %v, want ErrNotContext", err)
-	}
-}
-
-func TestNameCacheHitsAndInvalidation(t *testing.T) {
-	backing := NewContext()
-	if err := backing.Bind("f", "v1", Root); err != nil {
-		t.Fatal(err)
-	}
-	cc := NewCachingContext(backing, 8)
-
-	if _, err := cc.Resolve("f", Root); err != nil {
-		t.Fatal(err)
-	}
-	if cc.Misses.Value() != 1 || cc.Hits.Value() != 0 {
-		t.Errorf("after first resolve: hits=%d misses=%d", cc.Hits.Value(), cc.Misses.Value())
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := cc.Resolve("f", Root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cc.Hits.Value() != 5 {
-		t.Errorf("hits = %d, want 5", cc.Hits.Value())
-	}
-
-	// Unbind through the cache invalidates.
-	if err := cc.Unbind("f", Root); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Resolve("f", Root); !errors.Is(err, ErrNotFound) {
-		t.Errorf("resolve after unbind = %v, want ErrNotFound", err)
-	}
-}
-
-func TestNameCacheLRUEviction(t *testing.T) {
-	backing := NewContext()
-	for i := 0; i < 4; i++ {
-		if err := backing.Bind(string(rune('a'+i)), i, Root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cc := NewCachingContext(backing, 2)
-	for _, n := range []string{"a", "b", "c"} { // "a" evicted by "c"
-		if _, err := cc.Resolve(n, Root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cc.Len() != 2 {
-		t.Errorf("Len = %d, want 2", cc.Len())
-	}
-	cc.Misses.Reset()
-	if _, err := cc.Resolve("a", Root); err != nil {
-		t.Fatal(err)
-	}
-	if cc.Misses.Value() != 1 {
-		t.Errorf("evicted entry should miss; misses = %d", cc.Misses.Value())
-	}
-}
-
-func TestNameCacheEliminatesCrossDomainCalls(t *testing.T) {
-	// This is the Section 6.4 claim: name caching eliminates the
-	// cross-domain overhead of opens.
-	node := spring.NewNode("n")
-	defer node.Stop()
-	client := spring.NewDomain(node, "client")
-	server := spring.NewDomain(node, "fs-server")
-
-	backing := NewContext()
-	if err := backing.Bind("file", "obj", Root); err != nil {
-		t.Fatal(err)
-	}
-	ch := spring.Connect(client, server)
-	proxy := NewContextProxy(ch, backing)
-	cc := NewCachingContext(proxy, 8)
-
-	if _, err := cc.Resolve("file", Root); err != nil {
-		t.Fatal(err)
-	}
-	before := ch.CrossCalls.Value()
-	for i := 0; i < 10; i++ {
-		if _, err := cc.Resolve("file", Root); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ch.CrossCalls.Value(); got != before {
-		t.Errorf("cached resolves crossed domains %d times, want 0", got-before)
 	}
 }
 

@@ -510,49 +510,43 @@ func TestStripeConcurrentDisjointStripes(t *testing.T) {
 // dfsRig builds a striping layer whose data servers are DFS exports, each
 // on its own simulated network so one server can be partitioned alone.
 type dfsRig struct {
-	client *springfs.Node
-	st     *springfs.StripeFS
-	nets   []*springfs.Network
+	st   *springfs.StripeFS
+	nets []*springfs.Network
 }
 
 func newDFSRig(t *testing.T, k int, stripeSize int64) *dfsRig {
 	t.Helper()
 	client := springfs.NewNode("stripe-client")
 	t.Cleanup(client.Stop)
-	meta := sfss(t, client, "meta")["meta"]
-	st, err := stripefs.New(client.NewDomain("stripe"), "stripe", stripefs.Options{StripeSize: stripeSize})
-	if err != nil {
-		t.Fatalf("stripefs.New: %v", err)
-	}
-	if err := st.StackOn(meta); err != nil {
-		t.Fatalf("StackOn meta: %v", err)
-	}
-	r := &dfsRig{client: client, st: st}
+	r := &dfsRig{}
+	spec := springfs.Spec{Disks: []springfs.DiskSpec{{Name: "meta", Blocks: 8192}}}
+	on := []string{"meta"}
 	for i := 0; i < k; i++ {
+		network := springfs.NewNetwork(springfs.LANInstant)
+		r.nets = append(r.nets, network)
+		client.Join(network)
 		server := springfs.NewNode(fmt.Sprintf("stripe-srv%d", i))
 		t.Cleanup(server.Stop)
-		store := fmt.Sprintf("store%d", i)
-		sfs := sfss(t, server, store)[store]
-		network := springfs.NewNetwork(springfs.LANInstant)
-		addr := fmt.Sprintf("srv%d:dfs", i)
-		l, err := network.Listen(addr)
-		if err != nil {
-			t.Fatalf("server %d listen: %v", i, err)
+		server.Join(network)
+		addr, store, remote := fmt.Sprintf("srv%d:dfs", i), fmt.Sprintf("store%d", i), fmt.Sprintf("remote%d", i)
+		if _, err := server.Build(springfs.Spec{
+			Disks: []springfs.DiskSpec{{Name: store, Blocks: 8192}},
+			Layers: []springfs.LayerSpec{{Name: fmt.Sprintf("dfs%d", i), Creator: "dfs_creator", On: []string{store},
+				Config: map[string]string{"address": addr}}},
+		}); err != nil {
+			t.Fatalf("server %d: %v", i, err)
 		}
-		if _, err := server.ServeDFS(fmt.Sprintf("dfs%d", i), sfs, l); err != nil {
-			t.Fatalf("server %d serve: %v", i, err)
-		}
-		conn, err := network.Dial(addr)
-		if err != nil {
-			t.Fatalf("server %d dial: %v", i, err)
-		}
-		dc := client.DialDFS(conn, fmt.Sprintf("dfsc%d", i))
-		t.Cleanup(func() { _ = dc.Close() })
-		if err := st.StackOn(springfs.NewDFSClientFS(dc, fmt.Sprintf("remote%d", i))); err != nil {
-			t.Fatalf("StackOn remote %d: %v", i, err)
-		}
-		r.nets = append(r.nets, network)
+		spec.Layers = append(spec.Layers, springfs.LayerSpec{Name: remote, Creator: "dfs_client_creator",
+			Config: map[string]string{"address": addr}})
+		on = append(on, remote)
 	}
+	spec.Layers = append(spec.Layers, springfs.LayerSpec{Name: "stripe", Creator: "stripefs_creator", On: on,
+		Config: map[string]string{"stripe_size": fmt.Sprint(stripeSize)}})
+	b, err := client.Build(spec)
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	r.st = b.Top.(*springfs.StripeFS)
 	return r
 }
 

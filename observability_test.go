@@ -24,26 +24,8 @@ var lowerLayerPrefixes = []string{
 //	go test -run Figure9 -v .
 func TestFigure9RemoteReadTrace(t *testing.T) {
 	network := NewNetwork(LAN)
-	server := NewNode("server")
-	defer server.Stop()
-	client := NewNode("client")
-	defer client.Stop()
-
-	sfs := buildSFS(t, server, DiskSpec{Name: "sfs0a"})
-	comp, err := server.ConfigureStack("compfs_creator",
-		map[string]string{"name": "comp"}, []StackableFS{sfs.Coherency}, "comp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := network.Listen("server:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.ServeDFS("dfs", comp, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, sb := joinAndBuild(t, network, "server", exportSpec("server:dfs", LayerSpec{Name: "comp", Creator: "compfs_creator", On: []string{"sfs0a"}}))
+	sfs, comp := sb.Disks["sfs0a"], sb.FS["comp"]
 
 	content := []byte(strings.Repeat("figure nine remote read ", 256))
 	if err := WriteFile(comp, "paper.txt", content); err != nil {
@@ -53,17 +35,11 @@ func TestFigure9RemoteReadTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	conn, err := network.Dial("server:dfs")
+	_, cb := joinAndBuild(t, network, "client", clientSpec("server:dfs", false))
+	rf, err := cb.Top.Open("paper.txt", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfsClient := client.DialDFS(conn, "client")
-	defer dfsClient.Close()
-	rf, err := dfsClient.Open("paper.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
 
 	// Drop the server-side block cache so the traced read walks the whole
 	// stack down to the modelled device, as in the paper's cold case.

@@ -29,7 +29,9 @@
 package springfs
 
 import (
+	"fmt"
 	"net"
+	"sync"
 
 	"springfs/internal/cfs"
 	"springfs/internal/coherency"
@@ -112,6 +114,10 @@ type Node struct {
 	node *spring.Node
 	vmm  *vm.VMM
 	root *naming.BasicContext
+
+	mu       sync.Mutex
+	networks []*netsim.Network // joined, in order
+	closers  []func()          // of the layers the node made, in order
 }
 
 // NewNode boots a node: nucleus, VMM, and a root name space with an empty
@@ -125,9 +131,19 @@ func NewNode(name string) *Node {
 	// Register the standard creators in the well-known context, so stacks
 	// can be configured with the Section 4.4 recipe. A creator is a server
 	// whose instances live in its own domain, so layers of different types
-	// stacked on each other cross a domain boundary.
+	// stacked on each other cross a domain boundary. A layer that holds
+	// something open outside the node has a Close, which Stop calls.
 	register := func(name string, creator func(*spring.Domain) fsys.Creator) {
-		must(fsys.RegisterCreator(n.root, name, creator(n.NewDomain(name)), Root))
+		c := creator(n.NewDomain(name))
+		must(fsys.RegisterCreator(n.root, name, fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
+			layer, err := c.CreateFS(config)
+			if closer, ok := layer.(interface{ Close() }); ok {
+				n.mu.Lock()
+				n.closers = append(n.closers, closer.Close)
+				n.mu.Unlock()
+			}
+			return layer, err
+		}), Root))
 	}
 	register("coherency_creator", func(d *spring.Domain) fsys.Creator { return coherency.NewCreator(d, n.vmm) })
 	register("compfs_creator", compfs.NewCreator)
@@ -135,7 +151,9 @@ func NewNode(name string) *Node {
 	register("mirrorfs_creator", mirrorfs.NewCreator)
 	register("snapfs_creator", snapfs.NewCreator)
 	register("stripefs_creator", stripefs.NewCreator)
-	register("dfs_creator", func(d *spring.Domain) fsys.Creator { return dfs.NewCreator(d, Root) })
+	register("dfs_creator", func(d *spring.Domain) fsys.Creator { return dfs.NewCreator(d, Root, n.listen) })
+	register("dfs_client_creator", func(d *spring.Domain) fsys.Creator { return dfs.NewClientCreator(d, n.dial) })
+	register("cfs_creator", func(d *spring.Domain) fsys.Creator { return cfs.NewCreator(d, n.vmm) })
 	// The identity layer forwards every file operation: no domain of its own.
 	must(fsys.RegisterCreator(n.root, "identity_creator", fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
 		return fsys.NewIdentityFS(config["name"]), nil
@@ -157,8 +175,65 @@ func must(err error) {
 // the snapshot covers all nodes.
 func (n *Node) Snapshot() stats.Snapshot { return stats.Default.Export() }
 
-// Stop shuts the node's domains down.
-func (n *Node) Stop() { n.node.Stop() }
+// Stop closes what the node's layers hold open on a network (a DFS
+// server's listeners and connections, a DFS client's connection), newest
+// first, and shuts the node's domains down.
+func (n *Node) Stop() {
+	n.mu.Lock()
+	closers := n.closers
+	n.closers = nil
+	n.mu.Unlock()
+	for i := len(closers) - 1; i >= 0; i-- {
+		closers[i]()
+	}
+	n.node.Stop()
+}
+
+// Join attaches the node to network. A DFS server the node builds with an
+// address listens there on every network the node has joined; a DFS client
+// dials the first joined network with a server at its address.
+func (n *Node) Join(network *Network) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.networks = append(n.networks, network)
+}
+
+// joined returns the networks the node has joined, or an error if none.
+func (n *Node) joined() ([]*netsim.Network, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.networks) == 0 {
+		return nil, fmt.Errorf("node %s has joined no network", n.node.Name())
+	}
+	return n.networks, nil
+}
+
+// listen opens a listener at address on every network the node has joined.
+// The listeners opened before an error come back with it.
+func (n *Node) listen(address string) ([]net.Listener, error) {
+	networks, err := n.joined()
+	var ls []net.Listener
+	for _, nw := range networks {
+		l, err := nw.Listen(address)
+		if err != nil {
+			return ls, err
+		}
+		ls = append(ls, l)
+	}
+	return ls, err
+}
+
+// dial connects to address on the first joined network that accepts.
+func (n *Node) dial(address string) (net.Conn, error) {
+	networks, err := n.joined()
+	for _, nw := range networks {
+		var conn net.Conn
+		if conn, err = nw.Dial(address); err == nil {
+			return conn, nil
+		}
+	}
+	return nil, err
+}
 
 // VMM returns the node's virtual memory manager.
 func (n *Node) VMM() *vm.VMM { return n.vmm }
@@ -177,33 +252,6 @@ func (n *Node) NewDomain(name string) *spring.Domain {
 // the bind).
 func (n *Node) ConfigureStack(creatorName string, config map[string]string, under []StackableFS, exportName string) (StackableFS, error) {
 	return fsys.ConfigureStack(n.root, creatorName, config, under, n.root, exportName, Root)
-}
-
-// ServeDFS creates a DFS server stacked on under and starts serving
-// protocol connections on l.
-func (n *Node) ServeDFS(name string, under StackableFS, l net.Listener) (*dfs.Server, error) {
-	srv := dfs.NewServer(n.NewDomain(name), name, Root)
-	if err := srv.StackOn(under); err != nil {
-		return nil, err
-	}
-	go srv.Serve(l)
-	return srv, nil
-}
-
-// DialDFS connects this node to a DFS server over conn.
-func (n *Node) DialDFS(conn net.Conn, name string) *dfs.Client {
-	return dfs.NewClient(conn, n.NewDomain(name), name)
-}
-
-// NewDFSClientFS wraps a DFS client as a stackable file system.
-func NewDFSClientFS(client *dfs.Client, name string) *dfs.ClientFS {
-	return dfs.NewClientFS(client, name)
-}
-
-// NewCFS starts the node's caching file system (interpose it on remote
-// files with Interpose / InterposeOnContext).
-func (n *Node) NewCFS(name string) *cfs.CFS {
-	return cfs.New(n.NewDomain(name), n.vmm, name)
 }
 
 // Watch wraps a file with watchdog hooks (per-file interposition,

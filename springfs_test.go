@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"springfs/internal/cfs"
 )
 
 // buildSFS builds a spec of the one disk d on node and returns its SFS.
@@ -175,44 +177,60 @@ func TestWatchHelper(t *testing.T) {
 	}
 }
 
+// joinAndBuild builds spec on a fresh node that has joined network; the
+// node stops when the test ends.
+func joinAndBuild(t *testing.T, network *Network, name string, spec Spec) (*Node, *Built) {
+	t.Helper()
+	node := NewNode(name)
+	t.Cleanup(node.Stop)
+	node.Join(network)
+	b, err := node.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node, b
+}
+
+// exportSpec is an SFS named sfs0a with layers stacked on it in order, the
+// last of them (or the SFS) served over DFS at address.
+func exportSpec(address string, layers ...LayerSpec) Spec {
+	top := "sfs0a"
+	if len(layers) > 0 {
+		top = layers[len(layers)-1].Name
+	}
+	return Spec{Disks: []DiskSpec{{Name: "sfs0a"}}, Layers: append(layers,
+		LayerSpec{Name: "dfs", Creator: "dfs_creator", On: []string{top}, Config: map[string]string{"address": address}})}
+}
+
+// clientSpec is a machine with a DFS client of the server at address,
+// behind the machine's CFS if withCFS.
+func clientSpec(address string, withCFS bool) Spec {
+	s := Spec{Layers: []LayerSpec{{Name: "remote", Creator: "dfs_client_creator", Config: map[string]string{"address": address}}}}
+	if withCFS {
+		s.Layers = append(s.Layers, LayerSpec{Name: "cfs", Creator: "cfs_creator", On: []string{"remote"}})
+	}
+	return s
+}
+
 func TestDFSThroughFacade(t *testing.T) {
 	network := NewNetwork(LANInstant)
-	home := NewNode("home")
-	defer home.Stop()
-	remote := NewNode("remote")
-	defer remote.Stop()
+	_, home := joinAndBuild(t, network, "home", exportSpec("home:dfs"))
+	_, remote := joinAndBuild(t, network, "remote", clientSpec("home:dfs", true))
 
-	sfs := buildSFS(t, home, DiskSpec{Name: "sfs0a"})
-	l, err := network.Listen("home:dfs")
+	cached, err := remote.Top.Create("shared", Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := home.ServeDFS("dfs", sfs.Coherency, l)
-	if err != nil {
-		t.Fatal(err)
+	if n := remote.FS["cfs"].(*cfs.CFS).Interpositions.Value(); n != 1 {
+		t.Errorf("CFS interposed on %d files, want 1", n)
 	}
-	defer srv.Close()
-
-	conn, err := network.Dial("home:dfs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := remote.DialDFS(conn, "remote-client")
-	defer client.Close()
-
-	rf, err := client.Create("shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := remote.NewCFS("cfs")
-	cached := c.Interpose(rf)
 	if _, err := cached.WriteAt([]byte("via facade"), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cached.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(sfs.Coherency, "shared")
+	got, err := ReadFile(home.FS["sfs0a"], "shared")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 
 	"springfs/internal/fsys"
@@ -154,53 +155,74 @@ func (c *CompFS) SyncFS() error {
 
 // ---- compression helpers ----
 
-// compressBlock deflates a 4 KiB block; if the result does not shrink the
-// block it is stored raw (flagged by clen == BlockSize).
-func compressBlock(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	if buf.Len() >= BlockSize {
-		out := make([]byte, BlockSize)
-		copy(out, data)
-		return out, nil
-	}
-	return buf.Bytes(), nil
+// The codec state is pooled: a flate.Writer is some 600 KB and a reader
+// 40 KB, against a 4 KiB block. Reset makes either one equivalent to a
+// fresh one, so pooling changes no stored byte.
+var (
+	deflaters = sync.Pool{New: func() any {
+		d := new(deflater)
+		d.w, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // a valid level: no error
+		return d
+	}}
+	inflaters = sync.Pool{New: func() any {
+		i := new(inflater)
+		i.r = flate.NewReader(&i.src)
+		return i
+	}}
+)
+
+type deflater struct {
+	w   *flate.Writer
+	buf bytes.Buffer
 }
 
-// decompressBlock inverts compressBlock.
-func decompressBlock(data []byte) ([]byte, error) {
+type inflater struct {
+	r    io.ReadCloser // also a flate.Resetter
+	src  bytes.Reader
+	over [1]byte
+}
+
+// compressBlock deflates a 4 KiB block (writes to a bytes.Buffer cannot
+// fail); if that does not shrink it, data itself is returned to be stored
+// raw, flagged by clen == BlockSize.
+func compressBlock(data []byte) []byte {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.w.Reset(&d.buf)
+	d.w.Write(data)
+	d.w.Close()
+	if d.buf.Len() >= BlockSize {
+		return data
+	}
+	return bytes.Clone(d.buf.Bytes())
+}
+
+// decompressBlock inverts compressBlock into dst, one block long. A
+// stream that inflates to more or fewer than BlockSize bytes is refused,
+// and inflating stops one byte past the block, so a corrupt extent costs
+// no more than a good one.
+func decompressBlock(dst, data []byte) error {
 	if len(data) == BlockSize {
-		out := make([]byte, BlockSize)
-		copy(out, data)
-		return out, nil
+		copy(dst, data)
+		return nil
 	}
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out := make([]byte, 0, BlockSize)
-	buf := make([]byte, BlockSize)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
+	i := inflaters.Get().(*inflater)
+	defer inflaters.Put(i)
+	i.src.Reset(data)
+	i.r.(flate.Resetter).Reset(&i.src, nil) // never fails
+	n, err := io.ReadFull(i.r, dst)
+	if err == nil {
+		// The stream must end with the block: inflate one byte further.
+		if n, err = i.r.Read(i.over[:]); n > 0 {
+			return fmt.Errorf("compfs: inflates past %d bytes", BlockSize)
+		} else if err == io.EOF {
+			return nil
 		}
-		if err != nil {
-			return nil, fmt.Errorf("compfs: inflate: %w", err)
-		}
+	} else if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("compfs: inflated %d bytes, want %d", n, BlockSize)
 	}
-	if len(out) != BlockSize {
-		return nil, fmt.Errorf("compfs: inflated %d bytes, want %d", len(out), BlockSize)
-	}
-	return out, nil
+	return fmt.Errorf("compfs: inflate: %w", err)
 }
 
 // ---- block table ----

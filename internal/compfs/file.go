@@ -97,25 +97,12 @@ func (c *compCacheObject) invalidate() {
 	}
 }
 
-// FlushBack implements vm.CacheObject.
-func (c *compCacheObject) FlushBack(offset, size vm.Offset) []vm.Data {
-	c.invalidate()
-	return nil
-}
-
-// DeleteRange implements vm.CacheObject.
-func (c *compCacheObject) DeleteRange(offset, size vm.Offset) { c.invalidate() }
-
-// ZeroFill implements vm.CacheObject.
-func (c *compCacheObject) ZeroFill(offset, size vm.Offset) { c.invalidate() }
-
-// Populate implements vm.CacheObject.
-func (c *compCacheObject) Populate(offset, size vm.Offset, access vm.Rights, data []byte) {
-	c.invalidate()
-}
-
-// DestroyCache implements vm.CacheObject.
-func (c *compCacheObject) DestroyCache() { c.invalidate() }
+// The coherency actions of vm.CacheObject that reach COMPFS all invalidate.
+func (c *compCacheObject) FlushBack(_, _ vm.Offset) []vm.Data             { c.invalidate(); return nil }
+func (c *compCacheObject) DeleteRange(_, _ vm.Offset)                     { c.invalidate() }
+func (c *compCacheObject) ZeroFill(_, _ vm.Offset)                        { c.invalidate() }
+func (c *compCacheObject) DestroyCache()                                  { c.invalidate() }
+func (c *compCacheObject) Populate(_, _ vm.Offset, _ vm.Rights, _ []byte) { c.invalidate() }
 
 // ---- metadata ----
 
@@ -209,25 +196,18 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	// Only decompress the bytes the lower layer actually returned. An
-	// extent whose backing is all zeros (a lower-layer hole, or a short
-	// read past a truncated tail) decodes to a hole of zeros, eCryptfs
-	// style — compressBlock never raw-stores an all-zero block (zeros
-	// compress), so real data is never misread as a hole. A raw-stored
-	// block cut short keeps its implicit zero tail; a truncated flate
-	// stream fails loudly in decompressBlock instead of inflating the
-	// stale tail of the buffer as if it were data.
+	// Only the bytes the lower layer returned count. A raw-stored block
+	// cut short keeps an implicit zero tail. A compressed extent whose
+	// backing is all zeros (a lower-layer hole, or a short read past a
+	// truncated tail) is a hole, eCryptfs style: zeros compress, so data
+	// is never misread as one. A cut flate stream fails in decompressBlock.
 	switch {
-	case len(bytes.TrimLeft(raw[:n], "\x00")) == 0: // all zeros
+	case e.Len == BlockSize:
+		copy(dst, raw)
+	case len(bytes.TrimLeft(raw[:n], "\x00")) == 0:
 		clear(dst)
-	case n < len(raw) && e.Len == BlockSize:
-		copy(dst, raw) // raw-stored: missing tail reads as zeros
 	default:
-		blk, err := decompressBlock(raw[:n])
-		if err != nil {
-			return err
-		}
-		copy(dst, blk)
+		return decompressBlock(dst, raw[:n])
 	}
 	return nil
 }
@@ -235,13 +215,10 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 // writeBlockLocked compresses block bn into a fresh extent (write-through)
 // and frees the one it replaces. Caller holds f.mu with the table loaded.
 func (f *compFile) writeBlockLocked(bn int64, data []byte) error {
-	comp, err := compressBlock(data)
-	if err != nil {
-		return err
-	}
+	comp := compressBlock(data)
 	off := f.image.Alloc(int64(len(comp)))
 	f.writing.Store(true)
-	_, err = f.lower.WriteAt(comp, off)
+	_, err := f.lower.WriteAt(comp, off)
 	f.writing.Store(false)
 	if err != nil {
 		return err

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"sync/atomic"
 
 	"springfs"
+	"springfs/internal/fsys"
 )
 
 // The quickstart: a node, a stack of one SFS, a file.
@@ -61,16 +63,31 @@ func ExampleNode_ConfigureStack() {
 }
 
 // A stack described as data: the fs4 configuration of Figure 3, one
-// mirroring layer stacked on two SFS instances. Writes reach both
-// replicas; with the caches cold and the first disk failing every read, the
-// data still comes back from the second, and writes degrade to one replica
-// instead of failing.
+// mirroring layer stacked on two SFS instances, the first behind a fault
+// layer that stands for the link to it. Writes reach both replicas; with
+// the link down and the caches cold, the data still comes back from the
+// second, and writes degrade to it instead of failing.
 func ExampleNode_Build() {
 	node := springfs.NewNode("example")
 	defer node.Stop()
+	var linkDown atomic.Bool
+	err := fsys.RegisterCreator(node.Root(), "fault_creator", fsys.CreatorFunc(func(config map[string]string) (fsys.StackableFS, error) {
+		return fsys.NewFaultFS(config["name"], func(op string) error {
+			if linkDown.Load() {
+				return fmt.Errorf("%s: link down: %w", op, fsys.ErrUnavailable)
+			}
+			return nil
+		}), nil
+	}), springfs.Root)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stack, err := node.Build(springfs.Spec{
-		Disks:  []springfs.DiskSpec{{Name: "sfs1", Blocks: 2048}, {Name: "sfs2", Blocks: 2048}},
-		Layers: []springfs.LayerSpec{{Name: "mirror", Creator: "mirrorfs_creator", On: []string{"sfs1", "sfs2"}}},
+		Disks: []springfs.DiskSpec{{Name: "sfs1", Blocks: 2048}, {Name: "sfs2", Blocks: 2048}},
+		Layers: []springfs.LayerSpec{
+			{Name: "link1", Creator: "fault_creator", On: []string{"sfs1"}},
+			{Name: "mirror", Creator: "mirrorfs_creator", On: []string{"link1", "sfs2"}},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,19 +110,14 @@ func ExampleNode_Build() {
 	if err := stack.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	disk1 := stack.Disks["sfs1"].Device
-	disk1.FailReads(true)
+	linkDown.Store(true)
 	got, err := springfs.ReadFile(stack.Top, "precious.db")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("read with a dead primary: %q\n", got)
-	disk1.FailReads(false)
-
-	disk1.FailWrites(true)
 	err = springfs.WriteFile(stack.Top, "during-outage", []byte("one copy for now"))
 	fmt.Println("write during the outage:", err)
-	disk1.FailWrites(false)
 	// Output:
 	// top of the stack: mirror
 	// replica sfs1 holds "twice as safe"

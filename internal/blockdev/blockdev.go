@@ -10,9 +10,6 @@
 // stacking overhead vanishes on uncached operations (Table 2, rows "write
 // No"/"read No") — is preserved by the model.
 //
-// The device also supports error injection, used by the failure-injection
-// tests of the disk layer and of the mirroring file system.
-//
 // # Devices
 //
 // Device is the interface: ReadBlock/WriteBlock for single blocks,
@@ -27,14 +24,17 @@
 //     outside the device mutex, so concurrent callers overlap their I/O
 //     latency the way they would against real hardware — group commit's
 //     barrier-sharing is measurable even on one CPU because of this.
-//   - OpenFile: the same model persisted to a backing file.
+//   - OpenFile: the same model persisted to a backing file. Both devices
+//     run every I/O through one transfer routine, so the model is charged
+//     and traced (blockdev.read, blockdev.write) in one place.
 //   - NewCrash: CrashDevice, the power-failure harness — a volatile write
 //     cache in front of any device; PowerCut discards it, with optional
 //     torn-write and reorder injection at the cut (see docs/FAILURES.md,
 //     "Crash model & recovery").
-//
-// MemDevice additionally injects errors (FailReads/FailWrites/MarkBad/
-// FailAfter), which the disk layer's and mirrorfs's failure tests use.
+//   - NewFault: FaultDevice, error injection — it asks a function about
+//     every block before an I/O passes down to the device it wraps. The
+//     failure tests of the disk layer, mirrorfs and the root package
+//     build their disks on it.
 //
 // Latency profiles: ProfileFast keeps the ratios of the paper's 4400 RPM
 // disk at 1000x speed, ProfileNone charges nothing (pure functional
@@ -43,7 +43,6 @@ package blockdev
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -60,7 +59,7 @@ var (
 	ErrOutOfRange = errors.New("blockdev: block number out of range")
 	// ErrBadSize is returned when a buffer is not exactly one block long.
 	ErrBadSize = errors.New("blockdev: buffer must be BlockSize bytes")
-	// ErrIO is the generic injected I/O error.
+	// ErrIO is the generic I/O error; fault functions return it.
 	ErrIO = errors.New("blockdev: I/O error")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("blockdev: device closed")
@@ -114,305 +113,175 @@ type Device interface {
 	Close() error
 }
 
-// MemDevice is a latency-modelled RAM-backed block device.
-type MemDevice struct {
+// core is what MemDevice and FileDevice share: the latency model, the head
+// position, the closed flag, the I/O counters and the one transfer path.
+// A device adds only the move of its storage.
+type core struct {
 	mu      sync.Mutex
-	blocks  [][]byte
+	nblocks int64
 	profile LatencyProfile
-	lastBn  int64
+	lastBn  int64 // the block the head is over; -2 so no first I/O is sequential
 	closed  bool
 
-	faults faultState
-
-	// Reads and Writes count block I/Os; tests use them to verify cache
-	// behaviour (e.g. the disk layer's i-node cache servicing stat without
-	// disk I/O, per the Table 2 caption).
+	// Reads and Writes count block I/Os: the benchmark's device counts, and
+	// the cache tests' (stat served without disk I/O, per Table 2).
 	Reads  stats.Counter
 	Writes stats.Counter
 }
 
-// faultState holds the error-injection configuration.
-type faultState struct {
-	failReads  bool
-	failWrites bool
-	badBlocks  map[int64]bool
-	failAfter  int64 // fail all I/O after this many operations; <0 disables
-	ops        int64
-}
-
-// NewMem creates a RAM device with n blocks and the given latency profile.
-func NewMem(n int64, profile LatencyProfile) *MemDevice {
-	return &MemDevice{
-		blocks:  make([][]byte, n),
-		profile: profile,
-		lastBn:  -2, // nothing is "sequential" to the first I/O
-		faults:  faultState{failAfter: -1},
-	}
-}
-
 // NumBlocks returns the device capacity in blocks.
-func (d *MemDevice) NumBlocks() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(len(d.blocks))
+func (c *core) NumBlocks() int64 { return c.nblocks }
+
+// IOCount returns total reads and writes performed.
+func (c *core) IOCount() (reads, writes int64) { return c.Reads.Value(), c.Writes.Value() }
+
+// ifOpen runs fn under the lock, unless the device is closed.
+func (c *core) ifOpen(fn func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
+	return fn()
 }
 
-// charge computes (under d.mu) the latency of an I/O to block bn and
-// updates the head position. The sleep itself happens outside the lock so
-// independent I/Os overlap, like a request queue with multiple spindles
-// would not — but contention modelling beyond this is out of scope.
-func (d *MemDevice) charge(bn int64) time.Duration {
-	delay := d.profile.Rotation + d.profile.PerBlock
-	if bn != d.lastBn+1 {
-		delay += d.profile.Seek
+// close closes the device with fn, once.
+func (c *core) close(fn func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
 	}
-	d.lastBn = bn
+	c.closed = true
+	return fn()
+}
+
+// charge returns the modelled time of an n-block transfer starting at bn,
+// and moves the head to its last block: one rotational delay and n blocks
+// of media time, plus a seek unless the transfer starts right after the
+// previous one ended. Caller holds c.mu.
+func (c *core) charge(bn, n int64) time.Duration {
+	delay := c.profile.Rotation + time.Duration(n)*c.profile.PerBlock
+	if bn != c.lastBn+1 {
+		delay += c.profile.Seek
+	}
+	c.lastBn = bn + n - 1
 	return delay
 }
 
-// checkFaults returns an injected error for this I/O if one is configured.
-func (d *MemDevice) checkFaults(bn int64, write bool) error {
-	f := &d.faults
-	f.ops++
-	if f.failAfter >= 0 && f.ops > f.failAfter {
-		return fmt.Errorf("%w (injected after %d ops)", ErrIO, f.failAfter)
-	}
-	if f.badBlocks[bn] {
-		return fmt.Errorf("%w (injected bad block %d)", ErrIO, bn)
-	}
-	if write && f.failWrites {
-		return fmt.Errorf("%w (injected write failure)", ErrIO)
-	}
-	if !write && f.failReads {
-		return fmt.Errorf("%w (injected read failure)", ErrIO)
-	}
-	return nil
-}
-
-// ReadBlock implements Device.
-func (d *MemDevice) ReadBlock(bn int64, buf []byte) error {
-	if len(buf) != BlockSize {
-		return ErrBadSize
-	}
-	t := opRead.Start()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if bn < 0 || bn >= int64(len(d.blocks)) {
-		d.mu.Unlock()
-		return ErrOutOfRange
-	}
-	if err := d.checkFaults(bn, false); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.charge(bn)
-	src := d.blocks[bn]
-	if src == nil {
-		for i := range buf {
-			buf[i] = 0
-		}
-	} else {
-		copy(buf, src)
-	}
-	d.Reads.Inc()
-	d.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	opRead.End(t, BlockSize)
-	return nil
-}
-
-// WriteBlock implements Device.
-func (d *MemDevice) WriteBlock(bn int64, buf []byte) error {
-	if len(buf) != BlockSize {
-		return ErrBadSize
-	}
-	t := opWrite.Start()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if bn < 0 || bn >= int64(len(d.blocks)) {
-		d.mu.Unlock()
-		return ErrOutOfRange
-	}
-	if err := d.checkFaults(bn, true); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.charge(bn)
-	dst := d.blocks[bn]
-	if dst == nil {
-		dst = make([]byte, BlockSize)
-		d.blocks[bn] = dst
-	}
-	copy(dst, buf)
-	d.Writes.Inc()
-	d.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	opWrite.End(t, BlockSize)
-	return nil
-}
-
-// Flush implements Device; a RAM device has nothing to flush.
-func (d *MemDevice) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	return nil
-}
-
-// Close implements Device.
-func (d *MemDevice) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	return nil
-}
-
-// FailReads configures the device to fail all reads (fault injection).
-func (d *MemDevice) FailReads(fail bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.faults.failReads = fail
-}
-
-// FailWrites configures the device to fail all writes (fault injection).
-func (d *MemDevice) FailWrites(fail bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.faults.failWrites = fail
-}
-
-// MarkBad makes I/O to block bn fail.
-func (d *MemDevice) MarkBad(bn int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.faults.badBlocks == nil {
-		d.faults.badBlocks = make(map[int64]bool)
-	}
-	d.faults.badBlocks[bn] = true
-}
-
-// FailAfter makes all I/O fail after n more operations. Passing a negative
-// n disables the fault.
-func (d *MemDevice) FailAfter(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n < 0 {
-		d.faults.failAfter = -1
-		return
-	}
-	d.faults.failAfter = d.faults.ops + n
-}
-
-// IOCount returns total reads and writes performed.
-func (d *MemDevice) IOCount() (reads, writes int64) {
-	return d.Reads.Value(), d.Writes.Value()
-}
-
-// ReadRun reads len(buf)/BlockSize consecutive blocks starting at bn with
-// a single latency charge: one positioning delay (if the run is not
-// sequential to the previous I/O) plus per-block transfer time, slept
-// once. It models a track-sized contiguous transfer, the behaviour
-// clustered page-ins (the paper's Section 8 extension) rely on.
-func (d *MemDevice) ReadRun(bn int64, buf []byte) error {
+// transfer is every I/O of the device: it checks the buffer, the device
+// and the range, charges the transfer and runs move under the lock, and
+// sleeps the charge outside it, so concurrent callers overlap their I/O
+// latency the way they would against real hardware. move gets the blocks
+// bn.. that buf covers.
+func (c *core) transfer(bn int64, buf []byte, write bool, move func() error) error {
 	if len(buf) == 0 || len(buf)%BlockSize != 0 {
 		return ErrBadSize
 	}
 	n := int64(len(buf) / BlockSize)
-	t := opRead.Start()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
+	op, count := opRead, &c.Reads
+	if write {
+		op, count = opWrite, &c.Writes
 	}
-	if bn < 0 || bn+n > int64(len(d.blocks)) {
-		d.mu.Unlock()
-		return ErrOutOfRange
-	}
+	t := op.Start()
+	c.mu.Lock()
 	var delay time.Duration
-	for i := int64(0); i < n; i++ {
-		if err := d.checkFaults(bn+i, false); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		delay += d.profile.PerBlock
-		src := d.blocks[bn+i]
-		dst := buf[i*BlockSize : (i+1)*BlockSize]
-		if src == nil {
-			for j := range dst {
-				dst[j] = 0
-			}
-		} else {
-			copy(dst, src)
-		}
-		d.Reads.Inc()
+	var err error
+	switch {
+	case c.closed:
+		err = ErrClosed
+	case bn < 0 || bn+n > c.nblocks:
+		err = ErrOutOfRange
+	default:
+		delay = c.charge(bn, n)
+		err = move()
+		count.Add(n)
 	}
-	delay += d.profile.Rotation
-	if bn != d.lastBn+1 {
-		delay += d.profile.Seek
+	c.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	d.lastBn = bn + n - 1
-	d.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	opRead.End(t, int64(len(buf)))
+	op.End(t, int64(len(buf)))
 	return nil
+}
+
+// MemDevice is a latency-modelled RAM-backed block device.
+type MemDevice struct {
+	core
+	blocks [][]byte // nil until first written: reads as zeros
+}
+
+// NewMem creates a RAM device with n blocks and the given latency profile.
+func NewMem(n int64, profile LatencyProfile) *MemDevice {
+	return &MemDevice{core: core{nblocks: n, profile: profile, lastBn: -2}, blocks: make([][]byte, n)}
+}
+
+// ReadBlock implements Device: the one-block ReadRun.
+func (d *MemDevice) ReadBlock(bn int64, buf []byte) error { return oneBlock(d.ReadRun, bn, buf) }
+
+// WriteBlock implements Device: the one-block WriteRun.
+func (d *MemDevice) WriteBlock(bn int64, buf []byte) error { return oneBlock(d.WriteRun, bn, buf) }
+
+// ReadRun implements RunReader: consecutive blocks starting at bn, for one
+// latency charge — a track-sized contiguous transfer, the behaviour
+// clustered page-ins (the paper's Section 8 extension) rely on.
+func (d *MemDevice) ReadRun(bn int64, buf []byte) error {
+	return d.transfer(bn, buf, false, func() error {
+		for i := range int64(len(buf) / BlockSize) {
+			dst, src := buf[i*BlockSize:(i+1)*BlockSize], d.blocks[bn+i]
+			if src == nil {
+				clear(dst)
+			} else {
+				copy(dst, src)
+			}
+		}
+		return nil
+	})
 }
 
 // WriteRun writes consecutive blocks starting at bn with a single latency
 // charge (see ReadRun).
 func (d *MemDevice) WriteRun(bn int64, buf []byte) error {
+	return d.transfer(bn, buf, true, func() error {
+		for i := range int64(len(buf) / BlockSize) {
+			dst := d.blocks[bn+i]
+			if dst == nil {
+				dst = make([]byte, BlockSize)
+				d.blocks[bn+i] = dst
+			}
+			copy(dst, buf[i*BlockSize:])
+		}
+		return nil
+	})
+}
+
+// Flush implements Device; a RAM device has nothing to flush.
+func (d *MemDevice) Flush() error { return d.ifOpen(func() error { return nil }) }
+
+// Close implements Device.
+func (d *MemDevice) Close() error { return d.close(func() error { return nil }) }
+
+// oneBlock is a ReadBlock or WriteBlock: the one-block case of run.
+func oneBlock(run func(int64, []byte) error, bn int64, buf []byte) error {
+	if len(buf) != BlockSize {
+		return ErrBadSize
+	}
+	return run(bn, buf)
+}
+
+// eachBlock is a run moved one block at a time by one.
+func eachBlock(bn int64, buf []byte, one func(bn int64, blk []byte) error) error {
 	if len(buf) == 0 || len(buf)%BlockSize != 0 {
 		return ErrBadSize
 	}
-	n := int64(len(buf) / BlockSize)
-	t := opWrite.Start()
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	if bn < 0 || bn+n > int64(len(d.blocks)) {
-		d.mu.Unlock()
-		return ErrOutOfRange
-	}
-	var delay time.Duration
-	for i := int64(0); i < n; i++ {
-		if err := d.checkFaults(bn+i, true); err != nil {
-			d.mu.Unlock()
+	for i := range int64(len(buf) / BlockSize) {
+		if err := one(bn+i, buf[i*BlockSize:(i+1)*BlockSize]); err != nil {
 			return err
 		}
-		delay += d.profile.PerBlock
-		dst := d.blocks[bn+i]
-		if dst == nil {
-			dst = make([]byte, BlockSize)
-			d.blocks[bn+i] = dst
-		}
-		copy(dst, buf[i*BlockSize:(i+1)*BlockSize])
-		d.Writes.Inc()
 	}
-	delay += d.profile.Rotation
-	if bn != d.lastBn+1 {
-		delay += d.profile.Seek
-	}
-	d.lastBn = bn + n - 1
-	d.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	opWrite.End(t, int64(len(buf)))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,18 +140,23 @@ func TestIOCounters(t *testing.T) {
 }
 
 func TestFaultInjectionReadsWrites(t *testing.T) {
-	d := NewMem(8, ProfileNone)
+	var failReads, failWrites bool
+	d := NewFault(NewMem(8, ProfileNone), func(bn int64, write bool) error {
+		if write && failWrites || !write && failReads {
+			return ErrIO
+		}
+		return nil
+	})
 	defer d.Close()
 	buf := make([]byte, BlockSize)
-	d.FailReads(true)
+	failReads = true
 	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("read with injected failure error = %v, want ErrIO", err)
 	}
 	if err := d.WriteBlock(0, buf); err != nil {
 		t.Errorf("write should still work: %v", err)
 	}
-	d.FailReads(false)
-	d.FailWrites(true)
+	failReads, failWrites = false, true
 	if err := d.WriteBlock(0, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("write with injected failure error = %v, want ErrIO", err)
 	}
@@ -159,11 +165,20 @@ func TestFaultInjectionReadsWrites(t *testing.T) {
 	}
 }
 
+// badBlock is a fault that fails every I/O to block bad.
+func badBlock(bad int64) func(int64, bool) error {
+	return func(bn int64, _ bool) error {
+		if bn == bad {
+			return ErrIO
+		}
+		return nil
+	}
+}
+
 func TestFaultInjectionBadBlock(t *testing.T) {
-	d := NewMem(8, ProfileNone)
+	d := NewFault(NewMem(8, ProfileNone), badBlock(3))
 	defer d.Close()
 	buf := make([]byte, BlockSize)
-	d.MarkBad(3)
 	if err := d.ReadBlock(3, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("bad block read error = %v, want ErrIO", err)
 	}
@@ -173,10 +188,18 @@ func TestFaultInjectionBadBlock(t *testing.T) {
 }
 
 func TestFaultInjectionFailAfter(t *testing.T) {
-	d := NewMem(8, ProfileNone)
+	budget := int64(2) // blocks still moved before all I/O fails; -1: no fault
+	d := NewFault(NewMem(8, ProfileNone), func(int64, bool) error {
+		switch {
+		case budget == 0:
+			return ErrIO
+		case budget > 0:
+			budget--
+		}
+		return nil
+	})
 	defer d.Close()
 	buf := make([]byte, BlockSize)
-	d.FailAfter(2)
 	if err := d.WriteBlock(0, buf); err != nil {
 		t.Fatalf("op 1: %v", err)
 	}
@@ -186,7 +209,7 @@ func TestFaultInjectionFailAfter(t *testing.T) {
 	if err := d.WriteBlock(2, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("op 3 error = %v, want ErrIO", err)
 	}
-	d.FailAfter(-1)
+	budget = -1
 	if err := d.WriteBlock(2, buf); err != nil {
 		t.Errorf("after disabling fault: %v", err)
 	}
@@ -344,15 +367,60 @@ func TestRunBounds(t *testing.T) {
 }
 
 func TestRunFaultInjection(t *testing.T) {
-	d := NewMem(8, ProfileNone)
+	mem := NewMem(8, ProfileNone)
+	d := NewFault(mem, badBlock(2))
 	defer d.Close()
-	d.MarkBad(2)
 	buf := make([]byte, 4*BlockSize)
 	if err := d.ReadRun(0, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("run over bad block error = %v, want ErrIO", err)
 	}
+	buf = bytes.Repeat([]byte{7}, 4*BlockSize)
 	if err := d.WriteRun(0, buf); !errors.Is(err, ErrIO) {
 		t.Errorf("write run over bad block error = %v, want ErrIO", err)
+	}
+	got, want := make([]byte, 4*BlockSize), append(buf[:2*BlockSize:2*BlockSize], make([]byte, 2*BlockSize)...)
+	if err := mem.ReadRun(0, got); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a failed write run landed other than the blocks before the bad one (%v)", err)
+	}
+}
+
+// TestChargeModel pins the latency model both modelled devices charge
+// through their one transfer path, and the head position each I/O leaves.
+// The expected delays are the single-block and run formulas written out:
+// Rotation + PerBlock, and Rotation + n·PerBlock, each plus Seek unless
+// the I/O starts right after the previous one ended.
+func TestChargeModel(t *testing.T) {
+	p := LatencyProfile{Seek: 10 * time.Millisecond, Rotation: 3 * time.Millisecond, PerBlock: time.Millisecond}
+	seek, rot, per := p.Seek, p.Rotation, p.PerBlock
+	steps := []struct {
+		what        string
+		bn, n, head int64
+		want        time.Duration
+	}{
+		{"first block", 5, 1, 5, seek + rot + per},
+		{"next block", 6, 1, 6, rot + per},
+		{"run right after", 7, 4, 10, rot + 4*per},
+		{"run elsewhere", 20, 8, 27, seek + rot + 8*per},
+		{"block inside the last run", 26, 1, 26, seek + rot + per},
+		{"block after the head", 27, 1, 27, rot + per},
+		{"run back at the start", 0, 3, 2, seek + rot + 3*per},
+	}
+	file, err := OpenFile(filepath.Join(t.TempDir(), "vol.img"), 32, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, c := range map[string]*core{"MemDevice": &NewMem(32, p).core, "FileDevice": &file.core} {
+		for _, s := range steps {
+			if got := c.charge(s.bn, s.n); got != s.want || c.lastBn != s.head {
+				t.Errorf("%s, %s: charged %v, head at %d; want %v, %d", name, s.what, got, c.lastBn, s.want, s.head)
+			}
+		}
+	}
+	// A transfer moves the head the same way.
+	mem := NewMem(32, ProfileNone)
+	if err := mem.WriteRun(9, make([]byte, 3*BlockSize)); err != nil || mem.lastBn != 11 {
+		t.Errorf("after a 3-block run at 9: err %v, head at %d, want 11", err, mem.lastBn)
 	}
 }
 

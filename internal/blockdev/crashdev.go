@@ -205,79 +205,37 @@ func (d *CrashDevice) check(bn, n int64) error {
 	return nil
 }
 
-// WriteBlock implements Device: the write lands in the volatile cache.
-func (d *CrashDevice) WriteBlock(bn int64, buf []byte) error {
-	if len(buf) != BlockSize {
-		return ErrBadSize
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(bn, 1); err != nil {
-		return err
-	}
-	return d.buffer(bn, buf)
-}
+// WriteBlock implements Device: the one-block WriteRun.
+func (d *CrashDevice) WriteBlock(bn int64, buf []byte) error { return oneBlock(d.WriteRun, bn, buf) }
 
-// ReadBlock implements Device: reads observe the volatile cache (the
+// ReadBlock implements Device: the one-block ReadRun.
+func (d *CrashDevice) ReadBlock(bn int64, buf []byte) error { return oneBlock(d.ReadRun, bn, buf) }
+
+// WriteRun implements RunReader: the run lands in the volatile cache.
+// Each block buffers (and counts) individually, so a crash can tear a run
+// in the middle.
+func (d *CrashDevice) WriteRun(bn int64, buf []byte) error { return d.run(bn, buf, d.buffer) }
+
+// ReadRun implements RunReader: reads observe the volatile cache (the
 // drive returns its freshest data even before it is stable).
-func (d *CrashDevice) ReadBlock(bn int64, buf []byte) error {
-	if len(buf) != BlockSize {
-		return ErrBadSize
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(bn, 1); err != nil {
-		return err
-	}
-	if p, ok := d.pending[bn]; ok {
-		copy(buf, p)
-		return nil
-	}
-	return d.under.ReadBlock(bn, buf)
-}
-
-// WriteRun implements RunReader; each block of the run buffers (and
-// counts) individually, so a crash can tear a run in the middle.
-func (d *CrashDevice) WriteRun(bn int64, buf []byte) error {
-	if len(buf) == 0 || len(buf)%BlockSize != 0 {
-		return ErrBadSize
-	}
-	n := int64(len(buf) / BlockSize)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.check(bn, n); err != nil {
-		return err
-	}
-	for i := int64(0); i < n; i++ {
-		if err := d.buffer(bn+i, buf[i*BlockSize:(i+1)*BlockSize]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadRun implements RunReader.
 func (d *CrashDevice) ReadRun(bn int64, buf []byte) error {
-	if len(buf) == 0 || len(buf)%BlockSize != 0 {
-		return ErrBadSize
-	}
-	n := int64(len(buf) / BlockSize)
+	return d.run(bn, buf, func(bn int64, blk []byte) error {
+		if p, ok := d.pending[bn]; ok {
+			copy(blk, p)
+			return nil
+		}
+		return d.under.ReadBlock(bn, blk)
+	})
+}
+
+// run checks an I/O and moves its blocks one at a time under the lock.
+func (d *CrashDevice) run(bn int64, buf []byte, move func(bn int64, blk []byte) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.check(bn, n); err != nil {
+	if err := d.check(bn, int64(len(buf)/BlockSize)); err != nil {
 		return err
 	}
-	for i := int64(0); i < n; i++ {
-		dst := buf[i*BlockSize : (i+1)*BlockSize]
-		if p, ok := d.pending[bn+i]; ok {
-			copy(dst, p)
-			continue
-		}
-		if err := d.under.ReadBlock(bn+i, dst); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eachBlock(bn, buf, move)
 }
 
 // Flush implements Device: the write barrier. Buffered writes drain to the
@@ -285,11 +243,8 @@ func (d *CrashDevice) ReadRun(bn int64, buf []byte) error {
 func (d *CrashDevice) Flush() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if d.dead {
-		return ErrPowerCut
+	if err := d.check(0, 0); err != nil {
+		return err
 	}
 	for _, bn := range d.order {
 		if err := d.under.WriteBlock(bn, d.pending[bn]); err != nil {

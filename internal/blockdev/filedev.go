@@ -3,10 +3,6 @@ package blockdev
 import (
 	"fmt"
 	"os"
-	"sync"
-	"time"
-
-	"springfs/internal/stats"
 )
 
 // FileDevice is a block device backed by a real file on the host file
@@ -14,16 +10,8 @@ import (
 // process restarts. The same latency model as MemDevice can be applied on
 // top of the host's own I/O cost (usually it is left off).
 type FileDevice struct {
-	mu      sync.Mutex
-	f       *os.File
-	nblocks int64
-	profile LatencyProfile
-	lastBn  int64
-	closed  bool
-
-	// Reads and Writes count block I/Os.
-	Reads  stats.Counter
-	Writes stats.Counter
+	core
+	f *os.File
 }
 
 var (
@@ -38,178 +26,48 @@ func OpenFile(path string, nblocks int64, profile LatencyProfile) (*FileDevice, 
 	if err != nil {
 		return nil, err
 	}
-	size := nblocks * BlockSize
 	info, err := f.Stat()
+	if err == nil && info.Size() < nblocks*BlockSize {
+		err = f.Truncate(nblocks * BlockSize)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if info.Size() < size {
-		if err := f.Truncate(size); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else if info.Size() > size {
-		nblocks = info.Size() / BlockSize
-	}
-	return &FileDevice{f: f, nblocks: nblocks, profile: profile, lastBn: -2}, nil
+	nblocks = max(nblocks, info.Size()/BlockSize) // an existing image keeps its size
+	return &FileDevice{core: core{nblocks: nblocks, profile: profile, lastBn: -2}, f: f}, nil
 }
 
-// NumBlocks implements Device.
-func (d *FileDevice) NumBlocks() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nblocks
-}
+// ReadBlock implements Device: the one-block ReadRun.
+func (d *FileDevice) ReadBlock(bn int64, buf []byte) error { return oneBlock(d.ReadRun, bn, buf) }
 
-func (d *FileDevice) check(bn int64, buf []byte) error {
-	if len(buf) != BlockSize {
-		return ErrBadSize
-	}
-	if d.closed {
-		return ErrClosed
-	}
-	if bn < 0 || bn >= d.nblocks {
-		return ErrOutOfRange
-	}
-	return nil
-}
-
-func (d *FileDevice) charge(bn int64) time.Duration {
-	delay := d.profile.Rotation + d.profile.PerBlock
-	if bn != d.lastBn+1 {
-		delay += d.profile.Seek
-	}
-	d.lastBn = bn
-	return delay
-}
-
-// ReadBlock implements Device.
-func (d *FileDevice) ReadBlock(bn int64, buf []byte) error {
-	d.mu.Lock()
-	if err := d.check(bn, buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.charge(bn)
-	_, err := d.f.ReadAt(buf, bn*BlockSize)
-	d.Reads.Inc()
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("blockdev: file read: %w", err)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return nil
-}
-
-// WriteBlock implements Device.
-func (d *FileDevice) WriteBlock(bn int64, buf []byte) error {
-	d.mu.Lock()
-	if err := d.check(bn, buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.charge(bn)
-	_, err := d.f.WriteAt(buf, bn*BlockSize)
-	d.Writes.Inc()
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("blockdev: file write: %w", err)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return nil
-}
-
-// checkRun validates an n-block run transfer.
-func (d *FileDevice) checkRun(bn, n int64, buf []byte) error {
-	if len(buf) == 0 || len(buf)%BlockSize != 0 {
-		return ErrBadSize
-	}
-	if d.closed {
-		return ErrClosed
-	}
-	if bn < 0 || bn+n > d.nblocks {
-		return ErrOutOfRange
-	}
-	return nil
-}
-
-// chargeRun computes the latency of an n-block contiguous transfer: one
-// positioning delay for the run plus per-block transfer time.
-func (d *FileDevice) chargeRun(bn, n int64) time.Duration {
-	delay := d.profile.Rotation + time.Duration(n)*d.profile.PerBlock
-	if bn != d.lastBn+1 {
-		delay += d.profile.Seek
-	}
-	d.lastBn = bn + n - 1
-	return delay
-}
+// WriteBlock implements Device: the one-block WriteRun.
+func (d *FileDevice) WriteBlock(bn int64, buf []byte) error { return oneBlock(d.WriteRun, bn, buf) }
 
 // ReadRun implements RunReader: one host read (and one latency charge) for
 // a contiguous run of blocks.
 func (d *FileDevice) ReadRun(bn int64, buf []byte) error {
-	n := int64(len(buf) / BlockSize)
-	d.mu.Lock()
-	if err := d.checkRun(bn, n, buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.chargeRun(bn, n)
-	_, err := d.f.ReadAt(buf, bn*BlockSize)
-	d.Reads.Add(n)
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("blockdev: file read run: %w", err)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return nil
+	return d.transfer(bn, buf, false, func() error {
+		if _, err := d.f.ReadAt(buf, bn*BlockSize); err != nil {
+			return fmt.Errorf("blockdev: file read: %w", err)
+		}
+		return nil
+	})
 }
 
 // WriteRun implements RunReader: one host write (and one latency charge)
 // for a contiguous run of blocks.
 func (d *FileDevice) WriteRun(bn int64, buf []byte) error {
-	n := int64(len(buf) / BlockSize)
-	d.mu.Lock()
-	if err := d.checkRun(bn, n, buf); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	delay := d.chargeRun(bn, n)
-	_, err := d.f.WriteAt(buf, bn*BlockSize)
-	d.Writes.Add(n)
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("blockdev: file write run: %w", err)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return nil
+	return d.transfer(bn, buf, true, func() error {
+		if _, err := d.f.WriteAt(buf, bn*BlockSize); err != nil {
+			return fmt.Errorf("blockdev: file write: %w", err)
+		}
+		return nil
+	})
 }
 
 // Flush implements Device (fsync).
-func (d *FileDevice) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	return d.f.Sync()
-}
+func (d *FileDevice) Flush() error { return d.ifOpen(d.f.Sync) }
 
 // Close implements Device.
-func (d *FileDevice) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	return d.f.Close()
-}
+func (d *FileDevice) Close() error { return d.close(d.f.Close) }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"springfs/internal/stats"
 )
 
 func TestFileDeviceRoundTrip(t *testing.T) {
@@ -106,5 +108,23 @@ func TestFileDeviceHostsAFileSystem(t *testing.T) {
 	defer d2.Close()
 	if d2.NumBlocks() != 32 {
 		t.Errorf("NumBlocks after reopen = %d, want 32", d2.NumBlocks())
+	}
+}
+
+// TestFileDeviceIsTraced: a persistent disk records its I/O into the same
+// histograms as the RAM disk, one sample per transfer.
+func TestFileDeviceIsTraced(t *testing.T) {
+	d, err := OpenFile(filepath.Join(t.TempDir(), "vol.img"), 8, ProfileNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	reads := stats.Default.Histogram("blockdev.read")
+	before := reads.Count()
+	if err := d.ReadRun(2, make([]byte, 4*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if n := reads.Count() - before; n != 1 {
+		t.Errorf("a 4-block ReadRun added %d samples to blockdev.read, want 1", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -14,29 +15,39 @@ import (
 	"springfs/internal/vm"
 )
 
-// rig bundles a formatted file system on a RAM device.
+// rig bundles a formatted file system on a RAM device, mounted through a
+// FaultDevice that fails the reads or the writes while told to.
 type rig struct {
 	node *spring.Node
 	dev  *blockdev.MemDevice
 	fs   *DiskFS
 	vmm  *vm.VMM
+
+	failReads, failWrites atomic.Bool
 }
 
 func newRig(t *testing.T, blocks int64) *rig {
 	t.Helper()
 	node := spring.NewNode("n")
 	t.Cleanup(node.Stop)
-	dev := blockdev.NewMem(blocks, blockdev.ProfileNone)
-	if err := Mkfs(dev, MkfsOptions{}); err != nil {
+	r := &rig{node: node, dev: blockdev.NewMem(blocks, blockdev.ProfileNone)}
+	if err := Mkfs(r.dev, MkfsOptions{}); err != nil {
 		t.Fatalf("Mkfs: %v", err)
 	}
+	faulty := blockdev.NewFault(r.dev, func(_ int64, write bool) error {
+		if write && r.failWrites.Load() || !write && r.failReads.Load() {
+			return blockdev.ErrIO
+		}
+		return nil
+	})
 	domain := spring.NewDomain(node, "disk-layer")
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	fs, err := Mount(dev, domain, vmm, "sfs0a")
+	r.vmm = vm.New(spring.NewDomain(node, "vmm"), "vmm")
+	fs, err := Mount(faulty, domain, r.vmm, "sfs0a")
 	if err != nil {
 		t.Fatalf("Mount: %v", err)
 	}
-	return &rig{node: node, dev: dev, fs: fs, vmm: vmm}
+	r.fs = fs
+	return r
 }
 
 func TestMkfsAndMount(t *testing.T) {
@@ -485,12 +496,12 @@ func TestDeviceFailurePropagates(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	r.dev.FailReads(true)
+	r.failReads.Store(true)
 	pager := &diskPager{file: f.(*diskFile)}
 	if _, err := pager.PageIn(0, BlockSize, vm.RightsRead); !errors.Is(err, blockdev.ErrIO) {
 		t.Errorf("PageIn with failing device error = %v, want ErrIO", err)
 	}
-	r.dev.FailReads(false)
+	r.failReads.Store(false)
 }
 
 // TestPropertyFileIOMatchesModel drives random writes/reads against a

@@ -170,7 +170,7 @@ func TestFailedPageOutDoesNotAdvanceMtime(t *testing.T) {
 	}
 
 	now = now.Add(time.Hour)
-	r.dev.FailWrites(true)
+	r.failWrites.Store(true)
 	if err := pager.PageOut(0, vm.PageSize, data); err == nil {
 		t.Fatal("page-out with a failing device reported success")
 	}
@@ -183,7 +183,7 @@ func TestFailedPageOutDoesNotAdvanceMtime(t *testing.T) {
 	}
 
 	// Once the device heals, a successful page-out stamps the new time.
-	r.dev.FailWrites(false)
+	r.failWrites.Store(false)
 	if err := pager.PageOut(0, vm.PageSize, data); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,8 @@
 //     cache manager, keyed the way revocation call-outs need it.
 //   - Passthrough, the block helpers, FilePager, PathDir, IdentityFS: the
 //     layer kit — the plumbing a new layer inherits instead of copying
-//     (DESIGN.md §5, "Writing a layer").
+//     (DESIGN.md §5, "Writing a layer"). FaultFS is the identity layer
+//     with a fault in front of every operation, for failure tests.
 package fsys
 
 import (

@@ -48,10 +48,9 @@ func (h *Health) Note(i int, err error) {
 	}
 }
 
-// MarkUnhealthy drops backend i (operator and test hook; the normal path
-// is Note), and Revive puts it back.
-func (h *Health) MarkUnhealthy(i int) { h.set(i, false) }
-func (h *Health) Revive(i int)        { h.set(i, true) }
+// Revive puts backend i back in the fan-out: the operator's word that the
+// fault is repaired.
+func (h *Health) Revive(i int) { h.set(i, true) }
 
 // Snapshot returns the fan-out state of every backend.
 func (h *Health) Snapshot() []bool {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"springfs/internal/naming"
-	"springfs/internal/vm"
 )
 
 // pathLayer is the smallest path-keyed layer: a memFS that lists by path,
@@ -324,8 +323,8 @@ func TestHealth(t *testing.T) {
 		t.Fatal("a data-level error indicted the backend")
 	}
 	h.Note(1, fmt.Errorf("dfs: call timed out (%w)", fmt.Errorf("link: %w", ErrUnavailable)))
-	h.MarkUnhealthy(2)
-	h.MarkUnhealthy(3)
+	h.Note(2, ErrUnavailable)
+	h.Note(3, ErrUnavailable)
 	h.Revive(7)
 	h.Note(-1, ErrUnavailable)
 	if got := h.Snapshot(); !reflect.DeepEqual(got, []bool{true, false, false}) {
@@ -366,7 +365,7 @@ func TestHealthConcurrent(t *testing.T) {
 				_ = h.OK((i + 1) % MaxBackends)
 			}
 			if i%2 == 1 {
-				h.MarkUnhealthy(i)
+				h.Note(i, ErrUnavailable)
 			}
 		}()
 	}
@@ -378,63 +377,17 @@ func TestHealthConcurrent(t *testing.T) {
 	}
 }
 
-// commitFS is a memFS whose operations fail on demand.
-type commitFS struct {
-	*memFS
-	fail string // "create", "write", "getlength", "setlength", "sync" or "rename"
+// creatFS is a memFS whose Create keeps an existing file, as creat does.
+type creatFS struct{ *memFS }
+
+func (c creatFS) Create(name string, cred naming.Credentials) (File, error) {
+	if f, err := c.Open(name, cred); err == nil {
+		return f, nil
+	}
+	return c.memFS.Create(name, cred)
 }
 
 var errInjected = errors.New("injected failure")
-
-func (c *commitFS) Create(name string, cred naming.Credentials) (File, error) {
-	if c.fail == "create" {
-		return nil, errInjected
-	}
-	f, err := c.memFS.Open(name, cred) // creat of an existing name keeps it
-	if err != nil {
-		if f, err = c.memFS.Create(name, cred); err != nil {
-			return nil, err
-		}
-	}
-	return &commitFile{File: f, fs: c}, nil
-}
-
-func (c *commitFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	if c.fail == "rename" {
-		return errInjected
-	}
-	return c.memFS.Rename(oldname, newname, cred)
-}
-
-type commitFile struct {
-	File
-	fs *commitFS
-}
-
-func (f *commitFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.fs.fail == "write" {
-		return 0, errInjected
-	}
-	return f.File.WriteAt(p, off)
-}
-func (f *commitFile) GetLength() (vm.Offset, error) {
-	if f.fs.fail == "getlength" {
-		return 0, errInjected
-	}
-	return f.File.GetLength()
-}
-func (f *commitFile) SetLength(l vm.Offset) error {
-	if f.fs.fail == "setlength" {
-		return errInjected
-	}
-	return f.File.SetLength(l)
-}
-func (f *commitFile) Sync() error {
-	if f.fs.fail == "sync" {
-		return errInjected
-	}
-	return f.File.Sync()
-}
 
 func contents(t *testing.T, fs FS, name string) string {
 	t.Helper()
@@ -453,19 +406,29 @@ func contents(t *testing.T, fs FS, name string) string {
 // TestCommitFile: a commit replaces final with exactly the new bytes, and
 // a failure at any step removes tmp and leaves final as it was.
 func TestCommitFile(t *testing.T) {
-	fs := &commitFS{memFS: newMemFS("commit")}
+	mem := newMemFS("commit")
+	var fail string // the operation that fails, if any
+	fs := NewFaultFS("commit", func(op string) error {
+		if op == fail {
+			return errInjected
+		}
+		return nil
+	})
+	if err := fs.StackOn(creatFS{mem}); err != nil {
+		t.Fatal(err)
+	}
 	if err := CommitFile(fs, ".tmp", "final", []byte("first version"), naming.Root); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
-	if got := contents(t, fs, "final"); got != "first version" {
+	if got := contents(t, mem, "final"); got != "first version" {
 		t.Fatalf("final = %q", got)
 	}
-	if got := contents(t, fs, ".tmp"); got != "<absent>" {
+	if got := contents(t, mem, ".tmp"); got != "<absent>" {
 		t.Fatalf("tmp survived a commit holding %q", got)
 	}
 
 	// A temporary that outlived a crash, longer than the next commit.
-	stale, err := fs.memFS.Create(".tmp", naming.Root)
+	stale, err := mem.Create(".tmp", naming.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,25 +438,25 @@ func TestCommitFile(t *testing.T) {
 	if err := CommitFile(fs, ".tmp", "final", []byte("second"), naming.Root); err != nil {
 		t.Fatalf("commit over a stale tmp: %v", err)
 	}
-	if got := contents(t, fs, "final"); got != "second" {
+	if got := contents(t, mem, "final"); got != "second" {
 		t.Fatalf("final after a commit over a longer stale tmp = %q", got)
 	}
 
-	for _, step := range []string{"create", "write", "getlength", "sync", "rename"} {
-		fs.fail = step
+	for _, step := range []string{"create", "write", "get_length", "sync", "rename"} {
+		fail = step
 		err := CommitFile(fs, ".tmp", "final", []byte("never"), naming.Root)
 		if !errors.Is(err, errInjected) {
 			t.Errorf("failure at %s: CommitFile = %v", step, err)
 		}
-		if got := contents(t, fs, "final"); got != "second" {
+		if got := contents(t, mem, "final"); got != "second" {
 			t.Errorf("failure at %s changed final to %q", step, got)
 		}
-		if got := contents(t, fs, ".tmp"); got != "<absent>" {
+		if got := contents(t, mem, ".tmp"); got != "<absent>" {
 			t.Errorf("failure at %s left tmp behind (%q)", step, got)
 		}
 	}
-	fs.fail = "setlength"
-	if stale, err = fs.memFS.Create(".tmp", naming.Root); err != nil {
+	fail = "set_length"
+	if stale, err = mem.Create(".tmp", naming.Root); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := stale.WriteAt([]byte("stale again, and longer than the commit"), 0); err != nil {
@@ -502,8 +465,8 @@ func TestCommitFile(t *testing.T) {
 	if err := CommitFile(fs, ".tmp", "final", []byte("never"), naming.Root); !errors.Is(err, errInjected) {
 		t.Errorf("failure truncating a stale tmp: CommitFile = %v", err)
 	}
-	if got := contents(t, fs, "final"); got != "second" {
-		t.Errorf("failure at setlength changed final to %q", got)
+	if got := contents(t, mem, "final"); got != "second" {
+		t.Errorf("failure at set_length changed final to %q", got)
 	}
 }
 

@@ -86,11 +86,6 @@ func (m *MirrorFS) Health() (primary, mirror bool) {
 	return m.health.OK(0), m.health.OK(1)
 }
 
-// MarkUnhealthy removes replica i from the fan-out (test/operator hook;
-// the normal path is a call to the replica failing with
-// fsys.ErrUnavailable). Resync restores it.
-func (m *MirrorFS) MarkUnhealthy(i int) { m.health.MarkUnhealthy(i) }
-
 // both returns the two replicas or an error if the layer is not fully
 // stacked.
 func (m *MirrorFS) both() ([]fsys.StackableFS, error) {

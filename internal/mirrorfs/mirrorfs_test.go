@@ -19,20 +19,39 @@ import (
 )
 
 // rig is the Figure 3 fs4 setup: a mirroring layer over two SFS instances
-// on two disks.
+// on two disks, each replica reached through a flaky layer (its link).
 type rig struct {
 	node   *spring.Node
-	dev1   *blockdev.MemDevice
-	dev2   *blockdev.MemDevice
+	dev1   *disk
+	dev2   *disk
 	sfs1   *coherency.CohFS
 	sfs2   *coherency.CohFS
+	links  [2]*flaky
 	mirror *MirrorFS
 	vmm    *vm.VMM
 }
 
-func newSFS(t *testing.T, node *spring.Node, vmm *vm.VMM, name string) (*coherency.CohFS, *blockdev.MemDevice) {
+// disk is a replica's RAM disk behind a FaultDevice that fails its reads
+// or its writes while told to.
+type disk struct {
+	*blockdev.FaultDevice
+	failReads, failWrites atomic.Bool
+}
+
+func newDisk() *disk {
+	d := &disk{}
+	d.FaultDevice = blockdev.NewFault(blockdev.NewMem(1024, blockdev.ProfileNone), func(_ int64, write bool) error {
+		if write && d.failWrites.Load() || !write && d.failReads.Load() {
+			return blockdev.ErrIO
+		}
+		return nil
+	})
+	return d
+}
+
+func newSFS(t *testing.T, node *spring.Node, vmm *vm.VMM, name string) (*coherency.CohFS, *disk) {
 	t.Helper()
-	dev := blockdev.NewMem(1024, blockdev.ProfileNone)
+	dev := newDisk()
 	if err := disklayer.Mkfs(dev, disklayer.MkfsOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +72,16 @@ func newRig(t *testing.T) *rig {
 	node := spring.NewNode("n")
 	t.Cleanup(node.Stop)
 	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	sfs1, dev1 := newSFS(t, node, vmm, "sfs1")
-	sfs2, dev2 := newSFS(t, node, vmm, "sfs2")
-	m := New(spring.NewDomain(node, "mirror"), "mirror")
-	if err := m.StackOn(sfs1); err != nil {
-		t.Fatal(err)
+	r := &rig{node: node, mirror: New(spring.NewDomain(node, "mirror"), "mirror"), vmm: vmm}
+	r.sfs1, r.dev1 = newSFS(t, node, vmm, "sfs1")
+	r.sfs2, r.dev2 = newSFS(t, node, vmm, "sfs2")
+	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
+		r.links[i] = newFlaky(t, sfs)
+		if err := r.mirror.StackOn(r.links[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := m.StackOn(sfs2); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{node: node, dev1: dev1, dev2: dev2, sfs1: sfs1, sfs2: sfs2, mirror: m, vmm: vmm}
+	return r
 }
 
 func TestWritesReachBothReplicas(t *testing.T) {
@@ -183,8 +202,8 @@ func TestFailoverOnPrimaryLoss(t *testing.T) {
 	if err := m2.StackOn(r.sfs2); err != nil {
 		t.Fatal(err)
 	}
-	r.dev1.FailReads(true)
-	defer r.dev1.FailReads(false)
+	r.dev1.failReads.Store(true)
+	defer r.dev1.failReads.Store(false)
 	f2, err := m2.Open("survivor", naming.Root)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +247,8 @@ func TestDegradedWrites(t *testing.T) {
 	// Make replica 2's device fail; writes continue in degraded mode
 	// because write-behind caching absorbs them — force the failure to
 	// surface by syncing.
-	r.dev2.FailWrites(true)
-	defer r.dev2.FailWrites(false)
+	r.dev2.failWrites.Store(true)
+	defer r.dev2.failWrites.Store(false)
 	if _, err := f.WriteAt([]byte("still fine"), 0); err != nil {
 		t.Errorf("degraded write failed: %v", err)
 	}
@@ -337,137 +356,29 @@ func TestStatAndLength(t *testing.T) {
 	}
 }
 
-// flakyFS wraps a replica and can be tripped to fail every operation with
-// a transport-style unavailable error, simulating a replica reached over a
-// dead DFS link (calls time out and surface fsys.ErrUnavailable).
-type flakyFS struct {
-	fsys.StackableFS
+// flaky is a fault layer over a replica: while down, every operation on
+// it fails the way one over a dead DFS link does, with fsys.ErrUnavailable.
+type flaky struct {
+	*fsys.FaultFS
 	down  atomic.Bool
-	calls atomic.Int64 // file-system-level calls received, up or down
+	calls atomic.Int64 // operations that reached the layer, up or down
 }
 
-func (f *flakyFS) errIfDown() error {
-	f.calls.Add(1)
-	if f.down.Load() {
-		return fmt.Errorf("flaky: link down (%w)", fsys.ErrUnavailable)
+func newFlaky(t *testing.T, replica fsys.StackableFS) *flaky {
+	t.Helper()
+	f := &flaky{}
+	f.FaultFS = fsys.NewFaultFS("flaky", func(string) error {
+		f.calls.Add(1)
+		if f.down.Load() {
+			return fmt.Errorf("flaky: link down (%w)", fsys.ErrUnavailable)
+		}
+		return nil
+	})
+	if err := f.StackOn(replica); err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	return f
 }
-
-func (f *flakyFS) Remove(name string, cred naming.Credentials) error {
-	if err := f.errIfDown(); err != nil {
-		return err
-	}
-	return f.StackableFS.Remove(name, cred)
-}
-
-func (f *flakyFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	if err := f.errIfDown(); err != nil {
-		return err
-	}
-	return f.StackableFS.Rename(oldname, newname, cred)
-}
-
-func (f *flakyFS) SyncFS() error {
-	if err := f.errIfDown(); err != nil {
-		return err
-	}
-	return f.StackableFS.SyncFS()
-}
-
-func (f *flakyFS) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	if err := f.errIfDown(); err != nil {
-		return nil, err
-	}
-	return f.StackableFS.CreateContext(name, cred)
-}
-
-func (f *flakyFS) List(cred naming.Credentials) ([]naming.Binding, error) {
-	if err := f.errIfDown(); err != nil {
-		return nil, err
-	}
-	return f.StackableFS.List(cred)
-}
-
-func (f *flakyFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
-	if err := f.errIfDown(); err != nil {
-		return nil, err
-	}
-	inner, err := f.StackableFS.Create(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return &flakyFile{File: inner, fs: f}, nil
-}
-
-func (f *flakyFS) Open(name string, cred naming.Credentials) (fsys.File, error) {
-	obj, err := f.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	return fsys.AsFile(obj)
-}
-
-func (f *flakyFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	if err := f.errIfDown(); err != nil {
-		return nil, err
-	}
-	obj, err := f.StackableFS.Resolve(name, cred)
-	if err != nil {
-		return nil, err
-	}
-	if file, ok := obj.(fsys.File); ok {
-		return &flakyFile{File: file, fs: f}, nil
-	}
-	return obj, nil
-}
-
-// flakyFile fails data operations while the link is down.
-type flakyFile struct {
-	fsys.File
-	fs *flakyFS
-}
-
-func (f *flakyFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.fs.errIfDown(); err != nil {
-		return 0, err
-	}
-	return f.File.ReadAt(p, off)
-}
-
-func (f *flakyFile) WriteAt(p []byte, off int64) (int, error) {
-	if err := f.fs.errIfDown(); err != nil {
-		return 0, err
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *flakyFile) Stat() (fsys.Attributes, error) {
-	if err := f.fs.errIfDown(); err != nil {
-		return fsys.Attributes{}, err
-	}
-	return f.File.Stat()
-}
-
-func (f *flakyFile) Sync() error {
-	if err := f.fs.errIfDown(); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
-
-func (f *flakyFile) SetLength(l vm.Offset) error {
-	if err := f.fs.errIfDown(); err != nil {
-		return err
-	}
-	return f.File.SetLength(l)
-}
-
-// Retain/Release forward to the wrapped file so unlink-while-open holds
-// storage through the flaky wrapper, like a real DFS proxy does.
-func (f *flakyFile) Retain() { fsys.Retain(f.File) }
-
-func (f *flakyFile) Release() error { return fsys.Release(f.File) }
 
 // TestReplicaDegradationAndResync exercises the mirror health state
 // machine: a replica whose calls fail at the transport level is dropped
@@ -475,19 +386,8 @@ func (f *flakyFile) Release() error { return fsys.Release(f.File) }
 // the survivor's tree back onto the healed replica and restores full
 // mirroring.
 func TestReplicaDegradationAndResync(t *testing.T) {
-	node := spring.NewNode("n")
-	t.Cleanup(node.Stop)
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	sfs1, _ := newSFS(t, node, vmm, "m1")
-	sfs2, _ := newSFS(t, node, vmm, "m2")
-	flaky := &flakyFS{StackableFS: sfs2}
-	m := New(spring.NewDomain(node, "mirror"), "mirror")
-	if err := m.StackOn(sfs1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StackOn(flaky); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t)
+	m, sfs2, flaky := r.mirror, r.sfs2, r.links[1]
 
 	f, err := m.Create("doc", naming.Root)
 	if err != nil {
@@ -556,19 +456,8 @@ func TestReplicaDegradationAndResync(t *testing.T) {
 // writes through the retained handle must keep working even when the
 // survivor subsequently drops out of the fan-out.
 func TestResyncReconcilesRetainedOrphans(t *testing.T) {
-	node := spring.NewNode("n-orph")
-	t.Cleanup(node.Stop)
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	sfs1, _ := newSFS(t, node, vmm, "o1")
-	sfs2, _ := newSFS(t, node, vmm, "o2")
-	flaky := &flakyFS{StackableFS: sfs2}
-	m := New(spring.NewDomain(node, "mirror"), "mirror")
-	if err := m.StackOn(sfs1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StackOn(flaky); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t)
+	m, primary, flaky := r.mirror, r.links[0], r.links[1]
 
 	f, err := m.Create("doomed", naming.Root)
 	if err != nil {
@@ -586,7 +475,6 @@ func TestResyncReconcilesRetainedOrphans(t *testing.T) {
 	// the primary keeps nlink-0 storage behind the handle, the mirror
 	// never sees the removal.
 	flaky.down.Store(true)
-	m.MarkUnhealthy(1)
 	if err := m.Remove("doomed", naming.Root); err != nil {
 		t.Fatalf("remove while degraded: %v", err)
 	}
@@ -604,7 +492,7 @@ func TestResyncReconcilesRetainedOrphans(t *testing.T) {
 
 	// Now lose the PRIMARY: the retained handle must be served entirely
 	// by the rebuilt orphan on the healed replica.
-	m.MarkUnhealthy(0)
+	primary.down.Store(true)
 	got := make([]byte, 14)
 	if _, err := f.ReadAt(got, 0); err != nil && err != io.EOF {
 		t.Fatalf("read through retained handle after failover: %v", err)
@@ -624,19 +512,8 @@ func TestResyncReconcilesRetainedOrphans(t *testing.T) {
 // usable handle on the surviving replica, resync must fail rather than
 // silently rejoin a replica that cannot serve the retained handles.
 func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
-	node := spring.NewNode("n-orph2")
-	t.Cleanup(node.Stop)
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	sfs1, _ := newSFS(t, node, vmm, "p1")
-	sfs2, _ := newSFS(t, node, vmm, "p2")
-	flaky := &flakyFS{StackableFS: sfs2}
-	m := New(spring.NewDomain(node, "mirror"), "mirror")
-	if err := m.StackOn(sfs1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StackOn(flaky); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t)
+	m, flaky := r.mirror, r.links[1]
 
 	f, err := m.Create("ghost", naming.Root)
 	if err != nil {
@@ -651,7 +528,11 @@ func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
 	mf := f.(*mirrorFile)
 	_, q := mf.copies()
 	mf.setCopies(nil, q)
-	m.MarkUnhealthy(1)
+	flaky.down.Store(true) // the mirror drops out at its next call, and heals
+	if err := m.SyncFS(); err != nil {
+		t.Fatal(err)
+	}
+	flaky.down.Store(false)
 	if err := m.Resync(naming.Root); err == nil {
 		t.Error("resync succeeded with an unreconstructible retained orphan")
 	}
@@ -669,19 +550,8 @@ func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
 func TestNamespaceOpsHonourReplicaHealth(t *testing.T) {
 	for _, dead := range []int{1, 0} {
 		t.Run(fmt.Sprintf("replica%d", dead), func(t *testing.T) {
-			node := spring.NewNode("n-ns")
-			t.Cleanup(node.Stop)
-			vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-			sfs1, _ := newSFS(t, node, vmm, "p1")
-			sfs2, _ := newSFS(t, node, vmm, "p2")
-			replicas := []*flakyFS{{StackableFS: sfs1}, {StackableFS: sfs2}}
-			m := New(spring.NewDomain(node, "mirror"), "mirror")
-			for _, r := range replicas {
-				if err := m.StackOn(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			flaky := replicas[dead]
+			rg := newRig(t)
+			m, flaky := rg.mirror, rg.links[dead]
 			for _, name := range []string{"gone", "old", "stays"} {
 				f, err := m.Create(name, naming.Root)
 				if err != nil {
@@ -749,7 +619,7 @@ func TestNamespaceOpsHonourReplicaHealth(t *testing.T) {
 			if err := m.Resync(naming.Root); err != nil {
 				t.Fatalf("Resync: %v", err)
 			}
-			for i, r := range []fsys.StackableFS{sfs1, sfs2} {
+			for i, r := range []*coherency.CohFS{rg.sfs1, rg.sfs2} {
 				for _, name := range []string{"new", "stays", "dir/born"} {
 					if _, err := r.Open(name, naming.Root); err != nil {
 						t.Errorf("replica %d lacks %s after resync: %v", i, name, err)

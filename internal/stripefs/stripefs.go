@@ -193,11 +193,6 @@ func (s *StripeFS) serverFS(k, count int) (fsys.StackableFS, error) {
 // Health returns the fan-out state of each data server.
 func (s *StripeFS) Health() []bool { return s.health.Snapshot() }
 
-// MarkUnhealthy removes data server k from the fan-out (test/operator hook;
-// the normal path is a call to the server failing with
-// fsys.ErrUnavailable).
-func (s *StripeFS) MarkUnhealthy(k int) { s.health.MarkUnhealthy(k) }
-
 // Revive puts data server k back in the fan-out. It is the operator's (or
 // test's) signal that the fault is repaired — the layer cannot tell on its
 // own that a dead link came back. Unlike mirrorfs there is nothing to

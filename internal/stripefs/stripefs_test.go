@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"springfs"
@@ -43,7 +44,11 @@ func sfss(t *testing.T, node *springfs.Node, names ...string) map[string]springf
 	return b.FS
 }
 
-func newRig(t *testing.T, k int, stripeSize int64) *rig {
+func newRig(t *testing.T, k int, stripeSize int64) *rig { return newFaultyRig(t, k, stripeSize, nil) }
+
+// newFaultyRig reaches data server i through a fault layer asking
+// faults[i], where faults has one.
+func newFaultyRig(t *testing.T, k int, stripeSize int64, faults map[int]func(op string) error) *rig {
 	t.Helper()
 	node := springfs.NewNode("stripe-test")
 	t.Cleanup(node.Stop)
@@ -58,7 +63,14 @@ func newRig(t *testing.T, k int, stripeSize int64) *rig {
 	}
 	r := &rig{node: node, st: st, meta: fs["meta"]}
 	for _, name := range names {
-		if err := st.StackOn(fs[name]); err != nil {
+		under := fs[name]
+		if fault, ok := faults[len(r.data)]; ok && name != "meta" {
+			under = fsys.NewFaultFS("link-"+name, fault)
+			if err := under.StackOn(fs[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.StackOn(under); err != nil {
 			t.Fatalf("StackOn %s: %v", name, err)
 		}
 		if name != "meta" {
@@ -66,6 +78,16 @@ func newRig(t *testing.T, k int, stripeSize int64) *rig {
 		}
 	}
 	return r
+}
+
+// linkDown fails every operation, as over a dead link, while down is set.
+func linkDown(down *atomic.Bool) func(op string) error {
+	return func(op string) error {
+		if down.Load() {
+			return fmt.Errorf("%s: link down: %w", op, fsys.ErrUnavailable)
+		}
+		return nil
+	}
 }
 
 // objCount counts stripe objects on data server k.
@@ -421,9 +443,10 @@ func TestStripeSweepReclaimsDebris(t *testing.T) {
 func TestStripeReviveRearmsSweep(t *testing.T) {
 	const S = springfs.PageSize
 	const debris = ".sobj-00000000deadbeef"
-	r := newRig(t, 2, S)
+	var down atomic.Bool // the link to data server 1
+	r := newFaultyRig(t, 2, S, map[int]func(string) error{1: linkDown(&down)})
 	swept := stats.Default.Counter("stripe.swept")
-	r.st.MarkUnhealthy(1)
+	down.Store(true)
 	if _, err := r.data[1].Create(debris, springfs.Root); err != nil {
 		t.Fatalf("debris object: %v", err)
 	}
@@ -439,6 +462,7 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	}
 
 	before := swept.Value()
+	down.Store(false)
 	r.st.Revive(1)
 	if _, err := f.WriteAt(bytes.Repeat([]byte{9}, S), S); err != nil {
 		t.Fatalf("write to the revived server's stripe: %v", err)
@@ -620,8 +644,13 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 	node := springfs.NewNode("stripe-mirror-test")
 	defer node.Stop()
 	fs := sfss(t, node, "meta", "m1", "m2", "data1")
+	var down atomic.Bool // the link to the mirror's primary replica
+	link := fsys.NewFaultFS("link-m1", linkDown(&down))
+	if err := link.StackOn(fs["m1"]); err != nil {
+		t.Fatal(err)
+	}
 	mirror := mirrorfs.New(node.NewDomain("mirror"), "mirror")
-	if err := mirror.StackOn(fs["m1"]); err != nil {
+	if err := mirror.StackOn(link); err != nil {
 		t.Fatalf("mirror StackOn: %v", err)
 	}
 	if err := mirror.StackOn(fs["m2"]); err != nil {
@@ -648,7 +677,7 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 	// Lose the mirror's primary replica: stripes 0 and 2 (server 0) keep
 	// working through the mirror's failover; the striping layer never sees
 	// a failure.
-	mirror.MarkUnhealthy(0)
+	down.Store(true)
 	patch := bytes.Repeat([]byte{0x5A}, S)
 	if _, err := f.WriteAt(patch, 2*S); err != nil {
 		t.Fatalf("write to mirrored stripe with dead primary: %v", err)
@@ -660,6 +689,7 @@ func TestStripeOverMirrorFailover(t *testing.T) {
 			t.Fatalf("stripe server %d left the fan-out; the mirror should have absorbed the fault", i)
 		}
 	}
+	down.Store(false)
 	if err := mirror.Resync(naming.Root); err != nil {
 		t.Fatalf("mirror Resync: %v", err)
 	}

@@ -12,8 +12,8 @@ import (
 // as in Go, in snake case (read, set_length, create_context, sync_fs); a
 // file's Bind is "map", and the pager it hands out asks page_in, page_out,
 // write_out and page_sync, so a cache manager stacked above meets the
-// fault too. A test places the layer in a Spec by registering a creator
-// that makes one.
+// fault too; an append asks append and is one append below. A test places
+// the layer in a Spec by registering a creator that makes one.
 type FaultFS struct {
 	Passthrough
 	faultDir // the root: the Passthrough's, behind the fault
@@ -22,7 +22,7 @@ type FaultFS struct {
 // NewFaultFS creates a fault layer that asks fault before every operation.
 func NewFaultFS(name string, fault func(op string) error) *FaultFS {
 	s := &FaultFS{}
-	s.Init(name, s, func(lower File) File { return &faultFile{lower, fault} })
+	s.Init(name, s, func(lower File) File { return &faultFile{ForwardFile{lower}, fault} })
 	s.faultDir = faultDir{s.passDir, fault}
 	return s
 }
@@ -78,18 +78,20 @@ func (d faultDir) CreateContext(name string, cred naming.Credentials) (naming.Co
 	return faultDir{c, d.fault}, nil
 }
 
-// faultFile is a file seen through the fault layer. It is no Appender, so
-// an append is a faulted get_length and write.
+// faultFile is a file seen through the fault layer: a ForwardFile whose
+// operations, Append included, ask the fault first.
 type faultFile struct {
-	File
+	ForwardFile
 	fault func(op string) error
 }
 
-func (f *faultFile) Lower() File                                     { return f.File }
-func (f *faultFile) Retain()                                         { Retain(f.File) }
-func (f *faultFile) Release() error                                  { return Release(f.File) }
 func (f *faultFile) WrapForChannel(ch *spring.Channel) naming.Object { return NewFileProxy(ch, f) }
-
+func (f *faultFile) Append(p []byte) (int64, int, error) {
+	if err := f.fault("append"); err != nil {
+		return 0, 0, err
+	}
+	return Append(f.File, p)
+}
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
 	return ask(f.fault, "read", func() (int, error) { return f.File.ReadAt(p, off) })
 }

@@ -470,6 +470,37 @@ func TestCommitFile(t *testing.T) {
 	}
 }
 
+// TestFaultFSAppendIsOneOperation: an append through the fault layer asks
+// append once and is one append below, not a get_length and a write that
+// another appender could fall between.
+func TestFaultFSAppendIsOneOperation(t *testing.T) {
+	mem := newMemFS("append")
+	var asked []string
+	fs := NewFaultFS("append", func(op string) error {
+		asked = append(asked, op)
+		if op == "append" && len(asked) > 2 {
+			return errInjected
+		}
+		return nil
+	})
+	if err := fs.StackOn(creatFS{mem}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("log", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"one.", "never"} {
+		_, _, err = Append(f, []byte(rec))
+	}
+	if !errors.Is(err, errInjected) || !reflect.DeepEqual(asked, []string{"create", "append", "append"}) {
+		t.Errorf("appends asked %v and the second returned %v, want [create append append] and the injected error", asked, err)
+	}
+	if got := contents(t, mem, "log"); got != "one." {
+		t.Errorf("log = %q, want %q", got, "one.")
+	}
+}
+
 // TestSweepPrefix: everything under the prefix goes, except what keep
 // vouches for; other names are not even asked about.
 func TestSweepPrefix(t *testing.T) {

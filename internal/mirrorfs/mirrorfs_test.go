@@ -19,14 +19,15 @@ import (
 )
 
 // rig is the Figure 3 fs4 setup: a mirroring layer over two SFS instances
-// on two disks, each replica reached through a flaky layer (its link).
+// on two disks. In a flaky rig each replica is reached through a flaky
+// layer (its link).
 type rig struct {
 	node   *spring.Node
 	dev1   *disk
 	dev2   *disk
 	sfs1   *coherency.CohFS
 	sfs2   *coherency.CohFS
-	links  [2]*flaky
+	links  [2]flaky
 	mirror *MirrorFS
 	vmm    *vm.VMM
 }
@@ -67,7 +68,13 @@ func newSFS(t *testing.T, node *spring.Node, vmm *vm.VMM, name string) (*coheren
 	return coh, dev
 }
 
-func newRig(t *testing.T) *rig {
+// newRig stacks the mirror directly on the replicas.
+func newRig(t *testing.T) *rig { return buildRig(t, false) }
+
+// newFlakyRig stacks the mirror on a flaky link over each replica.
+func newFlakyRig(t *testing.T) *rig { return buildRig(t, true) }
+
+func buildRig(t *testing.T, flakyLinks bool) *rig {
 	t.Helper()
 	node := spring.NewNode("n")
 	t.Cleanup(node.Stop)
@@ -76,12 +83,37 @@ func newRig(t *testing.T) *rig {
 	r.sfs1, r.dev1 = newSFS(t, node, vmm, "sfs1")
 	r.sfs2, r.dev2 = newSFS(t, node, vmm, "sfs2")
 	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
-		r.links[i] = newFlaky(t, sfs)
-		if err := r.mirror.StackOn(r.links[i]); err != nil {
+		var replica fsys.StackableFS = sfs
+		if flakyLinks {
+			link := fsys.NewFaultFS("flaky", r.links[i].fault)
+			if err := link.StackOn(sfs); err != nil {
+				t.Fatal(err)
+			}
+			replica = link
+		}
+		if err := r.mirror.StackOn(replica); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return r
+}
+
+// replicasHold checks that both replicas hold want at the start of name.
+func (r *rig) replicasHold(t *testing.T, name string, want []byte) {
+	t.Helper()
+	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
+		rf, err := sfs.Open(name, naming.Root)
+		if err != nil {
+			t.Fatalf("replica %d open: %v", i+1, err)
+		}
+		got := make([]byte, len(want))
+		if _, err := rf.ReadAt(got, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("replica %d: %s holds %q, want %q", i+1, name, got, want)
+		}
+	}
 }
 
 func TestWritesReachBothReplicas(t *testing.T) {
@@ -94,19 +126,7 @@ func TestWritesReachBothReplicas(t *testing.T) {
 	if _, err := f.WriteAt(msg, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
-		rf, err := sfs.Open("doc", naming.Root)
-		if err != nil {
-			t.Fatalf("replica %d open: %v", i+1, err)
-		}
-		got := make([]byte, len(msg))
-		if _, err := rf.ReadAt(got, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Errorf("replica %d = %q", i+1, got)
-		}
-	}
+	r.replicasHold(t, "doc", msg)
 }
 
 // TestDirectoriesStayInsideTheMirror: a file reached through a directory
@@ -139,19 +159,7 @@ func TestDirectoriesStayInsideTheMirror(t *testing.T) {
 		if _, err := obj.(fsys.File).WriteAt(msg, 0); err != nil {
 			t.Fatal(err)
 		}
-		for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
-			rf, err := sfs.Open("d/f", naming.Root)
-			if err != nil {
-				t.Fatalf("replica %d open: %v", i+1, err)
-			}
-			got := make([]byte, len(msg))
-			if _, err := rf.ReadAt(got, 0); err != nil && err != io.EOF {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, msg) {
-				t.Errorf("%s context: replica %d holds %q, want %q", route, i+1, got, msg)
-			}
-		}
+		r.replicasHold(t, "d/f", msg)
 		bs, err := ctx.List(naming.Root)
 		if err != nil || len(bs) != 1 || bs[0].Name != "f" || bs[0].Object != naming.Object(full) {
 			t.Errorf("%s context: List = %v, %v; want the one mirrored file f", route, bs, err)
@@ -290,20 +298,7 @@ func TestMappedAccess(t *testing.T) {
 	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Both replicas got the mapped write.
-	for i, sfs := range []*coherency.CohFS{r.sfs1, r.sfs2} {
-		rf, err := sfs.Open("mapped", naming.Root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 7)
-		if _, err := rf.ReadAt(got, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if string(got) != "via map" {
-			t.Errorf("replica %d mapped write = %q", i+1, got)
-		}
-	}
+	r.replicasHold(t, "mapped", []byte("via map")) // both replicas got the mapped write
 }
 
 func TestRemoveFromBoth(t *testing.T) {
@@ -356,28 +351,20 @@ func TestStatAndLength(t *testing.T) {
 	}
 }
 
-// flaky is a fault layer over a replica: while down, every operation on
-// it fails the way one over a dead DFS link does, with fsys.ErrUnavailable.
+// flaky is the fault of a fault layer over a replica (its link): while
+// down, every operation fails the way one over a dead DFS link does, with
+// fsys.ErrUnavailable.
 type flaky struct {
-	*fsys.FaultFS
 	down  atomic.Bool
 	calls atomic.Int64 // operations that reached the layer, up or down
 }
 
-func newFlaky(t *testing.T, replica fsys.StackableFS) *flaky {
-	t.Helper()
-	f := &flaky{}
-	f.FaultFS = fsys.NewFaultFS("flaky", func(string) error {
-		f.calls.Add(1)
-		if f.down.Load() {
-			return fmt.Errorf("flaky: link down (%w)", fsys.ErrUnavailable)
-		}
-		return nil
-	})
-	if err := f.StackOn(replica); err != nil {
-		t.Fatal(err)
+func (f *flaky) fault(string) error {
+	f.calls.Add(1)
+	if f.down.Load() {
+		return fmt.Errorf("flaky: link down (%w)", fsys.ErrUnavailable)
 	}
-	return f
+	return nil
 }
 
 // TestReplicaDegradationAndResync exercises the mirror health state
@@ -386,8 +373,8 @@ func newFlaky(t *testing.T, replica fsys.StackableFS) *flaky {
 // the survivor's tree back onto the healed replica and restores full
 // mirroring.
 func TestReplicaDegradationAndResync(t *testing.T) {
-	r := newRig(t)
-	m, sfs2, flaky := r.mirror, r.sfs2, r.links[1]
+	r := newFlakyRig(t)
+	m, sfs2, flaky := r.mirror, r.sfs2, &r.links[1]
 
 	f, err := m.Create("doc", naming.Root)
 	if err != nil {
@@ -456,8 +443,8 @@ func TestReplicaDegradationAndResync(t *testing.T) {
 // writes through the retained handle must keep working even when the
 // survivor subsequently drops out of the fan-out.
 func TestResyncReconcilesRetainedOrphans(t *testing.T) {
-	r := newRig(t)
-	m, primary, flaky := r.mirror, r.links[0], r.links[1]
+	r := newFlakyRig(t)
+	m, primary, flaky := r.mirror, &r.links[0], &r.links[1]
 
 	f, err := m.Create("doomed", naming.Root)
 	if err != nil {
@@ -512,8 +499,8 @@ func TestResyncReconcilesRetainedOrphans(t *testing.T) {
 // usable handle on the surviving replica, resync must fail rather than
 // silently rejoin a replica that cannot serve the retained handles.
 func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
-	r := newRig(t)
-	m, flaky := r.mirror, r.links[1]
+	r := newFlakyRig(t)
+	m, flaky := r.mirror, &r.links[1]
 
 	f, err := m.Create("ghost", naming.Root)
 	if err != nil {
@@ -550,8 +537,8 @@ func TestResyncFailsLoudlyWithoutSurvivorHandle(t *testing.T) {
 func TestNamespaceOpsHonourReplicaHealth(t *testing.T) {
 	for _, dead := range []int{1, 0} {
 		t.Run(fmt.Sprintf("replica%d", dead), func(t *testing.T) {
-			rg := newRig(t)
-			m, flaky := rg.mirror, rg.links[dead]
+			rg := newFlakyRig(t)
+			m, flaky := rg.mirror, &rg.links[dead]
 			for _, name := range []string{"gone", "old", "stays"} {
 				f, err := m.Create(name, naming.Root)
 				if err != nil {
@@ -641,17 +628,8 @@ func TestNamespaceOpsHonourReplicaHealth(t *testing.T) {
 // check that is an atomic load — and the layer's share of each allocates
 // nothing.
 func TestHotPathsAddNoAllocation(t *testing.T) {
-	node := spring.NewNode("n-alloc")
-	t.Cleanup(node.Stop)
-	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	sfs1, _ := newSFS(t, node, vmm, "p1")
-	sfs2, _ := newSFS(t, node, vmm, "p2")
-	m := New(spring.NewDomain(node, "mirror"), "mirror")
-	for _, r := range []fsys.StackableFS{sfs1, sfs2} {
-		if err := m.StackOn(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r := newRig(t)
+	m, sfs1, sfs2 := r.mirror, r.sfs1, r.sfs2
 	f, err := m.Create("file", naming.Root)
 	if err != nil {
 		t.Fatal(err)

@@ -446,7 +446,16 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	var down atomic.Bool // the link to data server 1
 	r := newFaultyRig(t, 2, S, map[int]func(string) error{1: linkDown(&down)})
 	swept := stats.Default.Counter("stripe.swept")
+	// The link fails one SyncFS, which sweeps nothing, and server 1 leaves
+	// the fan-out before any sweep ran; the link is up again from here on.
 	down.Store(true)
+	if err := r.st.SyncFS(); err == nil {
+		t.Fatalf("SyncFS over a dead link succeeded")
+	}
+	down.Store(false)
+	if r.st.Health()[1] {
+		t.Fatalf("server 1 still in the fan-out after its SyncFS failed")
+	}
 	if _, err := r.data[1].Create(debris, springfs.Root); err != nil {
 		t.Fatalf("debris object: %v", err)
 	}
@@ -462,7 +471,6 @@ func TestStripeReviveRearmsSweep(t *testing.T) {
 	}
 
 	before := swept.Value()
-	down.Store(false)
 	r.st.Revive(1)
 	if _, err := f.WriteAt(bytes.Repeat([]byte{9}, S), S); err != nil {
 		t.Fatalf("write to the revived server's stripe: %v", err)

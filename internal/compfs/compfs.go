@@ -87,8 +87,6 @@ type CompFS struct {
 	mode   Mode
 	table  *fsys.ConnectionTable
 
-	nextBacking atomic.Uint64
-
 	// CompressedBytes and UncompressedBytes accumulate the volume of data
 	// written, for space-saving reports.
 	CompressedBytes   stats.Counter
@@ -106,11 +104,12 @@ var (
 func New(domain *spring.Domain, name string, mode Mode) *CompFS {
 	c := &CompFS{domain: domain, mode: mode, table: fsys.NewConnectionTable(domain)}
 	c.Init(name, c, func(lower fsys.File) fsys.File {
-		f := &compFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+		f := &compFile{fs: c, lower: lower}
+		f.FilePager, f.Blocks = c.table.NewPager(f, true), fsys.Blocks{Viewer: f}
 		f.image = fsys.Image{Lower: lower, ReadAt: f.readLower, Magic: Magic,
 			Version: imageVersion, Align: 1, Bad: ErrBadFormat}
 		if mode == ModeCoherent {
-			f.conn = &fsys.LowerConn{Layer: name, ID: f.backing, Domain: domain,
+			f.conn = &fsys.LowerConn{Layer: name, ID: f.Backing(), Domain: domain,
 				Lower: lower, Access: vm.RightsRead, Cache: &compCacheObject{f: f}}
 		}
 		return f

@@ -8,7 +8,6 @@ import (
 
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
-	"springfs/internal/spring"
 	"springfs/internal/stats"
 	"springfs/internal/vm"
 )
@@ -26,13 +25,16 @@ var (
 // compFile is one COMPFS file: a transforming wrapper around a lower file
 // holding the compressed image. Data writes are write-through (compressed
 // immediately into the lower file); the block table is cached in memory
-// and committed on Sync.
+// and committed on Sync. It is its own block view, the kit's block path
+// serves its data, and its pager (the P2 object of Figure 5) is the kit's,
+// syncing the block table after a page-out.
 type compFile struct {
-	fs      *CompFS
-	lower   fsys.File
-	backing uint64
+	fsys.FilePager
+	fsys.Blocks
+	fs    *CompFS
+	lower fsys.File
 
-	mu       sync.Mutex
+	mu       sync.Mutex // held by a view
 	image    fsys.Image
 	tbl      *blockTable // nil until loaded
 	tblDirty bool
@@ -55,14 +57,10 @@ type compFile struct {
 }
 
 var (
-	_ fsys.File             = (*compFile)(nil)
+	_ fsys.PagedFile        = (*compFile)(nil)
+	_ fsys.BlockView        = (*compFile)(nil)
 	_ naming.ProxyWrappable = (*compFile)(nil)
 )
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *compFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
-}
 
 // Lower returns the underlying file (tests).
 func (f *compFile) Lower() fsys.File { return f.lower }
@@ -89,7 +87,7 @@ func (c *compCacheObject) invalidate() {
 	// from the (changed) underlying file. Lock-free — see tblStale.
 	f.tblStale.Store(true)
 	// Invalidate everyone caching uncompressed file_COMP data.
-	for _, conn := range f.fs.table.ConnectionsFor(f.backing) {
+	for _, conn := range f.fs.table.ConnectionsFor(f.Backing()) {
 		conn.Cache.DeleteRange(0, 1<<62)
 		if conn.FsCache != nil {
 			conn.FsCache.InvalidateAttributes()
@@ -183,9 +181,26 @@ func (f *compFile) loadTableLocked() error {
 	return nil
 }
 
-// readBlockLocked fills dst with the uncompressed content of block bn.
-// Caller holds f.mu with the table loaded.
-func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
+// View implements fsys.BlockViewer: the file itself, locked, with its
+// block table loaded.
+func (f *compFile) View(bool) (fsys.BlockView, error) {
+	f.mu.Lock()
+	if err := f.loadTableLocked(); err != nil {
+		f.mu.Unlock()
+		return nil, err
+	}
+	return f, nil
+}
+
+// Length implements fsys.BlockView.
+func (f *compFile) Length() int64 { return f.tbl.uncompLen }
+
+// Done implements fsys.BlockView.
+func (f *compFile) Done() { f.mu.Unlock() }
+
+// ReadBlock implements fsys.BlockView: the uncompressed content of block
+// bn.
+func (f *compFile) ReadBlock(bn int64, dst []byte) error {
 	e, ok := f.tbl.blocks[bn]
 	if !ok {
 		clear(dst) // hole
@@ -212,9 +227,9 @@ func (f *compFile) readBlockLocked(bn int64, dst []byte) error {
 	return nil
 }
 
-// writeBlockLocked compresses block bn into a fresh extent (write-through)
-// and frees the one it replaces. Caller holds f.mu with the table loaded.
-func (f *compFile) writeBlockLocked(bn int64, data []byte) error {
+// WriteBlock implements fsys.BlockView: compress block bn into a fresh
+// extent (write-through) and free the one it replaces.
+func (f *compFile) WriteBlock(bn int64, data []byte) error {
 	comp := compressBlock(data)
 	off := f.image.Alloc(int64(len(comp)))
 	f.writing.Store(true)
@@ -233,18 +248,20 @@ func (f *compFile) writeBlockLocked(bn int64, data []byte) error {
 	return nil
 }
 
+// Grow implements fsys.BlockView.
+func (f *compFile) Grow(_, end int64) error {
+	f.tbl.uncompLen = end
+	f.tblDirty = true
+	return nil
+}
+
 // ---- file interface ----
 
 // ReadAt implements fsys.File.
 func (f *compFile) ReadAt(p []byte, off int64) (int, error) {
 	t := opRead.Start()
 	defer func() { opRead.End(t, int64(len(p))) }()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return 0, err
-	}
-	return fsys.ReadBlocksAt(p, off, f.tbl.uncompLen, f.readBlockLocked)
+	return f.Blocks.ReadAt(p, off)
 }
 
 // WriteAt implements fsys.File: read-modify-write at block granularity,
@@ -252,69 +269,26 @@ func (f *compFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *compFile) WriteAt(p []byte, off int64) (int, error) {
 	t := opWrite.Start()
 	defer func() { opWrite.End(t, int64(len(p))) }()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return 0, err
-	}
-	done, err := fsys.WriteBlocksAt(p, off, f.readBlockLocked, f.writeBlockLocked)
-	if err != nil {
-		return done, err
-	}
-	if off+int64(done) > f.tbl.uncompLen {
-		f.tbl.uncompLen = off + int64(done)
-		f.tblDirty = true
-	}
-	return done, nil
-}
-
-// Bind implements vm.MemoryObject: COMPFS is the pager for file_COMP (the
-// P2/C2 connection of Figure 5); binds terminate here, unlike DFS's
-// forwarding, because the exported data differs from the underlying data
-// so no cache sharing is possible (Section 4.2.2, last paragraph).
-func (f *compFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut, SyncAfterOut: true}
-	})
-	return rights, nil
+	return f.Blocks.WriteAt(p, off)
 }
 
 // GetLength implements vm.MemoryObject.
 func (f *compFile) GetLength() (vm.Offset, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
+	if _, err := f.View(false); err != nil {
 		return 0, err
 	}
-	return f.tbl.uncompLen, nil
+	defer f.Done()
+	return f.Length(), nil
 }
 
-// SetLength implements vm.MemoryObject. On a shrink, whole blocks past the
-// new length are dropped, the tail of the straddling block is zeroed, and
-// cached pages past the new length are revoked — so a later regrow cannot
-// resurrect the truncated bytes.
-func (f *compFile) SetLength(length vm.Offset) error {
-	cur, err := f.GetLength()
-	if err != nil {
+// Resize implements fsys.PagedFile. On a shrink, whole blocks past the new
+// length are dropped and the tail of the straddling block is zeroed, so a
+// later regrow cannot resurrect the truncated bytes.
+func (f *compFile) Resize(length vm.Offset) error {
+	if _, err := f.View(true); err != nil {
 		return err
 	}
-	tail := length % BlockSize
-	blockOff := length - tail
-	var flushed []vm.Data
-	if length < cur {
-		// Cache call-outs cross domains: never under f.mu.
-		for _, c := range f.fs.table.ConnectionsFor(f.backing) {
-			if tail != 0 {
-				flushed = append(flushed, c.Cache.FlushBack(blockOff, BlockSize)...)
-			}
-			c.Cache.DeleteRange(blockOff, 1<<62)
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return err
-	}
+	defer f.Done()
 	if length < f.tbl.uncompLen {
 		for bn, e := range f.tbl.blocks {
 			if bn*BlockSize >= length {
@@ -322,25 +296,9 @@ func (f *compFile) SetLength(length vm.Offset) error {
 				delete(f.tbl.blocks, bn)
 			}
 		}
-		if tail != 0 {
-			_, live := f.tbl.blocks[length/BlockSize]
-			if live || len(flushed) > 0 {
-				// The straddling block as it stands: stored, then
-				// overlaid with what the caches just flushed back.
-				current := func(bn int64, blk []byte) error {
-					if err := f.readBlockLocked(bn, blk); err != nil {
-						return err
-					}
-					for _, d := range flushed {
-						if d.Offset <= blockOff && blockOff+BlockSize <= d.Offset+vm.Offset(len(d.Bytes)) {
-							copy(blk, d.Bytes[blockOff-d.Offset:])
-						}
-					}
-					return nil
-				}
-				if err := fsys.ZeroTail(current, f.writeBlockLocked, length); err != nil {
-					return err
-				}
+		if _, live := f.tbl.blocks[length/BlockSize]; live {
+			if err := fsys.ZeroTail(f, length); err != nil {
+				return err
 			}
 		}
 	}
@@ -388,28 +346,3 @@ func (f *compFile) Retain() { fsys.Retain(f.lower) }
 
 // Release implements fsys.HandleFile.
 func (f *compFile) Release() error { return fsys.Release(f.lower) }
-
-// pageIn and pageOut are the data movers of the pager COMPFS exports for
-// file_COMP (the P2 object of Figure 5): page-ins uncompress, page-outs
-// compress, and the pager's Sync persists the block table.
-func (f *compFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	if err := fsys.EachBlock(offset, size, out, f.readBlockLocked); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (f *compFile) pageOut(offset, size vm.Offset, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.loadTableLocked(); err != nil {
-		return err
-	}
-	return fsys.EachBlock(offset, size, data, f.writeBlockLocked)
-}

@@ -24,10 +24,11 @@ import (
 type Stack struct {
 	// Name identifies the shape ("disk", "sfs-compfs", ...).
 	Name string
-	// NewProcess returns a fresh POSIX process view over the stack. Local
-	// shapes share one node (the processes are siblings on it); the DFS
-	// shape dials a fresh client connection per process, so each process
-	// lives on its own remote machine.
+	// NewProcess returns a fresh POSIX process view over the stack, with an
+	// address space on its own node's VMM. Local shapes share one node (the
+	// processes are siblings on it); the DFS shape dials a fresh client
+	// connection per process, so each process lives on its own remote
+	// machine.
 	NewProcess func() (*unixapi.Process, error)
 	// DropCaches writes every modified page and block back and empties the
 	// stack's caches, so the next access is cold.
@@ -64,6 +65,10 @@ func Checks() []Check {
 		{"unlink-while-open", checkUnlinkWhileOpen},
 		{"unlink-recreate", checkUnlinkRecreate},
 		{"append-concurrent", checkAppendConcurrent},
+		{"mmap-msync", checkMmapMsync},
+		{"mmap-length", checkMmapLength},
+		{"mmap-trunc", checkMmapTrunc},
+		{"mmap-live-trunc", checkMmapLiveTrunc},
 	}
 }
 

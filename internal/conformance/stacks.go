@@ -121,11 +121,12 @@ func BuildStack(name string) (*Stack, error) {
 }
 
 // localStack is the Stack of a shape built on one node: every process is a
-// sibling on it, over the one shared file system top.
+// sibling on it, over the one shared file system top, with an address space
+// on the node's VMM.
 func localStack(node *springfs.Node, top springfs.StackableFS, dropCaches func() error) *Stack {
 	return &Stack{
 		NewProcess: func() (*unixapi.Process, error) {
-			return unixapi.NewProcess(top, naming.Root), nil
+			return unixapi.NewProcessVM(top, naming.Root, node.VMM()), nil
 		},
 		DropCaches: dropCaches,
 		Close:      node.Stop,
@@ -176,7 +177,7 @@ func newRemoteStack(home *springfs.Node, client springfs.Spec, mixed bool) (*Sta
 	newProcess := func() (*unixapi.Process, error) {
 		procs++
 		if mixed && procs%2 == 1 {
-			return unixapi.NewProcess(hb.FS["sfs"], naming.Root), nil
+			return unixapi.NewProcessVM(hb.FS["sfs"], naming.Root, home.VMM()), nil
 		}
 		machine := springfs.NewNode(fmt.Sprintf("conf-remote%d", procs))
 		machine.Join(network)
@@ -187,7 +188,7 @@ func newRemoteStack(home *springfs.Node, client springfs.Spec, mixed bool) (*Sta
 		}
 		machines = append(machines, machine)
 		builts = append(builts, b)
-		return unixapi.NewProcess(b.Top, naming.Root), nil
+		return unixapi.NewProcessVM(b.Top, naming.Root, machine.VMM()), nil
 	}
 	return &Stack{
 		NewProcess: newProcess,

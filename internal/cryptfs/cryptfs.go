@@ -17,6 +17,7 @@
 package cryptfs
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -41,8 +42,6 @@ type CryptFS struct {
 	fsys.Passthrough
 	block cipher.Block
 	table *fsys.ConnectionTable
-
-	nextBacking atomic.Uint64
 }
 
 var (
@@ -59,7 +58,9 @@ func New(domain *spring.Domain, name, passphrase string) (*CryptFS, error) {
 	}
 	c := &CryptFS{block: block, table: fsys.NewConnectionTable(domain)}
 	c.Init(name, c, func(lower fsys.File) fsys.File {
-		return &cryptFile{fs: c, lower: lower, backing: c.nextBacking.Add(1)}
+		f := &cryptFile{lower: lower, block: block}
+		f.FilePager, f.Blocks = c.table.NewPager(f, false), fsys.Blocks{Viewer: f}
+		return f
 	})
 	return c, nil
 }
@@ -81,124 +82,122 @@ func NewCreator(domain *spring.Domain) fsys.Creator {
 	})
 }
 
-// xorBlock encrypts or decrypts (CTR is symmetric) one block in place; the
-// IV is derived from the block number so random access works.
-func (c *CryptFS) xorBlock(bn int64, data []byte) {
-	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint64(iv[:], uint64(bn)+1)
-	stream := cipher.NewCTR(c.block, iv[:])
-	stream.XORKeyStream(data, data)
-}
-
-// cryptFile is one encrypted file.
+// cryptFile is one encrypted file. It is its own block view: the kit's
+// block path serves its data, and its pager is the kit's.
 type cryptFile struct {
-	fs      *CryptFS
-	lower   fsys.File
-	backing uint64
-	mu      sync.Mutex // serialises read-modify-write cycles
+	fsys.FilePager
+	fsys.Blocks
+	lower fsys.File
+	block cipher.Block
+
+	mu   sync.Mutex // held by a view
+	size int64      // the length, while a view is open
 }
 
 var (
-	_ fsys.File             = (*cryptFile)(nil)
+	_ fsys.PagedFile        = (*cryptFile)(nil)
+	_ fsys.BlockView        = (*cryptFile)(nil)
 	_ naming.ProxyWrappable = (*cryptFile)(nil)
 )
 
 // Lower returns the underlying (ciphertext) file.
 func (f *cryptFile) Lower() fsys.File { return f.lower }
 
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *cryptFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
+// xorBlock encrypts or decrypts (CTR is symmetric) one block in place; the
+// IV is derived from the block number so random access works.
+func (f *cryptFile) xorBlock(bn int64, data []byte) {
+	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(iv[:], uint64(bn)+1)
+	cipher.NewCTR(f.block, iv[:]).XORKeyStream(data, data)
 }
 
-// readBlock fills dst with the plaintext of block bn. Only the bytes the
-// lower layer actually holds are decrypted: a hole (sparse write,
+// View implements fsys.BlockViewer: the file itself, locked, with the
+// length read below (the transformation is length-preserving).
+func (f *cryptFile) View(bool) (fsys.BlockView, error) {
+	f.mu.Lock()
+	size, err := f.lower.GetLength()
+	if err != nil {
+		f.mu.Unlock()
+		return nil, err
+	}
+	f.size = size
+	return f, nil
+}
+
+// Length implements fsys.BlockView.
+func (f *cryptFile) Length() int64 { return f.size }
+
+// Done implements fsys.BlockView.
+func (f *cryptFile) Done() { f.mu.Unlock() }
+
+// ReadBlock implements fsys.BlockView: the plaintext of block bn. Only the
+// bytes the lower layer actually holds are decrypted: a hole (sparse write,
 // truncate-up) reads back as zeros below, and zeros are not ciphertext —
 // an all-zero lower block denotes a hole and decodes to plaintext zeros,
 // eCryptfs style. (A real block whose CTR ciphertext is entirely zero is
 // the only ambiguity, with probability 2^-32768.)
-func (f *cryptFile) readBlock(bn int64, dst []byte) error {
+func (f *cryptFile) ReadBlock(bn int64, dst []byte) error {
 	n, err := f.lower.ReadAt(dst, bn*BlockSize)
 	if err != nil && err != io.EOF {
 		return err
 	}
 	clear(dst[n:])
-	if !allZero(dst[:n]) {
-		f.fs.xorBlock(bn, dst[:n])
+	if len(bytes.TrimLeft(dst[:n], "\x00")) > 0 {
+		f.xorBlock(bn, dst[:n])
 	}
 	return nil
 }
 
-// allZero reports whether every byte of p is zero.
-func allZero(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
+// WriteBlock implements fsys.BlockView: encrypt block bn in place and
+// store it, but not the part past the length (of a block wholly past it,
+// nothing). This is the length restore
+// of a block-padded write, done by never padding: the lower file keeps
+// exactly the logical length, whether a WriteAt or a page-out wrote it.
+func (f *cryptFile) WriteBlock(bn int64, src []byte) error {
+	n := min(BlockSize, f.size-bn*BlockSize)
+	if n <= 0 {
+		return nil
 	}
-	return true
-}
-
-// writeBlock encrypts and writes block bn.
-func (f *cryptFile) writeBlock(bn int64, plain []byte) error {
-	ct := make([]byte, BlockSize)
-	copy(ct, plain)
-	f.fs.xorBlock(bn, ct)
-	_, err := f.lower.WriteAt(ct, bn*BlockSize)
+	f.xorBlock(bn, src)
+	_, err := f.lower.WriteAt(src[:n], bn*BlockSize)
 	return err
 }
 
-// sealTailLocked re-encrypts the block straddling the current end of file
+// Grow implements fsys.BlockView, sealing the tail when the write starts
+// strictly past the end: the block straddling the old end is re-encrypted
 // so its tail holds ciphertext of zeros. The lower layer zero-fills bytes
 // past its end of file (holes, and a truncate's dropped tail) — correct
 // for the ciphertext volume, but those zeros are fill, not ciphertext, and
-// decrypting them yields garbage. Any operation about to expose bytes past
-// the current length (a truncate up, a write strictly past EOF) seals the
-// tail first, keeping the invariant that every lower byte inside the
-// logical length is real ciphertext. Caller holds f.mu.
-func (f *cryptFile) sealTailLocked(length vm.Offset) error {
-	return fsys.ZeroTail(f.readBlock, f.writeBlock, length)
+// decrypting them yields garbage. So anything about to expose bytes past
+// the length (a truncate up, a write strictly past it) seals the tail
+// first, keeping every lower byte inside the length real ciphertext. A
+// write at or before the end rewrites the straddling block itself. The
+// length is already end when the seal is stored, so it is stored up to it.
+func (f *cryptFile) Grow(off, end int64) error {
+	old := f.size
+	f.size = end
+	if off > old {
+		return fsys.ZeroTail(f, old)
+	}
+	return nil
 }
 
-// ReadAt implements fsys.File.
-func (f *cryptFile) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	length, err := f.lower.GetLength()
-	if err != nil {
-		return 0, err
-	}
-	return fsys.ReadBlocksAt(p, off, length, f.readBlock)
-}
+// GetLength implements vm.MemoryObject.
+func (f *cryptFile) GetLength() (vm.Offset, error) { return f.lower.GetLength() }
 
-// WriteAt implements fsys.File (read-modify-write per block,
-// write-through).
-func (f *cryptFile) WriteAt(p []byte, off int64) (int, error) {
-	// Refused before the tail is sealed, so a refused write changes nothing.
-	if err := fsys.CheckWrite(off, len(p)); err != nil {
-		return 0, err
+// Resize implements fsys.PagedFile. An extension seals the tail first
+// (see Grow), so the newly exposed bytes read as zeros.
+func (f *cryptFile) Resize(l vm.Offset) error {
+	if _, err := f.View(true); err != nil {
+		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	prevLen, err := f.lower.GetLength()
-	if err != nil {
-		return 0, err
-	}
-	if off > prevLen {
-		// A sparse write strictly past EOF exposes the old tail without
-		// rewriting its block; seal it. (A write at or before EOF rewrites
-		// the straddling block itself.)
-		if err := f.sealTailLocked(prevLen); err != nil {
-			return 0, err
+	defer f.Done()
+	if l > f.size {
+		if err := f.Grow(l, l); err != nil {
+			return err
 		}
 	}
-	done, err := fsys.WriteBlocksAt(p, off, f.readBlock, f.writeBlock)
-	if err != nil {
-		return done, err
-	}
-	// Block writes pad the underlying file to a block boundary; restore
-	// the exact logical length (the transformation is length-preserving).
-	return done, f.lower.SetLength(max(off+int64(done), prevLen))
+	return f.lower.SetLength(l)
 }
 
 // Stat implements fsys.File.
@@ -212,67 +211,3 @@ func (f *cryptFile) Retain() { fsys.Retain(f.lower) }
 
 // Release implements fsys.HandleFile.
 func (f *cryptFile) Release() error { return fsys.Release(f.lower) }
-
-// Bind implements vm.MemoryObject: the layer is the pager for its files,
-// decrypting on page-in and encrypting on page-out.
-func (f *cryptFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
-	})
-	return rights, nil
-}
-
-// GetLength implements vm.MemoryObject.
-func (f *cryptFile) GetLength() (vm.Offset, error) { return f.lower.GetLength() }
-
-// SetLength implements vm.MemoryObject. An extension seals the straddling
-// block's tail first (see sealTailLocked) so the newly exposed bytes read
-// as zeros, not as a decryption of the lower layer's zero fill.
-func (f *cryptFile) SetLength(l vm.Offset) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	old, err := f.lower.GetLength()
-	if err != nil {
-		return err
-	}
-	if l > old {
-		if err := f.sealTailLocked(old); err != nil {
-			return err
-		}
-	}
-	return f.lower.SetLength(l)
-}
-
-// pageIn is the pager's page-in: decrypt block by block into the result.
-func (f *cryptFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]byte, size)
-	if err := fsys.EachBlock(offset, size, out, f.readBlock); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// pageOut is the pager's page-out. A page-out never changes the logical
-// file length (length updates arrive through SetLength); the block padding
-// it causes below is trimmed back.
-func (f *cryptFile) pageOut(offset, size vm.Offset, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	prevLen, err := f.lower.GetLength()
-	if err != nil {
-		return err
-	}
-	if offset > prevLen {
-		// A write-back strictly past EOF exposes the old tail without
-		// rewriting its block; seal it (see sealTailLocked).
-		if err := f.sealTailLocked(prevLen); err != nil {
-			return err
-		}
-	}
-	if err := fsys.EachBlock(offset, size, data, f.writeBlock); err != nil {
-		return err
-	}
-	return f.lower.SetLength(prevLen)
-}

@@ -32,10 +32,11 @@
 //     stacks can be configured at run time (Section 4.4).
 //   - Connection / ConnectionTable: the pager side's record of each bound
 //     cache manager, keyed the way revocation call-outs need it.
-//   - Passthrough, the block helpers, FilePager, PathDir, IdentityFS: the
-//     layer kit — the plumbing a new layer inherits instead of copying
-//     (DESIGN.md §5, "Writing a layer"). FaultFS is the identity layer
-//     with a fault in front of every operation, for failure tests.
+//   - Passthrough, the block path (Blocks), FilePager, PathDir,
+//     IdentityFS: the layer kit — the plumbing a new layer inherits
+//     instead of copying (DESIGN.md §5, "Writing a layer"). FaultFS is
+//     the identity layer with a fault in front of every operation, for
+//     failure tests.
 package fsys
 
 import (

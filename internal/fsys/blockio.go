@@ -1,60 +1,136 @@
 package fsys
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"springfs/internal/vm"
 )
 
-// BlockSize is the granularity of the block helpers: one VM page, so a
-// transforming layer's blocks line up with the pages it serves as a pager.
+// BlockSize is the granularity of the block path: one VM page, so a
+// layer's blocks line up with the pages it serves as a pager.
 const BlockSize = vm.PageSize
 
-// BlockFunc moves one whole block: a reader fills all BlockSize bytes of
-// buf with block bn (zeros where the file has a hole), a writer stores buf
-// as block bn. Neither may retain buf.
-type BlockFunc func(bn int64, buf []byte) error
+// BlockView is one operation's view of a file its layer stores as blocks
+// of BlockSize. From the View that returns it until Done it holds the
+// layer's lock, with the layer's block table or epoch chain loaded.
+type BlockView interface {
+	// Length is the file's length.
+	Length() int64
+	// ReadBlock fills dst, BlockSize bytes, with block bn: zeros where the
+	// file has a hole. It must not retain dst.
+	ReadBlock(bn int64, dst []byte) error
+	// WriteBlock stores src, BlockSize bytes, as block bn. src is the
+	// operation's scratch block: the writer may change it, and must not
+	// retain it.
+	WriteBlock(bn int64, src []byte) error
+	// Grow makes end the length, before the blocks of a write of [off,
+	// end) that ends past Length land.
+	Grow(off, end int64) error
+	// Done releases the view.
+	Done()
+}
 
-// ReadBlocksAt serves a byte-range read of a file of the given length
-// from a block reader, with io.ReaderAt end-of-file semantics. Whole
-// aligned blocks are read straight into p; only an unaligned head or tail
-// goes through a scratch block.
-func ReadBlocksAt(p []byte, off, length int64, readBlock BlockFunc) (int, error) {
+// BlockViewer is the file of a layer whose data path is Blocks: it opens
+// one view per operation, a write view for WriteAt, Append and MoveOut.
+type BlockViewer interface {
+	View(write bool) (BlockView, error)
+}
+
+// Blocks is the block path of a layer that stores its files as blocks
+// (cryptfs, compfs, snapfs): the layer's file embeds one over itself and
+// gets ReadAt, WriteAt and the pager's movers from it.
+type Blocks struct{ Viewer BlockViewer }
+
+// blockPool holds the scratch blocks of operations: one each for a
+// partial-block read-modify-write and for the writer to scribble on.
+var blockPool = sync.Pool{New: func() any { return new([BlockSize]byte) }}
+
+// zeroBlock is read, never written: the source of ZeroTail.
+var zeroBlock [BlockSize]byte
+
+// ReadAt implements File with io.ReaderAt end-of-file semantics.
+func (b Blocks) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrNegativeOffset
 	}
-	if off >= length {
-		return 0, io.EOF
+	v, err := b.Viewer.View(false)
+	if err != nil {
+		return 0, err
 	}
-	n, eof := len(p), false
-	if off+int64(n) > length {
-		n, eof = int(length-off), true
+	defer v.Done()
+	return readBlocks(v, p, off, v.Length())
+}
+
+// WriteAt implements File: whole aligned blocks go from p to the writer
+// through one scratch block; a partially covered block is read, modified
+// and written back.
+func (b Blocks) WriteAt(p []byte, off int64) (int, error) {
+	if err := CheckWrite(off, len(p)); err != nil || len(p) == 0 {
+		return 0, err
 	}
-	var scratch []byte
-	done := 0
-	for done < n {
-		bn, bo := (off+int64(done))/BlockSize, (off+int64(done))%BlockSize
-		if bo == 0 && n-done >= BlockSize {
-			if err := readBlock(bn, p[done:done+BlockSize]); err != nil {
-				return done, err
-			}
-			done += BlockSize
-			continue
-		}
-		if scratch == nil {
-			scratch = make([]byte, BlockSize)
-		}
-		if err := readBlock(bn, scratch); err != nil {
-			return done, err
-		}
-		done += copy(p[done:n], scratch[bo:])
+	v, err := b.Viewer.View(true)
+	if err != nil {
+		return 0, err
 	}
-	if eof {
-		return done, io.EOF
+	defer v.Done()
+	return writeView(v, p, off)
+}
+
+// AppendBlocks implements Appender for a file served by Blocks: the end of
+// file is read and written in one view, so appenders never interleave.
+func AppendBlocks(viewer BlockViewer, p []byte) (int64, int, error) {
+	v, err := viewer.View(true)
+	if err != nil {
+		return 0, 0, err
 	}
-	return done, nil
+	defer v.Done()
+	off := v.Length()
+	if err := CheckWrite(off, len(p)); err != nil || len(p) == 0 {
+		return off, 0, err
+	}
+	n, err := writeView(v, p, off)
+	return off, n, err
+}
+
+// MoveIn implements PagedFile: past the end of file the pages hold zeros.
+func (b Blocks) MoveIn(offset, size vm.Offset) ([]byte, error) {
+	out := make([]byte, size)
+	if _, err := b.ReadAt(out, offset); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MoveOut implements PagedFile: data is cut again at the view's length, so
+// a cut the layer makes without its pager (snapfs's truncate on create)
+// cannot be undone by a page-out either. The write never grows the file; a
+// cut last page is a partial block.
+func (b Blocks) MoveOut(offset vm.Offset, data []byte) error {
+	v, err := b.Viewer.View(true)
+	if err != nil {
+		return err
+	}
+	defer v.Done()
+	if n := v.Length() - offset; n < int64(len(data)) {
+		data = data[:max(n, 0)]
+	}
+	_, err = writeBlocks(v, data, offset)
+	return err
+}
+
+// ZeroTail zeroes the part of the block straddling length that lies past
+// it, so bytes a shrink cut off (or fill a lower layer put there) cannot
+// reappear when the file grows again. A block-aligned length has no such
+// block and costs no I/O.
+func ZeroTail(v BlockView, length int64) error {
+	bo := length % BlockSize
+	if bo == 0 {
+		return nil
+	}
+	_, err := writeBlocks(v, zeroBlock[bo:], length)
+	return err
 }
 
 // CheckWrite refuses, before any byte of it lands, a write of n bytes at
@@ -70,126 +146,73 @@ func CheckWrite(off int64, n int) error {
 	return nil
 }
 
-// WriteBlocksAt serves a byte-range write: whole aligned blocks go
-// straight from p to writeBlock, a partially covered block is read,
-// modified and written back. It returns how many bytes landed; the caller
-// owns the file length (see DESIGN.md §5, "Writing a layer").
-func WriteBlocksAt(p []byte, off int64, readBlock, writeBlock BlockFunc) (int, error) {
-	if err := CheckWrite(off, len(p)); err != nil {
-		return 0, err
+// readBlocks serves a byte-range read of a file of the given length from
+// v. Whole aligned blocks are read straight into p; only an unaligned head
+// or tail goes through a scratch block.
+func readBlocks(v BlockView, p []byte, off, length int64) (int, error) {
+	if off >= length {
+		return 0, io.EOF
 	}
-	var scratch []byte
+	n, eof := len(p), false
+	if off+int64(n) > length {
+		n, eof = int(length-off), true
+	}
+	var scratch *[BlockSize]byte
+	done := 0
+	for done < n {
+		bn, bo := (off+int64(done))/BlockSize, (off+int64(done))%BlockSize
+		if bo == 0 && n-done >= BlockSize {
+			if err := v.ReadBlock(bn, p[done:done+BlockSize]); err != nil {
+				return done, err
+			}
+			done += BlockSize
+			continue
+		}
+		if scratch == nil {
+			scratch = blockPool.Get().(*[BlockSize]byte)
+			defer blockPool.Put(scratch)
+		}
+		if err := v.ReadBlock(bn, scratch[:]); err != nil {
+			return done, err
+		}
+		done += copy(p[done:n], scratch[bo:])
+	}
+	if eof {
+		return done, io.EOF
+	}
+	return done, nil
+}
+
+// writeView writes p at off, growing the file first when the write ends
+// past its length.
+func writeView(v BlockView, p []byte, off int64) (int, error) {
+	if end := off + int64(len(p)); end > v.Length() {
+		if err := v.Grow(off, end); err != nil {
+			return 0, err
+		}
+	}
+	return writeBlocks(v, p, off)
+}
+
+// writeBlocks stores p at off block by block through one scratch block
+// and returns how many bytes landed; the caller owns the file length.
+func writeBlocks(v BlockView, p []byte, off int64) (int, error) {
+	scratch := blockPool.Get().(*[BlockSize]byte)
+	defer blockPool.Put(scratch)
 	done := 0
 	for done < len(p) {
 		bn, bo := (off+int64(done))/BlockSize, (off+int64(done))%BlockSize
 		chunk := min(BlockSize-int(bo), len(p)-done)
-		src := p[done : done+chunk]
 		if chunk < BlockSize {
-			if scratch == nil {
-				scratch = make([]byte, BlockSize)
-			}
-			if err := readBlock(bn, scratch); err != nil {
+			if err := v.ReadBlock(bn, scratch[:]); err != nil {
 				return done, err
 			}
-			copy(scratch[bo:], src)
-			src = scratch
 		}
-		if err := writeBlock(bn, src); err != nil {
+		copy(scratch[bo:], p[done:done+chunk])
+		if err := v.WriteBlock(bn, scratch[:]); err != nil {
 			return done, err
 		}
 		done += chunk
 	}
 	return done, nil
-}
-
-// ZeroTail zeroes the part of the block straddling length that lies past
-// it, so bytes a shrink cut off (or fill a lower layer put there) cannot
-// reappear when the file grows again. A block-aligned length has no such
-// block and costs no I/O.
-func ZeroTail(readBlock, writeBlock BlockFunc, length int64) error {
-	bo := length % BlockSize
-	if bo == 0 {
-		return nil
-	}
-	_, err := WriteBlocksAt(make([]byte, BlockSize-bo), length, readBlock, writeBlock)
-	return err
-}
-
-// EachBlock runs fn over the blocks of the page-aligned range [offset,
-// offset+size) with the matching BlockSize window of buf: the loop of a
-// block-granular PageIn (fn reads into buf) or PageOut (fn writes from it).
-func EachBlock(offset, size vm.Offset, buf []byte, fn BlockFunc) error {
-	for bn := offset / BlockSize; bn*BlockSize < offset+size; bn++ {
-		if err := fn(bn, buf[bn*BlockSize-offset:(bn+1)*BlockSize-offset]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FilePager is the fs_pager a layer that is the pager for its own files
-// hands out from Bind. The layer supplies the two data movers; the
-// adapter checks the range once and derives the rest of the interface.
-type FilePager struct {
-	// File supplies Stat, SetLength and Sync.
-	File File
-	// In returns the pages of a page-aligned range; Out stores them.
-	In  func(offset, size vm.Offset, access vm.Rights) ([]byte, error)
-	Out func(offset, size vm.Offset, data []byte) error
-	// SyncAfterOut makes the pager's Sync also sync File, for layers whose
-	// page-out leaves metadata (a block table) to be made durable.
-	SyncAfterOut bool
-}
-
-var _ FsPagerObject = (*FilePager)(nil)
-
-// PageIn implements vm.PagerObject.
-func (p *FilePager) PageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	if !vm.PageAligned(offset, size) {
-		return nil, vm.ErrUnaligned
-	}
-	if access.NoData() {
-		// A write grant without the data: the adapter keeps no per-holder
-		// state, so the blocks about to be replaced whole are neither read
-		// below nor decoded.
-		return nil, nil
-	}
-	return p.In(offset, size, access)
-}
-
-// PageOut implements vm.PagerObject.
-func (p *FilePager) PageOut(offset, size vm.Offset, data []byte) error {
-	if !vm.PageAligned(offset, size) {
-		return vm.ErrUnaligned
-	}
-	if int64(len(data)) < size {
-		return fmt.Errorf("fsys: page-out of %d bytes carries only %d", size, len(data))
-	}
-	return p.Out(offset, size, data[:size])
-}
-
-// WriteOut implements vm.PagerObject. The layer keeps no per-holder state,
-// so what the caller retains makes no difference to it.
-func (p *FilePager) WriteOut(offset, size vm.Offset, data []byte) error {
-	return p.PageOut(offset, size, data)
-}
-
-// Sync implements vm.PagerObject.
-func (p *FilePager) Sync(offset, size vm.Offset, data []byte) error {
-	if err := p.PageOut(offset, size, data); err != nil || !p.SyncAfterOut {
-		return err
-	}
-	return p.File.Sync()
-}
-
-// DoneWithPagerObject implements vm.PagerObject.
-func (p *FilePager) DoneWithPagerObject() {}
-
-// GetAttributes implements FsPagerObject.
-func (p *FilePager) GetAttributes() (Attributes, error) { return p.File.Stat() }
-
-// SetAttributes implements FsPagerObject. Times are the lower file's; only
-// the length is the layer's to set.
-func (p *FilePager) SetAttributes(attrs Attributes) error {
-	return p.File.SetLength(attrs.Length)
 }

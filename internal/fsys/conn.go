@@ -139,6 +139,8 @@ type ConnectionTable struct {
 	// fsCacheConns counts connections whose manager is an fs_cache, so
 	// the attribute-coherency fast path is a single atomic load.
 	fsCacheConns atomic.Int32
+
+	nextBacking atomic.Uint64 // NewPager's backing identifiers
 }
 
 // NewConnectionTable creates a table for a pager served by domain.

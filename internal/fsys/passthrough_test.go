@@ -238,18 +238,23 @@ func TestPassthroughBindStoresLowerFile(t *testing.T) {
 // a transforming layer's file is.
 type pagedFile struct {
 	*memFile
-	table *ConnectionTable
-	ins   int // calls to pageIn
+	FilePager
+	ins int // calls to MoveIn
 }
 
 func (f *pagedFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.table.Bind(caller, 1, func() vm.PagerObject {
-		return &FilePager{File: f, In: f.pageIn, Out: f.pageOut}
-	})
-	return rights, nil
+	return f.FilePager.Bind(caller, access, offset, length)
+}
+func (f *pagedFile) SetLength(l vm.Offset) error { return f.FilePager.SetLength(l) }
+func (f *pagedFile) Resize(l vm.Offset) error    { return f.memFile.SetLength(l) }
+
+func newPagedFile(node *spring.Node) *pagedFile {
+	f := &pagedFile{memFile: &memFile{}}
+	f.FilePager = NewConnectionTable(spring.NewDomain(node, "fs")).NewPager(f, false)
+	return f
 }
 
-func (f *pagedFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
+func (f *pagedFile) MoveIn(offset, size vm.Offset) ([]byte, error) {
 	f.ins++
 	out := make([]byte, size)
 	if _, err := f.ReadAt(out, offset); err != nil && err != io.EOF {
@@ -258,14 +263,9 @@ func (f *pagedFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, er
 	return out, nil
 }
 
-// pageOut writes whole pages, which pads the file; a page-out never changes
-// the length, so it is restored.
-func (f *pagedFile) pageOut(offset, size vm.Offset, data []byte) error {
-	length, _ := f.GetLength()
-	if _, err := f.WriteAt(data, offset); err != nil {
-		return err
-	}
-	return f.SetLength(length)
+func (f *pagedFile) MoveOut(offset vm.Offset, data []byte) error {
+	_, err := f.WriteAt(data, offset)
+	return err
 }
 
 // TestFilePagerRoundTrip maps a file through a VMM, so data moves through
@@ -275,7 +275,7 @@ func TestFilePagerRoundTrip(t *testing.T) {
 	node := spring.NewNode("vm")
 	defer node.Stop()
 	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	f := &pagedFile{memFile: &memFile{}, table: NewConnectionTable(spring.NewDomain(node, "fs"))}
+	f := newPagedFile(node)
 	want := pattern(BlockSize+100, 3)
 	if _, err := f.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestFilePagerGrantSkipsIn(t *testing.T) {
 	node := spring.NewNode("vm")
 	defer node.Stop()
 	vmm := vm.New(spring.NewDomain(node, "vmm"), "vmm")
-	f := &pagedFile{memFile: &memFile{}, table: NewConnectionTable(spring.NewDomain(node, "fs"))}
+	f := newPagedFile(node)
 	want := pattern(3*BlockSize, 5)
 	if _, err := f.WriteAt(want, 0); err != nil {
 		t.Fatal(err)

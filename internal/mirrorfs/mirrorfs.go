@@ -29,11 +29,10 @@ type MirrorFS struct {
 	fsys.PathBase
 	table *fsys.ConnectionTable
 
-	mu          sync.Mutex
-	replicas    []fsys.StackableFS // exactly 2 once stacked: primary, mirror
-	health      fsys.Health
-	files       fsys.PathTable[*mirrorFile]
-	nextBacking atomic.Uint64
+	mu       sync.Mutex
+	replicas []fsys.StackableFS // exactly 2 once stacked: primary, mirror
+	health   fsys.Health
+	files    fsys.PathTable[*mirrorFile]
 
 	// Failovers counts reads served by the mirror after a primary
 	// failure; Degraded counts mutations (writes, and name-space changes)
@@ -167,7 +166,9 @@ func (m *MirrorFS) failOver(op func(i int) error) error {
 // fileFor returns the canonical mirrored file for a path.
 func (m *MirrorFS) fileFor(name string, primary, mirror fsys.File) *mirrorFile {
 	return m.files.LookupOrAdd(name, func() *mirrorFile {
-		return &mirrorFile{fs: m, primary: primary, mirror: mirror, backing: m.nextBacking.Add(1)}
+		f := &mirrorFile{fs: m, primary: primary, mirror: mirror}
+		f.FilePager = m.table.NewPager(f, false)
+		return f
 	})
 }
 
@@ -389,7 +390,7 @@ func (f *mirrorFile) reconcileOrphan(dst fsys.StackableFS, dstIdx int, cred nami
 	if srcF == nil {
 		return fmt.Errorf("no surviving replica handle (%w)", fsys.ErrUnavailable)
 	}
-	tmp := fmt.Sprintf(".mirror-orphan-%d", f.backing)
+	tmp := fmt.Sprintf(".mirror-orphan-%d", f.Backing())
 	out, err := copyFile(srcF, dst, tmp, cred)
 	if err != nil {
 		return err
@@ -535,10 +536,14 @@ func copyFile(src fsys.File, dst fsys.StackableFS, path string, cred naming.Cred
 }
 
 // mirrorFile is a file replicated on two underlying file systems.
+//
+// The layer is the pager for its files (data differs in placement across
+// replicas, so no lower cache channel can be shared): the kit's pager over
+// MoveIn and MoveOut.
 type mirrorFile struct {
 	fsys.PathHandle
-	fs      *MirrorFS
-	backing uint64
+	fsys.FilePager
+	fs *MirrorFS
 
 	// hmu guards the replica handles, which Resync refreshes after
 	// rebuilding a healed replica.
@@ -562,14 +567,9 @@ func (f *mirrorFile) setCopies(primary, mirror fsys.File) {
 }
 
 var (
-	_ fsys.File             = (*mirrorFile)(nil)
+	_ fsys.PagedFile        = (*mirrorFile)(nil)
 	_ naming.ProxyWrappable = (*mirrorFile)(nil)
 )
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *mirrorFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
-}
 
 // onCopy runs a file operation on one replica's copy of the file, if the
 // replica holds one.
@@ -671,16 +671,6 @@ func (f *mirrorFile) Sync() error {
 	return f.writeBoth(func(r fsys.File) error { return r.Sync() })
 }
 
-// Bind implements vm.MemoryObject: the mirroring layer is the pager for
-// its files (data differs in placement across replicas, so no lower cache
-// channel can be shared).
-func (f *mirrorFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
-	})
-	return rights, nil
-}
-
 // GetLength implements vm.MemoryObject.
 func (f *mirrorFile) GetLength() (vm.Offset, error) {
 	var l vm.Offset
@@ -692,28 +682,22 @@ func (f *mirrorFile) GetLength() (vm.Offset, error) {
 	return l, err
 }
 
-// SetLength implements vm.MemoryObject.
-func (f *mirrorFile) SetLength(l vm.Offset) error {
+// Resize implements fsys.PagedFile.
+func (f *mirrorFile) Resize(l vm.Offset) error {
 	return f.writeBoth(func(r fsys.File) error { return r.SetLength(l) })
 }
 
-// pageIn and pageOut are the data movers of the pager serving mapped
-// access to mirrored files.
-func (f *mirrorFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
+// MoveIn implements fsys.PagedFile.
+func (f *mirrorFile) MoveIn(offset, size vm.Offset) ([]byte, error) {
 	out := make([]byte, size)
-	err := f.readFrom(func(r fsys.File) error {
-		_, e := r.ReadAt(out, offset)
-		if errors.Is(e, io.EOF) {
-			return nil
-		}
-		return e
-	})
-	return out, err
+	if _, err := f.ReadAt(out, offset); err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	return out, nil
 }
 
-func (f *mirrorFile) pageOut(offset, size vm.Offset, data []byte) error {
-	return f.writeBoth(func(r fsys.File) error {
-		_, e := r.WriteAt(data, offset)
-		return e
-	})
+// MoveOut implements fsys.PagedFile.
+func (f *mirrorFile) MoveOut(offset vm.Offset, data []byte) error {
+	_, err := f.WriteAt(data, offset)
+	return err
 }

@@ -8,7 +8,6 @@ import (
 
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
-	"springfs/internal/spring"
 	"springfs/internal/stats"
 	"springfs/internal/vm"
 )
@@ -123,6 +122,10 @@ type snapImage struct {
 	refs    int  // retained upper handles, all views combined
 	orphan  bool // no epoch references the file any more
 	handles map[epochRef]*snapFile
+	// chain is the epoch chain of the view holding mu; gated, whether
+	// that view holds the epoch gate (see view).
+	chain []uint64
+	gated bool
 }
 
 // newSnapImage is fileID's image, held in lower, not loaded yet.
@@ -169,31 +172,50 @@ func (img *snapImage) lengthLocked(chain []uint64) int64 {
 	return 0
 }
 
-// blockReader returns the block reader of chain's view: a mapped block is
-// read straight into the destination, a hole reads as zeros. The caller
-// holds img.mu with the table loaded for as long as it uses the reader.
-func (img *snapImage) blockReader(chain []uint64) fsys.BlockFunc {
-	return func(bn int64, dst []byte) error {
-		if off, ok := img.resolveLocked(chain, bn); ok {
-			return img.image.Read(dst, off)
-		}
-		clear(dst)
-		return nil
+// view locks img for one operation through chain and returns it as the
+// operation's view (fsys.BlockView): until Done it holds img.mu, with the
+// table loaded, and for a mutation the epoch gate the caller read-holds
+// (gated). Writes land in chain[0].
+func (img *snapImage) view(chain []uint64, gated bool) (*snapImage, error) {
+	img.mu.Lock()
+	if err := img.loadLocked(); err != nil {
+		img.mu.Unlock()
+		return nil, err
+	}
+	img.chain, img.gated = chain, gated
+	return img, nil
+}
+
+// Done implements fsys.BlockView.
+func (img *snapImage) Done() {
+	gated := img.gated
+	img.mu.Unlock()
+	if gated {
+		img.fs.epochMu.RUnlock()
 	}
 }
 
-// blockWriter returns the block writer landing in epoch ep (same locking
-// as blockReader).
-func (img *snapImage) blockWriter(ep uint64) fsys.BlockFunc {
-	return func(bn int64, src []byte) error { return img.writeBlockLocked(ep, bn, src) }
+// Length implements fsys.BlockView.
+func (img *snapImage) Length() int64 { return img.lengthLocked(img.chain) }
+
+// ReadBlock implements fsys.BlockView: a mapped block is read straight
+// into dst, a hole reads as zeros.
+func (img *snapImage) ReadBlock(bn int64, dst []byte) error {
+	if off, ok := img.resolveLocked(img.chain, bn); ok {
+		return img.image.Read(dst, off)
+	}
+	clear(dst)
+	return nil
 }
 
-// writeBlockLocked installs data as epoch's version of block bn. If the
-// epoch already owns a live version it is overwritten in place (nobody
-// else can see it); otherwise the block diverges: a fresh extent is
-// allocated and tagged, leaving every ancestor's version untouched.
-func (img *snapImage) writeBlockLocked(ep uint64, bn int64, data []byte) error {
-	m := img.tbl.epoch(ep)
+// WriteBlock implements fsys.BlockView: data becomes the writable epoch's
+// version of block bn. If the epoch already owns a live version it is
+// overwritten in place (nobody else can see it); otherwise the block
+// diverges: a fresh extent is allocated and tagged, leaving every
+// ancestor's version untouched. A partial block was read through the
+// chain, so a diverging block starts from the snapshot's content.
+func (img *snapImage) WriteBlock(bn int64, data []byte) error {
+	m := img.tbl.epoch(img.chain[0])
 	off, owned := m[bn]
 	if !owned || off == tombOff {
 		off = img.image.Alloc(BlockSize)
@@ -207,51 +229,20 @@ func (img *snapImage) writeBlockLocked(ep uint64, bn int64, data []byte) error {
 	return nil
 }
 
-// readAt serves a read for chain's view of the file.
-func (img *snapImage) readAt(chain []uint64, p []byte, off int64) (int, error) {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if err := img.loadLocked(); err != nil {
-		return 0, err
-	}
-	return fsys.ReadBlocksAt(p, off, img.lengthLocked(chain), img.blockReader(chain))
+// Grow implements fsys.BlockView.
+func (img *snapImage) Grow(_, end int64) error {
+	img.tbl.lengths[img.chain[0]] = end
+	img.dirty = true
+	return nil
 }
 
-// writeAt serves a write landing in epoch chain[0] (the writable epoch of
-// the calling view); partial blocks read-modify-write through the chain,
-// so a diverging block starts from the snapshot's content.
-func (img *snapImage) writeAt(chain []uint64, p []byte, off int64) (int, error) {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if err := img.loadLocked(); err != nil {
-		return 0, err
-	}
-	return img.writeAtLocked(chain, p, off)
-}
-
-func (img *snapImage) writeAtLocked(chain []uint64, p []byte, off int64) (int, error) {
-	ep := chain[0]
-	done, err := fsys.WriteBlocksAt(p, off, img.blockReader(chain), img.blockWriter(ep))
-	if err != nil {
-		return done, err
-	}
-	if end := off + int64(done); end > img.lengthLocked(chain) {
-		img.tbl.lengths[ep] = end
-		img.dirty = true
-	}
-	return done, nil
-}
-
-// setLength truncates or extends epoch chain[0]'s view. A shrink must not
-// touch ancestor data: blocks the epoch owns are dropped and their extents
-// freed, blocks an ancestor would still show are masked with tombstones,
-// and the partial boundary block (if any) diverges zero-tailed.
-func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if err := img.loadLocked(); err != nil {
-		return err
-	}
+// setLength truncates or extends the writable epoch's view. A shrink must
+// not touch ancestor data: blocks the epoch owns are dropped and their
+// extents freed, blocks an ancestor would still show are masked with
+// tombstones, and the partial boundary block (if any) diverges
+// zero-tailed.
+func (img *snapImage) setLength(length int64) error {
+	ep, chain := img.chain[0], img.chain
 	old := img.lengthLocked(chain)
 	if length < old {
 		cutoff := (length + BlockSize - 1) / BlockSize // first wholly-dead block
@@ -284,27 +275,13 @@ func (img *snapImage) setLength(ep uint64, chain []uint64, length int64) error {
 		}
 		// The boundary block diverges zero-tailed, so a later re-extension
 		// reads zeros, not the old content.
-		if err := fsys.ZeroTail(img.blockReader(chain), img.blockWriter(ep), length); err != nil {
+		if err := fsys.ZeroTail(img, length); err != nil {
 			return err
 		}
 	}
 	img.tbl.lengths[ep] = length
 	img.dirty = true
 	return nil
-}
-
-// append reserves the end-of-file range and writes in one critical
-// section, so concurrent appenders to any view of the epoch never
-// interleave.
-func (img *snapImage) append(chain []uint64, p []byte) (int64, int, error) {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	if err := img.loadLocked(); err != nil {
-		return 0, 0, err
-	}
-	off := img.lengthLocked(chain)
-	n, err := img.writeAtLocked(chain, p, off)
-	return off, n, err
 }
 
 // Sync commits the remap table if it changed (the commit's barriers sync
@@ -381,24 +358,26 @@ func (img *snapImage) release() error {
 // (main line, snapshot, or clone) of a shared image. Handles on the main
 // line re-resolve the current epoch on every operation, so a descriptor
 // opened before Snapshot keeps tracking the live file.
+//
+// Its data path is the kit's block path, with the image as each
+// operation's view (snapImage.view), and its pager is the kit's, syncing
+// the remap table after a page-out. Binds terminate here (the exported view differs per epoch); cache
+// sharing of unmodified data happens one layer down, where every view
+// reads the same image pages.
 type snapFile struct {
+	fsys.FilePager
+	fsys.Blocks
 	img      *snapImage
 	ref      epochRef
 	writable bool
-	backing  uint64
 }
 
 var (
-	_ fsys.File             = (*snapFile)(nil)
+	_ fsys.PagedFile        = (*snapFile)(nil)
 	_ fsys.Appender         = (*snapFile)(nil)
 	_ fsys.HandleFile       = (*snapFile)(nil)
 	_ naming.ProxyWrappable = (*snapFile)(nil)
 )
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *snapFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
-}
 
 // Lower returns the underlying image file (tests).
 func (f *snapFile) Lower() fsys.File { return f.img.lower }
@@ -408,27 +387,34 @@ func (f *snapFile) chain() ([]uint64, error) {
 	return f.img.fs.chainFor(f.ref)
 }
 
-// writeChain resolves the chain for a mutation under the read-held epoch
-// gate, so a write never lands in an epoch a concurrent Snapshot sealed.
-// The caller defers the returned release whether or not it fails.
-func (f *snapFile) writeChain() ([]uint64, func(), error) {
-	if !f.writable {
-		return nil, func() {}, fsys.ErrReadOnly
+// View implements fsys.BlockViewer. A write view resolves the chain under
+// the read-held epoch gate, so a write never lands in an epoch a
+// concurrent Snapshot sealed.
+func (f *snapFile) View(write bool) (fsys.BlockView, error) {
+	if write {
+		if !f.writable {
+			return nil, fsys.ErrReadOnly
+		}
+		f.img.fs.epochMu.RLock()
 	}
-	f.img.fs.epochMu.RLock()
 	chain, err := f.chain()
-	return chain, f.img.fs.epochMu.RUnlock, err
+	if err == nil {
+		var img *snapImage
+		if img, err = f.img.view(chain, write); err == nil {
+			return img, nil
+		}
+	}
+	if write {
+		f.img.fs.epochMu.RUnlock()
+	}
+	return nil, err
 }
 
 // ReadAt implements fsys.File.
 func (f *snapFile) ReadAt(p []byte, off int64) (int, error) {
 	t := opRead.Start()
 	defer func() { opRead.End(t, int64(len(p))) }()
-	chain, err := f.chain()
-	if err != nil {
-		return 0, err
-	}
-	return f.img.readAt(chain, p, off)
+	return f.Blocks.ReadAt(p, off)
 }
 
 // WriteAt implements fsys.File.
@@ -438,46 +424,44 @@ func (f *snapFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	t := opWrite.Start()
 	defer func() { opWrite.End(t, int64(len(p))) }()
-	chain, release, err := f.writeChain()
-	defer release()
-	if err != nil {
-		return 0, err
-	}
-	return f.img.writeAt(chain, p, off)
+	return f.Blocks.WriteAt(p, off)
 }
 
 // Append implements fsys.Appender.
-func (f *snapFile) Append(p []byte) (int64, int, error) {
-	chain, release, err := f.writeChain()
-	defer release()
-	if err != nil {
-		return 0, 0, err
-	}
-	return f.img.append(chain, p)
-}
+func (f *snapFile) Append(p []byte) (int64, int, error) { return fsys.AppendBlocks(f, p) }
 
 // GetLength implements vm.MemoryObject.
 func (f *snapFile) GetLength() (vm.Offset, error) {
-	chain, err := f.chain()
+	v, err := f.View(false)
 	if err != nil {
 		return 0, err
 	}
-	f.img.mu.Lock()
-	defer f.img.mu.Unlock()
-	if err := f.img.loadLocked(); err != nil {
-		return 0, err
-	}
-	return f.img.lengthLocked(chain), nil
+	defer v.Done()
+	return v.Length(), nil
 }
 
-// SetLength implements vm.MemoryObject.
-func (f *snapFile) SetLength(length vm.Offset) error {
-	chain, release, err := f.writeChain()
-	defer release()
+// Resize implements fsys.PagedFile.
+func (f *snapFile) Resize(length vm.Offset) error {
+	v, err := f.View(true)
 	if err != nil {
 		return err
 	}
-	return f.img.setLength(chain[0], chain, length)
+	defer v.Done()
+	return v.(*snapImage).setLength(length)
+}
+
+// truncate empties the file in chain's writable epoch, for a create over
+// it; the caller read-holds the epoch gate.
+func (f *snapFile) truncate(chain []uint64) error {
+	if err := f.Shrink(0); err != nil {
+		return err
+	}
+	v, err := f.img.view(chain, false)
+	if err != nil {
+		return err
+	}
+	defer v.Done()
+	return v.setLength(0)
 }
 
 // Stat implements fsys.File: the view's length, and the times of the
@@ -492,48 +476,3 @@ func (f *snapFile) Retain() { f.img.retain() }
 
 // Release implements fsys.HandleFile.
 func (f *snapFile) Release() error { return f.img.release() }
-
-// Bind implements vm.MemoryObject: SNAPFS is the pager for its views (the
-// exported view differs per epoch, so binds terminate here; cache sharing
-// of unmodified data happens one layer down, where every view reads the
-// same image pages).
-func (f *snapFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.img.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut, SyncAfterOut: true}
-	})
-	return rights, nil
-}
-
-// pageIn and pageOut are the data movers of the pager serving mapped
-// access to one view of a file; the pager's Sync also flushes the remap
-// table.
-func (f *snapFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
-	chain, err := f.chain()
-	if err != nil {
-		return nil, err
-	}
-	f.img.mu.Lock()
-	defer f.img.mu.Unlock()
-	if err := f.img.loadLocked(); err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	if err := fsys.EachBlock(offset, size, out, f.img.blockReader(chain)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (f *snapFile) pageOut(offset, size vm.Offset, data []byte) error {
-	chain, release, err := f.writeChain()
-	defer release()
-	if err != nil {
-		return err
-	}
-	f.img.mu.Lock()
-	defer f.img.mu.Unlock()
-	if err := f.img.loadLocked(); err != nil {
-		return err
-	}
-	return fsys.EachBlock(offset, size, data, f.img.blockWriter(chain[0]))
-}

@@ -136,15 +136,14 @@ type SnapFS struct {
 	// a write never lands in an epoch that sealed mid-operation.
 	epochMu sync.RWMutex
 
-	mu          sync.Mutex
-	under       fsys.StackableFS
-	loaded      bool
-	current     uint64 // id of the main epoch
-	nextEpoch   uint64
-	nextFile    uint64
-	epochs      map[uint64]*epoch
-	files       map[uint64]*snapImage // fileID → image
-	nextBacking atomic.Uint64
+	mu        sync.Mutex
+	under     fsys.StackableFS
+	loaded    bool
+	current   uint64 // id of the main epoch
+	nextEpoch uint64
+	nextFile  uint64
+	epochs    map[uint64]*epoch
+	files     map[uint64]*snapImage // fileID → image
 }
 
 var (
@@ -540,12 +539,8 @@ func (s *SnapFS) handleForLocked(fileID uint64, ref epochRef, writable bool) (*s
 	if f, ok := img.handles[ref]; ok {
 		return f, nil
 	}
-	f := &snapFile{
-		img:      img,
-		ref:      ref,
-		writable: writable,
-		backing:  s.nextBacking.Add(1),
-	}
+	f := &snapFile{img: img, ref: ref, writable: writable}
+	f.FilePager, f.Blocks = s.table.NewPager(f, true), fsys.Blocks{Viewer: f}
 	img.handles[ref] = f
 	return f, nil
 }
@@ -661,7 +656,7 @@ func (v *SnapView) Create(name string, cred naming.Credentials) (fsys.File, erro
 			return nil, err
 		}
 		s.mu.Unlock()
-		err = f.img.setLength(chain[0], chain, 0)
+		err = f.truncate(chain)
 		s.mu.Lock()
 		if err != nil {
 			return nil, err

@@ -10,6 +10,7 @@ import (
 
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
+	"springfs/internal/spring"
 	"springfs/internal/stats"
 	"springfs/internal/vm"
 )
@@ -255,9 +256,20 @@ func TestWriteFansOutConcurrently(t *testing.T) {
 	}
 }
 
+// pagerCatcher is a cache manager that keeps the pager a bind hands it.
+type pagerCatcher struct{ pager vm.PagerObject }
+
+func (c *pagerCatcher) ManagerName() string           { return "catcher" }
+func (c *pagerCatcher) ManagerDomain() *spring.Domain { return nil }
+func (c *pagerCatcher) NewConnection(p vm.PagerObject) (vm.CacheObject, vm.CacheRights) {
+	c.pager = p
+	return vm.NopCache{}, vm.RightsToken{Manager: "catcher"}
+}
+
 // TestPageOutFansOutConcurrently proves the pager path does the same: a
 // page-out of a 64-page extent spanning K servers issues K concurrent
-// per-server writes.
+// per-server writes, after one fan-out round reading the length the
+// page-out is cut at.
 func TestPageOutFansOutConcurrently(t *testing.T) {
 	const K = 4
 	const pages = 64
@@ -267,21 +279,27 @@ func TestPageOutFansOutConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	callsBefore := stats.Default.Export().Counters["stripe.fanout.calls"]
-	sf := f.(*stripeFile)
-	pager := &fsys.FilePager{File: sf, In: sf.pageIn, Out: sf.pageOut}
 	data := make([]byte, pages*vm.PageSize)
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	if err := pager.PageOut(0, vm.Offset(len(data)), data); err != nil {
+	// A page-out never extends a file, so the file has its length first.
+	if err := f.SetLength(vm.Offset(len(data))); err != nil {
+		t.Fatalf("SetLength: %v", err)
+	}
+	var holder pagerCatcher
+	if _, err := f.Bind(&holder, vm.RightsWrite, 0, 0); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	callsBefore := stats.Default.Export().Counters["stripe.fanout.calls"]
+	if err := holder.pager.PageOut(0, vm.Offset(len(data)), data); err != nil {
 		t.Fatalf("PageOut: %v", err)
 	}
-	if calls := stats.Default.Export().Counters["stripe.fanout.calls"] - callsBefore; calls != K {
-		t.Fatalf("fan-out calls: got %d, want %d", calls, K)
+	if calls := stats.Default.Export().Counters["stripe.fanout.calls"] - callsBefore; calls != 2*K {
+		t.Fatalf("fan-out calls: got %d, want %d (one round for the length, one for the data)", calls, 2*K)
 	}
 	// And the extent pages back in intact, reassembled from the K objects.
-	in, err := pager.PageIn(0, vm.Offset(len(data)), vm.RightsRead)
+	in, err := holder.pager.PageIn(0, vm.Offset(len(data)), vm.RightsRead)
 	if err != nil {
 		t.Fatalf("PageIn: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"springfs/internal/fsys"
 	"springfs/internal/naming"
-	"springfs/internal/spring"
 	"springfs/internal/vm"
 )
 
@@ -101,12 +100,17 @@ func (l layout) segments(off int64, n int) [][]segment {
 }
 
 // stripeFile is one logical file striped over the data servers.
+//
+// The striping layer is the pager for its files (data is spread over
+// servers, so no single lower cache channel can be shared): the kit's pager
+// over MoveIn and MoveOut. Each 64-page extent the VMM pages in or out
+// decomposes into per-server pieces that travel concurrently.
 type stripeFile struct {
 	fsys.PathHandle
-	fs      *StripeFS
-	lay     layout
-	backing uint64
-	locks   []sync.Mutex // per-server object acquisition locks
+	fsys.FilePager
+	fs    *StripeFS
+	lay   layout
+	locks []sync.Mutex // per-server object acquisition locks
 
 	mu       sync.Mutex
 	meta     fsys.File // the layout file (attribute fallback for empty files)
@@ -115,15 +119,10 @@ type stripeFile struct {
 }
 
 var (
-	_ fsys.File             = (*stripeFile)(nil)
+	_ fsys.PagedFile        = (*stripeFile)(nil)
 	_ fsys.HandleFile       = (*stripeFile)(nil)
 	_ naming.ProxyWrappable = (*stripeFile)(nil)
 )
-
-// WrapForChannel implements naming.ProxyWrappable.
-func (f *stripeFile) WrapForChannel(ch *spring.Channel) naming.Object {
-	return fsys.NewFileProxy(ch, f)
-}
 
 // setUnlinked marks the file as removed-while-retained: stripe objects
 // created from now on immediately drop their server-side names, keeping
@@ -421,12 +420,12 @@ func (f *stripeFile) GetLength() (vm.Offset, error) {
 	return a.Length, err
 }
 
-// SetLength implements vm.MemoryObject: every existing object is set to
+// Resize implements fsys.PagedFile: every existing object is set to
 // the exact length it would have were the file fully written out to L
 // (truncating or zero-extending per server; a server with no object has
 // nothing to shrink, and holes stay holes), and the object owning the new
 // EOF is created if missing so the derived length lands exactly on L.
-func (f *stripeFile) SetLength(length vm.Offset) error {
+func (f *stripeFile) Resize(length vm.Offset) error {
 	eofK := -1
 	if length > 0 {
 		eofK = f.lay.eofServer(length)
@@ -436,20 +435,9 @@ func (f *stripeFile) SetLength(length vm.Offset) error {
 	})
 }
 
-// Bind implements vm.MemoryObject: the striping layer is the pager for its
-// files (data is spread over servers, so no single lower cache channel can
-// be shared). Each 64-page extent the VMM pages in or out decomposes into
-// per-server pieces that travel concurrently.
-func (f *stripeFile) Bind(caller vm.CacheManager, access vm.Rights, offset, length vm.Offset) (vm.CacheRights, error) {
-	rights, _, _ := f.fs.table.Bind(caller, f.backing, func() vm.PagerObject {
-		return &fsys.FilePager{File: f, In: f.pageIn, Out: f.pageOut}
-	})
-	return rights, nil
-}
-
-// pageIn is the pager's page-in. Pages past the objects' data (holes,
+// MoveIn implements fsys.PagedFile. Pages past the objects' data (holes,
 // tails) come back zero-filled.
-func (f *stripeFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, error) {
+func (f *stripeFile) MoveIn(offset, size vm.Offset) ([]byte, error) {
 	out := make([]byte, size)
 	if err := f.moveSegments(out, offset, false); err != nil {
 		return nil, err
@@ -457,7 +445,7 @@ func (f *stripeFile) pageIn(offset, size vm.Offset, access vm.Rights) ([]byte, e
 	return out, nil
 }
 
-// pageOut is the pager's page-out.
-func (f *stripeFile) pageOut(offset, size vm.Offset, data []byte) error {
+// MoveOut implements fsys.PagedFile.
+func (f *stripeFile) MoveOut(offset vm.Offset, data []byte) error {
 	return f.moveSegments(data, offset, true)
 }

@@ -90,14 +90,13 @@ type StripeFS struct {
 	table      *fsys.ConnectionTable
 	stripeSize int64
 
-	mu          sync.Mutex
-	meta        fsys.StackableFS
-	servers     []fsys.StackableFS
-	metaSwept   bool   // the metadata root has had its mount-time sweep
-	swept       []bool // server k's objects swept since mount or its last Revive
-	health      fsys.Health
-	files       fsys.PathTable[*stripeFile]
-	nextBacking atomic.Uint64
+	mu        sync.Mutex
+	meta      fsys.StackableFS
+	servers   []fsys.StackableFS
+	metaSwept bool   // the metadata root has had its mount-time sweep
+	swept     []bool // server k's objects swept since mount or its last Revive
+	health    fsys.Health
+	files     fsys.PathTable[*stripeFile]
 }
 
 var (
@@ -430,14 +429,15 @@ func collectLayoutIDs(ctx naming.Context, cred naming.Credentials, ids map[uint6
 // fileFor returns the canonical striped file wrapper for a path.
 func (s *StripeFS) fileFor(name string, l layout, metaFile fsys.File) *stripeFile {
 	return s.files.LookupOrAdd(name, func() *stripeFile {
-		return &stripeFile{
-			fs:      s,
-			lay:     l,
-			meta:    metaFile,
-			backing: s.nextBacking.Add(1),
-			locks:   make([]sync.Mutex, l.count),
-			objs:    make([]fsys.File, l.count),
+		f := &stripeFile{
+			fs:    s,
+			lay:   l,
+			meta:  metaFile,
+			locks: make([]sync.Mutex, l.count),
+			objs:  make([]fsys.File, l.count),
 		}
+		f.FilePager = s.table.NewPager(f, false)
+		return f
 	})
 }
 

@@ -458,8 +458,7 @@ func (sh *shell) execute(line string) (quit bool) {
 			return
 		}
 		st := striped.StripeStatus()
-		fmt.Printf("stripe size %d KiB, fan-out workers %d, metadata on %s\n",
-			st.StripeSize>>10, st.Workers, st.Meta)
+		fmt.Printf("stripe size %d KiB, metadata on %s\n", st.StripeSize>>10, st.Meta)
 		for i, srv := range st.Servers {
 			health := "healthy"
 			if !srv.Healthy {

@@ -583,8 +583,7 @@ func (f *cohFile) cachedAttrs() (fsys.Attributes, error) {
 	if err != nil {
 		return fsys.Attributes{}, err
 	}
-	f.attrs.Set(attrs)
-	return attrs, nil
+	return f.attrs.Fill(attrs), nil
 }
 
 // GetLength implements vm.MemoryObject.

@@ -339,7 +339,9 @@ func checkHugeOffset(s *Stack) error {
 }
 
 // checkOpenFlags: O_EXCL refuses existing files, O_TRUNC discards content,
-// opening a missing file without O_CREAT fails.
+// opening a missing file without O_CREAT fails, creating or making a
+// directory under a regular file fails with ENOTDIR, and unlinking a
+// missing name with ENOENT.
 func checkOpenFlags(s *Stack) error {
 	p, err := s.NewProcess()
 	if err != nil {
@@ -371,7 +373,19 @@ func checkOpenFlags(s *Stack) error {
 	if st, err := p.Stat("open-flags.txt"); err != nil || st.Size != 0 {
 		return fmt.Errorf("size after O_TRUNC: %d, %v; want 0", st.Size, err)
 	}
-	return p.Unlink("open-flags.txt")
+	if _, err := p.Open("open-flags.txt/f", unixapi.O_CREAT|unixapi.O_WRONLY); !errors.Is(err, unixapi.ENOTDIR) {
+		return fmt.Errorf("creat under a file: %v, want ENOTDIR", err)
+	}
+	if err := p.Mkdir("open-flags.txt/d"); !errors.Is(err, unixapi.ENOTDIR) {
+		return fmt.Errorf("mkdir under a file: %v, want ENOTDIR", err)
+	}
+	if err := p.Unlink("open-flags.txt"); err != nil {
+		return err
+	}
+	if err := p.Unlink("open-flags.txt"); !errors.Is(err, unixapi.ENOENT) {
+		return fmt.Errorf("unlink missing: %v, want ENOENT", err)
+	}
+	return nil
 }
 
 // checkSparse: a write far past EOF leaves a hole that reads as zeros, and
@@ -696,7 +710,9 @@ func checkRenameSelf(s *Stack) error {
 	return p.Unlink("ren-self.bin")
 }
 
-// checkRenameDirs: a file moves between directories, keeping its content.
+// checkRenameDirs: a file moves between directories, keeping its content,
+// and the directory it moved into cannot be unlinked while it holds it
+// (ENOTEMPTY).
 func checkRenameDirs(s *Stack) error {
 	p, err := s.NewProcess()
 	if err != nil {
@@ -717,6 +733,9 @@ func checkRenameDirs(s *Stack) error {
 	}
 	if _, err := p.Stat("ren-d1/f.bin"); !errors.Is(err, unixapi.ENOENT) {
 		return fmt.Errorf("old path after cross-dir rename: %v, want ENOENT", err)
+	}
+	if err := p.Unlink("ren-d2"); !errors.Is(err, unixapi.ENOTEMPTY) {
+		return fmt.Errorf("unlink non-empty dir: %v, want ENOTEMPTY", err)
 	}
 	got, err := readPath(p, "ren-d2/g.bin")
 	if err != nil {

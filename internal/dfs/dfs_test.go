@@ -164,6 +164,26 @@ func TestLookupErrors(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Errorf("error = %v, want ErrRemote", err)
 	}
+	if !errors.Is(err, naming.ErrNotFound) {
+		t.Errorf("error = %v, want one errors.Is sees as naming.ErrNotFound", err)
+	}
+	// A remote error answers for the naming sentinels its message names,
+	// and for nothing else, even where the message carries the text.
+	for _, c := range []struct {
+		msg    string
+		target error
+		want   bool
+	}{
+		{"disklayer: not a directory: " + naming.ErrNotContext.Error(), naming.ErrNotContext, true},
+		{"snapfs: d: " + naming.ErrNotEmpty.Error(), naming.ErrNotEmpty, true},
+		{"disklayer: \"f\": " + naming.ErrExists.Error(), naming.ErrExists, true},
+		{"snapfs: d: " + naming.ErrNotEmpty.Error(), naming.ErrNotFound, false},
+		{io.EOF.Error(), io.EOF, false},
+	} {
+		if got := errors.Is(&ErrRemote{Msg: c.msg}, c.target); got != c.want {
+			t.Errorf("errors.Is(remote %q, %v) = %v, want %v", c.msg, c.target, got, c.want)
+		}
+	}
 }
 
 func TestFigure7BindForwarding(t *testing.T) {

@@ -26,6 +26,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
+
+	"springfs/internal/naming"
 )
 
 // Op identifies a protocol operation.
@@ -140,6 +144,17 @@ type ErrRemote struct{ Msg string }
 
 // Error implements error.
 func (e *ErrRemote) Error() string { return "dfs: remote: " + e.Msg }
+
+// remoteNameErrors are the sentinels an ErrRemote answers for: the wire
+// carries only the peer's message, so a name error is recognised by its
+// sentinel's text in it.
+var remoteNameErrors = []error{naming.ErrNotFound, naming.ErrNotContext, naming.ErrExists, naming.ErrNotEmpty}
+
+// Is reports whether the peer's error was one of the naming sentinels
+// (errors.Is); it answers for no other error.
+func (e *ErrRemote) Is(target error) bool {
+	return slices.Contains(remoteNameErrors, target) && strings.Contains(e.Msg, target.Error())
+}
 
 // frame is one protocol message.
 type frame struct {

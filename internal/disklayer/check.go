@@ -298,7 +298,7 @@ func scan(dev blockdev.Device) (*checkState, error) {
 		}
 		st.dirEntries[dirIno] = entries
 		for i, e := range entries {
-			if e.ino < 1 || int64(e.ino) > st.sb.ninodes || st.inodes[e.ino].mode == ModeFree {
+			if e.ino < 1 || e.ino > uint64(st.sb.ninodes) || st.inodes[e.ino].mode == ModeFree {
 				st.problem(ProblemDanglingEntry, "directory inode %d: entry %q -> inode %d (free or out of range)",
 					dirIno, e.name, e.ino)
 				st.cutEntries[dirIno] = append(st.cutEntries[dirIno], i)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"springfs/internal/naming"
 )
 
 // Directory data format: a sequence of entries, each
@@ -156,7 +158,7 @@ func (fs *DiskFS) dirLookup(dirIno uint64, name string) (uint64, error) {
 			return e.ino, nil
 		}
 	}
-	return 0, fmt.Errorf("disklayer: %q: not found", name)
+	return 0, fmt.Errorf("disklayer: %q: %w", name, naming.ErrNotFound)
 }
 
 // dirEdit rewrites directory dirIno once: every name in drop is removed
@@ -179,12 +181,12 @@ func (fs *DiskFS) dirEdit(dirIno uint64, drop []string, add *dirEntry) error {
 			continue
 		}
 		if add != nil && e.name == add.name {
-			return fmt.Errorf("disklayer: %q: already exists", e.name)
+			return fmt.Errorf("disklayer: %q: %w", e.name, naming.ErrExists)
 		}
 		out = append(out, e)
 	}
 	if dropped != len(drop) {
-		return fmt.Errorf("disklayer: %q: not found", drop)
+		return fmt.Errorf("disklayer: %q: %w", drop, naming.ErrNotFound)
 	}
 	if add != nil {
 		if len(add.name) > MaxNameLen {

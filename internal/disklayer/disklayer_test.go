@@ -357,6 +357,57 @@ func TestHardLinkViaBind(t *testing.T) {
 	}
 }
 
+// TestNameSpaceIsOne: the file system is its root context, so both
+// surfaces take paths and report a missing name the same way.
+func TestNameSpaceIsOne(t *testing.T) {
+	r := newRig(t, 256)
+	if _, err := r.fs.CreateContext("d", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.fs.Create("d/f", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Unbind("d/f", naming.Root); err != nil {
+		t.Errorf("Unbind of a path: %v", err)
+	}
+	if _, err := r.fs.Resolve("d/f", naming.Root); !fsys.IsNotFound(err) {
+		t.Errorf("Resolve after Unbind: %v, want not found", err)
+	}
+	if err := r.fs.Remove("missing", naming.Root); !fsys.IsNotFound(err) {
+		t.Errorf("Remove of a missing name: %v, want not found", err)
+	}
+}
+
+// TestClosedRefusesNameOps: after Unmount every name operation on either
+// surface fails with fsys.ErrClosed and writes nothing to the device.
+func TestClosedRefusesNameOps(t *testing.T) {
+	r := newRig(t, 256)
+	f, err := r.fs.Create("f", naming.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	writes := r.dev.Writes.Value()
+	ops := map[string]func() error{
+		"Create":        func() error { _, err := r.fs.Create("g", naming.Root); return err },
+		"Remove":        func() error { return r.fs.Remove("f", naming.Root) },
+		"Rename":        func() error { return r.fs.Rename("f", "h", naming.Root) },
+		"Bind":          func() error { return r.fs.Bind("alias", f, naming.Root) },
+		"Unbind":        func() error { return r.fs.Unbind("f", naming.Root) },
+		"CreateContext": func() error { _, err := r.fs.CreateContext("d", naming.Root); return err },
+	}
+	for name, op := range ops {
+		if err := op(); !errors.Is(err, fsys.ErrClosed) {
+			t.Errorf("%s after Unmount: %v, want ErrClosed", name, err)
+		}
+	}
+	if got := r.dev.Writes.Value(); got != writes {
+		t.Errorf("device took %d writes after Unmount", got-writes)
+	}
+}
+
 func TestCanonicalFileObjects(t *testing.T) {
 	// The same inode must yield the same file object so binds share
 	// pager-cache connections (equivalent memory objects).

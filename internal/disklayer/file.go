@@ -69,10 +69,12 @@ func (f *diskFile) GetLength() (vm.Offset, error) {
 	return ci.in.length, nil
 }
 
-// SetLength implements vm.MemoryObject. A shrink frees blocks, which is a
-// journaled metadata mutation; the wholly-vacated cached pages are purged
-// (outside the lock) and the straddling block's dropped tail is zeroed, so
-// a later re-extension reads zeros, not the old data.
+// SetLength implements vm.MemoryObject, and is the one shrink: the pager's
+// SetAttributes sets the length through it too. A shrink frees blocks,
+// which is a journaled metadata mutation; the wholly-vacated cached pages
+// are purged (outside the lock) and the straddling block's dropped tail is
+// zeroed, so a later re-extension reads zeros, not the old data. A
+// reclaimed file is left alone.
 func (f *diskFile) SetLength(length vm.Offset) error {
 	cur, err := f.GetLength()
 	if err != nil {
@@ -92,7 +94,7 @@ func (f *diskFile) SetLength(length vm.Offset) error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	ci, err := f.fs.readInode(f.ino)
-	if err != nil {
+	if err != nil || ci.in.mode != ModeFile {
 		return err
 	}
 	if length < ci.in.length {
@@ -242,12 +244,8 @@ func (f *diskFile) Retain() {
 // and blocks in a journal transaction of its own. A crash before that
 // transaction commits leaves the orphan for Mount's sweep.
 func (f *diskFile) Release() error {
-	freed := false
-	defer func() {
-		if freed {
-			f.fs.purgeCachedPages(f.ino, 0)
-		}
-	}()
+	var freed uint64
+	defer f.fs.purgeFreed(&freed)
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.refs > 0 {
@@ -264,12 +262,10 @@ func (f *diskFile) Release() error {
 		return nil
 	}
 	err = f.fs.withTxn(func() error {
-		return f.fs.freeInode(f.ino)
+		return f.fs.reclaimLocked(f.ino)
 	})
-	delete(f.fs.files, f.ino)
-	freed = err == nil
-	if freed {
-		f.truncGen.Add(1)
+	if err == nil {
+		freed = f.ino
 	}
 	return err
 }
@@ -614,39 +610,18 @@ func (p *diskPager) GetAttributes() (fsys.Attributes, error) {
 	return p.file.Stat()
 }
 
-// SetAttributes implements fsys.FsPagerObject.
+// SetAttributes implements fsys.FsPagerObject: the length changes through
+// diskFile.SetLength, then the times are set.
 func (p *diskPager) SetAttributes(attrs fsys.Attributes) error {
-	if cur, err := p.file.GetLength(); err == nil && attrs.Length < cur {
-		if err := p.file.zeroTail(attrs.Length); err != nil {
-			return err
-		}
-	}
-	fs := p.file.fs
-	shrunk := false
-	defer func() {
-		if shrunk {
-			fs.purgeCachedPages(p.file.ino, vm.RoundUp(attrs.Length))
-		}
-	}()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ci, err := fs.readInode(p.file.ino)
-	if err != nil {
+	f := p.file
+	if err := f.SetLength(attrs.Length); err != nil {
 		return err
 	}
-	if ci.in.mode != ModeFile {
-		return nil
-	}
-	if attrs.Length < ci.in.length {
-		if err := fs.withTxn(func() error {
-			return fs.truncateLocked(ci, attrs.Length)
-		}); err != nil {
-			return err
-		}
-		shrunk = true
-		p.file.truncGen.Add(1)
-	} else {
-		ci.in.length = attrs.Length
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	ci, err := f.fs.readInode(f.ino)
+	if err != nil || ci.in.mode != ModeFile {
+		return err
 	}
 	ci.in.atime = attrs.AccessTime.UnixNano()
 	ci.in.mtime = attrs.ModifyTime.UnixNano()

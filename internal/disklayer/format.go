@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"springfs/internal/blockdev"
+	"springfs/internal/naming"
 )
 
 // BlockSize is the file system block size; it equals the device block size
@@ -97,11 +98,11 @@ var (
 	// ErrBadInode means an inode number is out of range or free.
 	ErrBadInode = errors.New("disklayer: bad inode")
 	// ErrNotDir means a directory operation hit a non-directory inode.
-	ErrNotDir = errors.New("disklayer: not a directory")
+	ErrNotDir = fmt.Errorf("disklayer: not a directory: %w", naming.ErrNotContext)
 	// ErrIsDir means a file operation hit a directory inode.
 	ErrIsDir = errors.New("disklayer: is a directory")
 	// ErrDirNotEmpty means removing a directory that still has entries.
-	ErrDirNotEmpty = errors.New("disklayer: directory not empty")
+	ErrDirNotEmpty = fmt.Errorf("disklayer: directory not empty: %w", naming.ErrNotEmpty)
 	// ErrNameTooLong means a directory entry name exceeds the format
 	// limit.
 	ErrNameTooLong = errors.New("disklayer: name too long")

@@ -3,6 +3,7 @@ package disklayer
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -239,54 +240,67 @@ func (fs *DiskFS) WrapForChannel(ch *spring.Channel) naming.Object {
 	return fsys.WrapStackable(ch, fs)
 }
 
-// walkDir resolves all but the last component of name to a directory
-// inode. Caller holds fs.mu.
-func (fs *DiskFS) walkDir(name string) (dirIno uint64, last string, err error) {
+// walkDir resolves every component of name but the last, starting at
+// directory from, to a directory inode: the one loop that walks a path.
+// Caller holds fs.mu.
+func (fs *DiskFS) walkDir(from uint64, name string) (dirIno uint64, last string, err error) {
 	parts, err := naming.SplitName(name)
 	if err != nil {
 		return 0, "", err
 	}
-	dirIno = RootIno
+	dirIno = from
 	for _, p := range parts[:len(parts)-1] {
-		dirIno, err = fs.dirLookup(dirIno, p)
-		if err != nil {
+		if dirIno, err = fs.dirLookup(dirIno, p); err != nil {
 			return 0, "", err
 		}
 	}
 	return dirIno, parts[len(parts)-1], nil
 }
 
-// Create implements fsys.FS.
-func (fs *DiskFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
+// nameOp runs op, an edit of the name space, in one journal transaction
+// under fs.mu, and refuses it once the file system is closed.
+func (fs *DiskFS) nameOp(op func() error) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
-		return nil, fsys.ErrClosed
+		return fsys.ErrClosed
 	}
-	var f *diskFile
-	err := fs.withTxn(func() error {
-		dirIno, last, err := fs.walkDir(name)
+	return fs.withTxn(op)
+}
+
+// mknod creates name, resolved from directory from, as a fresh inode of
+// mode (Create and CreateContext). It returns the new canonical object,
+// taken under the hold of fs.mu that made the entry: the commit drops the
+// lock, and an unlink racing in behind it could free the inode.
+func (fs *DiskFS) mknod(from uint64, name string, mode uint32) (obj naming.Object, err error) {
+	err = fs.nameOp(func() error {
+		dirIno, last, err := fs.walkDir(from, name)
 		if err != nil {
 			return err
 		}
-		ci, err := fs.allocInode(ModeFile)
+		ci, err := fs.allocInode(mode)
 		if err != nil {
 			return err
 		}
 		if err := fs.dirInsert(dirIno, last, ci.ino); err != nil {
-			ferr := fs.freeInode(ci.ino)
-			if ferr != nil {
+			if ferr := fs.freeInode(ci.ino); ferr != nil {
 				return fmt.Errorf("%w (cleanup failed: %v)", err, ferr)
 			}
 			return err
 		}
-		f = fs.fileForLocked(ci.ino)
+		obj = fs.objectLocked(ci.ino, mode)
 		return nil
 	})
+	return obj, err
+}
+
+// Create implements fsys.FS.
+func (fs *DiskFS) Create(name string, cred naming.Credentials) (fsys.File, error) {
+	obj, err := fs.mknod(RootIno, name, ModeFile)
 	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return obj.(*diskFile), nil
 }
 
 // Open implements fsys.FS.
@@ -300,21 +314,18 @@ func (fs *DiskFS) Open(name string, cred naming.Credentials) (fsys.File, error) 
 	return fsys.AsFile(obj)
 }
 
-// Remove implements fsys.FS.
+// Remove implements fsys.FS: it is the root directory's Unbind.
 func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return fsys.ErrClosed
-	}
-	return fs.withTxn(func() error {
-		dirIno, last, err := fs.walkDir(name)
+	return fs.Unbind(name, cred)
+}
+
+// unlink removes the entry name, resolved from directory from, and drops
+// the link it held (Remove and Unbind). A directory must be empty.
+func (fs *DiskFS) unlink(from uint64, name string) error {
+	var freed uint64
+	defer fs.purgeFreed(&freed)
+	return fs.nameOp(func() error {
+		dirIno, last, err := fs.walkDir(from, name)
 		if err != nil {
 			return err
 		}
@@ -322,63 +333,87 @@ func (fs *DiskFS) Remove(name string, cred naming.Credentials) error {
 		if err != nil {
 			return err
 		}
-		ci, err := fs.readInode(ino)
-		if err != nil {
+		if err := fs.requireEmpty(ino); err != nil {
 			return err
-		}
-		if ci.in.mode == ModeDir {
-			entries, _, derr := fs.dirEntries(ino)
-			if derr != nil {
-				return derr
-			}
-			if len(entries) > 0 {
-				return ErrDirNotEmpty
-			}
 		}
 		if err := fs.dirRemove(dirIno, last); err != nil {
 			return err
 		}
-		freed, err := fs.dropLinkLocked(ino)
-		if freed {
-			freedIno = ino
-		}
+		freed, err = fs.dropLinkLocked(ino)
 		return err
 	})
 }
 
+// requireEmpty refuses ino if it is a directory that still has entries.
+// Caller holds fs.mu.
+func (fs *DiskFS) requireEmpty(ino uint64) error {
+	ci, err := fs.readInode(ino)
+	if err != nil || ci.in.mode != ModeDir {
+		return err
+	}
+	entries, _, err := fs.dirEntries(ino)
+	if err == nil && len(entries) > 0 {
+		err = ErrDirNotEmpty
+	}
+	return err
+}
+
 // dropLinkLocked drops one link from ino after its directory entry has been
-// removed in the current transaction. The inode is freed on its last link —
-// unless the file still has open handles, in which case it is orphaned
-// (link count zero, storage intact) so reads and writes through those
-// handles keep working; the last Release reclaims it, and Mount's orphan
-// sweep covers a crash in between. Caller holds fs.mu inside a transaction.
-//
-// freed reports whether the inode went back to the pool; the caller must
-// then purge its cached pages (purgeCachedPages) after releasing fs.mu, or
-// a reallocation of the inode number would resurrect the dead file's data.
-func (fs *DiskFS) dropLinkLocked(ino uint64) (freed bool, err error) {
+// removed in the current transaction. The inode is reclaimed on its last
+// link — unless the file still has open handles, in which case it is
+// orphaned (link count zero, storage intact) so reads and writes through
+// those handles keep working; the last Release reclaims it, and Mount's
+// orphan sweep covers a crash in between. It returns the inode it
+// reclaimed, or 0. Caller holds fs.mu inside a transaction.
+func (fs *DiskFS) dropLinkLocked(ino uint64) (freed uint64, err error) {
 	ci, err := fs.readInode(ino)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	if ci.in.nlink > 1 {
+	f := fs.files[ino]
+	switch {
+	case ci.in.mode == ModeFree:
+		return 0, nil // a dangling entry (fsck's dangling-entry) held no link
+	case ci.in.nlink > 1:
 		ci.in.nlink--
-		ci.dirty = true
-		fs.txnRegister(ci)
-		return false, nil
-	}
-	if f, ok := fs.files[ino]; ok && f.refs > 0 && ci.in.mode == ModeFile {
+	case f != nil && f.refs > 0 && ci.in.mode == ModeFile:
 		ci.in.nlink = 0
-		ci.dirty = true
-		fs.txnRegister(ci)
-		return false, nil
+	default:
+		if err := fs.reclaimLocked(ino); err != nil {
+			return 0, err
+		}
+		return ino, nil
 	}
+	ci.dirty = true
+	fs.txnRegister(ci)
+	return 0, nil
+}
+
+// reclaimLocked frees ino, whose last link and last handle are gone, with
+// its blocks, and forgets its canonical objects: the one way an inode
+// leaves the name space (dropLinkLocked, the last Release). The caller
+// must then purge its cached pages (purgeFreed) once fs.mu is released,
+// or a reallocation of the inode number would resurrect the dead file's
+// data. Caller holds fs.mu inside a transaction.
+func (fs *DiskFS) reclaimLocked(ino uint64) error {
 	if err := fs.freeInode(ino); err != nil {
-		return false, err
+		return err
 	}
-	delete(fs.files, ino)
+	if f, ok := fs.files[ino]; ok {
+		f.truncGen.Add(1)
+		delete(fs.files, ino)
+	}
 	delete(fs.dirs, ino)
-	return true, nil
+	return nil
+}
+
+// purgeFreed purges the cached pages of *ino, the inode an operation
+// reclaimed (0: none). Deferred before the operation takes fs.mu, it runs
+// once the lock is released.
+func (fs *DiskFS) purgeFreed(ino *uint64) {
+	if *ino != 0 {
+		fs.purgeCachedPages(*ino, 0)
+	}
 }
 
 // purgeExtent covers any possible file offset; DeleteRange bounds it to the
@@ -404,42 +439,16 @@ func (fs *DiskFS) purgeCachedPages(ino uint64, from vm.Offset) {
 
 // Rename implements fsys.FS: one journal transaction moves the source
 // entry to the destination name, dropping any replaced destination's link
-// exactly like Remove would — so the whole rename (including the implicit
-// unlink of the destination) is atomic across a crash.
+// exactly like an unlink would — so the whole rename (including the
+// implicit unlink of the destination) is atomic across a crash.
 func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.closed {
-		return fsys.ErrClosed
-	}
-	oldParts, err := naming.SplitName(oldname)
-	if err != nil {
-		return err
-	}
-	newParts, err := naming.SplitName(newname)
-	if err != nil {
-		return err
-	}
-	if len(newParts) > len(oldParts) {
-		below := true
-		for i := range oldParts {
-			if newParts[i] != oldParts[i] {
-				below = false
-				break
-			}
-		}
-		if below {
+	var freed uint64
+	defer fs.purgeFreed(&freed)
+	return fs.nameOp(func() error {
+		if strings.HasPrefix(strings.Trim(newname, "/"), strings.Trim(oldname, "/")+"/") {
 			return fmt.Errorf("disklayer: cannot move %q below itself", oldname)
 		}
-	}
-	return fs.withTxn(func() error {
-		odIno, oLast, err := fs.walkDir(oldname)
+		odIno, oLast, err := fs.walkDir(RootIno, oldname)
 		if err != nil {
 			return err
 		}
@@ -451,7 +460,7 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 		if err != nil {
 			return err
 		}
-		ndIno, nLast, err := fs.walkDir(newname)
+		ndIno, nLast, err := fs.walkDir(RootIno, newname)
 		if err != nil {
 			return err
 		}
@@ -471,14 +480,9 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 				return ErrIsDir
 			case srcCi.in.mode == ModeDir && dstCi.in.mode != ModeDir:
 				return ErrNotDir
-			case dstCi.in.mode == ModeDir:
-				entries, _, derr := fs.dirEntries(dstIno)
-				if derr != nil {
-					return derr
-				}
-				if len(entries) > 0 {
-					return ErrDirNotEmpty
-				}
+			}
+			if err := fs.requireEmpty(dstIno); err != nil {
+				return err
 			}
 			drop = append(drop, nLast)
 		}
@@ -494,10 +498,7 @@ func (fs *DiskFS) Rename(oldname, newname string, cred naming.Credentials) error
 		if err != nil || !replaced {
 			return err
 		}
-		freed, err := fs.dropLinkLocked(dstIno)
-		if freed {
-			freedIno = dstIno
-		}
+		freed, err = fs.dropLinkLocked(dstIno)
 		return err
 	})
 }
@@ -596,6 +597,14 @@ func (fs *DiskFS) dirForLocked(ino uint64) *diskDir {
 	return d
 }
 
+// objectLocked returns the canonical object for ino, an inode of mode.
+func (fs *DiskFS) objectLocked(ino uint64, mode uint32) naming.Object {
+	if mode == ModeDir {
+		return fs.dirForLocked(ino)
+	}
+	return fs.fileForLocked(ino)
+}
+
 // Resolve implements naming.Context (the file system is its own root
 // directory context).
 func (fs *DiskFS) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
@@ -631,7 +640,8 @@ func (fs *DiskFS) rootDir() *diskDir {
 	return fs.dirForLocked(RootIno)
 }
 
-// diskDir is a directory exposed as a naming context.
+// diskDir is a directory exposed as a naming context. Compound names work
+// in every operation, resolved from the directory.
 type diskDir struct {
 	fs  *DiskFS
 	ino uint64
@@ -649,110 +659,54 @@ func (d *diskDir) WrapForChannel(ch *spring.Channel) naming.Object {
 
 // Resolve implements naming.Context.
 func (d *diskDir) Resolve(name string, cred naming.Credentials) (naming.Object, error) {
-	parts, err := naming.SplitName(name)
+	d.fs.mu.Lock()
+	defer d.fs.mu.Unlock()
+	dirIno, last, err := d.fs.walkDir(d.ino, name)
 	if err != nil {
 		return nil, err
 	}
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	ino := d.ino
-	for i, p := range parts {
-		ino, err = d.fs.dirLookup(ino, p)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q", naming.ErrNotFound, p)
-		}
-		ci, rerr := d.fs.readInode(ino)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if i < len(parts)-1 && ci.in.mode != ModeDir {
-			return nil, naming.ErrNotContext
-		}
-		if i == len(parts)-1 {
-			if ci.in.mode == ModeDir {
-				return d.fs.dirForLocked(ino), nil
-			}
-			return d.fs.fileForLocked(ino), nil
-		}
+	ino, err := d.fs.dirLookup(dirIno, last)
+	if err != nil {
+		return nil, err
 	}
-	return nil, naming.ErrBadName
+	ci, err := d.fs.readInode(ino)
+	if err != nil {
+		return nil, err
+	}
+	return d.fs.objectLocked(ino, ci.in.mode), nil
 }
 
-// Bind implements naming.Context. Disk directories persist only file
-// system objects; arbitrary object bindings belong in in-memory contexts.
+// Bind implements naming.Context: a hard link to a file of this file
+// system. Disk directories persist only file system objects; arbitrary
+// object bindings belong in in-memory contexts.
 func (d *diskDir) Bind(name string, obj naming.Object, cred naming.Credentials) error {
-	if f, ok := obj.(*diskFile); ok && f.fs == d.fs {
-		d.fs.mu.Lock()
-		defer d.fs.mu.Unlock()
-		return d.fs.withTxn(func() error {
-			parts, err := naming.SplitName(name)
-			if err != nil {
-				return err
-			}
-			if len(parts) != 1 {
-				return naming.ErrBadName
-			}
-			ci, err := d.fs.readInode(f.ino)
-			if err != nil {
-				return err
-			}
-			if err := d.fs.dirInsert(d.ino, parts[0], f.ino); err != nil {
-				return err
-			}
-			ci.in.nlink++
-			ci.dirty = true
-			d.fs.txnRegister(ci)
-			return nil
-		})
+	f, ok := obj.(*diskFile)
+	if !ok || f.fs != d.fs {
+		return fmt.Errorf("disklayer: cannot bind foreign objects into an on-disk directory")
 	}
-	return fmt.Errorf("disklayer: cannot bind foreign objects into an on-disk directory")
+	return d.fs.nameOp(func() error {
+		dirIno, last, err := d.fs.walkDir(d.ino, name)
+		if err != nil {
+			return err
+		}
+		ci, err := d.fs.readInode(f.ino)
+		if err != nil {
+			return err
+		}
+		if err := d.fs.dirInsert(dirIno, last, f.ino); err != nil {
+			return err
+		}
+		ci.in.nlink++
+		ci.dirty = true
+		d.fs.txnRegister(ci)
+		return nil
+	})
 }
 
 // Unbind implements naming.Context: it removes the entry and frees the
 // inode when the last link goes away.
 func (d *diskDir) Unbind(name string, cred naming.Credentials) error {
-	var freedIno uint64
-	defer func() {
-		if freedIno != 0 {
-			d.fs.purgeCachedPages(freedIno, 0)
-		}
-	}()
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	return d.fs.withTxn(func() error {
-		parts, err := naming.SplitName(name)
-		if err != nil {
-			return err
-		}
-		if len(parts) != 1 {
-			return naming.ErrBadName
-		}
-		ino, err := d.fs.dirLookup(d.ino, parts[0])
-		if err != nil {
-			return fmt.Errorf("%w: %q", naming.ErrNotFound, parts[0])
-		}
-		ci, err := d.fs.readInode(ino)
-		if err != nil {
-			return err
-		}
-		if ci.in.mode == ModeDir {
-			entries, _, derr := d.fs.dirEntries(ino)
-			if derr != nil {
-				return derr
-			}
-			if len(entries) > 0 {
-				return ErrDirNotEmpty
-			}
-		}
-		if err := d.fs.dirRemove(d.ino, parts[0]); err != nil {
-			return err
-		}
-		freed, err := d.fs.dropLinkLocked(ino)
-		if freed {
-			freedIno = ino
-		}
-		return err
-	})
+	return d.fs.unlink(d.ino, name)
 }
 
 // List implements naming.Context.
@@ -769,13 +723,7 @@ func (d *diskDir) List(cred naming.Credentials) ([]naming.Binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		var obj naming.Object
-		if ci.in.mode == ModeDir {
-			obj = d.fs.dirForLocked(e.ino)
-		} else {
-			obj = d.fs.fileForLocked(e.ino)
-		}
-		out = append(out, naming.Binding{Name: e.name, Object: obj})
+		out = append(out, naming.Binding{Name: e.name, Object: d.fs.objectLocked(e.ino, ci.in.mode)})
 	}
 	return out, nil
 }
@@ -783,36 +731,9 @@ func (d *diskDir) List(cred naming.Credentials) ([]naming.Binding, error) {
 // CreateContext implements naming.Context (mkdir). Compound names create
 // the final directory under the (existing) prefix.
 func (d *diskDir) CreateContext(name string, cred naming.Credentials) (naming.Context, error) {
-	d.fs.mu.Lock()
-	defer d.fs.mu.Unlock()
-	var out *diskDir
-	err := d.fs.withTxn(func() error {
-		parts, err := naming.SplitName(name)
-		if err != nil {
-			return err
-		}
-		dirIno := d.ino
-		for _, p := range parts[:len(parts)-1] {
-			dirIno, err = d.fs.dirLookup(dirIno, p)
-			if err != nil {
-				return fmt.Errorf("%w: %q", naming.ErrNotFound, p)
-			}
-		}
-		ci, err := d.fs.allocInode(ModeDir)
-		if err != nil {
-			return err
-		}
-		if err := d.fs.dirInsert(dirIno, parts[len(parts)-1], ci.ino); err != nil {
-			if ferr := d.fs.freeInode(ci.ino); ferr != nil {
-				return fmt.Errorf("%w (cleanup failed: %v)", err, ferr)
-			}
-			return err
-		}
-		out = d.fs.dirForLocked(ci.ino)
-		return nil
-	})
+	obj, err := d.fs.mknod(d.ino, name, ModeDir)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return obj.(*diskDir), nil
 }

@@ -173,3 +173,111 @@ func FuzzScanRing(f *testing.F) {
 		}
 	})
 }
+
+// dirImage formats a small device holding a real directory tree and
+// unmounts it, so the device alone holds the file system. It returns the
+// image with the byte offsets of the root inode and of the root
+// directory's data block, and the directory's data itself: the seed of
+// FuzzDirectoryNames.
+func dirImage(t testing.TB) (img []byte, inodeOff, blockOff int64, dir []byte) {
+	dev := blockdev.NewMem(fuzzDevBlocks, blockdev.ProfileNone)
+	if err := Mkfs(dev, MkfsOptions{JournalBlocks: fuzzRingBlocks}); err != nil {
+		t.Fatal(err)
+	}
+	fs := newGroupRig(t, dev)
+	for _, name := range []string{"a", "b.txt"} {
+		if _, err := fs.Create(name, naming.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.CreateContext("d", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create("d/c", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	root, err := fs.readInode(RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img = deviceImage(t, dev)
+	inodeOff = (fs.sb.itableStart+RootIno/InodesPerBlock)*BlockSize + RootIno%InodesPerBlock*InodeSize
+	blockOff = root.in.direct[0] * BlockSize
+	return img, inodeOff, blockOff, img[blockOff : blockOff+root.in.length]
+}
+
+// FuzzDirectoryNames: whatever bytes the root directory holds, fsck and the
+// name operations — the one walk, the make, the unlink, rename, list and
+// the consistency check — may fail but must not panic. Each input becomes
+// the root directory's data (and its length) on a synced image, remounted.
+func FuzzDirectoryNames(f *testing.F) {
+	img, inodeOff, blockOff, dir := dirImage(f)
+	f.Add(dir)
+	f.Add([]byte{})
+	f.Add(append(bytes.Clone(dir), dir...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), BlockSize)]
+		im := bytes.Clone(img)
+		var root inode
+		root.decode(im[inodeOff:])
+		root.length = int64(len(data))
+		root.encode(im[inodeOff:])
+		clear(im[blockOff : blockOff+BlockSize])
+		copy(im[blockOff:], data)
+		dev := blockdev.NewMem(fuzzDevBlocks, blockdev.ProfileNone)
+		if err := writeRun(dev, 0, im); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = Check(dev, false)
+		fs := newGroupRig(t, dev)
+
+		for _, name := range []string{"a", "d/c", "b.txt/x", "zz"} {
+			_, _ = fs.Resolve(name, naming.Root)
+		}
+		if bindings, err := fs.List(naming.Root); err == nil {
+			for _, b := range bindings[:min(len(bindings), 8)] {
+				_, _ = fs.Resolve(b.Name, naming.Root)
+				_ = fs.Rename(b.Name, "renamed", naming.Root)
+				_ = fs.Remove("renamed", naming.Root)
+			}
+		}
+		_, _ = fs.Create("n", naming.Root)
+		_, _ = fs.Create("d/n", naming.Root)
+		_ = fs.Rename("b.txt", "d/b2", naming.Root)
+		_, _ = fs.CreateContext("e", naming.Root)
+		_ = fs.Unbind("d/c", naming.Root)
+		_ = fs.Remove("a", naming.Root)
+		_, _ = fs.List(naming.Root)
+		_ = fs.CheckConsistency()
+	})
+}
+
+// TestUnlinkDanglingEntry: unlinking an entry that names a free inode drops
+// the entry and leaves the inode counts alone, so fsck finds the image
+// clean afterwards.
+func TestUnlinkDanglingEntry(t *testing.T) {
+	img, inodeOff, blockOff, dir := dirImage(t)
+	dir = binary.BigEndian.AppendUint64(append(bytes.Clone(dir), 0, 1, 'z'), 9) // "z" -> free inode 9
+	var root inode
+	root.decode(img[inodeOff:])
+	root.length = int64(len(dir))
+	root.encode(img[inodeOff:])
+	copy(img[blockOff:], dir)
+	dev := blockdev.NewMem(fuzzDevBlocks, blockdev.ProfileNone)
+	if err := writeRun(dev, 0, img); err != nil {
+		t.Fatal(err)
+	}
+	fs := newGroupRig(t, dev)
+	if err := fs.Remove("z", naming.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Check(dev, false); err != nil || !rep.Clean {
+		t.Errorf("fsck after unlinking a dangling entry: %v, %v", rep, err)
+	}
+}

@@ -51,7 +51,7 @@ func (fs *DiskFS) itableBlock(blk int64) ([]byte, error) {
 // readInode returns the cached inode for ino, loading it from the inode
 // table if needed. Caller holds fs.mu.
 func (fs *DiskFS) readInode(ino uint64) (*cachedInode, error) {
-	if ino == 0 || int64(ino) > fs.sb.ninodes {
+	if ino == 0 || ino > uint64(fs.sb.ninodes) {
 		return nil, fmt.Errorf("%w: %d", ErrBadInode, ino)
 	}
 	if ci, ok := fs.icache[ino]; ok {

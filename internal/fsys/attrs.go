@@ -113,6 +113,20 @@ func (ac *AttrCache) Set(attrs Attributes) {
 	ac.dirty = false
 }
 
+// Fill caches attrs fetched from below on a miss, as clean, unless the
+// cache became valid while they were fetched: what it holds then (a
+// concurrent Update, say) is newer. It returns what the cache holds.
+func (ac *AttrCache) Fill(attrs Attributes) Attributes {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	if !ac.valid {
+		ac.attrs = attrs
+		ac.valid = true
+		ac.dirty = false
+	}
+	return ac.attrs
+}
+
 // Update caches attrs as modified (to be written back on flush).
 func (ac *AttrCache) Update(attrs Attributes) {
 	ac.mu.Lock()

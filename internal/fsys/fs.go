@@ -2,7 +2,6 @@ package fsys
 
 import (
 	"errors"
-	"strings"
 
 	"springfs/internal/naming"
 	"springfs/internal/vm"
@@ -190,13 +189,8 @@ func CanonicalKey(f File) any {
 }
 
 // IsNotFound reports whether err means "no object bound at that name".
-// Local stacks return naming.ErrNotFound; DFS flattens remote errors to
-// strings, so fall back to matching the sentinel's message.
 func IsNotFound(err error) bool {
-	if errors.Is(err, naming.ErrNotFound) {
-		return true
-	}
-	return err != nil && strings.Contains(err.Error(), naming.ErrNotFound.Error())
+	return errors.Is(err, naming.ErrNotFound)
 }
 
 // AsFile narrows obj to a File, unwrapping nothing: the object either is a

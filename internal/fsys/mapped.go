@@ -24,6 +24,8 @@ type MappedIO struct {
 	mu        sync.Mutex
 	mapping   *vm.Mapping
 	readAhead int
+
+	grow sync.Mutex // serialises the extending writes of WriteAt
 }
 
 // NewMappedIO creates the read/write engine for mobj using the server's
@@ -109,15 +111,18 @@ func (m *MappedIO) WriteAt(p []byte, off int64) (int, error) {
 		return n, err
 	}
 	length, err := m.mobj.GetLength()
-	if err != nil {
+	if err != nil || off+int64(n) <= length {
 		return n, err
 	}
-	if off+int64(n) > length {
-		if err := m.mobj.SetLength(off + int64(n)); err != nil {
-			return n, err
-		}
+	// Extending is check-then-set, so extenders take turns and check
+	// again: a shorter write must not set the length below the end of a
+	// longer one that extended in between.
+	m.grow.Lock()
+	defer m.grow.Unlock()
+	if length, err = m.mobj.GetLength(); err == nil && off+int64(n) > length {
+		err = m.mobj.SetLength(off + int64(n))
 	}
-	return n, nil
+	return n, err
 }
 
 // Sync pushes modified cached pages back to the pager.

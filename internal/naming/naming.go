@@ -47,6 +47,9 @@ var (
 	ErrPermission = errors.New("naming: permission denied")
 	// ErrBadName is returned for empty or malformed names.
 	ErrBadName = errors.New("naming: bad name")
+	// ErrNotEmpty is returned when unbinding a context that still has
+	// bindings.
+	ErrNotEmpty = errors.New("naming: context not empty")
 )
 
 // Rights is a bitmask of operations a principal may perform on a context.

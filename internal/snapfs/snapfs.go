@@ -703,7 +703,7 @@ func (v *SnapView) Remove(name string, cred naming.Credentials) error {
 		return fmt.Errorf("snapfs: %s: %w", path, naming.ErrNotFound)
 	}
 	if ent.dir && hasChildren(s.mergedLocked(chain), path) {
-		return fmt.Errorf("snapfs: %s: directory not empty", path)
+		return fmt.Errorf("snapfs: %s: %w", path, naming.ErrNotEmpty)
 	}
 	if err := s.editNamesLocked(chain, func(names map[string]nameEntry) {
 		s.unbindLocked(names, chain, path)
@@ -768,7 +768,7 @@ func (v *SnapView) Rename(oldname, newname string, cred naming.Credentials) erro
 	}
 	destEnt, replaces := s.lookupLocked(chain, newPath)
 	if replaces && destEnt.dir && hasChildren(s.mergedLocked(chain), newPath) {
-		return fmt.Errorf("snapfs: %s: directory not empty", newPath)
+		return fmt.Errorf("snapfs: %s: %w", newPath, naming.ErrNotEmpty)
 	}
 	moves := map[string]nameEntry{oldPath: oldEnt}
 	if oldEnt.dir {

@@ -46,8 +46,6 @@ const (
 	// DefaultStripeSize is the default stripe width. It must be a multiple
 	// of the page size so a page never straddles two servers.
 	DefaultStripeSize = 64 << 10
-	// DefaultWorkers bounds the per-operation fan-out concurrency.
-	DefaultWorkers = 8
 
 	// layoutTmpPrefix names in-flight layout commits in the metadata root.
 	layoutTmpPrefix = ".stripe-tmp-"
@@ -219,7 +217,6 @@ type ServerStatus struct {
 // verb renders it).
 type Status struct {
 	StripeSize int64
-	Workers    int
 	Meta       string
 	Servers    []ServerStatus
 }
@@ -228,7 +225,7 @@ type Status struct {
 func (s *StripeFS) StripeStatus() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Status{StripeSize: s.stripeSize, Workers: DefaultWorkers}
+	st := Status{StripeSize: s.stripeSize}
 	if s.meta != nil {
 		st.Meta = s.meta.FSName()
 	}
@@ -658,10 +655,10 @@ func (s *StripeFS) CreateContext(name string, cred naming.Credentials) (naming.C
 	return s.Dir(name), nil
 }
 
-// runFanOut runs visit(k) for each data server k in ks through a bounded
-// worker pool (the vm flush-pool idiom): every visit runs, errors are
-// joined. Visits run concurrently, so an extent spanning K servers issues
-// K concurrent RPCs.
+// runFanOut runs visit(k) for each data server k in ks: the first on the
+// calling goroutine and each other on its own, so an extent spanning K
+// servers issues K concurrent RPCs (K is at most the layout's server
+// count). Every visit runs; errors are joined.
 func (s *StripeFS) runFanOut(ks []int, visit func(k int) error) error {
 	if len(ks) == 0 {
 		return nil
@@ -672,27 +669,16 @@ func (s *StripeFS) runFanOut(ks []int, visit func(k int) error) error {
 		return visit(ks[0])
 	}
 	stripeFanWide.Inc()
-	ch := make(chan int)
+	errs := make([]error, len(ks))
 	var wg sync.WaitGroup
-	var emu sync.Mutex
-	var errs []error
-	for w := 0; w < min(DefaultWorkers, len(ks)); w++ {
+	for i := 1; i < len(ks); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range ch {
-				if err := visit(k); err != nil {
-					emu.Lock()
-					errs = append(errs, err)
-					emu.Unlock()
-				}
-			}
+			errs[i] = visit(ks[i])
 		}()
 	}
-	for _, k := range ks {
-		ch <- k
-	}
-	close(ch)
+	errs[0] = visit(ks[0])
 	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -178,9 +178,7 @@ func mapErr(err error) error {
 		return fmt.Errorf("%w: %v", EISDIR, err)
 	case errors.Is(err, fsys.ErrFileTooBig):
 		return fmt.Errorf("%w: %v", EFBIG, err)
-	case strings.Contains(err.Error(), "not found"):
-		return fmt.Errorf("%w: %v", ENOENT, err)
-	case strings.Contains(err.Error(), "not empty"):
+	case errors.Is(err, naming.ErrNotEmpty):
 		return fmt.Errorf("%w: %v", ENOTEMPTY, err)
 	default:
 		return err
